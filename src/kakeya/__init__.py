@@ -9,178 +9,31 @@ directions of the lifted lines fill an N^(n-1) grid, which feeds exact
 rational lower bounds on the size of any point set with that direction
 behavior, and a Hasse-derivative certificate pipeline re-verifies the
 underlying polynomial argument on concrete instances.
+
+The top level holds what the README example, the demos and the
+benchmark use; everything else is imported from its module.
 """
 
-from .construction import (
-    ConstructionFrame,
-    EmbeddedSeed,
-    KakeyaSet,
-    KLine,
-    KPoint,
-    Lifting,
-    assemble,
-    build_frame,
-    direction_from_grid_values,
-    embed_seed,
-    grid_values_from_direction,
-    kakeya_from_json,
-    kakeya_to_json,
-    load_kakeya,
-    load_seed,
-    save_kakeya,
-    save_seed,
-)
-from .errors import (
-    AmbientMismatch,
-    DegenerateSeed,
-    DimensionMismatch,
-    DivisionByZero,
-    FieldMismatch,
-    GridMissing,
-    HypothesisViolation,
-    KakeyaError,
-    NotHomogeneous,
-    SeedTooSmall,
-    UndefinedBasePoint,
-    UnsupportedDimension,
-    UnsupportedField,
-    ZeroPolynomial,
-    ZeroVector,
-)
-from .polymethod import (
-    BoundReport,
-    Certificate,
-    Poly,
-    bound_best,
-    bound_grid,
-    certify,
-    direction_multiplicity,
-    grid_generator,
-    hasse_derivative,
-    monomial_basis,
-    multiplicity_at,
-    restrict_to_line,
-    top_part,
-    vanishing_space,
-)
-from .projgeom import (
-    ProjPoint,
-    Subspace,
-    affine_coords,
-    in_general_position,
-    incident,
-    meet,
-    point_from_affine,
-    span,
-    span_point,
-)
-from .scalar import (
-    DEFAULT_REAL_TOLERANCE,
-    Field,
-    PrimeField,
-    RationalField,
-    RealField,
-    Scalar,
-    binomial,
-    field_from_json,
-)
-from .seeds import (
-    PlanarSeed,
-    SeedPoint,
-    SeedReport,
-    dual_conic_seed,
-    regular_ngon_seed,
-    seed_from_json,
-    seed_report,
-    seed_to_json,
-)
-from .verify import (
-    VerifyReport,
-    verify_all,
-    verify_bound_consistency,
-    verify_directions,
-    verify_incidence,
-    verify_size,
-)
+from .construction import KPoint, assemble, load_kakeya, save_kakeya
+from .errors import KakeyaError
+from .polymethod import certify
+from .projgeom import affine_coords, meet, point_from_affine
+from .seeds import dual_conic_seed, regular_ngon_seed
+from .verify import verify_all
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmbientMismatch",
-    "BoundReport",
-    "Certificate",
-    "ConstructionFrame",
-    "DEFAULT_REAL_TOLERANCE",
-    "DegenerateSeed",
-    "DimensionMismatch",
-    "DivisionByZero",
-    "EmbeddedSeed",
-    "Field",
-    "FieldMismatch",
-    "GridMissing",
-    "HypothesisViolation",
-    "KLine",
     "KPoint",
     "KakeyaError",
-    "KakeyaSet",
-    "Lifting",
-    "NotHomogeneous",
-    "PlanarSeed",
-    "Poly",
-    "PrimeField",
-    "ProjPoint",
-    "RationalField",
-    "RealField",
-    "Scalar",
-    "SeedPoint",
-    "SeedReport",
-    "SeedTooSmall",
-    "Subspace",
-    "UndefinedBasePoint",
-    "UnsupportedDimension",
-    "UnsupportedField",
-    "VerifyReport",
-    "ZeroPolynomial",
-    "ZeroVector",
     "affine_coords",
     "assemble",
-    "binomial",
-    "bound_best",
-    "bound_grid",
-    "build_frame",
     "certify",
-    "direction_from_grid_values",
-    "direction_multiplicity",
     "dual_conic_seed",
-    "embed_seed",
-    "field_from_json",
-    "grid_generator",
-    "grid_values_from_direction",
-    "hasse_derivative",
-    "in_general_position",
-    "incident",
-    "kakeya_from_json",
-    "kakeya_to_json",
     "load_kakeya",
-    "load_seed",
     "meet",
-    "monomial_basis",
-    "multiplicity_at",
     "point_from_affine",
     "regular_ngon_seed",
-    "restrict_to_line",
     "save_kakeya",
-    "save_seed",
-    "seed_from_json",
-    "seed_report",
-    "seed_to_json",
-    "span",
-    "span_point",
-    "top_part",
-    "vanishing_space",
     "verify_all",
-    "verify_bound_consistency",
-    "verify_directions",
-    "verify_incidence",
-    "verify_size",
 ]

@@ -12,11 +12,10 @@ files carry their own tolerance.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
-from .construction import assemble, load_kakeya, load_seed, save_kakeya
+from .construction import assemble, dump, load_kakeya, load_seed, save_kakeya, write_json
 from .errors import KakeyaError
 from .polymethod import bound_best, bound_grid, certify
 from .scalar import DEFAULT_REAL_TOLERANCE, RealField
@@ -25,7 +24,7 @@ from .verify import verify_all
 
 
 def _emit(doc) -> None:
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    dump(doc, sys.stdout)
 
 
 def _real_tolerance() -> float:
@@ -89,9 +88,7 @@ def _cmd_certify(args) -> int:
     cert = certify(K, args.r)
     doc = cert.to_json()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(doc, args.out)
         _emit({"out": args.out, "verdict": cert.verdict})
     else:
         _emit(doc)
@@ -152,10 +149,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args)
-    except KakeyaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except KeyError as exc:  # a file missing a required entry
+        print(f"error: missing key {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except (KakeyaError, OSError, ValueError) as exc:  # ValueError covers malformed JSON
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -32,7 +32,7 @@ from .errors import (
     UndefinedBasePoint,
     UnsupportedDimension,
 )
-from .projgeom import ProjPoint, Subspace, meet, span_point
+from .projgeom import PointSet, ProjPoint, Subspace, meet, points_on, span_point
 from .scalar import Field, Scalar, field_from_json
 from .seeds import PlanarSeed, line_walk_start, seed_from_json, seed_to_json
 
@@ -178,11 +178,10 @@ def _validate_tuple(J, N: int, n: int):
 class Lifting:
     """Memoized evaluation of the three lifting recursions over one seed."""
 
-    def __init__(self, frame: ConstructionFrame, seed: PlanarSeed, memoize: bool = True):
+    def __init__(self, frame: ConstructionFrame, seed: PlanarSeed):
         self.frame = frame
         self.seed = seed
         self.emb = embed_seed(frame, seed)
-        self.memoize = memoize
         self._lines: dict = {}
         self._dirs: dict = {}
         self._zs: dict = {}
@@ -196,7 +195,7 @@ class Lifting:
     def _line(self, J) -> Subspace:
         if len(J) == 1:
             return self.emb.lines[J[0]]
-        if self.memoize and J in self._lines:
+        if J in self._lines:
             return self._lines[J]
         j = len(J)
         left = span_point(self.frame.x[j + 1], self._line(J[:-1]))
@@ -206,8 +205,7 @@ class Lifting:
             raise DegenerateSeed(
                 f"lifting {J} produced a flat of projective dimension {out.proj_dim}"
             )
-        if self.memoize:
-            self._lines[J] = out
+        self._lines[J] = out
         return out
 
     def direction(self, J) -> ProjPoint:
@@ -219,7 +217,7 @@ class Lifting:
     def _direction(self, J) -> ProjPoint:
         if len(J) == 1:
             return self.emb.infinite_points[J[0]]
-        if self.memoize and J in self._dirs:
+        if J in self._dirs:
             return self._dirs[J]
         j = len(J)
         left = Subspace.from_points([self.frame.x[j + 1], self._direction(J[:-1])])
@@ -230,8 +228,7 @@ class Lifting:
                 f"direction lift of {J} produced dimension {out.proj_dim}"
             )
         p = ProjPoint(out.basis[0])
-        if self.memoize:
-            self._dirs[J] = p
+        self._dirs[J] = p
         return p
 
     def grid_direction(self, J) -> ProjPoint:
@@ -260,7 +257,7 @@ class Lifting:
 
     def _intersection(self, J, Jbar, m_index: int) -> ProjPoint:
         key = (J, Jbar, m_index)
-        if self.memoize and key in self._zs:
+        if key in self._zs:
             return self._zs[key]
         if len(J) == 1:
             base = meet(self.emb.lines[J[0]], self.emb.lines[Jbar[0]])
@@ -286,8 +283,7 @@ class Lifting:
                     f"intersection lift of {J} produced dimension {cut.proj_dim}"
                 )
             out = ProjPoint(cut.basis[0])
-        if self.memoize:
-            self._zs[key] = out
+        self._zs[key] = out
         return out
 
 
@@ -312,28 +308,6 @@ class KakeyaSet:
     lines: list[KLine]
     points: list[KPoint]
     seed_meta: dict = dc_field(default_factory=dict)
-
-
-class _PointRegistry:
-    """Deduplication of canonical points; linear scan for the real kind."""
-
-    def __init__(self, fld: Field):
-        self.fld = fld
-        self.items: list[ProjPoint] = []
-        self._keys: dict | None = {} if fld.exact else None
-
-    def __contains__(self, p: ProjPoint) -> bool:
-        if self._keys is not None:
-            return tuple(c.value for c in p.coords) in self._keys
-        return any(p == q for q in self.items)
-
-    def add(self, p: ProjPoint) -> bool:
-        if p in self:
-            return False
-        if self._keys is not None:
-            self._keys[tuple(c.value for c in p.coords)] = len(self.items)
-        self.items.append(p)
-        return True
 
 
 def _sorted_slopes(d_values: list[Scalar]) -> list[Scalar]:
@@ -393,7 +367,7 @@ def assemble(seed: PlanarSeed, n: int) -> KakeyaSet:
                     per_m.setdefault(m_idx, []).append(((a, b), pt))
                     break
 
-    registry = _PointRegistry(fld)
+    registry = PointSet(fld)
     points: list[KPoint] = []
     for m_idx in range(N):
         entries = per_m.get(m_idx, [])
@@ -432,7 +406,7 @@ def assemble(seed: PlanarSeed, n: int) -> KakeyaSet:
 
     # pad every line to N points by walking integer steps along it
     for idx, kline in enumerate(lines):
-        count = sum(1 for p in registry.items if kline.line.contains(p))
+        count = len(points_on(kline.line, registry.items))
         if count >= N:
             continue
         base, step = line_walk_start(kline.line)
@@ -469,13 +443,13 @@ def kakeya_to_json(K: KakeyaSet) -> dict:
         "grid": [[s.to_str() for s in axis] for axis in K.grid],
         "lines": [
             {
-                "basis": [[c.to_str() for c in row] for row in kl.line.basis],
-                "direction": [c.to_str() for c in kl.direction.coords],
+                "basis": kl.line.to_json(),
+                "direction": kl.direction.to_json(),
             }
             for kl in K.lines
         ],
         "points": [
-            {"coords": [c.to_str() for c in kp.point.coords], "provenance": kp.provenance}
+            {"coords": kp.point.to_json(), "provenance": kp.provenance}
             for kp in K.points
         ],
         "seed_meta": K.seed_meta,
@@ -485,20 +459,12 @@ def kakeya_to_json(K: KakeyaSet) -> dict:
 def kakeya_from_json(doc: dict) -> KakeyaSet:
     fld = field_from_json(doc["field"])
     n = int(doc["n"])
-    lines = []
-    for entry in doc["lines"]:
-        rows = [[fld.scalar_from_str(x) for x in row] for row in entry["basis"]]
-        lines.append(
-            KLine(
-                Subspace.from_vectors(fld, n, rows),
-                ProjPoint([fld.scalar_from_str(x) for x in entry["direction"]]),
-            )
-        )
+    lines = [
+        KLine(Subspace.from_json(fld, n, entry["basis"]), ProjPoint.from_json(fld, entry["direction"]))
+        for entry in doc["lines"]
+    ]
     points = [
-        KPoint(
-            ProjPoint([fld.scalar_from_str(x) for x in entry["coords"]]),
-            dict(entry["provenance"]),
-        )
+        KPoint(ProjPoint.from_json(fld, entry["coords"]), dict(entry["provenance"]))
         for entry in doc["points"]
     ]
     return KakeyaSet(
@@ -512,23 +478,36 @@ def kakeya_from_json(doc: dict) -> KakeyaSet:
     )
 
 
-def save_kakeya(K: KakeyaSet, path: str):
+def dump(doc, fh):
+    """Write doc in the one JSON layout of files and stdout: sorted keys, two-space indent, closing newline.
+
+    Streams to fh, so a large file is never held as one string.
+    """
+    json.dump(doc, fh, indent=2, sort_keys=True)
+    fh.write("\n")
+
+
+def write_json(doc, path: str):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(kakeya_to_json(K), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        dump(doc, fh)
+
+
+def read_json(path: str):
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def save_kakeya(K: KakeyaSet, path: str):
+    write_json(kakeya_to_json(K), path)
 
 
 def load_kakeya(path: str) -> KakeyaSet:
-    with open(path, "r", encoding="utf-8") as fh:
-        return kakeya_from_json(json.load(fh))
+    return kakeya_from_json(read_json(path))
 
 
 def save_seed(seed: PlanarSeed, path: str):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(seed_to_json(seed), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(seed_to_json(seed), path)
 
 
 def load_seed(path: str) -> PlanarSeed:
-    with open(path, "r", encoding="utf-8") as fh:
-        return seed_from_json(json.load(fh))
+    return seed_from_json(read_json(path))

@@ -34,7 +34,7 @@ from .errors import (
     ZeroPolynomial,
 )
 from .linalg import nullspace
-from .projgeom import ProjPoint, affine_coords
+from .projgeom import PointSet, ProjPoint, affine_coords, points_on
 from .scalar import Field, Scalar, binomial
 
 
@@ -263,23 +263,6 @@ def top_part(f: Poly) -> Poly:
     )
 
 
-def restrict_to_line(f: Poly, base, step) -> Poly:
-    """The univariate polynomial lam -> f(base + lam * step)."""
-    base, step = list(base), list(step)
-    if len(base) != f.nvars or len(step) != f.nvars:
-        raise DimensionMismatch("base and step must have one entry per variable")
-    fld = f.field
-    out = Poly.zero(fld, 1)
-    for e, c in f.terms.items():
-        term = Poly.constant(fld, 1, c)
-        for i, k in enumerate(e):
-            if k:
-                lin = Poly(fld, 1, {(0,): base[i], (1,): step[i]})
-                term = term * lin**k
-        out = out + term
-    return out
-
-
 def grid_generator(fld: Field, nvars: int, axis: int, values) -> Poly:
     """The product of (X_axis - a * X_last) over the given values a.
 
@@ -495,30 +478,17 @@ def certify(K, r: int) -> Certificate:
             "certificates need exact arithmetic; tolerance fields are refused"
         )
     n, N = K.n, K.N
+    points = [kp.point for kp in K.points]
     for idx, kline in enumerate(K.lines):
-        count = sum(1 for kp in K.points if kline.line.contains(kp.point))
+        count = len(PointSet(fld, (points[i] for i in points_on(kline.line, points))))
         if count < N:
             raise HypothesisViolation(
-                f"line {idx} carries {count} points, needs at least {N}"
+                f"line {idx} carries {count} distinct points, needs at least {N}"
             )
 
-    seen = set()
-    affine_points = []
-    for kp in K.points:
-        coords = affine_coords(kp.point)
-        key = tuple(c.value for c in coords)
-        if key not in seen:
-            seen.add(key)
-            affine_points.append(coords)
+    affine_points = [affine_coords(p) for p in PointSet(fld, points).items]
     size = len(affine_points)
-
-    directions = []
-    dir_seen = set()
-    for kline in K.lines:
-        key = tuple(c.value for c in kline.direction.coords)
-        if key not in dir_seen:
-            dir_seen.add(key)
-            directions.append(kline.direction)
+    directions = PointSet(fld, (kline.direction for kline in K.lines)).items
 
     deg_bound = r * N - 1
     mult = 2 * r - 1
@@ -560,22 +530,3 @@ def certify(K, r: int) -> Certificate:
         )
     verdict = "pass" if ok else "fail"
     return Certificate(N, n, r, size, guaranteed, f, s_attestations, d_attestations, verdict)
-
-
-def poly_to_json(f: Poly) -> dict:
-    return {
-        "nvars": f.nvars,
-        "terms": [
-            {"exponents": list(e), "coeff": f.terms[e].to_str()}
-            for e in sorted(f.terms, key=lambda t: (sum(t), t))
-        ],
-    }
-
-
-def poly_from_json(fld: Field, doc: dict) -> Poly:
-    nvars = int(doc["nvars"])
-    terms = {
-        tuple(entry["exponents"]): fld.scalar_from_str(entry["coeff"])
-        for entry in doc["terms"]
-    }
-    return Poly(fld, nvars, terms)

@@ -68,19 +68,19 @@ class ProjPoint:
         return eq if eq is NotImplemented else not eq
 
     def __hash__(self):
+        if not self.field.exact:
+            raise TypeError("real-kind points compare up to tolerance and are unhashable")
         return hash((self.field, tuple(c.value for c in self.coords)))
 
     def __repr__(self):
         return "ProjPoint(" + ", ".join(c.to_str() for c in self.coords) + ")"
 
+    def to_json(self) -> list[str]:
+        return [c.to_str() for c in self.coords]
 
-def point_normalize(coords) -> ProjPoint:
-    """Canonical projective point for a homogeneous coordinate vector."""
-    return ProjPoint(coords)
-
-
-def is_affine(p: ProjPoint) -> bool:
-    return not p.coords[-1].is_zero
+    @classmethod
+    def from_json(cls, field: Field, doc) -> "ProjPoint":
+        return cls([field.scalar_from_str(x) for x in doc])
 
 
 def affine_coords(p: ProjPoint) -> tuple[Scalar, ...]:
@@ -156,9 +156,6 @@ class Subspace:
     def is_empty(self) -> bool:
         return not self.basis
 
-    def basis_points(self) -> list[ProjPoint]:
-        return [ProjPoint(row) for row in self.basis]
-
     def contains(self, p: ProjPoint) -> bool:
         if p.field != self.field:
             raise FieldMismatch("point from a different field")
@@ -168,10 +165,6 @@ class Subspace:
             return False
         residual = reduce_vector(list(p.coords), [list(r) for r in self.basis], list(self.pivots), self.field)
         return all(c.is_zero for c in residual)
-
-    def equations(self) -> list[list[Scalar]]:
-        """Coefficient rows of the linear equations cutting out this flat."""
-        return _nullspace([list(r) for r in self.basis], self.field, self.ambient_dim + 1)
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -191,6 +184,8 @@ class Subspace:
         return eq if eq is NotImplemented else not eq
 
     def __hash__(self):
+        if not self.field.exact:
+            raise TypeError("real-kind flats compare up to tolerance and are unhashable")
         return hash(
             (
                 self.field,
@@ -204,6 +199,56 @@ class Subspace:
             " ".join(c.to_str() for c in row) for row in self.basis
         )
         return f"Subspace(dim={self.proj_dim}: {rows})"
+
+    def to_json(self) -> list[list[str]]:
+        return [[c.to_str() for c in row] for row in self.basis]
+
+    @classmethod
+    def from_json(cls, field: Field, ambient_dim: int, doc) -> "Subspace":
+        rows = [[field.scalar_from_str(x) for x in row] for row in doc]
+        return cls.from_vectors(field, ambient_dim, rows)
+
+
+class PointSet:
+    """Distinct projective points over one field, in the order first added.
+
+    Exact fields index the canonical coordinates in a dict; the real
+    kind compares up to tolerance, so it scans the stored points.  Each
+    stored point keeps the label it was first added under.
+    """
+
+    def __init__(self, field: Field, points=()):
+        self.items: list[ProjPoint] = []
+        self.labels: list = []
+        self._index: dict | None = {} if field.exact else None
+        for p in points:
+            self.add(p)
+
+    def __len__(self) -> int:
+        return len(self.items)
+
+    def setdefault(self, p: ProjPoint, label):
+        """Label of the stored point equal to p; stores p under label when there is none."""
+        new = len(self.items)
+        if self._index is not None:
+            i = self._index.setdefault(tuple(c.value for c in p.coords), new)
+        else:
+            i = next((i for i, q in enumerate(self.items) if p == q), new)
+        if i == new:
+            self.items.append(p)
+            self.labels.append(label)
+        return self.labels[i]
+
+    def add(self, p: ProjPoint) -> bool:
+        """Store p unless an equal point is stored; True when p was new."""
+        new = len(self.items)
+        self.setdefault(p, new)
+        return len(self.items) > new
+
+
+def points_on(line: Subspace, points) -> list[int]:
+    """Positions of the points lying on the flat: the one line-by-point incidence scan."""
+    return [i for i, p in enumerate(points) if line.contains(p)]
 
 
 def _check_pair(a: Subspace, b: Subspace):
@@ -242,28 +287,3 @@ def meet(a: Subspace, b: Subspace) -> Subspace:
     if not inter:
         return Subspace.empty(a.field, a.ambient_dim)
     return Subspace.from_vectors(a.field, a.ambient_dim, inter)
-
-
-def incident(p: ProjPoint, a: Subspace) -> bool:
-    return a.contains(p)
-
-
-def in_general_position(points) -> bool:
-    """True when the points' coordinate matrix has full rank len(points).
-
-    Only defined for at most ambient_dim + 1 points.
-    """
-    points = list(points)
-    if not points:
-        return True
-    dim = points[0].ambient_dim
-    field = points[0].field
-    for p in points:
-        if p.field != field:
-            raise FieldMismatch("mixed fields")
-        if p.ambient_dim != dim:
-            raise AmbientMismatch("mixed ambient dimensions")
-    if len(points) > dim + 1:
-        raise ValueError("more points than ambient dimension + 1")
-    rows, _ = rref([list(p.coords) for p in points], field)
-    return len(rows) == len(points)

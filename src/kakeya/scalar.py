@@ -384,8 +384,3 @@ class Scalar:
 
     def __repr__(self):
         return f"Scalar({self.to_str()})"
-
-
-def scalar_eq(a: Scalar, b: Scalar) -> bool:
-    """Field-aware equality: exact for prime/rational, tolerance for real."""
-    return a == b

@@ -25,11 +25,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .errors import DegenerateSeed, UnsupportedField
-from .projgeom import (
-    ProjPoint,
-    Subspace,
-    meet,
-)
+from .projgeom import PointSet, ProjPoint, Subspace, meet, points_on
 from .scalar import DEFAULT_REAL_TOLERANCE, Field, PrimeField, RealField, Scalar, field_from_json
 
 
@@ -115,18 +111,13 @@ def dual_conic_seed(q: int) -> PlanarSeed:
         Subspace.from_equations(fld, 2, [[one, zero, -fld(c)]]) for c in range(q)
     ]
 
-    points: list[SeedPoint] = []
-    seen: set = set()
+    seen = PointSet(fld)
     for t in range(q):
         ft = fld(t)
         for x in range(q):
             fx = fld(x)
-            y = (ft + ft) * fx - ft * ft
-            key = (fx.value, y.value)
-            if key in seen:
-                continue
-            seen.add(key)
-            points.append(SeedPoint(ProjPoint([fx, y, one])))
+            seen.add(ProjPoint([fx, (ft + ft) * fx - ft * ft, one]))
+    points = [SeedPoint(p) for p in seen.items]
 
     seed = PlanarSeed(
         field=fld,
@@ -214,21 +205,26 @@ def regular_ngon_seed(N: int, field: RealField | None = None) -> PlanarSeed:
             u[0] * v[1] - u[1] * v[0],
         )
 
-    points: list[SeedPoint] = []
+    chords = {}
     for a in range(N):
         for b in range(a + 1, N):
             w = _apply(frame, cross(verts[a], verts[b]))
-            points.append(SeedPoint(ProjPoint([fld(x) for x in w])))
+            chords[a, b] = ProjPoint([fld(x) for x in w])
+    points = [SeedPoint(p) for p in chords.values()]
 
     # one arbitrary additional point per line, chosen deterministically
-    for line in lines:
+    # off the line's own N - 1 chord points (chord a, b is where lines a
+    # and b meet): another line's extra point can only lie on this line
+    # at their chord point, which it avoids
+    for k, line in enumerate(lines):
+        known = PointSet(fld, (p for ab, p in chords.items() if k in ab))
         base, step = line_walk_start(line)
         lam = 0
         while True:
             cand = ProjPoint(
                 [b + fld(lam) * s for b, s in zip(base, step)] + [fld.one]
             )
-            if all(cand != sp.point for sp in points):
+            if known.add(cand):
                 points.append(SeedPoint(cand, extra=True))
                 break
             lam += 1
@@ -282,17 +278,14 @@ def _measure_epsilon(seed: PlanarSeed) -> list[Fraction]:
 
 def _double_point_counts(seed: PlanarSeed) -> list[int]:
     core = [sp.point for sp in seed.points if not sp.extra]
-    on_two = []
-    for p in core:
-        hits = 0
-        for line in seed.lines:
-            if line.contains(p):
-                hits += 1
-                if hits >= 2:
-                    break
-        if hits >= 2:
-            on_two.append(p)
-    return [sum(1 for p in on_two if m.contains(p)) for m in seed.m_lines]
+    hits = [0] * len(core)
+    for line in seed.lines:
+        # a point already on two lines needs no test against the rest
+        pending = [i for i, h in enumerate(hits) if h < 2]
+        for k in points_on(line, [core[i] for i in pending]):
+            hits[pending[k]] += 1
+    on_two = [p for p, h in zip(core, hits) if h >= 2]
+    return [len(points_on(m, on_two)) for m in seed.m_lines]
 
 
 def seed_report(seed: PlanarSeed) -> SeedReport:
@@ -321,11 +314,12 @@ def seed_report(seed: PlanarSeed) -> SeedReport:
         problems.append(f"expected {seed.N} lines, found {len(seed.lines)}")
 
     distinct = True
-    for i in range(len(directions)):
-        for j in range(i + 1, len(directions)):
-            if directions[i] is not None and directions[i] == directions[j]:
-                distinct = False
-                problems.append(f"lines {i} and {j} share an infinite point")
+    seen = PointSet(fld)
+    for i, d in enumerate(directions):
+        first = i if d is None else seen.setdefault(d, i)
+        if first != i:
+            distinct = False
+            problems.append(f"lines {first} and {i} share an infinite point")
 
     for i, m in enumerate(seed.m_lines):
         if not m.contains(x_point):
@@ -334,8 +328,9 @@ def seed_report(seed: PlanarSeed) -> SeedReport:
         problems.append(f"expected {seed.N} measuring lines, found {len(seed.m_lines)}")
 
     counts = []
+    points = [sp.point for sp in seed.points]
     for i, line in enumerate(seed.lines):
-        c = sum(1 for sp in seed.points if line.contains(sp.point))
+        c = len(points_on(line, points))
         counts.append(c)
         if c < seed.N:
             problems.append(f"line {i} holds only {c} points, needs {seed.N}")
@@ -364,27 +359,14 @@ def seed_report(seed: PlanarSeed) -> SeedReport:
     return report
 
 
-def _scalars_to_json(xs) -> list[str]:
-    return [x.to_str() for x in xs]
-
-
-def _subspace_to_json(s: Subspace) -> list[list[str]]:
-    return [_scalars_to_json(row) for row in s.basis]
-
-
-def _subspace_from_json(fld: Field, ambient: int, rows) -> Subspace:
-    vecs = [[fld.scalar_from_str(x) for x in row] for row in rows]
-    return Subspace.from_vectors(fld, ambient, vecs)
-
-
 def seed_to_json(seed: PlanarSeed) -> dict:
     return {
         "field": seed.field.to_json(),
         "N": seed.N,
-        "lines": [_subspace_to_json(s) for s in seed.lines],
-        "m_lines": [_subspace_to_json(s) for s in seed.m_lines],
+        "lines": [s.to_json() for s in seed.lines],
+        "m_lines": [s.to_json() for s in seed.m_lines],
         "points": [
-            {"coords": _scalars_to_json(sp.point.coords), "extra": sp.extra}
+            {"coords": sp.point.to_json(), "extra": sp.extra}
             for sp in seed.points
         ],
         "epsilon": [str(e) for e in seed.epsilon],
@@ -395,7 +377,7 @@ def seed_to_json(seed: PlanarSeed) -> dict:
 def seed_from_json(doc: dict) -> PlanarSeed:
     fld = field_from_json(doc["field"])
     infinity = _infinity_line(fld)
-    lines = [_subspace_from_json(fld, 2, rows) for rows in doc["lines"]]
+    lines = [Subspace.from_json(fld, 2, rows) for rows in doc["lines"]]
     infinite_points = []
     for line in lines:
         p = meet(line, infinity)
@@ -403,10 +385,7 @@ def seed_from_json(doc: dict) -> PlanarSeed:
             raise DegenerateSeed("seed line coincides with the line at infinity")
         infinite_points.append(ProjPoint(p.basis[0]))
     points = [
-        SeedPoint(
-            ProjPoint([fld.scalar_from_str(x) for x in entry["coords"]]),
-            bool(entry.get("extra", False)),
-        )
+        SeedPoint(ProjPoint.from_json(fld, entry["coords"]), bool(entry.get("extra", False)))
         for entry in doc["points"]
     ]
     return PlanarSeed(
@@ -414,7 +393,7 @@ def seed_from_json(doc: dict) -> PlanarSeed:
         N=int(doc["N"]),
         lines=lines,
         infinite_points=infinite_points,
-        m_lines=[_subspace_from_json(fld, 2, rows) for rows in doc["m_lines"]],
+        m_lines=[Subspace.from_json(fld, 2, rows) for rows in doc["m_lines"]],
         points=points,
         epsilon=[Fraction(e) for e in doc["epsilon"]],
         meta=dict(doc.get("meta", {})),

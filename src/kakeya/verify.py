@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .construction import KakeyaSet, grid_values_from_direction
 from .errors import GridMissing
-from .projgeom import ProjPoint, Subspace, meet
+from .projgeom import PointSet, ProjPoint, Subspace, meet, points_on
 from .scalar import Scalar, binomial
 
 WITNESS_LIMIT = 10
@@ -78,6 +78,12 @@ def _recovered_cells(K: KakeyaSet):
     return cells
 
 
+def _grid_coverage(K: KakeyaSet, cells) -> tuple[int, int]:
+    """Number of grid cells hit by the recovered cells, and the N^(n-1) cells of the grid."""
+    expected = len(K.grid[0]) ** (K.n - 1) if K.grid else 0
+    return len({c for c in cells if c is not None}), expected
+
+
 def _lifted_line_flags(K: KakeyaSet) -> list[bool]:
     cells = _recovered_cells(K)
     return [c is not None and len(set(c)) == len(c) for c in cells]
@@ -88,25 +94,28 @@ def _lifted_point_flags(K: KakeyaSet) -> list[bool]:
 
 
 def verify_incidence(K: KakeyaSet, verbose: bool = False) -> VerifyReport:
-    """Every line must carry at least N points of the point set.
+    """Every line must carry at least N distinct points of the point set.
 
-    Also audits the construction claim that no line picked up more than
-    N points before padding, using the lifted provenance labels when
-    they are present.
+    A point listed twice on a line is a witness and counts once.  Also
+    audits the construction claim that no line picked up more than N
+    points before padding, using the lifted provenance labels when they
+    are present.
     """
     witnesses: list = []
     counts = []
     lifted_flags = _lifted_point_flags(K)
     have_lifted = any(lifted_flags)
     lifted_counts = []
+    points = [kp.point for kp in K.points]
     for idx, kl in enumerate(K.lines):
-        total = 0
-        lifted = 0
-        for kp, is_lifted in zip(K.points, lifted_flags):
-            if kl.line.contains(kp.point):
-                total += 1
-                if is_lifted:
-                    lifted += 1
+        on = points_on(kl.line, points)
+        distinct = PointSet(K.field)
+        for i in on:
+            first = distinct.setdefault(points[i], i)
+            if first != i:
+                witnesses.append(f"points {first} and {i} on line {idx} coincide")
+        total = len(distinct)
+        lifted = sum(1 for i in on if lifted_flags[i])
         counts.append(total)
         lifted_counts.append(lifted)
         if total < K.N:
@@ -134,7 +143,6 @@ def verify_directions(K: KakeyaSet, verbose: bool = False) -> VerifyReport:
     are pairwise distinct is compared with N(N-1)...(N-n+2).
     """
     witnesses: list = []
-    fld = K.field
     n = K.n
     infinity = _infinity_hyperplane(K)
 
@@ -147,32 +155,20 @@ def verify_directions(K: KakeyaSet, verbose: bool = False) -> VerifyReport:
         if actual != kl.direction:
             witnesses.append(f"line {idx} stores a direction it does not have")
 
-    dirs = [kl.direction for kl in K.lines]
-    if fld.exact:
-        seen: dict = {}
-        for idx, d in enumerate(dirs):
-            key = tuple(c.value for c in d.coords)
-            if key in seen:
-                witnesses.append(f"lines {seen[key]} and {idx} share a direction")
-            else:
-                seen[key] = idx
-    else:
-        for i in range(len(dirs)):
-            for j in range(i + 1, len(dirs)):
-                if dirs[i] == dirs[j]:
-                    witnesses.append(f"lines {i} and {j} share a direction")
+    seen = PointSet(K.field)
+    for idx, kl in enumerate(K.lines):
+        first = seen.setdefault(kl.direction, idx)
+        if first != idx:
+            witnesses.append(f"lines {first} and {idx} share a direction")
 
     cells = _recovered_cells(K)
     for idx, cell in enumerate(cells):
         if cell is None:
             witnesses.append(f"direction of line {idx} lies outside the grid")
 
-    expected_cells = len(K.grid[0]) ** (n - 1) if K.grid else 0
-    covered = {c for c in cells if c is not None}
-    if len(covered) < expected_cells:
-        witnesses.append(
-            f"grid covers {len(covered)} of {expected_cells} cells"
-        )
+    covered, expected_cells = _grid_coverage(K, cells)
+    if covered < expected_cells:
+        witnesses.append(f"grid covers {covered} of {expected_cells} cells")
 
     distinct_tuple_lines = sum(
         1 for c in cells if c is not None and len(set(c)) == len(c)
@@ -187,9 +183,9 @@ def verify_directions(K: KakeyaSet, verbose: bool = False) -> VerifyReport:
         )
 
     measured = {
-        "directions": len(dirs),
+        "directions": len(K.lines),
         "grid_cells": expected_cells,
-        "covered_cells": len(covered),
+        "covered_cells": covered,
         "distinct_coordinate_lines": distinct_tuple_lines,
         "expected_distinct_coordinate_lines": expected_lifted,
     }
@@ -237,17 +233,16 @@ def verify_size(K: KakeyaSet, verbose: bool = False) -> VerifyReport:
                     f"{lifted_total} lifted points, the deficiency formula gives {expected}"
                 )
 
-        line_flags = _lifted_line_flags(K)
+        lifted_idx = [i for i, is_lifted in enumerate(lifted_flags) if is_lifted]
+        lifted_points = [K.points[i].point for i in lifted_idx]
+        on_lines = [0] * len(lifted_idx)
+        for kl, line_ok in zip(K.lines, _lifted_line_flags(K)):
+            if line_ok:
+                for k in points_on(kl.line, lifted_points):
+                    on_lines[k] += 1
         want = 2 ** (n - 1)
         bad = 0
-        for idx, (kp, is_lifted) in enumerate(zip(K.points, lifted_flags)):
-            if not is_lifted:
-                continue
-            on = sum(
-                1
-                for kl, line_ok in zip(K.lines, line_flags)
-                if line_ok and kl.line.contains(kp.point)
-            )
+        for idx, on in zip(lifted_idx, on_lines):
             if on != want:
                 bad += 1
                 witnesses.append(
@@ -261,8 +256,8 @@ def verify_bound_consistency(K: KakeyaSet, r: int, verbose: bool = False) -> Ver
     """The grid bound must hold for the actual point count at the given r."""
     if r < 1:
         raise ValueError("r must be at least 1")
-    directions_report = verify_directions(K)
-    if directions_report.measured["covered_cells"] < directions_report.measured["grid_cells"]:
+    covered, expected_cells = _grid_coverage(K, _recovered_cells(K))
+    if covered < expected_cells:
         raise GridMissing(
             "direction set does not cover the full grid; the bound does not apply"
         )

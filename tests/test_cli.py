@@ -146,6 +146,32 @@ def test_missing_file_is_input_error(capsys):
     assert stderr
 
 
+def test_truncated_json_is_input_error(tmp_path, capsys):
+    out = tmp_path / "k.json"
+    run(capsys, "construct", "--seed", "conic", "--q", "5", "--dim", "2", "--out", str(out))
+    out.write_text(out.read_text()[:200])
+    code, stdout, stderr = run(capsys, "verify", str(out))
+    assert code == 2 and not stdout
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1
+
+
+def test_missing_key_is_input_error(tmp_path, capsys):
+    out = tmp_path / "k.json"
+    run(capsys, "construct", "--seed", "conic", "--q", "5", "--dim", "2", "--out", str(out))
+    doc = json.loads(out.read_text())
+    del doc["grid"]
+    out.write_text(json.dumps(doc))
+    code, _, stderr = run(capsys, "verify", str(out))
+    assert code == 2
+    assert stderr == "error: missing key 'grid'\n"
+
+
+def test_bound_rejects_nonpositive_n(capsys):
+    code, stdout, stderr = run(capsys, "bound", "--N", "0", "--dim", "3")
+    assert code == 2 and not stdout
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1
+
+
 def test_construct_is_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     run(capsys, "construct", "--seed", "conic", "--q", "7", "--dim", "3", "--out", str(a))

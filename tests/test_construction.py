@@ -114,16 +114,6 @@ def test_lifted_lines_distinct():
         seen.append(line)
 
 
-def test_memoization_is_transparent():
-    seed = dual_conic_seed(5)
-    frame = build_frame(3, seed.field)
-    hot = Lifting(frame, seed, memoize=True)
-    cold = Lifting(frame, seed, memoize=False)
-    for J in [(0, 1), (3, 2), (4, 0)]:
-        assert hot.line(J) == cold.line(J)
-        assert hot.direction(J) == cold.direction(J)
-
-
 def test_tuple_validation():
     seed = dual_conic_seed(5)
     lift = Lifting(build_frame(3, seed.field), seed)

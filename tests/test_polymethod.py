@@ -23,7 +23,6 @@ from kakeya.polymethod import (
     hasse_derivative,
     monomial_basis,
     multiplicity_at,
-    restrict_to_line,
     top_part,
     vanishing_space,
 )
@@ -177,18 +176,6 @@ def test_top_part_multiplicative():
         f = _random_poly(QQ, 2, rng)
         g = _random_poly(QQ, 2, rng)
         assert top_part(f * g) == top_part(f) * top_part(g)
-
-
-def test_restrict_to_line_matches_pointwise():
-    rng = random.Random(3)
-    f = _random_poly(F5, 3, rng)
-    base = [F5(1), F5(2), F5(0)]
-    step = [F5(1), F5(4), F5(3)]
-    g = restrict_to_line(f, base, step)
-    assert g.nvars == 1
-    for lam in range(5):
-        pt = [b + F5(lam) * s for b, s in zip(base, step)]
-        assert g.evaluate([F5(lam)]) == f.evaluate(pt)
 
 
 def test_monomial_basis_counts():

@@ -6,13 +6,13 @@ import pytest
 
 from kakeya.errors import AmbientMismatch, FieldMismatch, ZeroVector
 from kakeya.projgeom import (
+    PointSet,
     ProjPoint,
     Subspace,
     affine_coords,
-    in_general_position,
-    incident,
     meet,
     point_from_affine,
+    points_on,
     span,
     span_point,
 )
@@ -129,19 +129,27 @@ def test_span_point_adds_a_dimension_outside():
     assert same.proj_dim == 1
 
 
-def test_incident_point_subspace():
+def test_points_on_lists_incident_positions():
     line = Subspace.from_points([P(F7, 1, 2, 1), P(F7, 0, 1, 3)])
-    assert incident(P(F7, 1, 2, 1), line)
     on = ProjPoint([a + b for a, b in zip(P(F7, 1, 2, 1).coords, P(F7, 0, 1, 3).coords)])
-    assert incident(on, line)
+    assert points_on(line, [P(F7, 0, 0, 1), on, P(F7, 2, 4, 2), P(F7, 1, 0, 0)]) == [1, 2]
 
 
-def test_general_position():
-    pts = [P(QQ, 1, 0, 0), P(QQ, 0, 1, 0), P(QQ, 0, 0, 1)]
-    assert in_general_position(pts)
-    assert not in_general_position([P(QQ, 1, 0, 0), P(QQ, 2, 0, 0)])
-    with pytest.raises(ValueError):
-        in_general_position(pts + [P(QQ, 1, 1, 1)])
+@pytest.mark.parametrize("fld", [F7, RealField(1e-9)], ids=["exact", "real"])
+def test_point_set_keeps_first_of_equal_points(fld):
+    pts = PointSet(fld)
+    assert pts.add(P(fld, 1, 2, 1))
+    assert not pts.add(P(fld, 2, 4, 2))
+    assert pts.setdefault(P(fld, 0, 1, 0), "b") == "b"
+    assert pts.setdefault(P(fld, 0, 3, 0), "c") == "b"
+    assert len(pts) == 2 and pts.labels == [0, "b"]
+
+
+def test_real_point_set_uses_the_tolerance():
+    fld = RealField(1e-9)
+    pts = PointSet(fld, [ProjPoint([fld(0.5), fld(0.25), fld(1.0)])])
+    assert not pts.add(ProjPoint([fld(0.5), fld(0.25 + 1e-12), fld(1.0)]))
+    assert pts.add(ProjPoint([fld(0.5), fld(0.25 + 1e-6), fld(1.0)]))
 
 
 def test_subspace_equality_is_canonical():

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kakeya.errors import DivisionByZero, FieldMismatch, UnsupportedField
+from kakeya.projgeom import ProjPoint, Subspace
 from kakeya.scalar import (
     DEFAULT_REAL_TOLERANCE,
     PrimeField,
@@ -101,6 +102,18 @@ def test_real_inverse_rejects_near_zero():
 def test_real_scalars_are_unhashable():
     with pytest.raises(TypeError):
         hash(RR(1.5))
+
+
+def test_real_points_and_flats_are_unhashable():
+    # equal up to tolerance, so a raw-float hash would split them
+    a = ProjPoint([RR(1.0), RR(0.5), RR(1.0)])
+    b = ProjPoint([RR(1.0), RR(0.5 + 1e-12), RR(1.0)])
+    assert a == b
+    for x in (a, b, Subspace.from_points([a, ProjPoint([RR(0.0), RR(1.0), RR(0.0)])])):
+        with pytest.raises(TypeError):
+            hash(x)
+    exact = ProjPoint([F5(2), F5(1), F5(2)])
+    assert len({exact, ProjPoint([F5(1), F5(3), F5(1)])}) == 1
 
 
 def test_exact_scalars_hash_consistently():

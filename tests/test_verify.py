@@ -46,6 +46,20 @@ def test_incidence_fails_when_point_removed(conic5):
     assert any("carries" in w for w in rep.witnesses)
 
 
+def test_incidence_counts_distinct_points(conic5):
+    # point 41 lies on line 20 alone, which carries exactly N points; a copy
+    # of point 20 (also on line 20) in its place leaves line 20 with N
+    # entries but only N - 1 distinct points, and every other count intact
+    points = list(conic5.points)
+    points[41] = points[20]
+    K = KakeyaSet(conic5.field, 3, 5, conic5.grid, conic5.lines, points, conic5.seed_meta)
+    rep = verify_incidence(K)
+    assert rep.verdict == "fail"
+    assert "points 20 and 41 on line 20 coincide" in rep.witnesses
+    assert "line 20 carries 4 points, needs 5" in rep.witnesses
+    assert [r.verdict for r in verify_all(K, r=1)][0] == "fail"
+
+
 def test_directions_fail_on_tampered_direction(conic5):
     lines = list(conic5.lines)
     fld = conic5.field
