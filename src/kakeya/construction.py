@@ -31,10 +31,12 @@ from .errors import (
     SeedTooSmall,
     UndefinedBasePoint,
     UnsupportedDimension,
+    need,
+    records,
 )
 from .projgeom import PointSet, ProjPoint, Subspace, meet, points_on, span_point
-from .scalar import Field, Scalar, field_from_json
-from .seeds import PlanarSeed, line_walk_start, seed_from_json, seed_to_json
+from .scalar import Field, field_from_json
+from .seeds import PlanarSeed, line_walk_start, seed_from_json, seed_to_json, walk_point
 
 
 @dataclass
@@ -56,9 +58,9 @@ def build_frame(n: int, fld: Field) -> ConstructionFrame:
     def unit(i: int) -> ProjPoint:
         v = [zero] * (n + 1)
         v[i] = one
-        return ProjPoint(v)
+        return ProjPoint(fld, v)
 
-    x = {0: ProjPoint([one] * (n + 1))}
+    x = {0: ProjPoint(fld, [one] * (n + 1))}
     for j in range(1, n + 1):
         x[j] = unit(j - 1)
 
@@ -67,7 +69,7 @@ def build_frame(n: int, fld: Field) -> ConstructionFrame:
         v = [zero] * (n + 1)
         v[i - 2] = one
         v[i - 1] = one
-        y[i] = ProjPoint(v)
+        y[i] = ProjPoint(fld, v)
 
     sigma = {}
     pi = {}
@@ -83,14 +85,14 @@ class EmbeddedSeed:
     infinite_points: list[ProjPoint]
     m_lines: list[Subspace]
     points: list[tuple[ProjPoint, bool]]
-    d_values: list[Scalar]
+    d_values: list
 
 
-def _embed_vector(fld: Field, n: int, c) -> list[Scalar]:
+def _embed_vector(fld: Field, n: int, c) -> list:
     c1, c2, c0 = c
     v = [c0] * (n + 1)
-    v[0] = c1 + c0
-    v[1] = c2 + c0
+    v[0] = fld.add(c1, c0)
+    v[1] = fld.add(c2, c0)
     return v
 
 
@@ -100,7 +102,7 @@ def embed_seed(frame: ConstructionFrame, seed: PlanarSeed) -> EmbeddedSeed:
         raise DegenerateSeed("seed field does not match the frame field")
 
     def embed_point(p: ProjPoint) -> ProjPoint:
-        return ProjPoint(_embed_vector(fld, n, p.coords))
+        return ProjPoint(fld, _embed_vector(fld, n, p.coords))
 
     def embed_flat(s: Subspace) -> Subspace:
         rows = [_embed_vector(fld, n, row) for row in s.basis]
@@ -108,12 +110,12 @@ def embed_seed(frame: ConstructionFrame, seed: PlanarSeed) -> EmbeddedSeed:
 
     d_values = []
     for i, p in enumerate(seed.infinite_points):
-        if p.coords[0].is_zero:
+        if fld.is_zero(p.coords[0]):
             raise DegenerateSeed(f"seed line {i} runs through the measuring direction")
         d_values.append(p.coords[1])
     for i in range(len(d_values)):
         for j in range(i + 1, len(d_values)):
-            if d_values[i] == d_values[j]:
+            if fld.eq(d_values[i], d_values[j]):
                 raise DegenerateSeed(f"seed lines {i} and {j} share a direction")
 
     return EmbeddedSeed(
@@ -139,12 +141,12 @@ def direction_from_grid_values(fld: Field, n: int, values) -> ProjPoint:
     v[0] = fld.one
     v[1] = values[0]
     for k in range(2, len(values) + 1):
-        delta = values[k - 1] - values[k - 2]
-        v[k] = delta if k % 2 == 1 else -delta
-    return ProjPoint(v)
+        delta = fld.sub(values[k - 1], values[k - 2])
+        v[k] = delta if k % 2 == 1 else fld.neg(delta)
+    return ProjPoint(fld, v)
 
 
-def grid_values_from_direction(p: ProjPoint) -> list[Scalar] | None:
+def grid_values_from_direction(p: ProjPoint) -> list | None:
     """Grid coordinates (d_1, ..., d_{n-1}) of an infinite point.
 
     Applies the unitriangular change of basis d_1 = v_1 and
@@ -152,16 +154,16 @@ def grid_values_from_direction(p: ProjPoint) -> list[Scalar] | None:
     (1, v_1, ..., v_{n-1}, 0).  Returns None when the point is affine or
     its first coordinate vanishes, in which case it lies in no grid.
     """
-    coords = p.coords
+    fld, coords = p.field, p.coords
     n = len(coords) - 1
-    if not coords[-1].is_zero:
+    if not fld.is_zero(coords[-1]):
         return None
-    if coords[0].is_zero or not (coords[0] == coords[0].field.one):
+    if not fld.eq(coords[0], fld.one):
         return None
     out = [coords[1]]
     for k in range(2, n):
-        delta = coords[k] if k % 2 == 1 else -coords[k]
-        out.append(out[-1] + delta)
+        delta = coords[k] if k % 2 == 1 else fld.neg(coords[k])
+        out.append(fld.add(out[-1], delta))
     return out
 
 
@@ -227,7 +229,7 @@ class Lifting:
             raise DegenerateSeed(
                 f"direction lift of {J} produced dimension {out.proj_dim}"
             )
-        p = ProjPoint(out.basis[0])
+        p = ProjPoint(out.field, out.basis[0])
         self._dirs[J] = p
         return p
 
@@ -265,7 +267,7 @@ class Lifting:
                 raise UndefinedBasePoint(
                     f"seed lines {J[0]} and {Jbar[0]} do not meet in a point"
                 )
-            pt = ProjPoint(base.basis[0])
+            pt = ProjPoint(base.field, base.basis[0])
             if not self.emb.m_lines[m_index].contains(pt):
                 raise UndefinedBasePoint(
                     f"seed lines {J[0]} and {Jbar[0]} miss measuring line {m_index}"
@@ -282,7 +284,7 @@ class Lifting:
                 raise DegenerateSeed(
                     f"intersection lift of {J} produced dimension {cut.proj_dim}"
                 )
-            out = ProjPoint(cut.basis[0])
+            out = ProjPoint(cut.field, cut.basis[0])
         self._zs[key] = out
         return out
 
@@ -304,14 +306,10 @@ class KakeyaSet:
     field: Field
     n: int
     N: int
-    grid: list[list[Scalar]]
+    grid: list[list]
     lines: list[KLine]
     points: list[KPoint]
     seed_meta: dict = dc_field(default_factory=dict)
-
-
-def _sorted_slopes(d_values: list[Scalar]) -> list[Scalar]:
-    return sorted(d_values, key=lambda s: s.value)
 
 
 def assemble(seed: PlanarSeed, n: int) -> KakeyaSet:
@@ -336,7 +334,7 @@ def assemble(seed: PlanarSeed, n: int) -> KakeyaSet:
     lifting = Lifting(frame, seed)
     emb = lifting.emb
     N = seed.N
-    slopes = _sorted_slopes(emb.d_values)
+    slopes = sorted(emb.d_values)
     grid = [list(slopes) for _ in range(n - 1)]
     seed_meta = dict(seed.meta)
     seed_meta["N"] = N
@@ -359,8 +357,8 @@ def assemble(seed: PlanarSeed, n: int) -> KakeyaSet:
             cut = meet(emb.lines[a], emb.lines[b])
             if cut.proj_dim != 0:
                 continue
-            pt = ProjPoint(cut.basis[0])
-            if pt.coords[-1].is_zero:
+            pt = ProjPoint(fld, cut.basis[0])
+            if fld.is_zero(pt.coords[-1]):
                 continue
             for m_idx, m in enumerate(emb.m_lines):
                 if m.contains(pt):
@@ -380,7 +378,7 @@ def assemble(seed: PlanarSeed, n: int) -> KakeyaSet:
             J = tuple(pair[0] for pair, _ in seq)
             Jbar = tuple(pair[1] for pair, _ in seq)
             z = lifting.intersection(J, Jbar, m_idx)
-            if z.coords[-1].is_zero:
+            if fld.is_zero(z.coords[-1]):
                 raise DegenerateSeed("a lifted intersection point fell at infinity")
             if registry.add(z):
                 points.append(
@@ -391,7 +389,7 @@ def assemble(seed: PlanarSeed, n: int) -> KakeyaSet:
                 )
 
     # one line through the affine origin per grid cell with repeats
-    origin = ProjPoint([fld.zero] * n + [fld.one])
+    origin = ProjPoint(fld, [fld.zero] * n + [fld.one])
     completion_cells = [
         cell
         for cell in product(range(N), repeat=n - 1)
@@ -415,15 +413,13 @@ def assemble(seed: PlanarSeed, n: int) -> KakeyaSet:
         while count < N:
             if lam > limit:
                 raise DegenerateSeed(f"cannot pad line {idx} up to {N} points")
-            cand = ProjPoint(
-                [c + fld(lam) * s for c, s in zip(base, step)] + [fld.one]
-            )
+            cand = walk_point(fld, base, step, lam)
             if registry.add(cand):
                 if idx >= completion_start:
                     cell = completion_cells[idx - completion_start]
                     prov = {
                         "kind": "grid_completion",
-                        "cell": [slopes[i].to_str() for i in cell],
+                        "cell": [fld.to_str(slopes[i]) for i in cell],
                         "lam": lam,
                     }
                 else:
@@ -440,7 +436,7 @@ def kakeya_to_json(K: KakeyaSet) -> dict:
         "field": K.field.to_json(),
         "n": K.n,
         "N": K.N,
-        "grid": [[s.to_str() for s in axis] for axis in K.grid],
+        "grid": [[K.field.to_str(s) for s in axis] for axis in K.grid],
         "lines": [
             {
                 "basis": kl.line.to_json(),
@@ -456,25 +452,25 @@ def kakeya_to_json(K: KakeyaSet) -> dict:
     }
 
 
-def kakeya_from_json(doc: dict) -> KakeyaSet:
-    fld = field_from_json(doc["field"])
-    n = int(doc["n"])
+def kakeya_from_json(doc) -> KakeyaSet:
+    fld = field_from_json(need(doc, dict, "line set")["field"])
+    n = need(doc["n"], int, "n")
     lines = [
         KLine(Subspace.from_json(fld, n, entry["basis"]), ProjPoint.from_json(fld, entry["direction"]))
-        for entry in doc["lines"]
+        for entry in records(doc, "lines")
     ]
     points = [
-        KPoint(ProjPoint.from_json(fld, entry["coords"]), dict(entry["provenance"]))
-        for entry in doc["points"]
+        KPoint(ProjPoint.from_json(fld, entry["coords"]), need(entry["provenance"], dict, "provenance"))
+        for entry in records(doc, "points")
     ]
     return KakeyaSet(
         field=fld,
         n=n,
-        N=int(doc["N"]),
-        grid=[[fld.scalar_from_str(x) for x in axis] for axis in doc["grid"]],
+        N=need(doc["N"], int, "N"),
+        grid=[fld.values_from_json(axis, "grid axis") for axis in need(doc["grid"], list, "grid")],
         lines=lines,
         points=points,
-        seed_meta=dict(doc.get("seed_meta", {})),
+        seed_meta=dict(need(doc.get("seed_meta", {}), dict, "seed_meta")),
     )
 
 

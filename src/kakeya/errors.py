@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the type checks of file contents."""
 
 
 class KakeyaError(Exception):
@@ -59,3 +59,19 @@ class GridMissing(KakeyaError):
 
 class HypothesisViolation(KakeyaError):
     """A line family does not satisfy the counting hypothesis of a bound."""
+
+
+class MalformedFile(KakeyaError):
+    """A JSON document does not have the shape its loader expects."""
+
+
+def need(value, kind, what: str):
+    """value when it is an instance of kind; MalformedFile naming what otherwise."""
+    if not isinstance(value, kind):
+        raise MalformedFile(f"{what} has the wrong type ({type(value).__name__})")
+    return value
+
+
+def records(doc: dict, key: str) -> list[dict]:
+    """The list of JSON objects stored under key."""
+    return [need(entry, dict, f"{key} entry") for entry in need(doc[key], list, key)]

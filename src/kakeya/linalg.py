@@ -1,21 +1,23 @@
-"""Row reduction, rank and nullspace over Scalar matrices.
+"""Row reduction, rank and nullspace over matrices of field values.
 
-Matrices are lists of rows, each row a list of Scalars from one field.
-Over the exact kinds every step is exact; over the real kind pivots are
-chosen by largest magnitude and anything at or below the field tolerance
-counts as zero.
+Matrices are lists of rows, each row a sequence of canonical values of
+one field, and every entry operation goes through that field.  Over the
+exact kinds every step is exact; over the real kind pivots are chosen by
+largest magnitude and anything at or below the field tolerance counts as
+zero.
 """
 
 from __future__ import annotations
 
-from .scalar import Field, Scalar
+from .scalar import Field
 
 
-def rref(rows: list[list[Scalar]], field: Field) -> tuple[list[list[Scalar]], list[int]]:
+def rref(rows, field: Field) -> tuple[list[list], list[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
     mat = [list(r) for r in rows]
     nrows = len(mat)
     ncols = len(mat[0]) if mat else 0
+    sub, mul, is_zero = field.sub, field.mul, field.is_zero
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
@@ -24,37 +26,37 @@ def rref(rows: list[list[Scalar]], field: Field) -> tuple[list[list[Scalar]], li
         best = None
         if field.exact:
             for i in range(r, nrows):
-                if not mat[i][c].is_zero:
+                if not is_zero(mat[i][c]):
                     best = i
                     break
         else:
             mag = field.tol
             for i in range(r, nrows):
-                v = abs(mat[i][c].value)
+                v = abs(mat[i][c])
                 if v > mag:
                     mag = v
                     best = i
         if best is None:
             continue
         mat[r], mat[best] = mat[best], mat[r]
-        inv = mat[r][c].inverse()
-        mat[r] = [x * inv for x in mat[r]]
-        mat[r][c] = field.one
+        inv = field.inv(mat[r][c])
+        pivot = mat[r] = [mul(x, inv) for x in mat[r]]
+        pivot[c] = field.one
         for i in range(nrows):
-            if i != r and not mat[i][c].is_zero:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+            f = mat[i][c]
+            if i != r and not is_zero(f):
+                mat[i] = [sub(a, mul(f, b)) for a, b in zip(mat[i], pivot)]
                 mat[i][c] = field.zero
         pivots.append(c)
         r += 1
     return mat[:r], pivots
 
 
-def rank(rows: list[list[Scalar]], field: Field) -> int:
+def rank(rows, field: Field) -> int:
     return len(rref(rows, field)[0])
 
 
-def nullspace(rows: list[list[Scalar]], field: Field, ncols: int) -> list[list[Scalar]]:
+def nullspace(rows, field: Field, ncols: int) -> list[list]:
     """Basis of {x : M x = 0}, one vector per free column of the RREF.
 
     The basis is canonical: vector k has a one in the k-th free column,
@@ -72,19 +74,18 @@ def nullspace(rows: list[list[Scalar]], field: Field, ncols: int) -> list[list[S
         v = [field.zero] * ncols
         v[f] = field.one
         for i, p in enumerate(pivots):
-            v[p] = -red[i][f]
+            v[p] = field.neg(red[i][f])
         basis.append(v)
     return basis
 
 
-def reduce_vector(
-    vec: list[Scalar], red: list[list[Scalar]], pivots: list[int], field: Field
-) -> list[Scalar]:
+def reduce_vector(vec, red, pivots, field: Field) -> list:
     """Residual of vec after eliminating the pivots of an RREF basis."""
+    sub, mul = field.sub, field.mul
     v = list(vec)
     for row, p in zip(red, pivots):
         c = v[p]
-        if not c.is_zero:
-            v = [a - c * b for a, b in zip(v, row)]
+        if not field.is_zero(c):
+            v = [sub(a, mul(c, b)) for a, b in zip(v, row)]
             v[p] = field.zero
     return v

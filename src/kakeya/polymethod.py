@@ -1,6 +1,6 @@
 """Multivariate polynomials, Hasse derivatives and the grid lower bounds.
 
-Polynomials are sparse maps from exponent tuples to nonzero scalars.
+Polynomials are sparse maps from exponent tuples to nonzero field values.
 The Hasse derivative acts on monomials by
 
     d^j (X^e) = prod_i binomial(e_i, j_i) X^(e - j)
@@ -35,7 +35,7 @@ from .errors import (
 )
 from .linalg import nullspace
 from .projgeom import PointSet, ProjPoint, affine_coords, points_on
-from .scalar import Field, Scalar, binomial
+from .scalar import Field, binomial
 
 
 def exponent_tuples(nvars: int, total: int):
@@ -66,7 +66,7 @@ class Poly:
     __slots__ = ("field", "nvars", "terms")
 
     def __init__(self, field: Field, nvars: int, terms=None):
-        clean: dict[tuple[int, ...], Scalar] = {}
+        clean: dict[tuple[int, ...], object] = {}
         for exps, coeff in (terms or {}).items():
             exps = tuple(int(e) for e in exps)
             if len(exps) != nvars:
@@ -75,12 +75,10 @@ class Poly:
                 )
             if any(e < 0 for e in exps):
                 raise ValueError(f"negative exponent in {exps}")
-            c = coeff if isinstance(coeff, Scalar) else field(coeff)
-            if c.field != field:
-                raise DimensionMismatch("coefficient from a different field")
+            c = field(coeff)
             if exps in clean:
-                c = clean[exps] + c
-            if c.is_zero:
+                c = field.add(clean[exps], c)
+            if field.is_zero(c):
                 clean.pop(exps, None)
             else:
                 clean[exps] = c
@@ -97,7 +95,7 @@ class Poly:
 
     @classmethod
     def constant(cls, field: Field, nvars: int, value) -> "Poly":
-        return cls(field, nvars, {(0,) * nvars: field(value)})
+        return cls(field, nvars, {(0,) * nvars: value})
 
     @classmethod
     def variable(cls, field: Field, nvars: int, index: int) -> "Poly":
@@ -120,7 +118,7 @@ class Poly:
         degrees = {sum(e) for e in self.terms}
         return len(degrees) <= 1
 
-    def coefficient(self, exps) -> Scalar:
+    def coefficient(self, exps):
         return self.terms.get(tuple(exps), self.field.zero)
 
     def _check_peer(self, other: "Poly"):
@@ -131,36 +129,33 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check_peer(other)
+        add = self.field.add
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            terms[e] = terms[e] + c if e in terms else c
+            terms[e] = add(terms[e], c) if e in terms else c
         return Poly(self.field, self.nvars, terms)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __neg__(self) -> "Poly":
-        return Poly(self.field, self.nvars, {e: -c for e, c in self.terms.items()})
+        return Poly(self.field, self.nvars, {e: self.field.neg(c) for e, c in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (Scalar, int)):
-            c = other if isinstance(other, Scalar) else self.field(other)
-            return Poly(
-                self.field, self.nvars, {e: v * c for e, v in self.terms.items()}
-            )
+        fld = self.field
+        if not isinstance(other, Poly):
+            c = fld(other)
+            return Poly(fld, self.nvars, {e: fld.mul(v, c) for e, v in self.terms.items()})
         self._check_peer(other)
-        terms: dict[tuple[int, ...], Scalar] = {}
+        terms: dict[tuple[int, ...], object] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                prod = c1 * c2
-                terms[e] = terms[e] + prod if e in terms else prod
-        return Poly(self.field, self.nvars, terms)
+                prod = fld.mul(c1, c2)
+                terms[e] = fld.add(terms[e], prod) if e in terms else prod
+        return Poly(fld, self.nvars, terms)
 
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self * other
-        return NotImplemented
+    __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "Poly":
         if not isinstance(k, int) or k < 0:
@@ -177,7 +172,7 @@ class Poly:
             return False
         if set(self.terms) != set(other.terms):
             return False
-        return all(other.terms[e] == c for e, c in self.terms.items())
+        return all(self.field.eq(other.terms[e], c) for e, c in self.terms.items())
 
     def __repr__(self):
         if self.is_zero:
@@ -189,24 +184,25 @@ class Poly:
                 for i, k in enumerate(e)
                 if k
             )
-            c = self.terms[e].to_str()
+            c = self.field.to_str(self.terms[e])
             bits.append(f"{c}*{mono}" if mono else c)
         return "Poly(" + " + ".join(bits) + ")"
 
-    def evaluate(self, point) -> Scalar:
-        """Value at an affine point given by nvars scalars."""
+    def evaluate(self, point):
+        """Value at an affine point given by nvars field values."""
         point = list(point)
         if len(point) != self.nvars:
             raise DimensionMismatch(
                 f"point has {len(point)} coordinates, polynomial has {self.nvars} variables"
             )
-        total = self.field.zero
+        fld = self.field
+        total = fld.zero
         for e, c in self.terms.items():
             v = c
             for coord, k in zip(point, e):
                 if k:
-                    v = v * coord**k
-            total = total + v
+                    v = fld.mul(v, fld.pow(coord, k))
+            total = fld.add(total, v)
         return total
 
 
@@ -220,18 +216,18 @@ def hasse_derivative(f: Poly, j) -> Poly:
     if any(x < 0 for x in j):
         raise ValueError(f"negative entry in multi-index {j}")
     fld = f.field
-    terms: dict[tuple[int, ...], Scalar] = {}
+    terms: dict[tuple[int, ...], object] = {}
     for e, c in f.terms.items():
         if any(ei < ji for ei, ji in zip(e, j)):
             continue
         factor = 1
         for ei, ji in zip(e, j):
             factor *= binomial(ei, ji)
-        coeff = c * fld(factor)
-        if coeff.is_zero:
+        coeff = fld.mul(c, fld(factor))
+        if fld.is_zero(coeff):
             continue
         shifted = tuple(ei - ji for ei, ji in zip(e, j))
-        terms[shifted] = terms[shifted] + coeff if shifted in terms else coeff
+        terms[shifted] = fld.add(terms[shifted], coeff) if shifted in terms else coeff
     return Poly(fld, f.nvars, terms)
 
 
@@ -248,7 +244,7 @@ def multiplicity_at(f: Poly, point) -> int:
     deg = f.degree
     for w in range(deg + 1):
         for j in exponent_tuples(f.nvars, w):
-            if not hasse_derivative(f, j).evaluate(point).is_zero:
+            if not f.field.is_zero(hasse_derivative(f, j).evaluate(point)):
                 return w
     return deg + 1
 
@@ -297,10 +293,10 @@ def vanishing_space(
     deriv_indices = [
         j for w in range(mult) for j in exponent_tuples(nvars, w)
     ]
-    rows: list[list[Scalar]] = []
+    rows: list[list] = []
     zero = fld.zero
     for raw in points:
-        u = [c if isinstance(c, Scalar) else fld(c) for c in raw]
+        u = [fld(c) for c in raw]
         if len(u) != nvars:
             raise DimensionMismatch(
                 f"point has {len(u)} coordinates, expected {nvars}"
@@ -308,7 +304,7 @@ def vanishing_space(
         powers = [[fld.one] for _ in range(nvars)]
         for i in range(nvars):
             for _ in range(deg_bound):
-                powers[i].append(powers[i][-1] * u[i])
+                powers[i].append(fld.mul(powers[i][-1], u[i]))
         for j in deriv_indices:
             row = [zero] * len(monos)
             for e in monos:
@@ -318,16 +314,16 @@ def vanishing_space(
                 for ei, ji in zip(e, j):
                     factor *= binomial(ei, ji)
                 entry = fld(factor)
-                if entry.is_zero:
+                if fld.is_zero(entry):
                     continue
                 for i in range(nvars):
-                    entry = entry * powers[i][e[i] - j[i]]
+                    entry = fld.mul(entry, powers[i][e[i] - j[i]])
                 row[col[e]] = entry
             rows.append(row)
     basis_vectors = nullspace(rows, fld, len(monos))
     out = []
     for vec in basis_vectors:
-        terms = {e: vec[col[e]] for e in monos if not vec[col[e]].is_zero}
+        terms = {e: vec[col[e]] for e in monos if not fld.is_zero(vec[col[e]])}
         out.append(Poly(fld, nvars, terms))
     return out
 
@@ -347,7 +343,7 @@ def direction_multiplicity(f_hom: Poly, directions) -> int:
     for d in directions:
         if isinstance(d, ProjPoint):
             coords = d.coords
-            if not coords[-1].is_zero:
+            if not f_hom.field.is_zero(coords[-1]):
                 raise ValueError("directions must lie at infinity")
             rep = list(coords[:-1])
         else:
@@ -443,7 +439,7 @@ class Certificate:
         else:
             f_doc = {
                 "terms": [
-                    {"exponents": list(e), "coeff": self.f.terms[e].to_str()}
+                    {"exponents": list(e), "coeff": self.f.field.to_str(self.f.terms[e])}
                     for e in sorted(self.f.terms, key=lambda t: (sum(t), t))
                 ]
             }
@@ -508,7 +504,7 @@ def certify(K, r: int) -> Certificate:
         ok = ok and good
         s_attestations.append(
             {
-                "point": [c.to_str() for c in coords],
+                "point": [fld.to_str(c) for c in coords],
                 "multiplicity": m,
                 "required": mult,
                 "ok": good,
@@ -522,7 +518,7 @@ def certify(K, r: int) -> Certificate:
         ok = ok and good
         d_attestations.append(
             {
-                "direction": [c.to_str() for c in d.coords],
+                "direction": d.to_json(),
                 "multiplicity": m,
                 "required": r,
                 "ok": good,

@@ -1,9 +1,9 @@
 """Projective points and flats with canonical coordinates.
 
-Points are homogeneous coordinate vectors scaled so the first nonzero
-coordinate is one.  Flats (subspaces) are stored as the reduced row
-echelon basis of their span, which is unique for a given flat, so two
-flats are equal exactly when their stored bases match.  The empty flat
+Points are homogeneous coordinate vectors of field values scaled so the
+first nonzero coordinate is one.  Flats (subspaces) are stored as the
+reduced row echelon basis of their span, which is unique for a given
+flat, so two flats are equal exactly when their stored bases match.  The empty flat
 (projective dimension -1) is a first-class value returned by meets of
 disjoint flats.
 
@@ -14,35 +14,26 @@ infinity", all others correspond to affine points.
 
 from __future__ import annotations
 
-from .errors import AmbientMismatch, FieldMismatch, ZeroVector
+from .errors import AmbientMismatch, FieldMismatch, ZeroVector, need
 from .linalg import reduce_vector, rref
 from .linalg import nullspace as _nullspace
-from .scalar import Field, Scalar
+from .scalar import Field
 
 
 class ProjPoint:
-    """A projective point; construction normalizes the coordinates."""
+    """A projective point over a field; construction normalizes the coordinates."""
 
-    __slots__ = ("coords", "field")
+    __slots__ = ("field", "coords")
 
-    def __init__(self, coords):
+    def __init__(self, field: Field, coords):
         coords = tuple(coords)
-        if not coords:
-            raise ZeroVector("a projective point needs at least one coordinate")
-        field = coords[0].field
-        lead = None
-        for i, c in enumerate(coords):
-            if c.field != field:
-                raise FieldMismatch("mixed fields in one coordinate vector")
-            if lead is None and not c.is_zero:
-                lead = i
+        lead = next((i for i, c in enumerate(coords) if not field.is_zero(c)), None)
         if lead is None:
-            raise ZeroVector("all coordinates are zero")
-        inv = coords[lead].inverse()
-        normalized = [field.zero] * lead + [field.one]
-        normalized.extend(c * inv for c in coords[lead + 1 :])
-        object.__setattr__(self, "coords", tuple(normalized))
+            raise ZeroVector("a projective point needs a nonzero coordinate")
+        inv, mul = field.inv(coords[lead]), field.mul
+        rest = tuple(mul(c, inv) for c in coords[lead + 1 :])
         object.__setattr__(self, "field", field)
+        object.__setattr__(self, "coords", (field.zero,) * lead + (field.one,) + rest)
 
     def __setattr__(self, name, value):
         raise AttributeError("ProjPoint is immutable")
@@ -61,7 +52,7 @@ class ProjPoint:
         if not isinstance(other, ProjPoint):
             return NotImplemented
         self._peer(other)
-        return all(a == b for a, b in zip(self.coords, other.coords))
+        return all(map(self.field.eq, self.coords, other.coords))
 
     def __ne__(self, other):
         eq = self.__eq__(other)
@@ -70,32 +61,31 @@ class ProjPoint:
     def __hash__(self):
         if not self.field.exact:
             raise TypeError("real-kind points compare up to tolerance and are unhashable")
-        return hash((self.field, tuple(c.value for c in self.coords)))
+        return hash((self.field, self.coords))
 
     def __repr__(self):
-        return "ProjPoint(" + ", ".join(c.to_str() for c in self.coords) + ")"
+        return "ProjPoint(" + ", ".join(self.to_json()) + ")"
 
     def to_json(self) -> list[str]:
-        return [c.to_str() for c in self.coords]
+        return [self.field.to_str(c) for c in self.coords]
 
     @classmethod
     def from_json(cls, field: Field, doc) -> "ProjPoint":
-        return cls([field.scalar_from_str(x) for x in doc])
+        return cls(field, field.values_from_json(doc, "point"))
 
 
-def affine_coords(p: ProjPoint) -> tuple[Scalar, ...]:
+def affine_coords(p: ProjPoint) -> tuple:
     """Dehomogenize against the last coordinate."""
-    last = p.coords[-1]
-    if last.is_zero:
+    fld = p.field
+    if fld.is_zero(p.coords[-1]):
         raise ZeroVector("point at infinity has no affine coordinates")
-    inv = last.inverse()
-    return tuple(c * inv for c in p.coords[:-1])
+    inv = fld.inv(p.coords[-1])
+    return tuple(fld.mul(c, inv) for c in p.coords[:-1])
 
 
 def point_from_affine(field: Field, coords) -> ProjPoint:
-    vec = [field(c) if not isinstance(c, Scalar) else c for c in coords]
-    vec.append(field.one)
-    return ProjPoint(vec)
+    """The point with the given affine coordinates, each canonicalized by field(c)."""
+    return ProjPoint(field, [field(c) for c in coords] + [field.one])
 
 
 class Subspace:
@@ -133,7 +123,7 @@ class Subspace:
                 raise FieldMismatch("mixed fields")
             if p.ambient_dim != dim:
                 raise AmbientMismatch("mixed ambient dimensions")
-        return cls.from_vectors(field, dim, [list(p.coords) for p in points])
+        return cls.from_vectors(field, dim, [p.coords for p in points])
 
     @classmethod
     def empty(cls, field: Field, ambient_dim: int) -> "Subspace":
@@ -163,8 +153,8 @@ class Subspace:
             raise AmbientMismatch("point from a different ambient space")
         if self.is_empty:
             return False
-        residual = reduce_vector(list(p.coords), [list(r) for r in self.basis], list(self.pivots), self.field)
-        return all(c.is_zero for c in residual)
+        residual = reduce_vector(p.coords, self.basis, self.pivots, self.field)
+        return all(map(self.field.is_zero, residual))
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -175,9 +165,8 @@ class Subspace:
             raise AmbientMismatch("flats from different ambient spaces")
         if len(other.basis) != len(self.basis) or other.pivots != self.pivots:
             return False
-        return all(
-            a == b for ra, rb in zip(self.basis, other.basis) for a, b in zip(ra, rb)
-        )
+        eq = self.field.eq
+        return all(all(map(eq, ra, rb)) for ra, rb in zip(self.basis, other.basis))
 
     def __ne__(self, other):
         eq = self.__eq__(other)
@@ -186,26 +175,18 @@ class Subspace:
     def __hash__(self):
         if not self.field.exact:
             raise TypeError("real-kind flats compare up to tolerance and are unhashable")
-        return hash(
-            (
-                self.field,
-                self.ambient_dim,
-                tuple(tuple(c.value for c in row) for row in self.basis),
-            )
-        )
+        return hash((self.field, self.ambient_dim, self.basis))
 
     def __repr__(self):
-        rows = "; ".join(
-            " ".join(c.to_str() for c in row) for row in self.basis
-        )
+        rows = "; ".join(" ".join(row) for row in self.to_json())
         return f"Subspace(dim={self.proj_dim}: {rows})"
 
     def to_json(self) -> list[list[str]]:
-        return [[c.to_str() for c in row] for row in self.basis]
+        return [[self.field.to_str(c) for c in row] for row in self.basis]
 
     @classmethod
     def from_json(cls, field: Field, ambient_dim: int, doc) -> "Subspace":
-        rows = [[field.scalar_from_str(x) for x in row] for row in doc]
+        rows = [field.values_from_json(row, "flat row") for row in need(doc, list, "flat")]
         return cls.from_vectors(field, ambient_dim, rows)
 
 
@@ -231,7 +212,7 @@ class PointSet:
         """Label of the stored point equal to p; stores p under label when there is none."""
         new = len(self.items)
         if self._index is not None:
-            i = self._index.setdefault(tuple(c.value for c in p.coords), new)
+            i = self._index.setdefault(p.coords, new)
         else:
             i = next((i for i, q in enumerate(self.items) if p == q), new)
         if i == new:
@@ -279,9 +260,7 @@ def meet(a: Subspace, b: Subspace) -> Subspace:
     """
     _check_pair(a, b)
     d = a.ambient_dim + 1
-    zero = a.field.zero
-    rows = [list(r) + list(r) for r in a.basis]
-    rows += [list(r) + [zero] * d for r in b.basis]
+    rows = [r + r for r in a.basis] + [r + (a.field.zero,) * d for r in b.basis]
     red, pivots = rref(rows, a.field)
     inter = [row[d:] for row, p in zip(red, pivots) if p >= d]
     if not inter:

@@ -1,21 +1,25 @@
-"""Scalar arithmetic over the three supported coordinate fields.
+"""Arithmetic over the three supported coordinate fields.
 
 A Field object fixes the kind of arithmetic: a prime field F_p with
 canonical residues 0..p-1, the rational numbers with exact Fraction
 values in lowest terms, or floating-point reals compared up to an
-absolute tolerance.  Scalars wrap a canonical raw value together with
-their field and overload the usual operators.  Arithmetic between
-scalars of different fields raises FieldMismatch rather than guessing
-a coercion.
+absolute tolerance.  Field elements are plain canonical Python values
+(an int, a Fraction or a float); every operation on them goes through
+the field's methods, and field(x) turns an int (or a Fraction or float,
+where the field admits it) into the canonical value.
+
+Scalar wraps a value together with its field and overloads the usual
+operators; arithmetic between scalars of different fields raises
+FieldMismatch rather than guessing a coercion.  The package itself
+computes on plain values.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Any
 
-from .errors import DivisionByZero, FieldMismatch, UnsupportedField
+from .errors import DivisionByZero, FieldMismatch, UnsupportedField, need
 
 DEFAULT_REAL_TOLERANCE = 1e-9
 
@@ -33,31 +37,32 @@ def binomial(a: int, b: int) -> int:
 
 
 class Field:
-    """Common interface of the three coordinate fields."""
+    """Common interface of the three coordinate fields.
+
+    The defaults are the native operators on canonical values, which the
+    rationals use as they are; PrimeField replaces the arithmetic with
+    residues mod p and RealField the zero and equality tests with the
+    tolerance.
+    """
 
     kind = "abstract"
+    exact = True
 
-    def __call__(self, value: Any) -> "Scalar":
-        return Scalar(self.canon(self.coerce(value)), self)
-
-    # raw-value protocol implemented by subclasses
-    def coerce(self, value: Any):
-        raise NotImplementedError
-
-    def canon(self, raw):
+    def __call__(self, value):
+        """The canonical value of an int (or of a Fraction or float, where admitted)."""
         raise NotImplementedError
 
     def add(self, a, b):
-        raise NotImplementedError
+        return a + b
 
     def sub(self, a, b):
-        raise NotImplementedError
+        return a - b
 
     def mul(self, a, b):
-        raise NotImplementedError
+        return a * b
 
     def neg(self, a):
-        raise NotImplementedError
+        return -a
 
     def inv(self, a):
         raise NotImplementedError
@@ -65,39 +70,48 @@ class Field:
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
+    def pow(self, a, e: int):
+        if not isinstance(e, int) or e < 0:
+            raise ValueError("exponent must be a nonnegative integer")
+        out = self.one
+        while e:
+            if e & 1:
+                out = self.mul(out, a)
+            a = self.mul(a, a)
+            e >>= 1
+        return out
+
     def eq(self, a, b) -> bool:
-        raise NotImplementedError
+        return a == b
 
     def is_zero(self, a) -> bool:
-        raise NotImplementedError
+        return a == 0
 
     def to_str(self, a) -> str:
-        raise NotImplementedError
+        return str(a)
 
     def from_str(self, s: str):
+        """The canonical value written as s."""
         raise NotImplementedError
 
+    def values_from_json(self, doc, what: str) -> list:
+        """Values of a JSON list of strings; MalformedFile naming what otherwise."""
+        return [self.from_str(need(s, str, f"{what} entry")) for s in need(doc, list, what)]
+
     @property
-    def zero(self) -> "Scalar":
+    def zero(self):
         return self(0)
 
     @property
-    def one(self) -> "Scalar":
+    def one(self):
         return self(1)
-
-    def scalar_from_str(self, s: str) -> "Scalar":
-        return Scalar(self.canon(self.from_str(s)), self)
 
     def to_json(self) -> dict:
         raise NotImplementedError
 
-    @property
-    def exact(self) -> bool:
-        return True
-
 
 class PrimeField(Field):
-    """F_p for a prime p; raw values are canonical residues 0..p-1."""
+    """F_p for a prime p; values are canonical residues 0..p-1."""
 
     kind = "prime"
 
@@ -112,17 +126,10 @@ class PrimeField(Field):
             d += 1
         self.p = p
 
-    def coerce(self, value):
-        if isinstance(value, Scalar):
-            if value.field != self:
-                raise FieldMismatch("scalar belongs to a different field")
-            return value.value
+    def __call__(self, value):
         if isinstance(value, bool) or not isinstance(value, int):
             raise TypeError(f"cannot coerce {value!r} into F_{self.p}")
-        return value
-
-    def canon(self, raw: int) -> int:
-        return raw % self.p
+        return value % self.p
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -141,17 +148,8 @@ class PrimeField(Field):
             raise DivisionByZero(f"0 has no inverse in F_{self.p}")
         return pow(a, -1, self.p)
 
-    def eq(self, a, b):
-        return (a - b) % self.p == 0
-
-    def is_zero(self, a):
-        return a % self.p == 0
-
-    def to_str(self, a):
-        return str(a % self.p)
-
     def from_str(self, s):
-        return int(s, 10)
+        return int(s, 10) % self.p
 
     def to_json(self):
         return {"kind": "prime", "p": self.p}
@@ -167,44 +165,19 @@ class PrimeField(Field):
 
 
 class RationalField(Field):
-    """The rationals; raw values are Fractions in lowest terms."""
+    """The rationals; values are Fractions in lowest terms."""
 
     kind = "rational"
 
-    def coerce(self, value):
-        if isinstance(value, Scalar):
-            if value.field != self:
-                raise FieldMismatch("scalar belongs to a different field")
-            return value.value
+    def __call__(self, value):
         if isinstance(value, (int, Fraction)):
             return Fraction(value)
         raise TypeError(f"cannot coerce {value!r} into the rationals")
 
-    def canon(self, raw):
-        return Fraction(raw)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
     def inv(self, a):
         if a == 0:
             raise DivisionByZero("0 has no rational inverse")
-        return 1 / a
-
-    def eq(self, a, b):
-        return a == b
-
-    def is_zero(self, a):
-        return a == 0
+        return 1 / Fraction(a)  # 1 / a is a float when a is an int
 
     def to_str(self, a):
         return f"{a.numerator}/{a.denominator}"
@@ -229,35 +202,17 @@ class RealField(Field):
     """Floating-point reals compared up to an absolute tolerance."""
 
     kind = "real"
+    exact = False
 
     def __init__(self, tol: float = DEFAULT_REAL_TOLERANCE):
         if not (tol > 0):
             raise UnsupportedField(f"tolerance must be positive, got {tol}")
         self.tol = float(tol)
 
-    def coerce(self, value):
-        if isinstance(value, Scalar):
-            if value.field != self:
-                raise FieldMismatch("scalar belongs to a different field")
-            return value.value
+    def __call__(self, value):
         if isinstance(value, (int, float, Fraction)):
             return float(value)
         raise TypeError(f"cannot coerce {value!r} into the reals")
-
-    def canon(self, raw):
-        return float(raw)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
 
     def inv(self, a):
         if abs(a) <= self.tol:
@@ -279,10 +234,6 @@ class RealField(Field):
     def to_json(self):
         return {"kind": "real", "tol": self.tol}
 
-    @property
-    def exact(self):
-        return False
-
     def __eq__(self, other):
         return isinstance(other, RealField) and other.tol == self.tol
 
@@ -293,19 +244,19 @@ class RealField(Field):
         return f"RealField(tol={self.tol})"
 
 
-def field_from_json(doc: dict) -> Field:
-    kind = doc.get("kind")
+def field_from_json(doc) -> Field:
+    kind = need(doc, dict, "field").get("kind")
     if kind == "prime":
-        return PrimeField(int(doc["p"]))
+        return PrimeField(need(doc["p"], int, "field p"))
     if kind == "rational":
         return RationalField()
     if kind == "real":
-        return RealField(float(doc.get("tol", DEFAULT_REAL_TOLERANCE)))
+        return RealField(need(doc.get("tol", DEFAULT_REAL_TOLERANCE), (int, float), "field tol"))
     raise UnsupportedField(f"unknown field kind {kind!r}")
 
 
 class Scalar:
-    """A canonical field element; immutable, with operator overloads."""
+    """A field value paired with its field; immutable, with operator overloads."""
 
     __slots__ = ("value", "field")
 
@@ -345,16 +296,7 @@ class Scalar:
         return Scalar(self.field.neg(self.value), self.field)
 
     def __pow__(self, e: int):
-        if not isinstance(e, int) or e < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        out = self.field.one
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return Scalar(self.field.pow(self.value, e), self.field)
 
     def inverse(self) -> "Scalar":
         return Scalar(self.field.inv(self.value), self.field)

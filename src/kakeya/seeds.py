@@ -24,9 +24,9 @@ import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .errors import DegenerateSeed, UnsupportedField
+from .errors import DegenerateSeed, UnsupportedField, need, records
 from .projgeom import PointSet, ProjPoint, Subspace, meet, points_on
-from .scalar import DEFAULT_REAL_TOLERANCE, Field, PrimeField, RealField, Scalar, field_from_json
+from .scalar import DEFAULT_REAL_TOLERANCE, Field, PrimeField, RationalField, RealField, field_from_json
 
 
 @dataclass
@@ -81,7 +81,7 @@ def _infinity_line(fld: Field) -> Subspace:
 
 
 def _m_common_point(fld: Field) -> ProjPoint:
-    return ProjPoint([fld.zero, fld.one, fld.zero])
+    return ProjPoint(fld, [fld.zero, fld.one, fld.zero])
 
 
 def dual_conic_seed(q: int) -> PlanarSeed:
@@ -101,22 +101,17 @@ def dual_conic_seed(q: int) -> PlanarSeed:
     lines = []
     infinite_points = []
     for t in range(q):
-        ft = fld(t)
-        lines.append(
-            Subspace.from_equations(fld, 2, [[-(ft + ft), one, ft * ft]])
-        )
-        infinite_points.append(ProjPoint([one, ft + ft, zero]))
+        lines.append(Subspace.from_equations(fld, 2, [[fld(-2 * t), one, fld(t * t)]]))
+        infinite_points.append(ProjPoint(fld, [one, fld(2 * t), zero]))
 
     m_lines = [
-        Subspace.from_equations(fld, 2, [[one, zero, -fld(c)]]) for c in range(q)
+        Subspace.from_equations(fld, 2, [[one, zero, fld(-c)]]) for c in range(q)
     ]
 
     seen = PointSet(fld)
     for t in range(q):
-        ft = fld(t)
         for x in range(q):
-            fx = fld(x)
-            seen.add(ProjPoint([fx, (ft + ft) * fx - ft * ft, one]))
+            seen.add(ProjPoint(fld, [fld(x), fld(2 * t * x - t * t), one]))
     points = [SeedPoint(p) for p in seen.items]
 
     seed = PlanarSeed(
@@ -194,7 +189,7 @@ def regular_ngon_seed(N: int, field: RealField | None = None) -> PlanarSeed:
         p = meet(line, infinity)
         if p.proj_dim != 0:
             raise DegenerateSeed("seed line coincides with the line at infinity")
-        infinite_points.append(ProjPoint(p.basis[0]))
+        infinite_points.append(ProjPoint(fld, p.basis[0]))
 
     m_lines = [eq_line(ngon_bisecant_direction(N, s, 0)) for s in range(N)]
 
@@ -209,7 +204,7 @@ def regular_ngon_seed(N: int, field: RealField | None = None) -> PlanarSeed:
     for a in range(N):
         for b in range(a + 1, N):
             w = _apply(frame, cross(verts[a], verts[b]))
-            chords[a, b] = ProjPoint([fld(x) for x in w])
+            chords[a, b] = ProjPoint(fld, [fld(x) for x in w])
     points = [SeedPoint(p) for p in chords.values()]
 
     # one arbitrary additional point per line, chosen deterministically
@@ -221,9 +216,7 @@ def regular_ngon_seed(N: int, field: RealField | None = None) -> PlanarSeed:
         base, step = line_walk_start(line)
         lam = 0
         while True:
-            cand = ProjPoint(
-                [b + fld(lam) * s for b, s in zip(base, step)] + [fld.one]
-            )
+            cand = walk_point(fld, base, step, lam)
             if known.add(cand):
                 points.append(SeedPoint(cand, extra=True))
                 break
@@ -243,7 +236,7 @@ def regular_ngon_seed(N: int, field: RealField | None = None) -> PlanarSeed:
     return seed
 
 
-def line_walk_start(line: Subspace) -> tuple[list[Scalar], list[Scalar]]:
+def line_walk_start(line: Subspace) -> tuple[list, list]:
     """Affine base point and direction step vector for walking along a line.
 
     The base is the first echelon basis row with a nonzero last
@@ -255,9 +248,9 @@ def line_walk_start(line: Subspace) -> tuple[list[Scalar], list[Scalar]]:
     dim = line.ambient_dim
     base = None
     for row in line.basis:
-        if not row[-1].is_zero:
-            inv = row[-1].inverse()
-            base = [c * inv for c in row[:-1]]
+        if not fld.is_zero(row[-1]):
+            inv = fld.inv(row[-1])
+            base = [fld.mul(c, inv) for c in row[:-1]]
             break
     if base is None:
         raise ValueError("line lies at infinity")
@@ -266,8 +259,14 @@ def line_walk_start(line: Subspace) -> tuple[list[Scalar], list[Scalar]]:
     direction = meet(line, Subspace.from_equations(fld, dim, eq))
     if direction.proj_dim != 0:
         raise ValueError("not an affine line")
-    step = list(ProjPoint(direction.basis[0]).coords[:-1])
+    step = list(ProjPoint(fld, direction.basis[0]).coords[:-1])
     return base, step
+
+
+def walk_point(fld: Field, base, step, lam: int) -> ProjPoint:
+    """The affine point base + lam * step of a walk along a line."""
+    flam = fld(lam)
+    return ProjPoint(fld, [fld.add(b, fld.mul(flam, s)) for b, s in zip(base, step)] + [fld.one])
 
 
 def _measure_epsilon(seed: PlanarSeed) -> list[Fraction]:
@@ -302,13 +301,13 @@ def seed_report(seed: PlanarSeed) -> SeedReport:
             problems.append(f"line {i} is the line at infinity")
             directions.append(None)
             continue
-        d = ProjPoint(p.basis[0])
+        d = ProjPoint(fld, p.basis[0])
         directions.append(d)
         if i < len(seed.infinite_points) and d != seed.infinite_points[i]:
             problems.append(f"stored infinite point of line {i} is wrong")
         if d == x_point:
             problems.append(f"line {i} passes through the measuring direction (0,1,0)")
-        elif d.coords[0].is_zero:
+        elif fld.is_zero(d.coords[0]):
             problems.append(f"line {i} has no finite slope coordinate")
     if len(seed.lines) != seed.N:
         problems.append(f"expected {seed.N} lines, found {len(seed.lines)}")
@@ -374,27 +373,27 @@ def seed_to_json(seed: PlanarSeed) -> dict:
     }
 
 
-def seed_from_json(doc: dict) -> PlanarSeed:
-    fld = field_from_json(doc["field"])
+def seed_from_json(doc) -> PlanarSeed:
+    fld = field_from_json(need(doc, dict, "seed")["field"])
     infinity = _infinity_line(fld)
-    lines = [Subspace.from_json(fld, 2, rows) for rows in doc["lines"]]
+    lines = [Subspace.from_json(fld, 2, rows) for rows in need(doc["lines"], list, "lines")]
     infinite_points = []
     for line in lines:
         p = meet(line, infinity)
         if p.proj_dim != 0:
             raise DegenerateSeed("seed line coincides with the line at infinity")
-        infinite_points.append(ProjPoint(p.basis[0]))
+        infinite_points.append(ProjPoint(fld, p.basis[0]))
     points = [
         SeedPoint(ProjPoint.from_json(fld, entry["coords"]), bool(entry.get("extra", False)))
-        for entry in doc["points"]
+        for entry in records(doc, "points")
     ]
     return PlanarSeed(
         field=fld,
-        N=int(doc["N"]),
+        N=need(doc["N"], int, "N"),
         lines=lines,
         infinite_points=infinite_points,
-        m_lines=[Subspace.from_json(fld, 2, rows) for rows in doc["m_lines"]],
+        m_lines=[Subspace.from_json(fld, 2, rows) for rows in need(doc["m_lines"], list, "m_lines")],
         points=points,
-        epsilon=[Fraction(e) for e in doc["epsilon"]],
-        meta=dict(doc.get("meta", {})),
+        epsilon=RationalField().values_from_json(doc["epsilon"], "epsilon"),
+        meta=dict(need(doc.get("meta", {}), dict, "meta")),
     )

@@ -23,7 +23,7 @@ from fractions import Fraction
 from .construction import KakeyaSet, grid_values_from_direction
 from .errors import GridMissing
 from .projgeom import PointSet, ProjPoint, Subspace, meet, points_on
-from .scalar import Scalar, binomial
+from .scalar import binomial
 
 WITNESS_LIMIT = 10
 
@@ -69,7 +69,7 @@ def _recovered_cells(K: KakeyaSet):
             continue
         cell = []
         for axis, v in zip(K.grid, values):
-            idx = next((i for i, a in enumerate(axis) if a == v), None)
+            idx = next((i for i, a in enumerate(axis) if K.field.eq(a, v)), None)
             if idx is None:
                 cell = None
                 break
@@ -93,20 +93,33 @@ def _lifted_point_flags(K: KakeyaSet) -> list[bool]:
     return [kp.provenance.get("kind") == "lifted" for kp in K.points]
 
 
+def _distinct_size(K: KakeyaSet) -> tuple[int, list[str]]:
+    """|S| as the number of distinct points, and a witness for every repeated entry."""
+    distinct = PointSet(K.field)
+    repeats = []
+    for i, kp in enumerate(K.points):
+        first = distinct.setdefault(kp.point, i)
+        if first != i:
+            repeats.append(f"points {first} and {i} coincide")
+    return len(distinct), repeats
+
+
 def verify_incidence(K: KakeyaSet, verbose: bool = False) -> VerifyReport:
-    """Every line must carry at least N distinct points of the point set.
+    """Every point must be affine and every line must carry at least N distinct points.
 
     A point listed twice on a line is a witness and counts once.  Also
     audits the construction claim that no line picked up more than N
     points before padding, using the lifted provenance labels when they
     are present.
     """
-    witnesses: list = []
     counts = []
     lifted_flags = _lifted_point_flags(K)
     have_lifted = any(lifted_flags)
     lifted_counts = []
     points = [kp.point for kp in K.points]
+    witnesses = [
+        f"point {i} lies at infinity" for i, p in enumerate(points) if K.field.is_zero(p.coords[-1])
+    ]
     for idx, kl in enumerate(K.lines):
         on = points_on(kl.line, points)
         distinct = PointSet(K.field)
@@ -147,11 +160,14 @@ def verify_directions(K: KakeyaSet, verbose: bool = False) -> VerifyReport:
     infinity = _infinity_hyperplane(K)
 
     for idx, kl in enumerate(K.lines):
+        if kl.line.proj_dim != 1:
+            witnesses.append(f"line {idx} is a flat of dimension {kl.line.proj_dim}, not a line")
+            continue
         cut = meet(kl.line, infinity)
         if cut.proj_dim != 0:
             witnesses.append(f"line {idx} meets infinity in dimension {cut.proj_dim}")
             continue
-        actual = ProjPoint(cut.basis[0])
+        actual = ProjPoint(K.field, cut.basis[0])
         if actual != kl.direction:
             witnesses.append(f"line {idx} stores a direction it does not have")
 
@@ -195,15 +211,15 @@ def verify_directions(K: KakeyaSet, verbose: bool = False) -> VerifyReport:
 def verify_size(K: KakeyaSet, verbose: bool = False) -> VerifyReport:
     """Size accounting: leading term, measured constant, lifted-point counts.
 
-    The point total is compared with the leading term N^n / 2^(n-1) and
-    the overshoot constant c = (|S| - leading) / N^(n-1) is reported.
+    |S| counts distinct points, and every repeated entry is a witness.
+    It is compared with the leading term N^n / 2^(n-1) and the overshoot
+    constant c = (|S| - leading) / N^(n-1) is reported.
     When lifted points are present their count must match the sum over
     measuring lines of falling products (N/2 - eps_i)...(N/2 - eps_i - n + 2),
     and each lifted point must lie on exactly 2^(n-1) lifted lines.
     """
-    witnesses: list = []
     n, N = K.n, K.N
-    size = len(K.points)
+    size, witnesses = _distinct_size(K)
     leading = Fraction(2) * Fraction(N, 2) ** n
     c_measured = Fraction(size - leading) / Fraction(N) ** (n - 1)
     measured = {
@@ -253,7 +269,7 @@ def verify_size(K: KakeyaSet, verbose: bool = False) -> VerifyReport:
 
 
 def verify_bound_consistency(K: KakeyaSet, r: int, verbose: bool = False) -> VerifyReport:
-    """The grid bound must hold for the actual point count at the given r."""
+    """The grid bound must hold for the number of distinct points at the given r."""
     if r < 1:
         raise ValueError("r must be at least 1")
     covered, expected_cells = _grid_coverage(K, _recovered_cells(K))
@@ -263,7 +279,7 @@ def verify_bound_consistency(K: KakeyaSet, r: int, verbose: bool = False) -> Ver
         )
     n = K.n
     N = len(K.grid[0])
-    size = len(K.points)
+    size = _distinct_size(K)[0]
     lhs = binomial(2 * r + n - 2, n) * size
     rhs = binomial(r * N + n - 1, n)
     witnesses: list = []

@@ -69,7 +69,7 @@ def test_criterion_1_conic_pipeline(tmp_path, announce):
     cells = []
     for kl in K.lines:
         values = grid_values_from_direction(kl.direction)
-        cells.append(tuple(v.value for v in values))
+        cells.append(tuple(values))
     lifted_idx = [i for i, c in enumerate(cells) if len(set(c)) == len(c)]
     lifted_lines_ok = len(lifted_idx) == 42
     directions_ok = len(set(cells)) == 49 and len(K.lines) == 49
@@ -132,7 +132,7 @@ def test_criterion_3_switch_patterns(announce):
     per_m = {}
     for a in range(13):
         for b in range(a + 1, 13):
-            pt = ProjPoint(meet(emb.lines[a], emb.lines[b]).basis[0])
+            pt = ProjPoint(seed.field, meet(emb.lines[a], emb.lines[b]).basis[0])
             for mi, m in enumerate(emb.m_lines):
                 if m.contains(pt):
                     per_m.setdefault(mi, []).append((a, b))
@@ -290,7 +290,7 @@ def test_criterion_6_certificate_desk_scale(announce):
     fld = K.field
     S = [affine_coords(kp.point) for kp in K.points]
     D = [kl.direction for kl in K.lines]
-    raw_points = [tuple(c.value for c in u) for u in S]
+    raw_points = [tuple(u) for u in S]
 
     for r in (1, 2):
         deg_bound = r * 5 - 1

@@ -158,12 +158,42 @@ def test_truncated_json_is_input_error(tmp_path, capsys):
 def test_missing_key_is_input_error(tmp_path, capsys):
     out = tmp_path / "k.json"
     run(capsys, "construct", "--seed", "conic", "--q", "5", "--dim", "2", "--out", str(out))
-    doc = json.loads(out.read_text())
+    good = json.loads(out.read_text())
+    doc = dict(good)
     del doc["grid"]
     out.write_text(json.dumps(doc))
     code, _, stderr = run(capsys, "verify", str(out))
     assert code == 2
     assert stderr == "error: missing key 'grid'\n"
+
+    # valid JSON of the wrong shape is bad input as well
+    point = good["points"][0]
+    wrong = [
+        [],
+        {**good, "lines": 5},
+        {**good, "points": None},
+        {**good, "field": "x"},
+        {**good, "field": {"kind": "prime", "p": "5"}},
+        {**good, "points": [{**point, "coords": [1, 0, 1]}]},
+        {**good, "points": [{**point, "provenance": []}]},
+        {**good, "lines": [[]]},
+        {**good, "grid": [["0", 1]]},
+    ]
+    for bad in wrong:
+        out.write_text(json.dumps(bad))
+        for argv in (["verify", str(out)], ["certify", str(out), "--r", "1"]):
+            code, stdout, stderr = run(capsys, *argv)
+            assert code == 2 and not stdout, (argv[0], bad)
+            assert stderr.startswith("error: ") and stderr.count("\n") == 1
+
+    seed_path = tmp_path / "seed.json"
+    save_seed(dual_conic_seed(5), str(seed_path))
+    seed = json.loads(seed_path.read_text())
+    for bad in ([], {**seed, "points": {}}, {**seed, "epsilon": [0.5]}, {**seed, "lines": [["1", "0", "0"]]}):
+        seed_path.write_text(json.dumps(bad))
+        code, stdout, stderr = run(capsys, "seed-report", str(seed_path))
+        assert code == 2 and not stdout, bad
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
 
 
 def test_bound_rejects_nonpositive_n(capsys):

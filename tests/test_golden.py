@@ -1,0 +1,58 @@
+"""Byte-identical CLI output: the fast entries of bench/golden.json, run through kakeya.cli.main.
+
+The golden file holds SHA-256 values of construct output files and of
+certify/bound stdout.  The larger constructs (conic q=11, 13 and q=7 at
+n=4, ngon N=11) are checked only by the benchmark.
+"""
+
+import hashlib
+import json
+import os
+
+import pytest
+
+from kakeya.cli import main
+
+GOLDEN = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "golden.json")
+CONSTRUCTS = {
+    "construct conic q=5 n=2": ["--seed", "conic", "--q", "5", "--dim", "2"],
+    "construct conic q=5 n=3": ["--seed", "conic", "--q", "5", "--dim", "3"],
+    "construct conic q=7 n=2": ["--seed", "conic", "--q", "7", "--dim", "2"],
+    "construct conic q=7 n=3": ["--seed", "conic", "--q", "7", "--dim", "3"],
+    "construct ngon N=9 n=3": ["--seed", "ngon", "--N", "9", "--dim", "3"],
+}
+CERTIFIES = [(5, 2, 1), (5, 2, 2), (5, 3, 1), (7, 2, 1), (7, 2, 2)]
+BOUNDS = [(7, 3), (13, 3), (7, 4), (16, 4)]
+
+
+@pytest.fixture(scope="module")
+def golden():
+    with open(GOLDEN, encoding="utf-8") as fh:
+        return json.load(fh)["sha256"]
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCTS))
+def test_construct_file_matches_golden(name, golden, tmp_path, capsys):
+    out = tmp_path / "k.json"
+    assert main(["construct", *CONSTRUCTS[name], "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert _sha(out.read_bytes()) == golden[name]
+
+
+@pytest.mark.parametrize("q,n,r", CERTIFIES)
+def test_certify_stdout_matches_golden(q, n, r, golden, tmp_path, capsys):
+    path = tmp_path / "k.json"
+    assert main(["construct", "--seed", "conic", "--q", str(q), "--dim", str(n), "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["certify", str(path), "--r", str(r)]) == 0
+    assert _sha(capsys.readouterr().out.encode()) == golden[f"certify conic q={q} n={n} r={r}"]
+
+
+@pytest.mark.parametrize("N,n", BOUNDS)
+def test_bound_stdout_matches_golden(N, n, golden, capsys):
+    assert main(["bound", "--N", str(N), "--dim", str(n), "--optimize"]) == 0
+    assert _sha(capsys.readouterr().out.encode()) == golden[f"bound N={N} n={n} optimize"]

@@ -63,14 +63,15 @@ def test_poly_arithmetic_basics():
     f = (x + y) * (x - y)
     assert f == x * x - y * y
     assert (f - f).is_zero
-    assert (x * 3).coefficient((1, 0)).value == 3
+    assert (x * 3).coefficient((1, 0)) == 3
+    assert (3 * x) == (x * 3)
 
 
 def test_poly_evaluate():
     x = Poly.variable(QQ, 2, 0)
     y = Poly.variable(QQ, 2, 1)
     f = x**2 + y * 2 + Poly.constant(QQ, 2, 1)
-    assert f.evaluate([QQ(3), QQ(5)]).value == Fraction(20)
+    assert f.evaluate([QQ(3), QQ(5)]) == Fraction(20)
 
 
 def test_hasse_identity_weight_zero():
@@ -188,7 +189,7 @@ def test_vanishing_space_single_point():
     basis = vanishing_space([[QQ(0), QQ(0)]], 1, 1, 2, QQ)
     assert len(basis) == 2
     for f in basis:
-        assert f.evaluate([QQ(0), QQ(0)]).is_zero
+        assert QQ.is_zero(f.evaluate([QQ(0), QQ(0)]))
         assert f.degree == 1
 
 
@@ -221,7 +222,7 @@ def test_vanishing_space_dimension_via_independent_elimination():
         for e in monos:
             v = 1
             for c, k in zip(u, e):
-                v = (v * pow(c.value, k, 5)) % 5
+                v = (v * pow(c, k, 5)) % 5
             row.append(v)
         matrix.append(row)
     # row reduce mod 5 without the library
@@ -249,7 +250,7 @@ def test_direction_multiplicity_grid_generator():
     g = grid_generator(F5, 3, 0, values)
     assert g.is_homogeneous() and g.degree == 5
     grid_points = [
-        ProjPoint([F5(a), F5(b), F5(1), F5(0)]) for a in range(5) for b in range(5)
+        ProjPoint(F5, [F5(a), F5(b), F5(1), F5(0)]) for a in range(5) for b in range(5)
     ]
     # directions for the polynomial live in 3 variables: strip nothing,
     # the projective points above already carry a trailing zero
@@ -260,7 +261,7 @@ def test_direction_multiplicity_grid_generator():
 
 def test_direction_multiplicity_nonvanishing():
     f = Poly.variable(F5, 3, 2)
-    pts = [ProjPoint([F5(a), F5(0), F5(1), F5(0)]) for a in range(5)]
+    pts = [ProjPoint(F5, [F5(a), F5(0), F5(1), F5(0)]) for a in range(5)]
     assert direction_multiplicity(f, pts) == 0
 
 
@@ -268,11 +269,11 @@ def test_direction_multiplicity_guards():
     x = Poly.variable(QQ, 2, 0)
     inhom = x + Poly.constant(QQ, 2, 1)
     with pytest.raises(NotHomogeneous):
-        direction_multiplicity(inhom, [ProjPoint([QQ(1), QQ(0), QQ(0)])])
+        direction_multiplicity(inhom, [ProjPoint(QQ, [QQ(1), QQ(0), QQ(0)])])
     with pytest.raises(ZeroPolynomial):
         direction_multiplicity(Poly.zero(QQ, 2), [])
     with pytest.raises(ValueError):
-        direction_multiplicity(x, [ProjPoint([QQ(1), QQ(0), QQ(1)])])
+        direction_multiplicity(x, [ProjPoint(QQ, [QQ(1), QQ(0), QQ(1)])])
 
 
 def _factorial_ratio(a, n):

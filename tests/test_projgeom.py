@@ -1,6 +1,7 @@
 """Projective points, subspaces, span and meet."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -23,12 +24,12 @@ QQ = RationalField()
 
 
 def P(fld, *coords):
-    return ProjPoint([fld(c) for c in coords])
+    return ProjPoint(fld, [fld(c) for c in coords])
 
 
 def test_point_normalizes_first_nonzero_to_one():
     p = P(F7, 0, 3, 5)
-    assert [c.value for c in p.coords] == [0, 1, 4]
+    assert p.coords == (0, 1, 4)
 
 
 def test_zero_vector_rejected():
@@ -36,9 +37,28 @@ def test_zero_vector_rejected():
         P(QQ, 0, 0, 0)
 
 
+def _one_class(objs):
+    """Equal objects hash equal and collapse to one set entry."""
+    assert all(a == b and hash(a) == hash(b) for a in objs for b in objs)
+    assert len(set(objs)) == 1
+
+
 def test_point_equality_ignores_scale():
     assert P(QQ, 2, 4, 6) == P(QQ, 1, 2, 3)
     assert P(QQ, 1, 2, 3) != P(QQ, 1, 2, 4)
+    # int and Fraction representatives of the same rational point
+    rational = [
+        P(QQ, 2, 4, 6),
+        P(QQ, Fraction(1, 3), Fraction(2, 3), 1),
+        point_from_affine(QQ, [Fraction(1, 3), Fraction(2, 3)]),
+        ProjPoint(QQ, [1, 2, 3]),
+        ProjPoint(QQ, [Fraction(4, 2), Fraction(4), Fraction(6)]),
+    ]
+    assert all(isinstance(c, Fraction) for c in ProjPoint(QQ, [2, 4, 6]).coords)
+    prime = [P(F7, 2, 4, 6), P(F7, 1, 2, 3), P(F7, 9, 18, 27), point_from_affine(F7, [5, 3])]
+    for objs in (rational, prime):
+        _one_class(objs)
+        assert len(PointSet(objs[0].field, objs)) == 1
 
 
 def test_point_equality_guards_ambient_and_field():
@@ -51,6 +71,7 @@ def test_point_equality_guards_ambient_and_field():
 def test_affine_round_trip():
     p = point_from_affine(QQ, [3, -2])
     assert affine_coords(p) == (QQ(3), QQ(-2))
+    assert affine_coords(point_from_affine(F7, [7, 8])) == (0, 1)
     with pytest.raises(ZeroVector):
         affine_coords(P(QQ, 1, 0, 0))
 
@@ -65,22 +86,20 @@ def test_span_of_two_points_is_a_line():
 
 def test_from_equations_matches_containment():
     # the plane x0 + x1 + x2 = 0 over the rationals
-    s = Subspace.from_equations(QQ, 2, [[QQ(1), QQ(1), QQ(1)]])
+    s = Subspace.from_equations(QQ, 2, [[QQ.one, QQ.one, QQ.one]])
     assert s.proj_dim == 1
     assert s.contains(P(QQ, 1, -1, 0))
     assert not s.contains(P(QQ, 1, 1, 1))
 
 
 def test_meet_of_plane_lines():
-    from fractions import Fraction
-
     l1 = Subspace.from_points([P(QQ, 0, 0, 1), P(QQ, 1, 1, 1)])
     l2 = Subspace.from_points([P(QQ, 1, 0, 1), P(QQ, 0, 1, 1)])
     cut = meet(l1, l2)
     assert cut.proj_dim == 0
     # y = x meets x + y = 1 at (1/2, 1/2)
     half = Fraction(1, 2)
-    assert ProjPoint(cut.basis[0]) == point_from_affine(QQ, [half, half])
+    assert ProjPoint(QQ, cut.basis[0]) == point_from_affine(QQ, [half, half])
 
 
 def test_meet_of_skew_lines_is_empty():
@@ -117,7 +136,7 @@ def test_meet_result_is_contained_in_both():
         )
         cut = meet(a, b)
         for row in cut.basis:
-            p = ProjPoint(list(row))
+            p = ProjPoint(F7, row)
             assert a.contains(p) and b.contains(p)
 
 
@@ -131,7 +150,7 @@ def test_span_point_adds_a_dimension_outside():
 
 def test_points_on_lists_incident_positions():
     line = Subspace.from_points([P(F7, 1, 2, 1), P(F7, 0, 1, 3)])
-    on = ProjPoint([a + b for a, b in zip(P(F7, 1, 2, 1).coords, P(F7, 0, 1, 3).coords)])
+    on = ProjPoint(F7, [F7.add(a, b) for a, b in zip(P(F7, 1, 2, 1).coords, P(F7, 0, 1, 3).coords)])
     assert points_on(line, [P(F7, 0, 0, 1), on, P(F7, 2, 4, 2), P(F7, 1, 0, 0)]) == [1, 2]
 
 
@@ -147,23 +166,27 @@ def test_point_set_keeps_first_of_equal_points(fld):
 
 def test_real_point_set_uses_the_tolerance():
     fld = RealField(1e-9)
-    pts = PointSet(fld, [ProjPoint([fld(0.5), fld(0.25), fld(1.0)])])
-    assert not pts.add(ProjPoint([fld(0.5), fld(0.25 + 1e-12), fld(1.0)]))
-    assert pts.add(ProjPoint([fld(0.5), fld(0.25 + 1e-6), fld(1.0)]))
+    pts = PointSet(fld, [ProjPoint(fld, [0.5, 0.25, 1.0])])
+    assert not pts.add(ProjPoint(fld, [0.5, 0.25 + 1e-12, 1.0]))
+    assert pts.add(ProjPoint(fld, [0.5, 0.25 + 1e-6, 1.0]))
 
 
 def test_subspace_equality_is_canonical():
     a = Subspace.from_points([P(QQ, 1, 1, 0), P(QQ, 0, 0, 1)])
     b = Subspace.from_points([P(QQ, 1, 1, 1), P(QQ, 2, 2, 1)])
     assert a == b
+    c = Subspace.from_vectors(QQ, 2, [[2, 2, 0], [Fraction(1, 2), Fraction(1, 2), 3]])
+    _one_class([a, b, c])
+    d = Subspace.from_points([P(F7, 1, 1, 0), P(F7, 0, 0, 1)])
+    e = Subspace.from_points([P(F7, 1, 1, 1), P(F7, 3, 3, 5)])
+    f = Subspace.from_vectors(F7, 2, [[3, 3, 0], [2, 2, 4]])
+    _one_class([d, e, f])
 
 
 def test_real_tolerance_containment():
     fld = RealField(1e-9)
-    line = Subspace.from_points(
-        [ProjPoint([fld(1.0), fld(0.0), fld(1.0)]), ProjPoint([fld(0.0), fld(1.0), fld(1.0)])]
-    )
-    wobble = ProjPoint([fld(0.5), fld(0.5 + 1e-12), fld(1.0)])
+    line = Subspace.from_points([ProjPoint(fld, [1.0, 0.0, 1.0]), ProjPoint(fld, [0.0, 1.0, 1.0])])
+    wobble = ProjPoint(fld, [0.5, 0.5 + 1e-12, 1.0])
     assert line.contains(wobble)
-    off = ProjPoint([fld(0.5), fld(0.6), fld(1.0)])
+    off = ProjPoint(fld, [0.5, 0.6, 1.0])
     assert not line.contains(off)

@@ -2,8 +2,9 @@
 
 import pytest
 
-from kakeya.construction import KakeyaSet, assemble, direction_from_grid_values
+from kakeya.construction import KakeyaSet, KLine, KPoint, assemble, direction_from_grid_values
 from kakeya.errors import GridMissing
+from kakeya.projgeom import ProjPoint, point_from_affine, span_point
 from kakeya.seeds import dual_conic_seed, regular_ngon_seed
 from kakeya.verify import (
     verify_all,
@@ -126,6 +127,41 @@ def test_bound_consistency_exact_and_real(conic5):
     K = assemble(regular_ngon_seed(5), 3)
     for r in (1, 2, 3):
         assert verify_bound_consistency(K, r).verdict == "pass"
+
+
+def _with_points(K, points):
+    return KakeyaSet(K.field, K.n, K.N, K.grid, K.lines, points, K.seed_meta)
+
+
+def test_size_counts_distinct_points(conic5):
+    # 40 copies of a point on no line: |S| is 54 distinct points, not 93 entries
+    extra = KPoint(point_from_affine(conic5.field, [1, 1, 1]), {"kind": "extra"})
+    K = _with_points(conic5, list(conic5.points) + [extra] * 40)
+    rep = verify_size(K)
+    assert rep.verdict == "fail"
+    assert rep.measured["size"] == 54
+    assert "points 53 and 54 coincide" in rep.witnesses
+    assert len(verify_size(K, verbose=True).witnesses) == 39
+    assert verify_bound_consistency(K, 1).measured["size"] == 54
+    assert [r.verdict for r in verify_all(K, r=1)] == ["pass", "pass", "fail", "pass"]
+
+
+def test_incidence_rejects_a_point_at_infinity(conic5):
+    at_infinity = KPoint(ProjPoint(conic5.field, [1, 0, 0, 0]), {"kind": "extra"})
+    rep = verify_incidence(_with_points(conic5, list(conic5.points) + [at_infinity]))
+    assert rep.verdict == "fail"
+    assert rep.witnesses == ["point 53 lies at infinity"]
+
+
+def test_directions_name_a_flat_that_is_not_a_line(conic5):
+    line = conic5.lines[3]
+    plane = span_point(point_from_affine(conic5.field, [1, 1, 1]), line.line)
+    lines = list(conic5.lines)
+    lines[3] = KLine(plane, line.direction)
+    K = KakeyaSet(conic5.field, 3, 5, conic5.grid, lines, conic5.points, conic5.seed_meta)
+    rep = verify_directions(K)
+    assert rep.verdict == "fail"
+    assert rep.witnesses == ["line 3 is a flat of dimension 2, not a line"]
 
 
 def test_bound_consistency_fails_for_tiny_point_set(conic5):
