@@ -34,7 +34,7 @@ from .errors import (
     ZeroPolynomial,
 )
 from .linalg import nullspace
-from .projgeom import PointSet, ProjPoint, affine_coords, points_on
+from .projgeom import PointSet, ProjPoint, affine_coords, incidence
 from .scalar import Field, binomial
 
 
@@ -475,14 +475,15 @@ def certify(K, r: int) -> Certificate:
         )
     n, N = K.n, K.N
     points = [kp.point for kp in K.points]
-    for idx, kline in enumerate(K.lines):
-        count = len(PointSet(fld, (points[i] for i in points_on(kline.line, points))))
+    first, on = incidence(fld, [kline.line for kline in K.lines], points)
+    for idx, on_line in enumerate(on):
+        count = sum(first[i] == i for i in on_line)
         if count < N:
             raise HypothesisViolation(
                 f"line {idx} carries {count} distinct points, needs at least {N}"
             )
 
-    affine_points = [affine_coords(p) for p in PointSet(fld, points).items]
+    affine_points = [affine_coords(p) for i, p in enumerate(points) if first[i] == i]
     size = len(affine_points)
     directions = PointSet(fld, (kline.direction for kline in K.lines)).items
 

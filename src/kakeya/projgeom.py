@@ -232,6 +232,18 @@ def points_on(line: Subspace, points) -> list[int]:
     return [i for i, p in enumerate(points) if line.contains(p)]
 
 
+def incidence(field: Field, lines, points) -> tuple[list[int], list[list[int]]]:
+    """Which distinct points lie on which line, as the pair (first, on).
+
+    first[i] is the position of the first point equal to point i, so the
+    distinct points are the i with first[i] == i; on[l] lists the
+    positions of the points on lines[l].
+    """
+    seen = PointSet(field)
+    first = [seen.setdefault(p, i) for i, p in enumerate(points)]
+    return first, [points_on(line, points) for line in lines]
+
+
 def _check_pair(a: Subspace, b: Subspace):
     if a.field != b.field:
         raise FieldMismatch("flats from different fields")

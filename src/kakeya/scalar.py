@@ -23,6 +23,11 @@ from .errors import DivisionByZero, FieldMismatch, UnsupportedField, need
 
 DEFAULT_REAL_TOLERANCE = 1e-9
 
+# Miller-Rabin with these bases decides primality exactly below
+# _PRIME_LIMIT (Sorenson and Webster, Math. Comp. 2017); larger moduli are refused.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
+
 
 def binomial(a: int, b: int) -> int:
     """Binomial coefficient as an arbitrary-precision integer.
@@ -110,6 +115,18 @@ class Field:
         raise NotImplementedError
 
 
+def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin for 2 <= p < _PRIME_LIMIT."""
+    if any(p % b == 0 for b in _PRIME_BASES):
+        return p in _PRIME_BASES
+    s = ((p - 1) & (1 - p)).bit_length() - 1
+    d = (p - 1) >> s
+    return all(
+        pow(a, d, p) == 1 or any(pow(a, d << j, p) == p - 1 for j in range(s))
+        for a in _PRIME_BASES
+    )
+
+
 class PrimeField(Field):
     """F_p for a prime p; values are canonical residues 0..p-1."""
 
@@ -118,12 +135,10 @@ class PrimeField(Field):
     def __init__(self, p: int):
         if p < 2:
             raise UnsupportedField(f"modulus must be at least 2, got {p}")
-        # trial division is plenty for the moduli used here
-        d = 2
-        while d * d <= p:
-            if p % d == 0:
-                raise UnsupportedField(f"modulus {p} is not prime")
-            d += 1
+        if p >= _PRIME_LIMIT:
+            raise UnsupportedField(f"modulus {p} is too large to test for primality")
+        if not _is_prime(p):
+            raise UnsupportedField(f"modulus {p} is not prime")
         self.p = p
 
     def __call__(self, value):

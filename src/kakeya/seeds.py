@@ -25,7 +25,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .errors import DegenerateSeed, UnsupportedField, need, records
-from .projgeom import PointSet, ProjPoint, Subspace, meet, points_on
+from .projgeom import PointSet, ProjPoint, Subspace, incidence, meet, points_on
 from .scalar import DEFAULT_REAL_TOLERANCE, Field, PrimeField, RationalField, RealField, field_from_json
 
 
@@ -326,13 +326,12 @@ def seed_report(seed: PlanarSeed) -> SeedReport:
     if len(seed.m_lines) != seed.N:
         problems.append(f"expected {seed.N} measuring lines, found {len(seed.m_lines)}")
 
-    counts = []
-    points = [sp.point for sp in seed.points]
-    for i, line in enumerate(seed.lines):
-        c = len(points_on(line, points))
-        counts.append(c)
+    first, on = incidence(fld, seed.lines, [sp.point for sp in seed.points])
+    problems.extend(f"points {f} and {i} coincide" for i, f in enumerate(first) if f != i)
+    counts = [sum(first[i] == i for i in on_line) for on_line in on]
+    for i, c in enumerate(counts):
         if c < seed.N:
-            problems.append(f"line {i} holds only {c} points, needs {seed.N}")
+            problems.append(f"line {i} holds only {c} distinct points, needs {seed.N}")
 
     measured = _measure_epsilon(seed)
     if len(seed.epsilon) != len(measured):

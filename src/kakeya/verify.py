@@ -4,10 +4,12 @@ Every check here recomputes incidence and membership from raw
 coordinates: stored directions are compared against the actual
 intersection of each line with the hyperplane at infinity, grid
 membership is recomputed through the published change of basis, and
-point counts come from direct containment tests.  Provenance labels are
-consulted only to classify points for the reported construction
-claims (how many points a line acquired before padding); they never
-shortcut a geometric test.
+point counts come from direct containment tests.  Which distinct points
+lie on which line is worked out once, by `projgeom.incidence`; the
+incidence, size and bound checks take that (first, on) table as inc.
+Provenance labels are consulted only to classify points for the
+reported construction claims (how many points a line acquired before
+padding); they never shortcut a geometric test.
 
 A line is recognized as a lifted line when its recovered grid
 coordinates are pairwise distinct; the completion lines added to fill
@@ -19,10 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from math import perm
 
 from .construction import KakeyaSet, grid_values_from_direction
 from .errors import GridMissing
-from .projgeom import PointSet, ProjPoint, Subspace, meet, points_on
+from .projgeom import PointSet, ProjPoint, Subspace, incidence, meet
 from .scalar import binomial
 
 WITNESS_LIMIT = 10
@@ -53,28 +56,16 @@ def _finish(check: str, witnesses: list, measured: dict, verbose: bool) -> Verif
     return VerifyReport(check=check, verdict=verdict, witnesses=witnesses, measured=measured)
 
 
-def _infinity_hyperplane(K: KakeyaSet) -> Subspace:
-    fld = K.field
-    eq = [[fld.zero] * K.n + [fld.one]]
-    return Subspace.from_equations(fld, K.n, eq)
-
-
 def _recovered_cells(K: KakeyaSet):
     """Per-line grid coordinates resolved to axis indices, None when off-grid."""
     cells = []
     for kl in K.lines:
         values = grid_values_from_direction(kl.direction)
-        if values is None:
-            cells.append(None)
-            continue
-        cell = []
-        for axis, v in zip(K.grid, values):
-            idx = next((i for i, a in enumerate(axis) if K.field.eq(a, v)), None)
-            if idx is None:
-                cell = None
-                break
-            cell.append(idx)
-        cells.append(tuple(cell) if cell is not None else None)
+        cell = None if values is None else tuple(
+            next((i for i, a in enumerate(axis) if K.field.eq(a, v)), None)
+            for axis, v in zip(K.grid, values)
+        )
+        cells.append(None if cell is None or None in cell else cell)
     return cells
 
 
@@ -84,27 +75,11 @@ def _grid_coverage(K: KakeyaSet, cells) -> tuple[int, int]:
     return len({c for c in cells if c is not None}), expected
 
 
-def _lifted_line_flags(K: KakeyaSet) -> list[bool]:
-    cells = _recovered_cells(K)
-    return [c is not None and len(set(c)) == len(c) for c in cells]
-
-
 def _lifted_point_flags(K: KakeyaSet) -> list[bool]:
     return [kp.provenance.get("kind") == "lifted" for kp in K.points]
 
 
-def _distinct_size(K: KakeyaSet) -> tuple[int, list[str]]:
-    """|S| as the number of distinct points, and a witness for every repeated entry."""
-    distinct = PointSet(K.field)
-    repeats = []
-    for i, kp in enumerate(K.points):
-        first = distinct.setdefault(kp.point, i)
-        if first != i:
-            repeats.append(f"points {first} and {i} coincide")
-    return len(distinct), repeats
-
-
-def verify_incidence(K: KakeyaSet, verbose: bool = False) -> VerifyReport:
+def verify_incidence(K: KakeyaSet, inc, verbose: bool = False) -> VerifyReport:
     """Every point must be affine and every line must carry at least N distinct points.
 
     A point listed twice on a line is a witness and counts once.  Also
@@ -112,6 +87,7 @@ def verify_incidence(K: KakeyaSet, verbose: bool = False) -> VerifyReport:
     points before padding, using the lifted provenance labels when they
     are present.
     """
+    first, on = inc
     counts = []
     lifted_flags = _lifted_point_flags(K)
     have_lifted = any(lifted_flags)
@@ -120,15 +96,11 @@ def verify_incidence(K: KakeyaSet, verbose: bool = False) -> VerifyReport:
     witnesses = [
         f"point {i} lies at infinity" for i, p in enumerate(points) if K.field.is_zero(p.coords[-1])
     ]
-    for idx, kl in enumerate(K.lines):
-        on = points_on(kl.line, points)
-        distinct = PointSet(K.field)
-        for i in on:
-            first = distinct.setdefault(points[i], i)
-            if first != i:
-                witnesses.append(f"points {first} and {i} on line {idx} coincide")
-        total = len(distinct)
-        lifted = sum(1 for i in on if lifted_flags[i])
+    for idx, on_line in enumerate(on):
+        repeats = [i for i in on_line if first[i] != i]
+        witnesses.extend(f"points {first[i]} and {i} on line {idx} coincide" for i in repeats)
+        total = len(on_line) - len(repeats)
+        lifted = sum(1 for i in on_line if lifted_flags[i])
         counts.append(total)
         lifted_counts.append(lifted)
         if total < K.N:
@@ -156,8 +128,8 @@ def verify_directions(K: KakeyaSet, verbose: bool = False) -> VerifyReport:
     are pairwise distinct is compared with N(N-1)...(N-n+2).
     """
     witnesses: list = []
-    n = K.n
-    infinity = _infinity_hyperplane(K)
+    n, fld = K.n, K.field
+    infinity = Subspace.from_equations(fld, n, [[fld.zero] * n + [fld.one]])
 
     for idx, kl in enumerate(K.lines):
         if kl.line.proj_dim != 1:
@@ -167,11 +139,11 @@ def verify_directions(K: KakeyaSet, verbose: bool = False) -> VerifyReport:
         if cut.proj_dim != 0:
             witnesses.append(f"line {idx} meets infinity in dimension {cut.proj_dim}")
             continue
-        actual = ProjPoint(K.field, cut.basis[0])
+        actual = ProjPoint(fld, cut.basis[0])
         if actual != kl.direction:
             witnesses.append(f"line {idx} stores a direction it does not have")
 
-    seen = PointSet(K.field)
+    seen = PointSet(fld)
     for idx, kl in enumerate(K.lines):
         first = seen.setdefault(kl.direction, idx)
         if first != idx:
@@ -189,9 +161,7 @@ def verify_directions(K: KakeyaSet, verbose: bool = False) -> VerifyReport:
     distinct_tuple_lines = sum(
         1 for c in cells if c is not None and len(set(c)) == len(c)
     )
-    expected_lifted = 1
-    for k in range(n - 1):
-        expected_lifted *= K.N - k
+    expected_lifted = perm(K.N, n - 1)
     if distinct_tuple_lines != expected_lifted:
         witnesses.append(
             f"{distinct_tuple_lines} lines have pairwise distinct grid coordinates, "
@@ -208,7 +178,7 @@ def verify_directions(K: KakeyaSet, verbose: bool = False) -> VerifyReport:
     return _finish("directions", witnesses, measured, verbose)
 
 
-def verify_size(K: KakeyaSet, verbose: bool = False) -> VerifyReport:
+def verify_size(K: KakeyaSet, inc, verbose: bool = False) -> VerifyReport:
     """Size accounting: leading term, measured constant, lifted-point counts.
 
     |S| counts distinct points, and every repeated entry is a witness.
@@ -219,7 +189,9 @@ def verify_size(K: KakeyaSet, verbose: bool = False) -> VerifyReport:
     and each lifted point must lie on exactly 2^(n-1) lifted lines.
     """
     n, N = K.n, K.N
-    size, witnesses = _distinct_size(K)
+    first, on = inc
+    size = sum(f == i for i, f in enumerate(first))
+    witnesses = [f"points {f} and {i} coincide" for i, f in enumerate(first) if f != i]
     leading = Fraction(2) * Fraction(N, 2) ** n
     c_measured = Fraction(size - leading) / Fraction(N) ** (n - 1)
     measured = {
@@ -249,26 +221,24 @@ def verify_size(K: KakeyaSet, verbose: bool = False) -> VerifyReport:
                     f"{lifted_total} lifted points, the deficiency formula gives {expected}"
                 )
 
-        lifted_idx = [i for i, is_lifted in enumerate(lifted_flags) if is_lifted]
-        lifted_points = [K.points[i].point for i in lifted_idx]
-        on_lines = [0] * len(lifted_idx)
-        for kl, line_ok in zip(K.lines, _lifted_line_flags(K)):
-            if line_ok:
-                for k in points_on(kl.line, lifted_points):
-                    on_lines[k] += 1
+        on_lines = [0] * len(K.points)
+        for cell, on_line in zip(_recovered_cells(K), on):
+            if cell is not None and len(set(cell)) == len(cell):
+                for i in on_line:
+                    on_lines[i] += 1
         want = 2 ** (n - 1)
         bad = 0
-        for idx, on in zip(lifted_idx, on_lines):
-            if on != want:
+        for idx, is_lifted in enumerate(lifted_flags):
+            if is_lifted and on_lines[idx] != want:
                 bad += 1
                 witnesses.append(
-                    f"lifted point {idx} lies on {on} lifted lines, expected {want}"
+                    f"lifted point {idx} lies on {on_lines[idx]} lifted lines, expected {want}"
                 )
         measured["lifted_incidence_violations"] = bad
     return _finish("size", witnesses, measured, verbose)
 
 
-def verify_bound_consistency(K: KakeyaSet, r: int, verbose: bool = False) -> VerifyReport:
+def verify_bound_consistency(K: KakeyaSet, inc, r: int, verbose: bool = False) -> VerifyReport:
     """The grid bound must hold for the number of distinct points at the given r."""
     if r < 1:
         raise ValueError("r must be at least 1")
@@ -279,7 +249,7 @@ def verify_bound_consistency(K: KakeyaSet, r: int, verbose: bool = False) -> Ver
         )
     n = K.n
     N = len(K.grid[0])
-    size = _distinct_size(K)[0]
+    size = sum(f == i for i, f in enumerate(inc[0]))
     lhs = binomial(2 * r + n - 2, n) * size
     rhs = binomial(r * N + n - 1, n)
     witnesses: list = []
@@ -298,12 +268,13 @@ def verify_bound_consistency(K: KakeyaSet, r: int, verbose: bool = False) -> Ver
 
 
 def verify_all(K: KakeyaSet, r: int | None = None, verbose: bool = False) -> list[VerifyReport]:
-    """Run every check; bound consistency only when r is given."""
+    """Run every check on one incidence table; bound consistency only when r is given."""
+    inc = incidence(K.field, [kl.line for kl in K.lines], [kp.point for kp in K.points])
     reports = [
-        verify_incidence(K, verbose),
+        verify_incidence(K, inc, verbose),
         verify_directions(K, verbose),
-        verify_size(K, verbose),
+        verify_size(K, inc, verbose),
     ]
     if r is not None:
-        reports.append(verify_bound_consistency(K, r, verbose))
+        reports.append(verify_bound_consistency(K, inc, r, verbose))
     return reports

@@ -31,7 +31,7 @@ from kakeya.polymethod import (
     top_part,
     vanishing_space,
 )
-from kakeya.projgeom import ProjPoint, affine_coords, meet
+from kakeya.projgeom import ProjPoint, affine_coords, incidence, meet
 from kakeya.scalar import PrimeField, RationalField, binomial
 from kakeya.seeds import dual_conic_seed, regular_ngon_seed, seed_report
 from kakeya.verify import (
@@ -330,9 +330,10 @@ def test_criterion_7_real_ngon_seeds(announce):
     assembly_ok = True
     for N in (8, 9):
         K = assemble(regular_ngon_seed(N), 3)
+        inc = incidence(K.field, [kl.line for kl in K.lines], [kp.point for kp in K.points])
         assembly_ok = (
             assembly_ok
-            and verify_incidence(K).verdict == "pass"
+            and verify_incidence(K, inc).verdict == "pass"
             and verify_directions(K).verdict == "pass"
         )
     assert assembly_ok
@@ -343,7 +344,8 @@ def test_criterion_7_real_ngon_seeds(announce):
 
 def test_criterion_8_bound_consistency(conic7, announce):
     start = time.monotonic()
-    verdicts = [verify_bound_consistency(conic7, r).verdict for r in (1, 2, 3)]
+    inc = incidence(conic7.field, [kl.line for kl in conic7.lines], [kp.point for kp in conic7.points])
+    verdicts = [verify_bound_consistency(conic7, inc, r).verdict for r in (1, 2, 3)]
     ok = verdicts == ["pass"] * 3
     elapsed = time.monotonic() - start
     announce(8, ok, f"r=1,2,3 on the exact construction, {elapsed:.2f}s")

@@ -1,12 +1,13 @@
 """Command-line interface: exit codes, JSON output, determinism."""
 
 import json
+import time
 
 import pytest
 
 from kakeya.cli import main
 from kakeya.construction import save_seed
-from kakeya.seeds import dual_conic_seed, regular_ngon_seed
+from kakeya.seeds import SeedPoint, dual_conic_seed, regular_ngon_seed
 
 
 def run(capsys, *argv):
@@ -241,3 +242,30 @@ def test_ngon_seed_report_via_file(tmp_path, capsys):
     assert code == 0
     doc = json.loads(stdout)
     assert doc["epsilon_sorted"] == ["1/2"] * 9
+
+
+def test_seed_report_fails_on_a_repeated_point(tmp_path, capsys):
+    seed = regular_ngon_seed(7)
+    extra = next(i for i, sp in enumerate(seed.points) if sp.extra and seed.lines[0].contains(sp.point))
+    seed.points[extra] = SeedPoint(seed.points[0].point, extra=True)
+    spath = tmp_path / "seed.json"
+    save_seed(seed, str(spath))
+    code, stdout, _ = run(capsys, "seed-report", str(spath))
+    assert code == 1
+    doc = json.loads(stdout)
+    assert doc["line_point_counts"][:2] == [6, 7]
+    assert f"points 0 and {extra} coincide" in doc["problems"]
+
+
+def test_verify_decides_a_loaded_modulus_quickly(tmp_path, capsys):
+    # primality of the loaded modulus is decided without trial division
+    kpath = tmp_path / "k.json"
+    run(capsys, "construct", "--seed", "conic", "--q", "5", "--dim", "3", "--out", str(kpath))
+    doc = json.loads(kpath.read_text())
+    start = time.monotonic()
+    for p, want in ((2**61 - 1, 1), ((2**31 - 1) * (2**61 - 1), 2)):
+        doc["field"]["p"] = p
+        kpath.write_text(json.dumps(doc))
+        code, _, stderr = run(capsys, "verify", str(kpath))
+        assert code == want, stderr
+    assert time.monotonic() - start < 10

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -50,6 +51,17 @@ def test_prime_field_requires_prime():
         PrimeField(1)
     PrimeField(2)
     PrimeField(101)
+
+
+def test_prime_field_decides_large_moduli_quickly():
+    start = time.monotonic()
+    assert PrimeField(2**61 - 1).p == 2**61 - 1
+    with pytest.raises(UnsupportedField, match="too large"):
+        PrimeField((2**31 - 1) * (2**61 - 1))
+    # a strong pseudoprime to the twelve bases 2..37; base 41 exposes it
+    with pytest.raises(UnsupportedField, match="not prime"):
+        PrimeField(318665857834031151167461)
+    assert time.monotonic() - start < 1
 
 
 def test_prime_field_canonical_residues():

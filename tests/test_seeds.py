@@ -9,6 +9,7 @@ from kakeya.errors import DegenerateSeed, UnsupportedField
 from kakeya.projgeom import ProjPoint, meet
 from kakeya.scalar import PrimeField, RealField
 from kakeya.seeds import (
+    SeedPoint,
     dual_conic_seed,
     line_walk_start,
     ngon_bisecant_direction,
@@ -171,3 +172,16 @@ def test_report_flags_wrong_epsilon():
     seed.epsilon = [Fraction(0)] * 5
     rep = seed_report(seed)
     assert rep.verdict == "fail"
+
+
+def test_report_counts_distinct_points():
+    # line 0's extra point replaced by a copy of point 0, the chord point of
+    # lines 0 and 1: line 0 lists 7 entries but holds 6 distinct points
+    seed = regular_ngon_seed(7)
+    extra = next(i for i, sp in enumerate(seed.points) if sp.extra and seed.lines[0].contains(sp.point))
+    seed.points[extra] = SeedPoint(seed.points[0].point, extra=True)
+    rep = seed_report(seed)
+    assert rep.verdict == "fail"
+    assert rep.line_point_counts == [6, 7, 7, 7, 7, 7, 7]
+    assert f"points 0 and {extra} coincide" in rep.problems
+    assert "line 0 holds only 6 distinct points, needs 7" in rep.problems

@@ -1,10 +1,12 @@
 """Re-verification checks and their failure modes."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kakeya.construction import KakeyaSet, KLine, KPoint, assemble, direction_from_grid_values
 from kakeya.errors import GridMissing
-from kakeya.projgeom import ProjPoint, point_from_affine, span_point
+from kakeya.projgeom import ProjPoint, Subspace, affine_coords, incidence, point_from_affine, span_point
 from kakeya.seeds import dual_conic_seed, regular_ngon_seed
 from kakeya.verify import (
     verify_all,
@@ -20,13 +22,18 @@ def conic5():
     return assemble(dual_conic_seed(5), 3)
 
 
+def _inc(K):
+    """The incidence table verify_all builds for K."""
+    return incidence(K.field, [kl.line for kl in K.lines], [kp.point for kp in K.points])
+
+
 def test_constructed_set_passes_everything(conic5):
     for rep in verify_all(conic5, r=2):
         assert rep.verdict == "pass", (rep.check, rep.witnesses)
 
 
 def test_incidence_reports_counts(conic5):
-    rep = verify_incidence(conic5)
+    rep = verify_incidence(conic5, _inc(conic5))
     assert rep.measured["lines"] == 25
     assert rep.measured["min_count"] >= 5
     assert rep.measured["max_lifted_on_line"] <= 5
@@ -42,7 +49,7 @@ def test_incidence_fails_when_point_removed(conic5):
         conic5.points[:-1],
         conic5.seed_meta,
     )
-    rep = verify_incidence(K)
+    rep = verify_incidence(K, _inc(K))
     assert rep.verdict == "fail"
     assert any("carries" in w for w in rep.witnesses)
 
@@ -54,7 +61,7 @@ def test_incidence_counts_distinct_points(conic5):
     points = list(conic5.points)
     points[41] = points[20]
     K = KakeyaSet(conic5.field, 3, 5, conic5.grid, conic5.lines, points, conic5.seed_meta)
-    rep = verify_incidence(K)
+    rep = verify_incidence(K, _inc(K))
     assert rep.verdict == "fail"
     assert "points 20 and 41 on line 20 coincide" in rep.witnesses
     assert "line 20 carries 4 points, needs 5" in rep.witnesses
@@ -97,7 +104,7 @@ def test_directions_fail_off_grid(conic5):
 
 
 def test_size_report_measures_constant(conic5):
-    rep = verify_size(conic5)
+    rep = verify_size(conic5, _inc(conic5))
     assert rep.verdict == "pass"
     assert rep.measured["size"] == 53
     assert rep.measured["leading_term"] == "125/4"
@@ -108,14 +115,14 @@ def test_size_fails_on_wrong_epsilon(conic5):
     meta = dict(conic5.seed_meta)
     meta["epsilon"] = ["0"] * 5
     K = KakeyaSet(conic5.field, 3, 5, conic5.grid, conic5.lines, conic5.points, meta)
-    rep = verify_size(K)
+    rep = verify_size(K, _inc(K))
     assert rep.verdict == "fail"
     assert any("deficiency formula" in w for w in rep.witnesses)
 
 
 def test_size_passthrough_has_no_lifted_checks():
     K = assemble(dual_conic_seed(5), 2)
-    rep = verify_size(K)
+    rep = verify_size(K, _inc(K))
     assert rep.verdict == "pass"
     assert rep.measured["lifted_points"] == 0
     assert "lifted_expected" not in rep.measured
@@ -123,10 +130,10 @@ def test_size_passthrough_has_no_lifted_checks():
 
 def test_bound_consistency_exact_and_real(conic5):
     for r in (1, 2, 3):
-        assert verify_bound_consistency(conic5, r).verdict == "pass"
+        assert verify_bound_consistency(conic5, _inc(conic5), r).verdict == "pass"
     K = assemble(regular_ngon_seed(5), 3)
     for r in (1, 2, 3):
-        assert verify_bound_consistency(K, r).verdict == "pass"
+        assert verify_bound_consistency(K, _inc(K), r).verdict == "pass"
 
 
 def _with_points(K, points):
@@ -137,18 +144,19 @@ def test_size_counts_distinct_points(conic5):
     # 40 copies of a point on no line: |S| is 54 distinct points, not 93 entries
     extra = KPoint(point_from_affine(conic5.field, [1, 1, 1]), {"kind": "extra"})
     K = _with_points(conic5, list(conic5.points) + [extra] * 40)
-    rep = verify_size(K)
+    rep = verify_size(K, _inc(K))
     assert rep.verdict == "fail"
     assert rep.measured["size"] == 54
     assert "points 53 and 54 coincide" in rep.witnesses
-    assert len(verify_size(K, verbose=True).witnesses) == 39
-    assert verify_bound_consistency(K, 1).measured["size"] == 54
+    assert len(verify_size(K, _inc(K), verbose=True).witnesses) == 39
+    assert verify_bound_consistency(K, _inc(K), 1).measured["size"] == 54
     assert [r.verdict for r in verify_all(K, r=1)] == ["pass", "pass", "fail", "pass"]
 
 
 def test_incidence_rejects_a_point_at_infinity(conic5):
     at_infinity = KPoint(ProjPoint(conic5.field, [1, 0, 0, 0]), {"kind": "extra"})
-    rep = verify_incidence(_with_points(conic5, list(conic5.points) + [at_infinity]))
+    K = _with_points(conic5, list(conic5.points) + [at_infinity])
+    rep = verify_incidence(K, _inc(K))
     assert rep.verdict == "fail"
     assert rep.witnesses == ["point 53 lies at infinity"]
 
@@ -174,7 +182,7 @@ def test_bound_consistency_fails_for_tiny_point_set(conic5):
         conic5.points[:1],
         conic5.seed_meta,
     )
-    rep = verify_bound_consistency(K, 1)
+    rep = verify_bound_consistency(K, _inc(K), 1)
     assert rep.verdict == "fail"
 
 
@@ -190,7 +198,7 @@ def test_bound_consistency_needs_full_grid(conic5):
         conic5.seed_meta,
     )
     with pytest.raises(GridMissing):
-        verify_bound_consistency(K, 1)
+        verify_bound_consistency(K, _inc(K), 1)
 
 
 def test_witness_truncation(conic5):
@@ -198,8 +206,8 @@ def test_witness_truncation(conic5):
     K = KakeyaSet(
         conic5.field, conic5.n, conic5.N, conic5.grid, conic5.lines, kept, conic5.seed_meta
     )
-    short = verify_incidence(K)
-    full = verify_incidence(K, verbose=True)
+    short = verify_incidence(K, _inc(K))
+    full = verify_incidence(K, _inc(K), verbose=True)
     assert len(short.witnesses) == 11
     assert "suppressed" in short.witnesses[-1]
     assert len(full.witnesses) == 25
@@ -207,5 +215,48 @@ def test_witness_truncation(conic5):
 
 def test_real_assembly_passes_core_checks():
     K = assemble(regular_ngon_seed(5), 3)
-    assert verify_incidence(K).verdict == "pass"
+    assert verify_incidence(K, _inc(K)).verdict == "pass"
     assert verify_directions(K).verdict == "pass"
+
+
+def test_verify_all_tests_each_line_point_pair_once(conic5, monkeypatch):
+    # the checks share one incidence table, so no pair is tested twice
+    calls = []
+    contains = Subspace.contains
+
+    def counted(line, p):
+        calls.append(1)
+        return contains(line, p)
+
+    monkeypatch.setattr(Subspace, "contains", counted)
+    verify_all(conic5, r=1)
+    assert len(calls) == len(conic5.lines) * len(conic5.points)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["drop", "copy", "step", "swap"]), st.data())
+def test_tampered_hypothesis_fails_verify(conic5, tamper, data):
+    # each tamper leaves a line that carried exactly N points with N - 1
+    # distinct ones, or two lines storing each other's direction
+    fld, n = conic5.field, conic5.n
+    lines, points = list(conic5.lines), list(conic5.points)
+    on = _inc(conic5)[1]
+    tight = data.draw(st.sampled_from([l for l, on_line in enumerate(on) if len(on_line) == conic5.N]))
+    i = data.draw(st.sampled_from(on[tight]))
+    if tamper == "drop":
+        del points[i]
+    elif tamper == "copy":
+        points[i] = points[data.draw(st.sampled_from([j for j in on[tight] if j != i]))]
+    elif tamper == "step":
+        coords = affine_coords(points[i].point)
+        steps = [
+            point_from_affine(fld, [fld.add(c, fld.one) if k == axis else c for k, c in enumerate(coords)])
+            for axis in range(n)
+        ]
+        off = [p for p in steps if not lines[tight].line.contains(p)]
+        points[i] = KPoint(data.draw(st.sampled_from(off)), points[i].provenance)
+    else:
+        a, b = data.draw(st.lists(st.sampled_from(range(len(lines))), min_size=2, max_size=2, unique=True))
+        lines[a], lines[b] = KLine(lines[a].line, lines[b].direction), KLine(lines[b].line, lines[a].direction)
+    K = KakeyaSet(fld, n, conic5.N, conic5.grid, lines, points, conic5.seed_meta)
+    assert "fail" in [rep.verdict for rep in verify_all(K, r=1)]
