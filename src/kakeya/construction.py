@@ -34,7 +34,7 @@ from .errors import (
     need,
     records,
 )
-from .projgeom import PointSet, ProjPoint, Subspace, meet, points_on, span_point
+from .projgeom import PointSet, ProjPoint, Subspace, meet, span_point
 from .scalar import Field, field_from_json
 from .seeds import PlanarSeed, line_walk_start, seed_from_json, seed_to_json, walk_point
 
@@ -404,7 +404,7 @@ def assemble(seed: PlanarSeed, n: int) -> KakeyaSet:
 
     # pad every line to N points by walking integer steps along it
     for idx, kline in enumerate(lines):
-        count = len(points_on(kline.line, registry.items))
+        count = len(registry.on(kline.line))
         if count >= N:
             continue
         base, step = line_walk_start(kline.line)

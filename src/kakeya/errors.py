@@ -53,10 +53,6 @@ class NotHomogeneous(KakeyaError):
     """A homogeneous polynomial was required."""
 
 
-class GridMissing(KakeyaError):
-    """The direction set of a line family does not contain the full grid."""
-
-
 class HypothesisViolation(KakeyaError):
     """A line family does not satisfy the counting hypothesis of a bound."""
 

@@ -202,6 +202,7 @@ class PointSet:
         self.items: list[ProjPoint] = []
         self.labels: list = []
         self._index: dict | None = {} if field.exact else None
+        self._shapes: set = set()
         for p in points:
             self.add(p)
 
@@ -218,6 +219,7 @@ class PointSet:
         if i == new:
             self.items.append(p)
             self.labels.append(label)
+            self._shapes.add((p.field, len(p.coords)))
         return self.labels[i]
 
     def add(self, p: ProjPoint) -> bool:
@@ -226,9 +228,47 @@ class PointSet:
         self.setdefault(p, new)
         return len(self.items) > new
 
+    def on(self, line: Subspace) -> list:
+        """Labels of the stored points lying on the flat, in the order stored.
+
+        A line over F_q holds q + 1 points.  When that is no more than the
+        stored points (and they all share the line's field and ambient
+        space), each of the line's points is looked up in the index;
+        otherwise every stored point is tested with Subspace.contains.
+        """
+        fld = line.field
+        if (
+            fld.kind == "prime"
+            and line.proj_dim == 1
+            and fld.p + 1 <= len(self)
+            and self._shapes == {(fld, line.ambient_dim + 1)}
+        ):
+            found = (self._index.get(c) for c in _line_points(line))
+            return [self.labels[i] for i in sorted(i for i in found if i is not None)]
+        return [self.labels[i] for i in points_on(line, self.items)]
+
+
+def _line_points(line: Subspace):
+    """Canonical coordinates of the q + 1 points of a line over F_q.
+
+    With the reduced basis (r0, r1) they are r1 and r0 + lam * r1 for lam
+    in F_q: r1 is zero before its pivot and at r0's pivot, so each
+    vector already has leading entry one.
+    """
+    fld = line.field
+    add, mul = fld.add, fld.mul
+    r0, r1 = line.basis
+    yield r1
+    for k in range(fld.p):
+        lam = fld(k)
+        yield tuple(add(a, mul(lam, b)) for a, b in zip(r0, r1))
+
 
 def points_on(line: Subspace, points) -> list[int]:
-    """Positions of the points lying on the flat: the one line-by-point incidence scan."""
+    """Positions of the points lying on the flat, each tested with Subspace.contains.
+
+    The scan that PointSet.on falls back to; it makes len(points) tests.
+    """
     return [i for i, p in enumerate(points) if line.contains(p)]
 
 
@@ -236,12 +276,16 @@ def incidence(field: Field, lines, points) -> tuple[list[int], list[list[int]]]:
     """Which distinct points lie on which line, as the pair (first, on).
 
     first[i] is the position of the first point equal to point i, so the
-    distinct points are the i with first[i] == i; on[l] lists the
-    positions of the points on lines[l].
+    distinct points are the i with first[i] == i; on[l] lists, ascending,
+    the positions of the points on lines[l], repeated points included.
+    Each line is matched once against the distinct points by PointSet.on.
     """
     seen = PointSet(field)
     first = [seen.setdefault(p, i) for i, p in enumerate(points)]
-    return first, [points_on(line, points) for line in lines]
+    copies: dict[int, list[int]] = {}
+    for i, f in enumerate(first):
+        copies.setdefault(f, []).append(i)
+    return first, [sorted(i for f in seen.on(line) for i in copies[f]) for line in lines]
 
 
 def _check_pair(a: Subspace, b: Subspace):

@@ -4,9 +4,12 @@ Every check here recomputes incidence and membership from raw
 coordinates: stored directions are compared against the actual
 intersection of each line with the hyperplane at infinity, grid
 membership is recomputed through the published change of basis, and
-point counts come from direct containment tests.  Which distinct points
-lie on which line is worked out once, by `projgeom.incidence`; the
-incidence, size and bound checks take that (first, on) table as inc.
+point counts come from the file's own point coordinates.  Which distinct
+points lie on which line is worked out once, by `projgeom.incidence`,
+from an index built here over the stored points: over F_p each line's
+q + 1 points are looked up in it, otherwise every point is tested for
+containment.  The incidence, size and bound checks take that (first,
+on) table as inc.
 Provenance labels are consulted only to classify points for the
 reported construction claims (how many points a line acquired before
 padding); they never shortcut a geometric test.
@@ -24,7 +27,6 @@ from fractions import Fraction
 from math import perm
 
 from .construction import KakeyaSet, grid_values_from_direction
-from .errors import GridMissing
 from .projgeom import PointSet, ProjPoint, Subspace, incidence, meet
 from .scalar import binomial
 
@@ -239,17 +241,21 @@ def verify_size(K: KakeyaSet, inc, verbose: bool = False) -> VerifyReport:
 
 
 def verify_bound_consistency(K: KakeyaSet, inc, r: int, verbose: bool = False) -> VerifyReport:
-    """The grid bound must hold for the number of distinct points at the given r."""
+    """The grid bound must hold for the number of distinct points at the given r.
+
+    The bound applies only to a family whose directions cover the whole
+    grid; an uncovered cell is a witness and the bound is not evaluated.
+    """
     if r < 1:
         raise ValueError("r must be at least 1")
+    size = sum(f == i for i, f in enumerate(inc[0]))
     covered, expected_cells = _grid_coverage(K, _recovered_cells(K))
     if covered < expected_cells:
-        raise GridMissing(
-            "direction set does not cover the full grid; the bound does not apply"
-        )
+        witness = f"grid covers {covered} of {expected_cells} cells"
+        measured = {"r": r, "size": size, "covered_cells": covered, "grid_cells": expected_cells}
+        return _finish("bound_consistency", [witness], measured, verbose)
     n = K.n
     N = len(K.grid[0])
-    size = sum(f == i for i, f in enumerate(inc[0]))
     lhs = binomial(2 * r + n - 2, n) * size
     rhs = binomial(r * N + n - 1, n)
     witnesses: list = []

@@ -50,6 +50,21 @@ def test_verify_fails_on_corrupted_file(tmp_path, capsys):
     assert any(r["verdict"] == "fail" for r in reports)
 
 
+def test_verify_with_r_fails_on_an_incomplete_grid(tmp_path, capsys):
+    # an uncovered grid cell is a failing verdict, not bad input
+    out = tmp_path / "k.json"
+    run(capsys, "construct", "--seed", "conic", "--q", "5", "--dim", "3", "--out", str(out))
+    doc = json.loads(out.read_text())
+    doc["lines"] = doc["lines"][:-1]
+    out.write_text(json.dumps(doc))
+    code, stdout, stderr = run(capsys, "verify", str(out), "--r", "1")
+    assert code == 1 and not stderr
+    reports = {r["check"]: r for r in json.loads(stdout)}
+    assert list(reports) == ["incidence", "directions", "size", "bound_consistency"]
+    assert reports["bound_consistency"]["verdict"] == "fail"
+    assert reports["bound_consistency"]["witnesses"] == ["grid covers 24 of 25 cells"]
+
+
 def test_construct_rejects_undersized_seed(tmp_path, capsys):
     code, _, stderr = run(
         capsys,

@@ -1,8 +1,10 @@
 """Byte-identical CLI output: the fast entries of bench/golden.json, run through kakeya.cli.main.
 
 The golden file holds SHA-256 values of construct output files and of
-certify/bound stdout.  The larger constructs (conic q=11, 13 and q=7 at
-n=4, ngon N=11) are checked only by the benchmark.
+certify/bound stdout.  Every conic construct is checked here, so each
+F_p rung of the ladder (q=5, 7, 11, 13 at n=3 and q=7 at n=4) byte-checks
+the padding, which counts a line's points by looking them up; the
+larger real construct (ngon N=11) is checked only by the benchmark.
 """
 
 import hashlib
@@ -19,6 +21,9 @@ CONSTRUCTS = {
     "construct conic q=5 n=3": ["--seed", "conic", "--q", "5", "--dim", "3"],
     "construct conic q=7 n=2": ["--seed", "conic", "--q", "7", "--dim", "2"],
     "construct conic q=7 n=3": ["--seed", "conic", "--q", "7", "--dim", "3"],
+    "construct conic q=7 n=4": ["--seed", "conic", "--q", "7", "--dim", "4"],
+    "construct conic q=11 n=3": ["--seed", "conic", "--q", "11", "--dim", "3"],
+    "construct conic q=13 n=3": ["--seed", "conic", "--q", "13", "--dim", "3"],
     "construct ngon N=9 n=3": ["--seed", "ngon", "--N", "9", "--dim", "3"],
 }
 CERTIFIES = [(5, 2, 1), (5, 2, 2), (5, 3, 1), (7, 2, 1), (7, 2, 2)]

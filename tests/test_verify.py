@@ -5,9 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kakeya.construction import KakeyaSet, KLine, KPoint, assemble, direction_from_grid_values
-from kakeya.errors import GridMissing
 from kakeya.projgeom import ProjPoint, Subspace, affine_coords, incidence, point_from_affine, span_point
-from kakeya.seeds import dual_conic_seed, regular_ngon_seed
+from kakeya.seeds import dual_conic_seed, regular_ngon_seed, seed_from_json, seed_to_json
 from kakeya.verify import (
     verify_all,
     verify_bound_consistency,
@@ -197,8 +196,9 @@ def test_bound_consistency_needs_full_grid(conic5):
         conic5.points,
         conic5.seed_meta,
     )
-    with pytest.raises(GridMissing):
-        verify_bound_consistency(K, _inc(K), 1)
+    rep = verify_bound_consistency(K, _inc(K), 1)
+    assert rep.verdict == "fail"
+    assert rep.witnesses == ["grid covers 24 of 25 cells"]
 
 
 def test_witness_truncation(conic5):
@@ -219,8 +219,7 @@ def test_real_assembly_passes_core_checks():
     assert verify_directions(K).verdict == "pass"
 
 
-def test_verify_all_tests_each_line_point_pair_once(conic5, monkeypatch):
-    # the checks share one incidence table, so no pair is tested twice
+def _count_contains(monkeypatch) -> list:
     calls = []
     contains = Subspace.contains
 
@@ -229,8 +228,24 @@ def test_verify_all_tests_each_line_point_pair_once(conic5, monkeypatch):
         return contains(line, p)
 
     monkeypatch.setattr(Subspace, "contains", counted)
-    verify_all(conic5, r=1)
-    assert len(calls) == len(conic5.lines) * len(conic5.points)
+    return calls
+
+
+def test_verify_all_looks_up_incidence_over_a_prime_field(conic5, monkeypatch):
+    # each line's q + 1 points are looked up, so no containment test runs
+    calls = _count_contains(monkeypatch)
+    assert all(rep.verdict == "pass" for rep in verify_all(conic5, r=1))
+    assert calls == []
+
+
+def test_verify_all_scans_each_line_point_pair_once_over_the_rationals(monkeypatch):
+    # the checks share one incidence table, so no pair is tested twice
+    doc = seed_to_json(dual_conic_seed(5))
+    doc["field"] = {"kind": "rational"}
+    K = assemble(seed_from_json(doc), 3)
+    calls = _count_contains(monkeypatch)
+    verify_all(K, r=1)
+    assert len(calls) == len(K.lines) * len(K.points)
 
 
 @settings(max_examples=40, deadline=None)
