@@ -28,10 +28,12 @@ from itertools import permutations, product
 
 from .errors import (
     DegenerateSeed,
+    MalformedFile,
     SeedTooSmall,
     UndefinedBasePoint,
     UnsupportedDimension,
     need,
+    positive,
     records,
 )
 from .projgeom import PointSet, ProjPoint, Subspace, meet, span_point
@@ -325,6 +327,8 @@ def assemble(seed: PlanarSeed, n: int) -> KakeyaSet:
     """
     if n < 2:
         raise UnsupportedDimension(f"need n >= 2, got {n}")
+    if len(seed.lines) != seed.N:
+        raise DegenerateSeed(f"the seed declares N = {seed.N} but holds {len(seed.lines)} lines")
     if seed.N < 2 * (n - 1):
         raise SeedTooSmall(
             f"need N >= 2(n-1) = {2 * (n - 1)} seed lines for dimension {n}, got {seed.N}"
@@ -454,7 +458,10 @@ def kakeya_to_json(K: KakeyaSet) -> dict:
 
 def kakeya_from_json(doc) -> KakeyaSet:
     fld = field_from_json(need(doc, dict, "line set")["field"])
-    n = need(doc["n"], int, "n")
+    n, N = need(doc["n"], int, "n"), positive(doc["N"], "N")
+    grid = [fld.values_from_json(axis, "grid axis") for axis in need(doc["grid"], list, "grid")]
+    if len(grid) != n - 1 or any(len(axis) != N for axis in grid):
+        raise MalformedFile(f"grid must hold n - 1 = {n - 1} axes of N = {N} values each")
     lines = [
         KLine(Subspace.from_json(fld, n, entry["basis"]), ProjPoint.from_json(fld, entry["direction"]))
         for entry in records(doc, "lines")
@@ -466,8 +473,8 @@ def kakeya_from_json(doc) -> KakeyaSet:
     return KakeyaSet(
         field=fld,
         n=n,
-        N=need(doc["N"], int, "N"),
-        grid=[fld.values_from_json(axis, "grid axis") for axis in need(doc["grid"], list, "grid")],
+        N=N,
+        grid=grid,
         lines=lines,
         points=points,
         seed_meta=dict(need(doc.get("seed_meta", {}), dict, "seed_meta")),

@@ -62,9 +62,16 @@ class MalformedFile(KakeyaError):
 
 
 def need(value, kind, what: str):
-    """value when it is an instance of kind; MalformedFile naming what otherwise."""
-    if not isinstance(value, kind):
+    """value when it is an instance of kind, and not a bool posing as an int; MalformedFile otherwise."""
+    if isinstance(value, bool) or not isinstance(value, kind):
         raise MalformedFile(f"{what} has the wrong type ({type(value).__name__})")
+    return value
+
+
+def positive(value, what: str) -> int:
+    """value when it is an int of at least 1; MalformedFile naming what otherwise."""
+    if need(value, int, what) < 1:
+        raise MalformedFile(f"{what} must be at least 1, got {value}")
     return value
 
 

@@ -191,17 +191,22 @@ class Subspace:
 
 
 class PointSet:
-    """Distinct projective points over one field, in the order first added.
+    """Distinct projective points over one field, each kept under the label it was first added with.
 
-    Exact fields index the canonical coordinates in a dict; the real
-    kind compares up to tolerance, so it scans the stored points.  Each
-    stored point keeps the label it was first added under.
+    Exact fields key a dict on the canonical coordinates and keep, per
+    column pair (lead, k > lead), the values stored points with that lead
+    take at k.  Real points equal up to tol < 1 share their lead and lie
+    within tol at column lead + 1, so each is filed under (lead,
+    floor(c[lead + 1] / 2 tol)) and compared only with the points of that
+    bucket and its two neighbours; the earliest equal one wins.
     """
 
     def __init__(self, field: Field, points=()):
+        self.field = field
         self.items: list[ProjPoint] = []
         self.labels: list = []
-        self._index: dict | None = {} if field.exact else None
+        self._index: dict = {}
+        self._values: dict[tuple[int, int], set] = {}
         self._shapes: set = set()
         for p in points:
             self.add(p)
@@ -211,15 +216,23 @@ class PointSet:
 
     def setdefault(self, p: ProjPoint, label):
         """Label of the stored point equal to p; stores p under label when there is none."""
-        new = len(self.items)
-        if self._index is not None:
-            i = self._index.setdefault(p.coords, new)
+        new, coords = len(self.items), p.coords
+        lead = coords.index(p.field.one)
+        if self.field.exact:
+            i = self._index.setdefault(coords, new)
+            if i == new:
+                for k in range(lead + 1, len(coords)):
+                    self._values.setdefault((lead, k), set()).add(coords[k])
         else:
-            i = next((i for i, q in enumerate(self.items) if p == q), new)
+            b = coords[lead + 1] // (2 * self.field.tol) if lead + 1 < len(coords) else 0.0
+            near = (j for d in (-1, 0, 1) for j in self._index.get((lead, b + d), ()))
+            i = min((j for j in near if p == self.items[j]), default=new)
+            if i == new:
+                self._index.setdefault((lead, b), []).append(new)
         if i == new:
             self.items.append(p)
             self.labels.append(label)
-            self._shapes.add((p.field, len(p.coords)))
+            self._shapes.add((p.field, len(coords)))
         return self.labels[i]
 
     def add(self, p: ProjPoint) -> bool:
@@ -231,43 +244,28 @@ class PointSet:
     def on(self, line: Subspace) -> list:
         """Labels of the stored points lying on the flat, in the order stored.
 
-        A line over F_q holds q + 1 points.  When that is no more than the
-        stored points (and they all share the line's field and ambient
-        space), each of the line's points is looked up in the index;
-        otherwise every stored point is tested with Subspace.contains.
+        Over an exact field a line with reduced basis (r0, r1) and pivot
+        columns (c0, c1) holds r1 and the points r0 + b * r1, canonical
+        as they stand, with lead c0 and coordinate c1 equal to b; only the
+        b some stored point takes in the slot (c0, c1) are looked up.  The
+        real kind, flats that are not lines and points of another field or
+        length test every stored point with Subspace.contains.
         """
         fld = line.field
-        if (
-            fld.kind == "prime"
-            and line.proj_dim == 1
-            and fld.p + 1 <= len(self)
-            and self._shapes == {(fld, line.ambient_dim + 1)}
-        ):
-            found = (self._index.get(c) for c in _line_points(line))
-            return [self.labels[i] for i in sorted(i for i in found if i is not None)]
-        return [self.labels[i] for i in points_on(line, self.items)]
-
-
-def _line_points(line: Subspace):
-    """Canonical coordinates of the q + 1 points of a line over F_q.
-
-    With the reduced basis (r0, r1) they are r1 and r0 + lam * r1 for lam
-    in F_q: r1 is zero before its pivot and at r0's pivot, so each
-    vector already has leading entry one.
-    """
-    fld = line.field
-    add, mul = fld.add, fld.mul
-    r0, r1 = line.basis
-    yield r1
-    for k in range(fld.p):
-        lam = fld(k)
-        yield tuple(add(a, mul(lam, b)) for a, b in zip(r0, r1))
+        if not fld.exact or line.proj_dim != 1 or not self._shapes <= {(fld, line.ambient_dim + 1)}:
+            return [self.labels[i] for i in points_on(line, self.items)]
+        (r0, r1), (c0, c1) = line.basis, line.pivots
+        add, mul, get = fld.add, fld.mul, self._index.get
+        found = [get(tuple(add(a, mul(b, c)) for a, c in zip(r0, r1))) for b in self._values.get((c0, c1), ())]
+        found.append(get(r1))
+        return [self.labels[i] for i in sorted(i for i in found if i is not None)]
 
 
 def points_on(line: Subspace, points) -> list[int]:
     """Positions of the points lying on the flat, each tested with Subspace.contains.
 
-    The scan that PointSet.on falls back to; it makes len(points) tests.
+    The scan PointSet.on runs for the real kind, for flats that are not
+    lines and for points of another shape; it makes len(points) tests.
     """
     return [i for i, p in enumerate(points) if line.contains(p)]
 

@@ -214,14 +214,15 @@ class RationalField(Field):
 
 
 class RealField(Field):
-    """Floating-point reals compared up to an absolute tolerance."""
+    """Floating-point reals compared up to an absolute tolerance below 1."""
 
     kind = "real"
     exact = False
 
     def __init__(self, tol: float = DEFAULT_REAL_TOLERANCE):
-        if not (tol > 0):
-            raise UnsupportedField(f"tolerance must be positive, got {tol}")
+        # from 1 up the leading coordinate 1 of every normalized point counts as zero
+        if not (0 < tol < 1):
+            raise UnsupportedField(f"tolerance must lie strictly between 0 and 1, got {tol}")
         self.tol = float(tol)
 
     def __call__(self, value):

@@ -21,11 +21,12 @@ N-gon over the reals.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .errors import DegenerateSeed, UnsupportedField, need, records
-from .projgeom import PointSet, ProjPoint, Subspace, incidence, meet, points_on
+from .errors import DegenerateSeed, UnsupportedField, need, positive, records
+from .projgeom import PointSet, ProjPoint, Subspace, incidence, meet
 from .scalar import DEFAULT_REAL_TOLERANCE, Field, PrimeField, RationalField, RealField, field_from_json
 
 
@@ -207,20 +208,14 @@ def regular_ngon_seed(N: int, field: RealField | None = None) -> PlanarSeed:
             chords[a, b] = ProjPoint(fld, [fld(x) for x in w])
     points = [SeedPoint(p) for p in chords.values()]
 
-    # one arbitrary additional point per line, chosen deterministically
-    # off the line's own N - 1 chord points (chord a, b is where lines a
-    # and b meet): another line's extra point can only lie on this line
-    # at their chord point, which it avoids
-    for k, line in enumerate(lines):
-        known = PointSet(fld, (p for ab, p in chords.items() if k in ab))
+    # one additional point per line: the first point of its walk not yet known
+    known = PointSet(fld, chords.values())
+    for line in lines:
         base, step = line_walk_start(line)
         lam = 0
-        while True:
-            cand = walk_point(fld, base, step, lam)
-            if known.add(cand):
-                points.append(SeedPoint(cand, extra=True))
-                break
+        while not known.add(cand := walk_point(fld, base, step, lam)):
             lam += 1
+        points.append(SeedPoint(cand, extra=True))
 
     seed = PlanarSeed(
         field=fld,
@@ -270,21 +265,12 @@ def walk_point(fld: Field, base, step, lam: int) -> ProjPoint:
 
 
 def _measure_epsilon(seed: PlanarSeed) -> list[Fraction]:
-    counts = _double_point_counts(seed)
-    half = Fraction(seed.N, 2)
-    return [half - c for c in counts]
-
-
-def _double_point_counts(seed: PlanarSeed) -> list[int]:
+    """N/2 minus the number of double points (core points on two seed lines) on each measuring line."""
     core = [sp.point for sp in seed.points if not sp.extra]
-    hits = [0] * len(core)
-    for line in seed.lines:
-        # a point already on two lines needs no test against the rest
-        pending = [i for i, h in enumerate(hits) if h < 2]
-        for k in points_on(line, [core[i] for i in pending]):
-            hits[pending[k]] += 1
-    on_two = [p for p, h in zip(core, hits) if h >= 2]
-    return [len(points_on(m, on_two)) for m in seed.m_lines]
+    hits = Counter(i for on_line in incidence(seed.field, seed.lines, core)[1] for i in on_line)
+    double = [p for i, p in enumerate(core) if hits[i] >= 2]
+    half = Fraction(seed.N, 2)
+    return [half - len(on_m) for on_m in incidence(seed.field, seed.m_lines, double)[1]]
 
 
 def seed_report(seed: PlanarSeed) -> SeedReport:
@@ -388,7 +374,7 @@ def seed_from_json(doc) -> PlanarSeed:
     ]
     return PlanarSeed(
         field=fld,
-        N=need(doc["N"], int, "N"),
+        N=positive(doc["N"], "N"),
         lines=lines,
         infinite_points=infinite_points,
         m_lines=[Subspace.from_json(fld, 2, rows) for rows in need(doc["m_lines"], list, "m_lines")],

@@ -6,10 +6,10 @@ intersection of each line with the hyperplane at infinity, grid
 membership is recomputed through the published change of basis, and
 point counts come from the file's own point coordinates.  Which distinct
 points lie on which line is worked out once, by `projgeom.incidence`,
-from an index built here over the stored points: over F_p each line's
-q + 1 points are looked up in it, otherwise every point is tested for
-containment.  The incidence, size and bound checks take that (first,
-on) table as inc.
+from an index built here over the stored points: over an exact field
+each line's candidate points are looked up in it, over the reals every
+point is tested for containment.  The incidence, size and bound checks
+take that (first, on) table as inc.
 Provenance labels are consulted only to classify points for the
 reported construction claims (how many points a line acquired before
 padding); they never shortcut a geometric test.
@@ -73,8 +73,7 @@ def _recovered_cells(K: KakeyaSet):
 
 def _grid_coverage(K: KakeyaSet, cells) -> tuple[int, int]:
     """Number of grid cells hit by the recovered cells, and the N^(n-1) cells of the grid."""
-    expected = len(K.grid[0]) ** (K.n - 1) if K.grid else 0
-    return len({c for c in cells if c is not None}), expected
+    return len({c for c in cells if c is not None}), K.N ** (K.n - 1)
 
 
 def _lifted_point_flags(K: KakeyaSet) -> list[bool]:
@@ -254,8 +253,7 @@ def verify_bound_consistency(K: KakeyaSet, inc, r: int, verbose: bool = False) -
         witness = f"grid covers {covered} of {expected_cells} cells"
         measured = {"r": r, "size": size, "covered_cells": covered, "grid_cells": expected_cells}
         return _finish("bound_consistency", [witness], measured, verbose)
-    n = K.n
-    N = len(K.grid[0])
+    n, N = K.n, K.N
     lhs = binomial(2 * r + n - 2, n) * size
     rhs = binomial(r * N + n - 1, n)
     witnesses: list = []

@@ -82,6 +82,18 @@ def test_construct_rejects_undersized_seed(tmp_path, capsys):
     assert "2(n-1)" in stderr
 
 
+def test_construct_rejects_a_seed_whose_n_is_not_its_line_count(tmp_path, capsys):
+    # the grid would hold one slope per line, which the loader refuses for a different N
+    spath = tmp_path / "seed.json"
+    save_seed(dual_conic_seed(7), str(spath))
+    doc = json.loads(spath.read_text())
+    spath.write_text(json.dumps({**doc, "N": 6}))
+    code, stdout, stderr = run(capsys, "construct", "--seed", f"file:{spath}", "--dim", "3", "--out", str(tmp_path / "k.json"))
+    assert code == 2 and not stdout
+    assert stderr == "error: the seed declares N = 6 but holds 7 lines\n"
+    assert not (tmp_path / "k.json").exists()
+
+
 def test_construct_unknown_seed(tmp_path, capsys):
     code, _, stderr = run(
         capsys, "construct", "--seed", "pentagon", "--dim", "3", "--out", str(tmp_path / "x.json")
@@ -194,6 +206,11 @@ def test_missing_key_is_input_error(tmp_path, capsys):
         {**good, "points": [{**point, "provenance": []}]},
         {**good, "lines": [[]]},
         {**good, "grid": [["0", 1]]},
+        {**good, "grid": []},
+        {**good, "grid": good["grid"] * 2},
+        {**good, "grid": [good["grid"][0][:-1]]},
+        {**good, "N": 0},
+        {**good, "N": True},
     ]
     for bad in wrong:
         out.write_text(json.dumps(bad))
@@ -205,7 +222,15 @@ def test_missing_key_is_input_error(tmp_path, capsys):
     seed_path = tmp_path / "seed.json"
     save_seed(dual_conic_seed(5), str(seed_path))
     seed = json.loads(seed_path.read_text())
-    for bad in ([], {**seed, "points": {}}, {**seed, "epsilon": [0.5]}, {**seed, "lines": [["1", "0", "0"]]}):
+    wrong_seeds = [
+        [],
+        {**seed, "points": {}},
+        {**seed, "epsilon": [0.5]},
+        {**seed, "lines": [["1", "0", "0"]]},
+        {**seed, "N": 0},
+        {**seed, "N": True},
+    ]
+    for bad in wrong_seeds:
         seed_path.write_text(json.dumps(bad))
         code, stdout, stderr = run(capsys, "seed-report", str(seed_path))
         assert code == 2 and not stdout, bad

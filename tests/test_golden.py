@@ -1,10 +1,10 @@
 """Byte-identical CLI output: the fast entries of bench/golden.json, run through kakeya.cli.main.
 
 The golden file holds SHA-256 values of construct output files and of
-certify/bound stdout.  Every conic construct is checked here, so each
-F_p rung of the ladder (q=5, 7, 11, 13 at n=3 and q=7 at n=4) byte-checks
-the padding, which counts a line's points by looking them up; the
-larger real construct (ngon N=11) is checked only by the benchmark.
+certify/bound stdout.  Every construct of the ladder is checked here:
+the F_p rungs (q=5, 7, 11, 13 at n=3 and q=7 at n=4) byte-check the
+padding, which counts a line's points by looking them up, and the real
+rungs (ngon N=9, 11 at n=3) the bucketed point identity.
 """
 
 import hashlib
@@ -25,6 +25,7 @@ CONSTRUCTS = {
     "construct conic q=11 n=3": ["--seed", "conic", "--q", "11", "--dim", "3"],
     "construct conic q=13 n=3": ["--seed", "conic", "--q", "13", "--dim", "3"],
     "construct ngon N=9 n=3": ["--seed", "ngon", "--N", "9", "--dim", "3"],
+    "construct ngon N=11 n=3": ["--seed", "ngon", "--N", "11", "--dim", "3"],
 }
 CERTIFIES = [(5, 2, 1), (5, 2, 2), (5, 3, 1), (7, 2, 1), (7, 2, 2)]
 BOUNDS = [(7, 3), (13, 3), (7, 4), (16, 4)]

@@ -1,11 +1,14 @@
-"""incidence() against the brute-force table of Subspace.contains tests.
+"""incidence() and PointSet against the brute-force tests they replace.
 
-Over F_p a line's q + 1 points are looked up in the point index; every
-other case scans.  Both paths must give the table that testing every
-line against every point gives.
+Over an exact field each line's points are looked up in the point index;
+the real kind, flats that are not lines and points of another shape
+scan.  Either way the table must be the one that testing every line
+against every point gives, and the real PointSet's buckets must find the
+point a scan of the stored points finds.
 """
 
 import json
+import random
 
 import pytest
 
@@ -13,7 +16,8 @@ from kakeya.cli import main
 from kakeya.construction import KakeyaSet, KPoint, assemble, kakeya_from_json, kakeya_to_json
 from kakeya.errors import AmbientMismatch
 from kakeya.projgeom import PointSet, ProjPoint, Subspace, incidence, span_point
-from kakeya.seeds import dual_conic_seed
+from kakeya.scalar import RealField
+from kakeya.seeds import dual_conic_seed, regular_ngon_seed, seed_from_json, seed_to_json
 
 
 def _brute(lines, points):
@@ -70,17 +74,77 @@ def test_flats_that_are_not_lines_are_scanned(families):
     assert on[1] == [0] and on[2] == []
 
 
-def test_fewer_points_than_a_line_holds_are_scanned(families):
+def test_fewer_points_than_a_line_holds_are_looked_up(families):
     K = families[(7, 2)]
     lines, points = _parts(K)
     _check(K.field, lines, points[:5])
 
 
-def test_a_huge_modulus_is_scanned():
+def test_a_huge_modulus_is_looked_up():
+    # a line over F_(2^61 - 1) is looked up through the values the stored points take
     doc = kakeya_to_json(assemble(dual_conic_seed(5), 3))
     doc["field"]["p"] = 2**61 - 1
     K = kakeya_from_json(doc)
     _check(K.field, *_parts(K))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_rational_conic_families_match_the_brute_force_table(n):
+    doc = seed_to_json(dual_conic_seed(5))
+    doc["field"] = {"kind": "rational"}
+    K = assemble(seed_from_json(doc), n)
+    lines, points = _parts(K)
+    dup = next(i for i, p in enumerate(points) if lines[0].contains(p))
+    points += [points[dup], K.lines[0].direction]
+    on = _check(K.field, lines, points)
+    assert on[0][0] == dup and on[0][-2:] == [len(points) - 2, len(points) - 1]
+
+
+def test_a_real_ngon_family_matches_the_brute_force_table():
+    K = assemble(regular_ngon_seed(7), 3)
+    lines, points = _parts(K)
+    fld = K.field
+    points.append(ProjPoint(fld, [c + fld.tol / 4 for c in points[3].coords]))
+    on = _check(fld, lines, points)
+    assert all(len(on_line) >= K.N for on_line in on)
+    assert any(3 in on_line and len(points) - 1 in on_line for on_line in on)
+
+
+def _scan_labels(points):
+    """setdefault(p, i) for each point i by scanning the stored points, as the bucket index must."""
+    items, labels, out = [], [], []
+    for i, p in enumerate(points):
+        j = next((k for k, q in enumerate(items) if p == q), None)
+        if j is None:
+            items.append(p)
+            labels.append(i)
+        out.append(i if j is None else labels[j])
+    return out
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-6])
+def test_real_point_set_matches_the_linear_scan(tol):
+    # values within tol / 2 of a bucket edge, some near 10^6, at two leading columns
+    fld, w, rng = RealField(tol), 2 * tol, random.Random(11)
+    values = []
+    for centre in (0.0, 0.3, -2.0, 1e6, -1e6 + 0.5):
+        edge = (centre // w) * w
+        values += [edge + rng.uniform(-0.5, 0.5) * tol for _ in range(30)]
+        values += [edge + rng.uniform(-3, 3) * tol for _ in range(10)]
+    tail = [0.25, 0.25 + 0.6 * tol, 0.25 + 1.5 * tol]
+    points = [ProjPoint(fld, [1.0, v, rng.choice(tail), 1.0]) for v in values]
+    points += [ProjPoint(fld, [0.0, 1.0, v, rng.choice(tail)]) for v in values]
+    points += [ProjPoint(fld, [0.0, 0.0, 0.0, 1.0])] * 2
+    rng.shuffle(points)
+
+    stored = PointSet(fld)
+    labels = [stored.setdefault(p, i) for i, p in enumerate(points)]
+    assert labels == _scan_labels(points)
+    col = [p.coords.index(1.0) + 1 for p in points]
+    assert any(
+        points[i].coords[col[i]] // w != points[j].coords[col[j]] // w
+        for i, j in enumerate(labels)
+    ), "no equal pair straddles a bucket edge"
 
 
 def test_point_set_on_returns_labels(families):

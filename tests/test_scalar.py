@@ -107,6 +107,13 @@ def test_real_equality_uses_tolerance():
     assert RR.is_zero(RR.sub(a, b))
 
 
+def test_real_tolerance_lies_between_zero_and_one():
+    for tol in (0.0, -1e-9, 1.0, 2.5, float("inf"), float("nan")):
+        with pytest.raises(UnsupportedField):
+            RealField(tol)
+    assert RealField(0.5).tol == 0.5
+
+
 def test_real_inverse_rejects_near_zero():
     with pytest.raises(DivisionByZero):
         RR.inv(RR(1e-12))

@@ -232,20 +232,29 @@ def _count_contains(monkeypatch) -> list:
 
 
 def test_verify_all_looks_up_incidence_over_a_prime_field(conic5, monkeypatch):
-    # each line's q + 1 points are looked up, so no containment test runs
+    # each line's points are looked up in the point index, so no containment test runs
     calls = _count_contains(monkeypatch)
     assert all(rep.verdict == "pass" for rep in verify_all(conic5, r=1))
     assert calls == []
 
 
-def test_verify_all_scans_each_line_point_pair_once_over_the_rationals(monkeypatch):
-    # the checks share one incidence table, so no pair is tested twice
+def test_verify_all_looks_up_incidence_over_the_rationals(monkeypatch):
+    # the q=5 conic seed read over Q: its lift keeps only 2 of the 10 lifted
+    # points the deficiency formula promises, so size fails and the rest pass
     doc = seed_to_json(dual_conic_seed(5))
     doc["field"] = {"kind": "rational"}
     K = assemble(seed_from_json(doc), 3)
     calls = _count_contains(monkeypatch)
-    verify_all(K, r=1)
-    assert len(calls) == len(K.lines) * len(K.points)
+    reports = verify_all(K, r=1)
+    assert calls == []
+    assert [(rep.check, rep.verdict) for rep in reports] == [
+        ("incidence", "pass"),
+        ("directions", "pass"),
+        ("size", "fail"),
+        ("bound_consistency", "pass"),
+    ]
+    assert reports[0].measured["incidence_total"] == 125
+    assert reports[2].witnesses == ["2 lifted points, the deficiency formula gives 10"]
 
 
 @settings(max_examples=40, deadline=None)
