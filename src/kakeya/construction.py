@@ -8,11 +8,13 @@ seed plane embeds as the span of x_0, x_1, x_2 via
 
     (c1, c2, c0)  ->  c1*e_0 + c2*e_1 + c0*x_0.
 
-Ordered index tuples J over the seed lines drive three parallel
-recursions: lifted lines ell_J, their infinite points p_J, and lifted
-intersection points z_{J, Jbar, m}.  Each step spans the previous
-objects with the next frame points x_{|J|+1} and y_{|J|+1} and
-intersects the two resulting flats.  The infinite points admit a closed
+Ordered index tuples J over the seed lines drive one recursion with
+one step and three bases: lifted lines ell_J start from the embedded
+seed lines, their infinite points p_J from the embedded infinite points,
+and lifted intersection points z_{J, Jbar, m} from the point where seed
+lines J and Jbar meet on m.  The step spans the two previous objects
+with the next frame points x_{|J|+1} and y_{|J|+1} and intersects the
+two resulting flats.  The infinite points admit a closed
 form: after the unitriangular change of basis implemented by
 grid_values_from_direction they become (1, d_1, ..., d_{|J|}) where d_i
 is the slope of seed line J[i-1], so the lifted directions fill the
@@ -36,7 +38,7 @@ from .errors import (
     positive,
     records,
 )
-from .projgeom import PointSet, ProjPoint, Subspace, meet, span_point
+from .projgeom import PointSet, ProjPoint, Subspace, meet, span
 from .scalar import Field, field_from_json
 from .seeds import PlanarSeed, line_walk_start, seed_from_json, seed_to_json, walk_point
 
@@ -47,12 +49,10 @@ class ConstructionFrame:
     field: Field
     x: dict[int, ProjPoint]
     y: dict[int, ProjPoint]
-    sigma: dict[int, Subspace]
-    pi: dict[int, Subspace]
 
 
 def build_frame(n: int, fld: Field) -> ConstructionFrame:
-    """Frame points and the nested flats they span, for ambient dimension n."""
+    """Frame points x_0..x_n and y_3..y_n for ambient dimension n."""
     if n < 2:
         raise UnsupportedDimension(f"need n >= 2, got {n}")
     one, zero = fld.one, fld.zero
@@ -72,13 +72,7 @@ def build_frame(n: int, fld: Field) -> ConstructionFrame:
         v[i - 2] = one
         v[i - 1] = one
         y[i] = ProjPoint(fld, v)
-
-    sigma = {}
-    pi = {}
-    for i in range(1, n + 1):
-        pi[i] = Subspace.from_points([x[j] for j in range(1, i + 1)])
-        sigma[i] = Subspace.from_points([x[0]] + [x[j] for j in range(1, i + 1)])
-    return ConstructionFrame(n=n, field=fld, x=x, y=y, sigma=sigma, pi=pi)
+    return ConstructionFrame(n=n, field=fld, x=x, y=y)
 
 
 @dataclass
@@ -110,22 +104,20 @@ def embed_seed(frame: ConstructionFrame, seed: PlanarSeed) -> EmbeddedSeed:
         rows = [_embed_vector(fld, n, row) for row in s.basis]
         return Subspace.from_vectors(fld, n, rows)
 
-    d_values = []
+    seen = PointSet(fld)
     for i, p in enumerate(seed.infinite_points):
         if fld.is_zero(p.coords[0]):
             raise DegenerateSeed(f"seed line {i} runs through the measuring direction")
-        d_values.append(p.coords[1])
-    for i in range(len(d_values)):
-        for j in range(i + 1, len(d_values)):
-            if fld.eq(d_values[i], d_values[j]):
-                raise DegenerateSeed(f"seed lines {i} and {j} share a direction")
+        first = seen.setdefault(p, i)
+        if first != i:
+            raise DegenerateSeed(f"seed lines {first} and {i} share a direction")
 
     return EmbeddedSeed(
         lines=[embed_flat(s) for s in seed.lines],
         infinite_points=[embed_point(p) for p in seed.infinite_points],
         m_lines=[embed_flat(s) for s in seed.m_lines],
         points=[(embed_point(sp.point), sp.extra) for sp in seed.points],
-        d_values=d_values,
+        d_values=[p.coords[1] for p in seed.infinite_points],
     )
 
 
@@ -180,7 +172,11 @@ def _validate_tuple(J, N: int, n: int):
 
 
 class Lifting:
-    """Memoized evaluation of the three lifting recursions over one seed."""
+    """Memoized lifting recursion over one seed: keys (J,) for lines and directions, (J, Jbar) for points.
+
+    The object at a key of tuple length j + 1 is one _step from those at
+    (J[:-1], ...) and (J[:-2] + J[-1:], ...).
+    """
 
     def __init__(self, frame: ConstructionFrame, seed: PlanarSeed):
         self.frame = frame
@@ -188,52 +184,19 @@ class Lifting:
         self.emb = embed_seed(frame, seed)
         self._lines: dict = {}
         self._dirs: dict = {}
-        self._zs: dict = {}
+        self._zs: dict[int, dict] = {}
 
     def line(self, J) -> Subspace:
         """The lifted line ell_J."""
         J = tuple(J)
         _validate_tuple(J, self.seed.N, self.frame.n)
-        return self._line(J)
-
-    def _line(self, J) -> Subspace:
-        if len(J) == 1:
-            return self.emb.lines[J[0]]
-        if J in self._lines:
-            return self._lines[J]
-        j = len(J)
-        left = span_point(self.frame.x[j + 1], self._line(J[:-1]))
-        right = span_point(self.frame.y[j + 1], self._line(J[:-2] + (J[-1],)))
-        out = meet(left, right)
-        if out.proj_dim != 1:
-            raise DegenerateSeed(
-                f"lifting {J} produced a flat of projective dimension {out.proj_dim}"
-            )
-        self._lines[J] = out
-        return out
+        return self._lift(self._lines, (J,), lambda J: self.emb.lines[J[0]])
 
     def direction(self, J) -> ProjPoint:
         """The infinite point p_J of the lifted line ell_J."""
         J = tuple(J)
         _validate_tuple(J, self.seed.N, self.frame.n)
-        return self._direction(J)
-
-    def _direction(self, J) -> ProjPoint:
-        if len(J) == 1:
-            return self.emb.infinite_points[J[0]]
-        if J in self._dirs:
-            return self._dirs[J]
-        j = len(J)
-        left = Subspace.from_points([self.frame.x[j + 1], self._direction(J[:-1])])
-        right = Subspace.from_points([self.frame.y[j + 1], self._direction(J[:-2] + (J[-1],))])
-        out = meet(left, right)
-        if out.proj_dim != 0:
-            raise DegenerateSeed(
-                f"direction lift of {J} produced dimension {out.proj_dim}"
-            )
-        p = ProjPoint(out.field, out.basis[0])
-        self._dirs[J] = p
-        return p
+        return self._lift(self._dirs, (J,), lambda J: self.emb.infinite_points[J[0]])
 
     def grid_direction(self, J) -> ProjPoint:
         """Closed form for direction(J) in terms of the seed slopes."""
@@ -257,38 +220,41 @@ class Lifting:
             raise ValueError("paired index tuples must be disjoint")
         if not 0 <= m_index < len(self.emb.m_lines):
             raise ValueError(f"no measuring line {m_index}")
-        return self._intersection(J, Jbar, m_index)
+        memo = self._zs.setdefault(m_index, {})
+        return self._lift(memo, (J, Jbar), lambda J, Jbar: self._base_point(J[0], Jbar[0], m_index))
 
-    def _intersection(self, J, Jbar, m_index: int) -> ProjPoint:
-        key = (J, Jbar, m_index)
-        if key in self._zs:
-            return self._zs[key]
-        if len(J) == 1:
-            base = meet(self.emb.lines[J[0]], self.emb.lines[Jbar[0]])
-            if base.proj_dim != 0:
-                raise UndefinedBasePoint(
-                    f"seed lines {J[0]} and {Jbar[0]} do not meet in a point"
-                )
-            pt = ProjPoint(base.field, base.basis[0])
-            if not self.emb.m_lines[m_index].contains(pt):
-                raise UndefinedBasePoint(
-                    f"seed lines {J[0]} and {Jbar[0]} miss measuring line {m_index}"
-                )
-            out = pt
-        else:
-            j = len(J)
-            z1 = self._intersection(J[:-1], Jbar[:-1], m_index)
-            z2 = self._intersection(J[:-2] + (J[-1],), Jbar[:-2] + (Jbar[-1],), m_index)
-            left = Subspace.from_points([self.frame.x[j + 1], z1])
-            right = Subspace.from_points([self.frame.y[j + 1], z2])
-            cut = meet(left, right)
-            if cut.proj_dim != 0:
-                raise DegenerateSeed(
-                    f"intersection lift of {J} produced dimension {cut.proj_dim}"
-                )
-            out = ProjPoint(cut.field, cut.basis[0])
-        self._zs[key] = out
-        return out
+    def _base_point(self, a: int, b: int, m_index: int) -> ProjPoint:
+        """Where seed lines a and b meet, which must be a point on measuring line m_index."""
+        base = meet(self.emb.lines[a], self.emb.lines[b])
+        if base.proj_dim != 0:
+            raise UndefinedBasePoint(f"seed lines {a} and {b} do not meet in a point")
+        pt = ProjPoint(base.field, base.basis[0])
+        if not self.emb.m_lines[m_index].contains(pt):
+            raise UndefinedBasePoint(f"seed lines {a} and {b} miss measuring line {m_index}")
+        return pt
+
+    def _lift(self, memo: dict, key: tuple, base):
+        """The object at key: base(*key) for tuples of length one, else one _step."""
+        if key not in memo:
+            if len(key[0]) == 1:
+                memo[key] = base(*key)
+            else:
+                a = self._lift(memo, tuple(J[:-1] for J in key), base)
+                b = self._lift(memo, tuple(J[:-2] + J[-1:] for J in key), base)
+                memo[key] = self._step(key[0], a, b)
+        return memo[key]
+
+    def _step(self, J: tuple, a, b):
+        """meet(span(x_{j+1}, a), span(y_{j+1}, b)) for j = len(J), a flat of the dimension of a.
+
+        A point comes back normalized: a raw meet row can carry entries below tolerance before its pivot.
+        """
+        j = len(J)
+        out = meet(span(self.frame.x[j + 1], a), span(self.frame.y[j + 1], b))
+        want = 1 if isinstance(a, Subspace) else 0
+        if out.proj_dim != want:
+            raise DegenerateSeed(f"lifting {J} produced a flat of projective dimension {out.proj_dim}")
+        return out if want else ProjPoint(out.field, out.basis[0])
 
 
 @dataclass

@@ -14,6 +14,8 @@ infinity", all others correspond to affine points.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .errors import AmbientMismatch, FieldMismatch, ZeroVector, need
 from .linalg import reduce_vector, rref
 from .linalg import nullspace as _nullspace
@@ -286,22 +288,18 @@ def incidence(field: Field, lines, points) -> tuple[list[int], list[list[int]]]:
     return first, [sorted(i for f in seen.on(line) for i in copies[f]) for line in lines]
 
 
-def _check_pair(a: Subspace, b: Subspace):
+def _check_pair(a, b):
     if a.field != b.field:
         raise FieldMismatch("flats from different fields")
     if a.ambient_dim != b.ambient_dim:
         raise AmbientMismatch("flats from different ambient spaces")
 
 
-def span(a: Subspace, b: Subspace) -> Subspace:
-    """Smallest flat containing both arguments."""
+def span(a: ProjPoint | Subspace, b: ProjPoint | Subspace) -> Subspace:
+    """Smallest flat containing both arguments, each a point (its coordinates) or a flat (its basis rows)."""
     _check_pair(a, b)
-    rows = [list(r) for r in a.basis] + [list(r) for r in b.basis]
+    rows = [r for x in (a, b) for r in ((x.coords,) if isinstance(x, ProjPoint) else x.basis)]
     return Subspace.from_vectors(a.field, a.ambient_dim, rows)
-
-
-def span_point(a: ProjPoint, b: Subspace) -> Subspace:
-    return span(Subspace.from_points([a]), b)
 
 
 def meet(a: Subspace, b: Subspace) -> Subspace:
@@ -320,3 +318,14 @@ def meet(a: Subspace, b: Subspace) -> Subspace:
     if not inter:
         return Subspace.empty(a.field, a.ambient_dim)
     return Subspace.from_vectors(a.field, a.ambient_dim, inter)
+
+
+@cache
+def _infinity(field: Field, ambient_dim: int) -> Subspace:
+    return Subspace.from_equations(field, ambient_dim, [[field.zero] * ambient_dim + [field.one]])
+
+
+def infinite_point(flat: Subspace) -> ProjPoint | None:
+    """Where the flat meets the hyperplane at infinity; None when that is not one point."""
+    cut = meet(flat, _infinity(flat.field, flat.ambient_dim))
+    return ProjPoint(cut.field, cut.basis[0]) if cut.proj_dim == 0 else None

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .errors import DegenerateSeed, UnsupportedField, need, positive, records
-from .projgeom import PointSet, ProjPoint, Subspace, incidence, meet
+from .projgeom import PointSet, ProjPoint, Subspace, incidence, infinite_point
 from .scalar import DEFAULT_REAL_TOLERANCE, Field, PrimeField, RationalField, RealField, field_from_json
 
 
@@ -74,11 +74,6 @@ class SeedReport:
             "problems": list(self.problems),
             "verdict": self.verdict,
         }
-
-
-def _infinity_line(fld: Field) -> Subspace:
-    z = fld.zero
-    return Subspace.from_equations(fld, 2, [[z, z, fld.one]])
 
 
 def _m_common_point(fld: Field) -> ProjPoint:
@@ -183,15 +178,6 @@ def regular_ngon_seed(N: int, field: RealField | None = None) -> PlanarSeed:
         return Subspace.from_equations(fld, 2, [[fld(x) for x in w]])
 
     lines = [eq_line(v) for v in verts]
-
-    infinity = _infinity_line(fld)
-    infinite_points = []
-    for line in lines:
-        p = meet(line, infinity)
-        if p.proj_dim != 0:
-            raise DegenerateSeed("seed line coincides with the line at infinity")
-        infinite_points.append(ProjPoint(fld, p.basis[0]))
-
     m_lines = [eq_line(ngon_bisecant_direction(N, s, 0)) for s in range(N)]
 
     def cross(u, v):
@@ -221,7 +207,7 @@ def regular_ngon_seed(N: int, field: RealField | None = None) -> PlanarSeed:
         field=fld,
         N=N,
         lines=lines,
-        infinite_points=infinite_points,
+        infinite_points=_infinite_points(lines),
         m_lines=m_lines,
         points=points,
         epsilon=[],
@@ -240,7 +226,6 @@ def line_walk_start(line: Subspace) -> tuple[list, list]:
     line as base + lam * step.
     """
     fld = line.field
-    dim = line.ambient_dim
     base = None
     for row in line.basis:
         if not fld.is_zero(row[-1]):
@@ -249,19 +234,23 @@ def line_walk_start(line: Subspace) -> tuple[list, list]:
             break
     if base is None:
         raise ValueError("line lies at infinity")
-    z = fld.zero
-    eq = [[z] * dim + [fld.one]]
-    direction = meet(line, Subspace.from_equations(fld, dim, eq))
-    if direction.proj_dim != 0:
+    direction = infinite_point(line)
+    if direction is None:
         raise ValueError("not an affine line")
-    step = list(ProjPoint(fld, direction.basis[0]).coords[:-1])
-    return base, step
+    return base, list(direction.coords[:-1])
 
 
 def walk_point(fld: Field, base, step, lam: int) -> ProjPoint:
     """The affine point base + lam * step of a walk along a line."""
     flam = fld(lam)
     return ProjPoint(fld, [fld.add(b, fld.mul(flam, s)) for b, s in zip(base, step)] + [fld.one])
+
+
+def _infinite_points(lines: list[Subspace]) -> list[ProjPoint]:
+    points = [infinite_point(line) for line in lines]
+    if any(p is None for p in points):
+        raise DegenerateSeed("seed line coincides with the line at infinity")
+    return points
 
 
 def _measure_epsilon(seed: PlanarSeed) -> list[Fraction]:
@@ -277,18 +266,15 @@ def seed_report(seed: PlanarSeed) -> SeedReport:
     """Audit a planar seed, recomputing every invariant from its raw data."""
     fld = seed.field
     problems: list[str] = []
-    infinity = _infinity_line(fld)
     x_point = _m_common_point(fld)
 
     directions = []
     for i, line in enumerate(seed.lines):
-        p = meet(line, infinity)
-        if p.proj_dim != 0:
-            problems.append(f"line {i} is the line at infinity")
-            directions.append(None)
-            continue
-        d = ProjPoint(fld, p.basis[0])
+        d = infinite_point(line)
         directions.append(d)
+        if d is None:
+            problems.append(f"line {i} is the line at infinity")
+            continue
         if i < len(seed.infinite_points) and d != seed.infinite_points[i]:
             problems.append(f"stored infinite point of line {i} is wrong")
         if d == x_point:
@@ -360,14 +346,7 @@ def seed_to_json(seed: PlanarSeed) -> dict:
 
 def seed_from_json(doc) -> PlanarSeed:
     fld = field_from_json(need(doc, dict, "seed")["field"])
-    infinity = _infinity_line(fld)
     lines = [Subspace.from_json(fld, 2, rows) for rows in need(doc["lines"], list, "lines")]
-    infinite_points = []
-    for line in lines:
-        p = meet(line, infinity)
-        if p.proj_dim != 0:
-            raise DegenerateSeed("seed line coincides with the line at infinity")
-        infinite_points.append(ProjPoint(fld, p.basis[0]))
     points = [
         SeedPoint(ProjPoint.from_json(fld, entry["coords"]), bool(entry.get("extra", False)))
         for entry in records(doc, "points")
@@ -376,7 +355,7 @@ def seed_from_json(doc) -> PlanarSeed:
         field=fld,
         N=positive(doc["N"], "N"),
         lines=lines,
-        infinite_points=infinite_points,
+        infinite_points=_infinite_points(lines),
         m_lines=[Subspace.from_json(fld, 2, rows) for rows in need(doc["m_lines"], list, "m_lines")],
         points=points,
         epsilon=RationalField().values_from_json(doc["epsilon"], "epsilon"),

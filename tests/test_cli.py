@@ -94,6 +94,19 @@ def test_construct_rejects_a_seed_whose_n_is_not_its_line_count(tmp_path, capsys
     assert not (tmp_path / "k.json").exists()
 
 
+def test_construct_refuses_a_seed_file_that_fails_its_audit(tmp_path, capsys):
+    # the q=5 conic seed read over the rationals lifts, but its lines lose points and its epsilon no longer holds
+    spath = tmp_path / "seed.json"
+    save_seed(dual_conic_seed(5), str(spath))
+    doc = json.loads(spath.read_text())
+    spath.write_text(json.dumps({**doc, "field": {"kind": "rational"}}))
+    out = tmp_path / "k.json"
+    code, stdout, stderr = run(capsys, "construct", "--seed", f"file:{spath}", "--dim", "3", "--out", str(out))
+    assert code == 2 and not stdout
+    assert stderr == "error: the seed fails its audit: line 1 holds only 2 distinct points, needs 5\n"
+    assert not out.exists()
+
+
 def test_construct_unknown_seed(tmp_path, capsys):
     code, _, stderr = run(
         capsys, "construct", "--seed", "pentagon", "--dim", "3", "--out", str(tmp_path / "x.json")
@@ -229,12 +242,14 @@ def test_missing_key_is_input_error(tmp_path, capsys):
         {**seed, "lines": [["1", "0", "0"]]},
         {**seed, "N": 0},
         {**seed, "N": True},
+        {**seed, "lines": [[["1", "0", "0"], ["0", "1", "0"]]] + seed["lines"][1:]},
     ]
     for bad in wrong_seeds:
         seed_path.write_text(json.dumps(bad))
         code, stdout, stderr = run(capsys, "seed-report", str(seed_path))
         assert code == 2 and not stdout, bad
         assert stderr.startswith("error: ") and stderr.count("\n") == 1
+    assert stderr == "error: seed line coincides with the line at infinity\n"  # the last entry
 
 
 def test_bound_rejects_nonpositive_n(capsys):

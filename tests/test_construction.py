@@ -22,7 +22,7 @@ from kakeya.errors import (
     UndefinedBasePoint,
     UnsupportedDimension,
 )
-from kakeya.projgeom import ProjPoint, Subspace, meet, span_point
+from kakeya.projgeom import ProjPoint, Subspace, meet
 from kakeya.scalar import PrimeField, RationalField
 from kakeya.seeds import dual_conic_seed, regular_ngon_seed
 from kakeya.verify import verify_all
@@ -38,13 +38,23 @@ def test_frame_points_n3():
     assert frame.y[3].coords == (0, 1, 1, 0)
 
 
+def _pi(frame, i):
+    """The flat spanned by x_1..x_i."""
+    return Subspace.from_points([frame.x[j] for j in range(1, i + 1)])
+
+
+def _sigma(frame, i):
+    """The flat spanned by x_0..x_i."""
+    return Subspace.from_points([frame.x[j] for j in range(i + 1)])
+
+
 def test_frame_flats_nest():
     frame = build_frame(4, QQ)
     for i in range(1, 4):
-        assert frame.pi[i].proj_dim == i - 1
-        assert frame.sigma[i].proj_dim == i
-        for row in frame.pi[i].basis:
-            assert frame.pi[i + 1].contains(ProjPoint(QQ, row))
+        assert _pi(frame, i).proj_dim == i - 1
+        assert _sigma(frame, i).proj_dim == i
+        for row in _pi(frame, i).basis:
+            assert _pi(frame, i + 1).contains(ProjPoint(QQ, row))
 
 
 def test_frame_rejects_low_dimension():
@@ -59,9 +69,9 @@ def test_embedding_sends_plane_into_sigma2():
     emb = embed_seed(frame, seed)
     for line in emb.lines:
         for row in line.basis:
-            assert frame.sigma[2].contains(ProjPoint(seed.field, row))
+            assert _sigma(frame, 2).contains(ProjPoint(seed.field, row))
     for p in emb.infinite_points:
-        assert frame.pi[2].contains(p)
+        assert _pi(frame, 2).contains(p)
         assert seed.field.is_zero(p.coords[-1])
 
 

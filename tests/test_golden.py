@@ -4,7 +4,9 @@ The golden file holds SHA-256 values of construct output files and of
 certify/bound stdout.  Every construct of the ladder is checked here:
 the F_p rungs (q=5, 7, 11, 13 at n=3 and q=7 at n=4) byte-check the
 padding, which counts a line's points by looking them up, and the real
-rungs (ngon N=9, 11 at n=3) the bucketed point identity.
+rungs (ngon N=9, 11 at n=3) the bucketed point identity.  PINNED adds
+values kept here only: ngon N=6 at n=4, the one real rung whose lifting
+goes two steps deep, and the stdout of `verify --r 1`.
 """
 
 import hashlib
@@ -26,6 +28,12 @@ CONSTRUCTS = {
     "construct conic q=13 n=3": ["--seed", "conic", "--q", "13", "--dim", "3"],
     "construct ngon N=9 n=3": ["--seed", "ngon", "--N", "9", "--dim", "3"],
     "construct ngon N=11 n=3": ["--seed", "ngon", "--N", "11", "--dim", "3"],
+    "construct ngon N=6 n=4": ["--seed", "ngon", "--N", "6", "--dim", "4"],
+}
+PINNED = {
+    "construct ngon N=6 n=4": "39be8a1b5c283c6fb93d8589726f522419075be2fbfc595b8b5cec372a054b9d",
+    "verify r=1 conic q=7 n=4": "5286463d53968a8fb36dcc154fe55e5c560120c1588fbf7a237421fafd87f20e",
+    "verify r=1 ngon N=9 n=3": "6a61fa4ac4ee72894d56bd06883ef447943430756b4c44e7c90bc7cd9c5ab67e",
 }
 CERTIFIES = [(5, 2, 1), (5, 2, 2), (5, 3, 1), (7, 2, 1), (7, 2, 2)]
 BOUNDS = [(7, 3), (13, 3), (7, 4), (16, 4)]
@@ -34,7 +42,7 @@ BOUNDS = [(7, 3), (13, 3), (7, 4), (16, 4)]
 @pytest.fixture(scope="module")
 def golden():
     with open(GOLDEN, encoding="utf-8") as fh:
-        return json.load(fh)["sha256"]
+        return {**json.load(fh)["sha256"], **PINNED}
 
 
 def _sha(data: bytes) -> str:
@@ -47,6 +55,15 @@ def test_construct_file_matches_golden(name, golden, tmp_path, capsys):
     assert main(["construct", *CONSTRUCTS[name], "--out", str(out)]) == 0
     capsys.readouterr()
     assert _sha(out.read_bytes()) == golden[name]
+
+
+@pytest.mark.parametrize("name", ["conic q=7 n=4", "ngon N=9 n=3"])
+def test_verify_stdout_matches_golden(name, golden, tmp_path, capsys):
+    path = tmp_path / "k.json"
+    assert main(["construct", *CONSTRUCTS[f"construct {name}"], "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(path), "--r", "1"]) == 0
+    assert _sha(capsys.readouterr().out.encode()) == golden[f"verify r=1 {name}"]
 
 
 @pytest.mark.parametrize("q,n,r", CERTIFIES)

@@ -15,7 +15,7 @@ import pytest
 from kakeya.cli import main
 from kakeya.construction import KakeyaSet, KPoint, assemble, kakeya_from_json, kakeya_to_json
 from kakeya.errors import AmbientMismatch
-from kakeya.projgeom import PointSet, ProjPoint, Subspace, incidence, span_point
+from kakeya.projgeom import PointSet, ProjPoint, Subspace, incidence, span
 from kakeya.scalar import RealField
 from kakeya.seeds import dual_conic_seed, regular_ngon_seed, seed_from_json, seed_to_json
 
@@ -67,7 +67,7 @@ def test_flats_that_are_not_lines_are_scanned(families):
     K = families[(5, 3)]
     lines, points = _parts(K)
     off = next(p for p in points if not lines[0].contains(p))
-    lines[0] = span_point(off, lines[0])
+    lines[0] = span(off, lines[0])
     lines[1] = Subspace.from_points([points[0]])
     lines[2] = Subspace.empty(K.field, K.n)
     on = _check(K.field, lines, points)

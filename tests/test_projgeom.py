@@ -15,7 +15,6 @@ from kakeya.projgeom import (
     point_from_affine,
     points_on,
     span,
-    span_point,
 )
 from kakeya.scalar import PrimeField, RationalField, RealField
 
@@ -82,6 +81,7 @@ def test_span_of_two_points_is_a_line():
     assert line.proj_dim == 1
     assert line.contains(P(F7, 1, 1, 0))
     assert not line.contains(P(F7, 0, 0, 1))
+    assert span(a, b) == line
 
 
 def test_from_equations_matches_containment():
@@ -142,9 +142,9 @@ def test_meet_result_is_contained_in_both():
 
 def test_span_point_adds_a_dimension_outside():
     line = Subspace.from_points([P(QQ, 1, 0, 0), P(QQ, 0, 1, 0)])
-    grown = span_point(P(QQ, 0, 0, 1), line)
+    grown = span(P(QQ, 0, 0, 1), line)
     assert grown.proj_dim == 2
-    same = span_point(P(QQ, 1, 1, 0), line)
+    same = span(P(QQ, 1, 1, 0), line)
     assert same.proj_dim == 1
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from kakeya.errors import DegenerateSeed, UnsupportedField
-from kakeya.projgeom import ProjPoint, meet
+from kakeya.projgeom import ProjPoint, Subspace, meet
 from kakeya.scalar import PrimeField, RealField
 from kakeya.seeds import (
     SeedPoint,
@@ -124,6 +124,11 @@ def test_line_walk_start_parametrizes_the_line():
             affine = [fld.add(c, fld.mul(fld(lam), s)) for c, s in zip(base, step)]
             pt = ProjPoint(fld, affine + [fld.one])
             assert line.contains(pt)
+    at_infinity = Subspace.from_points([ProjPoint(fld, [1, 0, 0]), ProjPoint(fld, [0, 1, 0])])
+    plane = Subspace.from_vectors(fld, 2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    for flat in (at_infinity, plane):
+        with pytest.raises(ValueError):
+            line_walk_start(flat)
 
 
 def test_seed_json_round_trip_exact():

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kakeya.construction import KakeyaSet, KLine, KPoint, assemble, direction_from_grid_values
-from kakeya.projgeom import ProjPoint, Subspace, affine_coords, incidence, point_from_affine, span_point
+from kakeya.projgeom import ProjPoint, Subspace, affine_coords, incidence, point_from_affine, span
 from kakeya.seeds import dual_conic_seed, regular_ngon_seed, seed_from_json, seed_to_json
 from kakeya.verify import (
     verify_all,
@@ -162,13 +162,19 @@ def test_incidence_rejects_a_point_at_infinity(conic5):
 
 def test_directions_name_a_flat_that_is_not_a_line(conic5):
     line = conic5.lines[3]
-    plane = span_point(point_from_affine(conic5.field, [1, 1, 1]), line.line)
+    plane = span(point_from_affine(conic5.field, [1, 1, 1]), line.line)
     lines = list(conic5.lines)
     lines[3] = KLine(plane, line.direction)
     K = KakeyaSet(conic5.field, 3, 5, conic5.grid, lines, conic5.points, conic5.seed_meta)
     rep = verify_directions(K)
     assert rep.verdict == "fail"
     assert rep.witnesses == ["line 3 is a flat of dimension 2, not a line"]
+
+    # a line lying in the hyperplane at infinity has no infinite point
+    lines = list(conic5.lines)
+    lines[0] = KLine(span(lines[0].direction, lines[1].direction), lines[0].direction)
+    K = KakeyaSet(conic5.field, 3, 5, conic5.grid, lines, conic5.points, conic5.seed_meta)
+    assert verify_directions(K).witnesses == ["line 0 meets infinity in dimension 1"]
 
 
 def test_bound_consistency_fails_for_tiny_point_set(conic5):
