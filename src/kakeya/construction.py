@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dc_field
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 from .errors import (
     DegenerateSeed,
@@ -40,7 +40,7 @@ from .errors import (
 )
 from .projgeom import PointSet, ProjPoint, Subspace, meet, span
 from .scalar import Field, field_from_json
-from .seeds import PlanarSeed, line_walk_start, seed_from_json, seed_to_json, walk_point
+from .seeds import PlanarSeed, line_walk_start, seed_from_json, seed_report, seed_to_json, walk_point
 
 
 @dataclass
@@ -185,6 +185,7 @@ class Lifting:
         self._lines: dict = {}
         self._dirs: dict = {}
         self._zs: dict[int, dict] = {}
+        self._doubles: dict = {}
 
     def line(self, J) -> Subspace:
         """The lifted line ell_J."""
@@ -223,13 +224,20 @@ class Lifting:
         memo = self._zs.setdefault(m_index, {})
         return self._lift(memo, (J, Jbar), lambda J, Jbar: self._base_point(J[0], Jbar[0], m_index))
 
+    def double_point(self, a: int, b: int) -> tuple[ProjPoint, int | None]:
+        """Where seed lines a and b meet, and the first measuring line through it (None when none is); memoized."""
+        if (a, b) not in self._doubles:
+            cut = meet(self.emb.lines[a], self.emb.lines[b])
+            if cut.proj_dim != 0:
+                raise UndefinedBasePoint(f"seed lines {a} and {b} do not meet in a point")
+            pt = ProjPoint(cut.field, cut.basis[0])
+            self._doubles[a, b] = pt, next((i for i, m in enumerate(self.emb.m_lines) if m.contains(pt)), None)
+        return self._doubles[a, b]
+
     def _base_point(self, a: int, b: int, m_index: int) -> ProjPoint:
-        """Where seed lines a and b meet, which must be a point on measuring line m_index."""
-        base = meet(self.emb.lines[a], self.emb.lines[b])
-        if base.proj_dim != 0:
-            raise UndefinedBasePoint(f"seed lines {a} and {b} do not meet in a point")
-        pt = ProjPoint(base.field, base.basis[0])
-        if not self.emb.m_lines[m_index].contains(pt):
+        """The double point of seed lines a and b, which must lie on measuring line m_index."""
+        pt, m = self.double_point(a, b)
+        if m != m_index:
             raise UndefinedBasePoint(f"seed lines {a} and {b} miss measuring line {m_index}")
         return pt
 
@@ -280,7 +288,7 @@ class KakeyaSet:
     seed_meta: dict = dc_field(default_factory=dict)
 
 
-def assemble(seed: PlanarSeed, n: int) -> KakeyaSet:
+def assemble(seed: PlanarSeed, n: int, audit: bool = False) -> KakeyaSet:
     """Build the n-dimensional line family and point set from a planar seed.
 
     For n = 2 the seed passes through unchanged (up to the embedding).
@@ -289,7 +297,8 @@ def assemble(seed: PlanarSeed, n: int) -> KakeyaSet:
     disjoint double points on each measuring line, every deficient line
     is padded to N points by walking integer steps along it, and one
     padded line through the affine origin is added for every grid cell
-    missed by the lifted directions.
+    missed by the lifted directions.  With audit, a seed that fails
+    seed_report is refused after the size checks and before the lift.
     """
     if n < 2:
         raise UnsupportedDimension(f"need n >= 2, got {n}")
@@ -299,6 +308,9 @@ def assemble(seed: PlanarSeed, n: int) -> KakeyaSet:
         raise SeedTooSmall(
             f"need N >= 2(n-1) = {2 * (n - 1)} seed lines for dimension {n}, got {seed.N}"
         )
+    problems = seed_report(seed).problems if audit else []
+    if problems:
+        raise DegenerateSeed(f"the seed fails its audit: {problems[0]}")
     fld = seed.field
     frame = build_frame(n, fld)
     lifting = Lifting(frame, seed)
@@ -320,33 +332,21 @@ def assemble(seed: PlanarSeed, n: int) -> KakeyaSet:
     tuples = list(permutations(range(N), n - 1))
     lines = [KLine(lifting.line(J), lifting.direction(J)) for J in tuples]
 
-    # double points of the embedded seed, grouped by measuring line
-    per_m: dict[int, list[tuple[tuple[int, int], ProjPoint]]] = {}
-    for a in range(N):
-        for b in range(a + 1, N):
-            cut = meet(emb.lines[a], emb.lines[b])
-            if cut.proj_dim != 0:
-                continue
-            pt = ProjPoint(fld, cut.basis[0])
-            if fld.is_zero(pt.coords[-1]):
-                continue
-            for m_idx, m in enumerate(emb.m_lines):
-                if m.contains(pt):
-                    per_m.setdefault(m_idx, []).append(((a, b), pt))
-                    break
+    # the pairs of seed lines whose double point lies on each measuring line
+    per_m: dict[int, list[tuple[int, int]]] = {}
+    for a, b in combinations(range(N), 2):
+        m_idx = lifting.double_point(a, b)[1]
+        if m_idx is not None:
+            per_m.setdefault(m_idx, []).append((a, b))
 
     registry = PointSet(fld)
     points: list[KPoint] = []
     for m_idx in range(N):
-        entries = per_m.get(m_idx, [])
-        for seq in permutations(entries, n - 1):
-            used: set[int] = set()
-            for (a, b), _ in seq:
-                used.update((a, b))
-            if len(used) != 2 * (n - 1):
+        for seq in permutations(per_m.get(m_idx, []), n - 1):
+            if len({i for pair in seq for i in pair}) != 2 * (n - 1):
                 continue
-            J = tuple(pair[0] for pair, _ in seq)
-            Jbar = tuple(pair[1] for pair, _ in seq)
+            J = tuple(a for a, _ in seq)
+            Jbar = tuple(b for _, b in seq)
             z = lifting.intersection(J, Jbar, m_idx)
             if fld.is_zero(z.coords[-1]):
                 raise DegenerateSeed("a lifted intersection point fell at infinity")

@@ -321,11 +321,16 @@ def meet(a: Subspace, b: Subspace) -> Subspace:
 
 
 @cache
-def _infinity(field: Field, ambient_dim: int) -> Subspace:
+def at_infinity(field: Field, ambient_dim: int) -> Subspace:
+    """The hyperplane at infinity (last coordinate zero), built once per field and dimension."""
     return Subspace.from_equations(field, ambient_dim, [[field.zero] * ambient_dim + [field.one]])
 
 
 def infinite_point(flat: Subspace) -> ProjPoint | None:
-    """Where the flat meets the hyperplane at infinity; None when that is not one point."""
-    cut = meet(flat, _infinity(flat.field, flat.ambient_dim))
+    """Where the flat meets the hyperplane at infinity; None when that is not one point.
+
+    Builders ask this; the audits (seed_report, verify_directions) meet with at_infinity
+    themselves, so a fault here, or a closed form in its place, cannot hide from them.
+    """
+    cut = meet(flat, at_infinity(flat.field, flat.ambient_dim))
     return ProjPoint(cut.field, cut.basis[0]) if cut.proj_dim == 0 else None

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .errors import DegenerateSeed, UnsupportedField, need, positive, records
-from .projgeom import PointSet, ProjPoint, Subspace, incidence, infinite_point
+from .projgeom import PointSet, ProjPoint, Subspace, at_infinity, incidence, infinite_point, meet
 from .scalar import DEFAULT_REAL_TOLERANCE, Field, PrimeField, RationalField, RealField, field_from_json
 
 
@@ -270,7 +270,8 @@ def seed_report(seed: PlanarSeed) -> SeedReport:
 
     directions = []
     for i, line in enumerate(seed.lines):
-        d = infinite_point(line)
+        cut = meet(line, at_infinity(fld, 2))
+        d = ProjPoint(fld, cut.basis[0]) if cut.proj_dim == 0 else None
         directions.append(d)
         if d is None:
             problems.append(f"line {i} is the line at infinity")

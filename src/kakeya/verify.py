@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import perm
 
 from .construction import KakeyaSet, grid_values_from_direction
-from .projgeom import PointSet, incidence, infinite_point
+from .projgeom import PointSet, ProjPoint, at_infinity, incidence, meet
 from .scalar import binomial
 
 WITNESS_LIMIT = 10
@@ -135,10 +135,10 @@ def verify_directions(K: KakeyaSet, verbose: bool = False) -> VerifyReport:
         if kl.line.proj_dim != 1:
             witnesses.append(f"line {idx} is a flat of dimension {kl.line.proj_dim}, not a line")
             continue
-        actual = infinite_point(kl.line)
-        if actual is None:
-            witnesses.append(f"line {idx} meets infinity in dimension 1")
-        elif actual != kl.direction:
+        cut = meet(kl.line, at_infinity(fld, n))
+        if cut.proj_dim != 0:
+            witnesses.append(f"line {idx} meets infinity in dimension {cut.proj_dim}")
+        elif ProjPoint(fld, cut.basis[0]) != kl.direction:
             witnesses.append(f"line {idx} stores a direction it does not have")
 
     seen = PointSet(fld)

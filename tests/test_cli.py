@@ -6,6 +6,7 @@ import time
 import pytest
 
 from kakeya.cli import main
+from kakeya import construction
 from kakeya.construction import save_seed
 from kakeya.seeds import SeedPoint, dual_conic_seed, regular_ngon_seed
 
@@ -94,8 +95,12 @@ def test_construct_rejects_a_seed_whose_n_is_not_its_line_count(tmp_path, capsys
     assert not (tmp_path / "k.json").exists()
 
 
-def test_construct_refuses_a_seed_file_that_fails_its_audit(tmp_path, capsys):
+def test_construct_refuses_a_seed_file_that_fails_its_audit(tmp_path, capsys, monkeypatch):
     # the q=5 conic seed read over the rationals lifts, but its lines lose points and its epsilon no longer holds
+    def lift(*args):
+        raise AssertionError("a seed failing its audit is lifted")
+
+    monkeypatch.setattr(construction, "Lifting", lift)
     spath = tmp_path / "seed.json"
     save_seed(dual_conic_seed(5), str(spath))
     doc = json.loads(spath.read_text())

@@ -126,8 +126,8 @@ def test_line_walk_start_parametrizes_the_line():
             assert line.contains(pt)
     at_infinity = Subspace.from_points([ProjPoint(fld, [1, 0, 0]), ProjPoint(fld, [0, 1, 0])])
     plane = Subspace.from_vectors(fld, 2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    for flat in (at_infinity, plane):
-        with pytest.raises(ValueError):
+    for flat, guard in ((at_infinity, "line lies at infinity"), (plane, "not an affine line")):
+        with pytest.raises(ValueError, match=guard):
             line_walk_start(flat)
 
 
