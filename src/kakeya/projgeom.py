@@ -200,7 +200,9 @@ class PointSet:
     take at k.  Real points equal up to tol < 1 share their lead and lie
     within tol at column lead + 1, so each is filed under (lead,
     floor(c[lead + 1] / 2 tol)) and compared only with the points of that
-    bucket and its two neighbours; the earliest equal one wins.
+    bucket and its two neighbours; the earliest equal one wins.  Real
+    points are also listed, as (position, coordinates), under their lead
+    column, which on() filters a line's candidates by.
     """
 
     def __init__(self, field: Field, points=()):
@@ -209,6 +211,7 @@ class PointSet:
         self.labels: list = []
         self._index: dict = {}
         self._values: dict[tuple[int, int], set] = {}
+        self._leads: dict[int, list] = {}
         self._shapes: set = set()
         for p in points:
             self.add(p)
@@ -231,6 +234,7 @@ class PointSet:
             i = min((j for j in near if p == self.items[j]), default=new)
             if i == new:
                 self._index.setdefault((lead, b), []).append(new)
+                self._leads.setdefault(lead, []).append((new, coords))
         if i == new:
             self.items.append(p)
             self.labels.append(label)
@@ -246,28 +250,58 @@ class PointSet:
     def on(self, line: Subspace) -> list:
         """Labels of the stored points lying on the flat, in the order stored.
 
-        Over an exact field a line with reduced basis (r0, r1) and pivot
-        columns (c0, c1) holds r1 and the points r0 + b * r1, canonical
-        as they stand, with lead c0 and coordinate c1 equal to b; only the
-        b some stored point takes in the slot (c0, c1) are looked up.  The
-        real kind, flats that are not lines and points of another field or
-        length test every stored point with Subspace.contains.
+        Take a line with reduced basis (r0, r1) and pivot columns (c0, c1).
+        Over an exact field it holds r1 and the points r0 + b * r1,
+        canonical as they stand, with lead c0 and coordinate c1 equal to
+        b; only the b some stored point takes in the slot (c0, c1) are
+        looked up.  Over the reals only the points _near the line are
+        confirmed with Subspace.contains.  Other flats and points of
+        another field or length test every stored point (points_on).
         """
         fld = line.field
-        if not fld.exact or line.proj_dim != 1 or not self._shapes <= {(fld, line.ambient_dim + 1)}:
+        if line.proj_dim != 1 or not self._shapes <= {(fld, line.ambient_dim + 1)}:
             return [self.labels[i] for i in points_on(line, self.items)]
+        if not fld.exact:
+            return [self.labels[i] for i in self._near(line) if line.contains(self.items[i])]
         (r0, r1), (c0, c1) = line.basis, line.pivots
         add, mul, get = fld.add, fld.mul, self._index.get
         found = [get(tuple(add(a, mul(b, c)) for a, c in zip(r0, r1))) for b in self._values.get((c0, c1), ())]
         found.append(get(r1))
         return [self.labels[i] for i in sorted(i for i in found if i is not None)]
 
+    def _near(self, line: Subspace) -> list[int]:
+        """Ascending positions of stored real points near the line, among them every one contains() accepts.
+
+        Subspace.contains subtracts r0 from a point p with lead c0, then
+        d * r1 with d = p[c1] - r0[c1] unless |d| <= tol, so its residual
+        at a free column k (neither c0 nor c1) is (p[k] - r0[k]) - d * r1[k],
+        or p[k] - r0[k] when r1 is skipped; 2 tol (1 + |r1[k]|) bounds
+        both.  A point with lead c1 leaves p[k] - r1[k], the same form with
+        r0 replaced by r1 and r1 by zero.  A point with any other lead L
+        keeps a residual of 1 at L unless the basis is nonzero there (rref
+        leaves entries of at most tol uneliminated), so such leads are
+        listed unfiltered.  A NaN in the test passes it.
+        """
+        (r0, r1), (c0, c1) = line.basis, line.pivots
+        free = [k for k in reversed(range(len(r0))) if k not in (c0, c1)]  # high columns discriminate: test them first
+        tol2, found = 2 * line.field.tol, []
+        for lead, base, slope, shift in ((c0, r0, r1, r0[c1]), (c1, r1, (0.0,) * len(r1), 0.0)):
+            near = self._leads.get(lead, [])
+            for k in free:
+                a, b = base[k], slope[k]
+                w = tol2 * (1 + abs(b))
+                near = [(i, p) for i, p in near if not abs(p[k] - a - (p[c1] - shift) * b) > w]
+            found += (i for i, _ in near)
+        others = [L for L in range(c1) if L != c0 and (r1[L] or L < c0 and r0[L])]
+        found += (i for L in others for i, _ in self._leads.get(L, ()))
+        return sorted(found)
+
 
 def points_on(line: Subspace, points) -> list[int]:
     """Positions of the points lying on the flat, each tested with Subspace.contains.
 
-    The scan PointSet.on runs for the real kind, for flats that are not
-    lines and for points of another shape; it makes len(points) tests.
+    The scan PointSet.on runs for flats that are not lines and for points
+    of another field or length; it makes len(points) tests.
     """
     return [i for i, p in enumerate(points) if line.contains(p)]
 

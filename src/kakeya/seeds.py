@@ -2,10 +2,10 @@
 
 A seed lives in a projective plane with coordinates (c1, c2, c0): the
 line at infinity is c0 = 0 and the distinguished point (0, 1, 0) is the
-common infinite point of the N parallel measuring lines m_1..m_N.  A
-valid seed provides N affine lines with N pairwise distinct infinite
-points (none equal to (0, 1, 0)), a point set giving each line at least
-N points, and the deficiency numbers epsilon_i defined by
+common infinite point of the N distinct parallel measuring lines
+m_1..m_N.  A valid seed provides N affine lines with N pairwise distinct
+infinite points (none equal to (0, 1, 0)), a point set giving each line
+at least N points, and the deficiency numbers epsilon_i defined by
 
     #(double points of S on m_i) = N/2 - epsilon_i
 
@@ -293,9 +293,16 @@ def seed_report(seed: PlanarSeed) -> SeedReport:
             distinct = False
             problems.append(f"lines {first} and {i} share an infinite point")
 
+    # lines through (0,1,0) are equal exactly when they meet the transversal c2 = 0 in the same point
+    transversal = Subspace.from_equations(fld, 2, [[fld.zero, fld.one, fld.zero]])
+    seen = PointSet(fld)
     for i, m in enumerate(seed.m_lines):
-        if not m.contains(x_point):
+        if m.proj_dim != 1:
+            problems.append(f"measuring line {i} is not a line")
+        elif not m.contains(x_point):
             problems.append(f"measuring line {i} misses the common point (0,1,0)")
+        elif (first := seen.setdefault(ProjPoint(fld, meet(m, transversal).basis[0]), i)) != i:
+            problems.append(f"measuring lines {first} and {i} coincide")
     if len(seed.m_lines) != seed.N:
         problems.append(f"expected {seed.N} measuring lines, found {len(seed.m_lines)}")
 

@@ -8,7 +8,7 @@ import pytest
 from kakeya.cli import main
 from kakeya import construction
 from kakeya.construction import save_seed
-from kakeya.seeds import SeedPoint, dual_conic_seed, regular_ngon_seed
+from kakeya.seeds import SeedPoint, dual_conic_seed, regular_ngon_seed, seed_report
 
 
 def run(capsys, *argv):
@@ -109,6 +109,20 @@ def test_construct_refuses_a_seed_file_that_fails_its_audit(tmp_path, capsys, mo
     code, stdout, stderr = run(capsys, "construct", "--seed", f"file:{spath}", "--dim", "3", "--out", str(out))
     assert code == 2 and not stdout
     assert stderr == "error: the seed fails its audit: line 1 holds only 2 distinct points, needs 5\n"
+    assert not out.exists()
+
+
+def test_construct_refuses_a_seed_file_with_a_repeated_measuring_line(tmp_path, capsys):
+    # assemble files each double point under the first measuring line through it, so the lift would lose points
+    seed = dual_conic_seed(7)
+    seed.m_lines[1] = seed.m_lines[0]
+    seed.epsilon = seed_report(seed).epsilon_measured
+    spath = tmp_path / "seed.json"
+    save_seed(seed, str(spath))
+    out = tmp_path / "k.json"
+    code, stdout, stderr = run(capsys, "construct", "--seed", f"file:{spath}", "--dim", "3", "--out", str(out))
+    assert code == 2 and not stdout
+    assert stderr == "error: the seed fails its audit: measuring lines 0 and 1 coincide\n"
     assert not out.exists()
 
 

@@ -4,9 +4,10 @@ The golden file holds SHA-256 values of construct output files and of
 certify/bound stdout.  Every construct of the ladder is checked here:
 the F_p rungs (q=5, 7, 11, 13 at n=3 and q=7 at n=4) byte-check the
 padding, which counts a line's points by looking them up, and the real
-rungs (ngon N=9, 11 at n=3) the bucketed point identity.  PINNED adds
-values kept here only: ngon N=6 at n=4, the one real rung whose lifting
-goes two steps deep, and the stdout of `verify --r 1`.
+rungs (ngon N=9, 11 at n=3) the bucketed point identity and the filtered
+real incidence.  PINNED adds values kept here only: ngon N=6 at n=4, the
+one real rung whose lifting goes two steps deep, ngon N=13 at n=3, and
+the stdout of `verify --r 1`.
 """
 
 import hashlib
@@ -29,11 +30,15 @@ CONSTRUCTS = {
     "construct ngon N=9 n=3": ["--seed", "ngon", "--N", "9", "--dim", "3"],
     "construct ngon N=11 n=3": ["--seed", "ngon", "--N", "11", "--dim", "3"],
     "construct ngon N=6 n=4": ["--seed", "ngon", "--N", "6", "--dim", "4"],
+    "construct ngon N=13 n=3": ["--seed", "ngon", "--N", "13", "--dim", "3"],
 }
 PINNED = {
     "construct ngon N=6 n=4": "39be8a1b5c283c6fb93d8589726f522419075be2fbfc595b8b5cec372a054b9d",
     "verify r=1 conic q=7 n=4": "5286463d53968a8fb36dcc154fe55e5c560120c1588fbf7a237421fafd87f20e",
     "verify r=1 ngon N=9 n=3": "6a61fa4ac4ee72894d56bd06883ef447943430756b4c44e7c90bc7cd9c5ab67e",
+    "construct ngon N=13 n=3": "6d619da8aa88e88020acbbfa3f439fecef9b46f9bf5cf1b32fe7c45c20578ee2",
+    "verify r=1 ngon N=11 n=3": "3b5b774376d121d4a20ec675bf56e4a4a786160eae22f05202278d83cddd13fb",
+    "verify r=1 ngon N=13 n=3": "5ce8534a9633a72f2e26b5ffea8ccde60338318b802bbeded3985b331de34d72",
 }
 CERTIFIES = [(5, 2, 1), (5, 2, 2), (5, 3, 1), (7, 2, 1), (7, 2, 2)]
 BOUNDS = [(7, 3), (13, 3), (7, 4), (16, 4)]
@@ -57,7 +62,7 @@ def test_construct_file_matches_golden(name, golden, tmp_path, capsys):
     assert _sha(out.read_bytes()) == golden[name]
 
 
-@pytest.mark.parametrize("name", ["conic q=7 n=4", "ngon N=9 n=3"])
+@pytest.mark.parametrize("name", ["conic q=7 n=4", "ngon N=9 n=3", "ngon N=11 n=3", "ngon N=13 n=3"])
 def test_verify_stdout_matches_golden(name, golden, tmp_path, capsys):
     path = tmp_path / "k.json"
     assert main(["construct", *CONSTRUCTS[f"construct {name}"], "--out", str(path)]) == 0

@@ -1,23 +1,27 @@
 """incidence() and PointSet against the brute-force tests they replace.
 
 Over an exact field each line's points are looked up in the point index;
-the real kind, flats that are not lines and points of another shape
-scan.  Either way the table must be the one that testing every line
-against every point gives, and the real PointSet's buckets must find the
-point a scan of the stored points finds.
+over the reals the points near a line are filtered and confirmed; flats
+that are not lines and points of another shape scan.  Either way the
+table must be the one that testing every line against every point gives,
+and the real PointSet's buckets must find the point a scan of the stored
+points finds.
 """
 
 import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kakeya.cli import main
 from kakeya.construction import KakeyaSet, KPoint, assemble, kakeya_from_json, kakeya_to_json
 from kakeya.errors import AmbientMismatch
-from kakeya.projgeom import PointSet, ProjPoint, Subspace, incidence, span
+from kakeya.projgeom import PointSet, ProjPoint, Subspace, incidence, points_on, span
 from kakeya.scalar import RealField
 from kakeya.seeds import dual_conic_seed, regular_ngon_seed, seed_from_json, seed_to_json
+from kakeya.verify import verify_all
 
 
 def _brute(lines, points):
@@ -108,6 +112,123 @@ def test_a_real_ngon_family_matches_the_brute_force_table():
     on = _check(fld, lines, points)
     assert all(len(on_line) >= K.N for on_line in on)
     assert any(3 in on_line and len(points) - 1 in on_line for on_line in on)
+
+
+REAL = RealField()
+TOL = REAL.tol
+OFFSETS = [f * TOL for f in (0.5, 0.99, 1.01, 3.0)]
+
+
+def _real_on(line, points):
+    """PointSet.on over the points, asserted equal to the scan of the stored points; the labels found."""
+    stored = PointSet(REAL, points)
+    found = stored.on(line)
+    assert found == points_on(line, stored.items)
+    return found
+
+
+def _moved(coords, k, by):
+    return ProjPoint(REAL, [c + by if j == k else c for j, c in enumerate(coords)])
+
+
+def _line(rows):
+    return Subspace.from_vectors(REAL, 3, rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([(0, 1), (0, 3)]), st.data())
+def test_real_on_matches_the_scan_on_random_lines(pivots, data):
+    c0, c1 = pivots
+    free = [k for k in range(4) if k not in pivots]
+    value = st.floats(-4, 4) | st.sampled_from([1e4, -1e4])
+    r0, r1 = [0.0] * 4, [0.0] * 4
+    r0[c0], r1[c1] = 1.0, 1.0
+    for k in free:
+        r0[k], r1[k] = data.draw(value), data.draw(value) if k > c1 else 0.0
+    line = _line([r0, r1])
+    assert line.pivots == pivots
+    ts = data.draw(st.lists(st.floats(-3, 3) | st.sampled_from([0.0, 0.5 * TOL, -0.9 * TOL]), min_size=1, max_size=6))
+    on_line = [[a + t * b for a, b in zip(r0, r1)] for t in ts] + [r1]
+    points = []
+    for coords in on_line:
+        k = data.draw(st.sampled_from(free))
+        points.append(_moved(coords, k, data.draw(st.sampled_from(OFFSETS)) * data.draw(st.sampled_from([1, -1]))))
+    _real_on(line, points)
+
+
+def test_real_on_keeps_a_point_whose_c1_coordinate_is_skipped():
+    # |p[c1]| <= tol: contains never subtracts r1, so p[2] - r0[2] alone decides, though p[c1] * r1[2] is 900 tol
+    line = _line([[1.0, 0.0, 0.5, 1.0], [0.0, 1.0, 1e3, 0.0]])
+    near = ProjPoint(REAL, [1.0, 0.9 * TOL, 0.5 + 0.5 * TOL, 1.0])
+    far = ProjPoint(REAL, [1.0, 0.9 * TOL, 0.5 + 1.5 * TOL, 1.0])
+    assert _real_on(line, [near, far]) == [0]
+
+
+def test_real_on_keeps_a_far_point_that_r0_leftover_at_c1_puts_on_the_line():
+    # rref leaves r0[c1] = 9.9e-10 uneliminated; contains subtracts it from p[c1] before scaling r1,
+    # which moves the residual at column 2 by more than its rounding at |p[c1]| = 1.5e7
+    line = _line([[1.0, 9.945810876836809e-10, -2.039057935506409, 1.0], [0.0, 1.0, 42.9614325433227, 0.0]])
+    assert line.basis[0][1] == 9.945810876836809e-10
+    far = ProjPoint(REAL, [1.0, 14956215.712386783, 642540450.3920298, 1.0])
+    assert _real_on(line, [far]) == [0]
+
+
+def test_real_on_confirms_what_a_nan_in_the_basis_leaves_undecided():
+    # a file may hold "nan": r1[2] is NaN, yet contains never scales r1 for the point r0 and accepts it
+    line = _line([[1.0, 0.0, 0.5, 1.0], [0.0, 1.0, float("nan"), 0.0]])
+    assert _real_on(line, [ProjPoint(REAL, [1.0, 0.0, 0.5, 1.0]), ProjPoint(REAL, [1.0, 2.0, 0.5, 1.0])]) == [0]
+
+
+@pytest.mark.parametrize("by", OFFSETS)
+@pytest.mark.parametrize("k", [2, 3])
+def test_real_on_tests_points_with_lead_c1_against_r1(k, by):
+    r1 = [0.0, 1.0, -2.5, 0.75]
+    line = _line([[1.0, 0.0, 0.3, 1.0], r1])
+    points = [_moved(r1, k, by), _moved(r1, k, -by)]
+    assert _real_on(line, points) == ([0, 1] if by <= TOL else [])
+
+
+def test_real_on_finds_leads_before_c0_and_between_c0_and_c1():
+    # rref leaves column 0 below tol unreduced, then scales it by 1 / 2e-9: r0 = (0.05, 1, 0, 0), pivots (1, 2)
+    line = _line([[1e-10, 2e-9, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]])
+    assert line.pivots == (1, 2) and line.basis[0][0] == pytest.approx(0.05)
+    before = [ProjPoint(REAL, [1.0, 20.0, 3.0, 3.0]), ProjPoint(REAL, [1.0, 19.0, 3.0, 3.0])]
+    assert _real_on(line, before) == [0]
+    # r1 = (0, 5e-7, 1, 2) keeps the uneliminated 5e-10 at column 1 between its pivots (0, 2)
+    line = _line([[1.0, 0.0, 0.0, 0.0], [0.0, 5e-10, 1e-3, 2e-3]])
+    assert line.pivots == (0, 2) and line.basis[1][1] == pytest.approx(5e-7)
+    between = [ProjPoint(REAL, [0.0, 1.0, 2e6, 4e6]), ProjPoint(REAL, [0.0, 1.0, 1e6, 2e6])]
+    assert _real_on(line, between) == [0]
+    # a basis with pivots (1, 2) and no leftovers holds none of them
+    assert _real_on(_line([[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]]), before + between) == []
+
+
+def test_real_on_matches_the_scan_where_rref_leaves_r1_nonzero_at_c0():
+    # ngon N=11 lines carry r1[c0] = -4.4e-16; here r1[c0] = 5e-10 and r0[c0] = 1 - 2.5e-10
+    line = _line([[1.0, 0.5, 0.2, 0.3], [5e-10, 1.0, 0.7, 0.1]])
+    (r0, r1), (c0, c1) = line.basis, line.pivots
+    assert (c0, c1) == (0, 1) and r1[0] == 5e-10 and r0[0] != 1.0
+    points = [ProjPoint(REAL, [a + t * b for a, b in zip(r0, r1)]) for t in (-2.5, -0.5, 0.0, 1.5, 4.0)]
+    points += [_moved(p.coords, 2, by) for p in points for by in OFFSETS]
+    found = _real_on(line, points)
+    assert 0 < len(found) < len(points)
+
+
+@pytest.mark.parametrize("N", [9, 11])
+def test_real_verify_confirms_only_the_points_it_finds(N, monkeypatch):
+    # the scan made one Subspace.contains per line and point: 32,157 for N=9 and 79,981 for N=11
+    K = assemble(regular_ngon_seed(N), 3)
+    calls, contains = [0], Subspace.contains
+
+    def counted(self, p):
+        calls[0] += 1
+        return contains(self, p)
+
+    monkeypatch.setattr(Subspace, "contains", counted)
+    assert [rep.verdict for rep in verify_all(K, r=1)] == ["pass"] * 4
+    monkeypatch.undo()
+    _, on = incidence(K.field, *_parts(K))
+    assert calls[0] < 2 * sum(map(len, on))
 
 
 def _scan_labels(points):

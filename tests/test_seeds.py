@@ -81,6 +81,27 @@ def test_conic_seed_report_passes():
         assert rep.epsilon_measured == [Fraction(1, 2)] * q
 
 
+@pytest.mark.parametrize(
+    "replace, problem",
+    [
+        (lambda seed: seed.m_lines[0], "measuring lines 0 and 1 coincide"),
+        (
+            lambda seed: Subspace.from_vectors(seed.field, 2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+            "measuring line 1 is not a line",
+        ),
+    ],
+    ids=["repeated", "plane"],
+)
+def test_seed_report_fails_on_a_bad_measuring_line(replace, problem):
+    # epsilon is re-measured to match (the plane holds (0,1,0) and every double point), so only m_lines[1] can fail
+    seed = dual_conic_seed(7)
+    seed.m_lines[1] = replace(seed)
+    seed.epsilon = seed_report(seed).epsilon_measured
+    rep = seed_report(seed)
+    assert rep.verdict == "fail"
+    assert rep.problems == [problem]
+
+
 def test_ngon_bisecant_direction_depends_on_pair_sum():
     d1 = ngon_bisecant_direction(8, 1, 4)
     d2 = ngon_bisecant_direction(8, 2, 3)
