@@ -1,7 +1,9 @@
-"""Row reduction, rank and nullspace over matrices of field values.
+"""Row reduction and nullspace over matrices of field values.
 
 Matrices are lists of rows, each row a sequence of canonical values of
-one field, and every entry operation goes through that field.  Over the
+one field.  The entry arithmetic is inline: residues reduced mod p over
+F_p, the native operators on Fractions over the rationals and on floats
+over the reals (which is what the field methods compute).  Over the
 exact kinds every step is exact; over the real kind pivots are chosen by
 largest magnitude and anything at or below the field tolerance counts as
 zero.
@@ -9,51 +11,89 @@ zero.
 
 from __future__ import annotations
 
+from bisect import bisect
+from itertools import islice
+
 from .scalar import Field
 
 
+def _axpy(v: list, f, b, p: int = 0, start: int = 0) -> None:
+    """v -= f * b in place from column start on, each entry reduced mod p when p is nonzero."""
+    pairs = zip(islice(v, start, None), islice(b, start, None))
+    v[start:] = [(x - f * y) % p for x, y in pairs] if p else [x - f * y for x, y in pairs]
+
+
 def rref(rows, field: Field) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
+    """Reduced row echelon form; returns (nonzero rows, pivot columns).
+
+    Over an exact field the rows are inserted one at a time into the
+    reduced basis of the rows read so far: each is reduced against the
+    basis, a pivot it keeps is normalised and cleared from the basis
+    rows, and reading stops once the rank equals the column count.  The
+    reduced form of an exact matrix is unique, so the result does not
+    depend on the order of the rows.  Over the reals the columns are
+    swept in turn with partial pivoting.
+    """
+    if not field.exact:
+        return _pivoting_rref(rows, field)
+    p = field.p if field.kind == "prime" else 0
+    red: list[list] = []
+    pivots: list[int] = []
+    for row in rows:
+        # a basis row is zero left of its pivot and at every other pivot, so
+        # its factor v[c] is the entry v came with; one reduction mod p at the end
+        v = list(row)
+        for b, c in zip(red, pivots):
+            if v[c]:
+                _axpy(v, v[c], b, start=c)
+        if p:
+            v = [x % p for x in v]
+        lead = next((c for c, x in enumerate(v) if x), None)
+        if lead is not None:
+            inv = field.inv(v[lead])
+            v[lead:] = [x * inv % p for x in v[lead:]] if p else [x * inv for x in v[lead:]]
+            for b in red:
+                if b[lead]:
+                    _axpy(b, b[lead], v, p, lead)
+            k = bisect(pivots, lead)
+            red.insert(k, v)
+            pivots.insert(k, lead)
+        if len(red) == len(v):
+            break
+    return red, pivots
+
+
+def _pivoting_rref(rows, field: Field) -> tuple[list[list], list[int]]:
+    """Sweep the columns in turn, taking the largest entry above tol in each as its pivot."""
     mat = [list(r) for r in rows]
     nrows = len(mat)
     ncols = len(mat[0]) if mat else 0
-    sub, mul, is_zero = field.sub, field.mul, field.is_zero
+    tol = field.tol
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
         if r >= nrows:
             break
-        best = None
-        if field.exact:
-            for i in range(r, nrows):
-                if not is_zero(mat[i][c]):
-                    best = i
-                    break
-        else:
-            mag = field.tol
-            for i in range(r, nrows):
-                v = abs(mat[i][c])
-                if v > mag:
-                    mag = v
-                    best = i
+        best, mag = None, tol
+        for i in range(r, nrows):
+            v = abs(mat[i][c])
+            if v > mag:
+                mag = v
+                best = i
         if best is None:
             continue
         mat[r], mat[best] = mat[best], mat[r]
         inv = field.inv(mat[r][c])
-        pivot = mat[r] = [mul(x, inv) for x in mat[r]]
+        pivot = mat[r] = [x * inv for x in mat[r]]
         pivot[c] = field.one
         for i in range(nrows):
             f = mat[i][c]
-            if i != r and not is_zero(f):
-                mat[i] = [sub(a, mul(f, b)) for a, b in zip(mat[i], pivot)]
+            if i != r and not abs(f) <= tol:
+                _axpy(mat[i], f, pivot)
                 mat[i][c] = field.zero
         pivots.append(c)
         r += 1
     return mat[:r], pivots
-
-
-def rank(rows, field: Field) -> int:
-    return len(rref(rows, field)[0])
 
 
 def nullspace(rows, field: Field, ncols: int) -> list[list]:
@@ -81,11 +121,10 @@ def nullspace(rows, field: Field, ncols: int) -> list[list]:
 
 def reduce_vector(vec, red, pivots, field: Field) -> list:
     """Residual of vec after eliminating the pivots of an RREF basis."""
-    sub, mul = field.sub, field.mul
+    p = field.p if field.kind == "prime" else 0
     v = list(vec)
-    for row, p in zip(red, pivots):
-        c = v[p]
-        if not field.is_zero(c):
-            v = [sub(a, mul(c, b)) for a, b in zip(v, row)]
-            v[p] = field.zero
+    for row, c in zip(red, pivots):
+        if not field.is_zero(v[c]):
+            _axpy(v, v[c], row, p)
+            v[c] = field.zero
     return v

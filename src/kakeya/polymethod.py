@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from .errors import (
     DimensionMismatch,
@@ -289,10 +290,19 @@ def vanishing_space(
     if mult < 1:
         raise ValueError("mult must be at least 1")
     monos = monomial_basis(nvars, deg_bound)
-    col = {e: i for i, e in enumerate(monos)}
-    deriv_indices = [
-        j for w in range(mult) for j in exponent_tuples(nvars, w)
-    ]
+    p = fld.p if fld.kind == "prime" else 0
+    # d^j X^e = binomial(e, j) X^(e - j): per multi-index j, the (column,
+    # factor, e - j) of every monomial e whose factor is nonzero in the field
+    derivs = []
+    for w in range(mult):
+        for j in exponent_tuples(nvars, w):
+            keep = []
+            for c, e in enumerate(monos):
+                if all(ei >= ji for ei, ji in zip(e, j)):
+                    factor = fld(prod(map(binomial, e, j)))
+                    if not fld.is_zero(factor):
+                        keep.append((c, factor, tuple(ei - ji for ei, ji in zip(e, j))))
+            derivs.append(keep)
     rows: list[list] = []
     zero = fld.zero
     for raw in points:
@@ -305,25 +315,17 @@ def vanishing_space(
         for i in range(nvars):
             for _ in range(deg_bound):
                 powers[i].append(fld.mul(powers[i][-1], u[i]))
-        for j in deriv_indices:
+        for keep in derivs:
             row = [zero] * len(monos)
-            for e in monos:
-                if any(ei < ji for ei, ji in zip(e, j)):
-                    continue
-                factor = 1
-                for ei, ji in zip(e, j):
-                    factor *= binomial(ei, ji)
-                entry = fld(factor)
-                if fld.is_zero(entry):
-                    continue
-                for i in range(nvars):
-                    entry = fld.mul(entry, powers[i][e[i] - j[i]])
-                row[col[e]] = entry
+            for c, entry, shift in keep:
+                for pw, k in zip(powers, shift):
+                    entry = entry * pw[k]
+                row[c] = entry % p if p else entry
             rows.append(row)
     basis_vectors = nullspace(rows, fld, len(monos))
     out = []
     for vec in basis_vectors:
-        terms = {e: vec[col[e]] for e in monos if not fld.is_zero(vec[col[e]])}
+        terms = {e: c for e, c in zip(monos, vec) if not fld.is_zero(c)}
         out.append(Poly(fld, nvars, terms))
     return out
 

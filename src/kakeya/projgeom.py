@@ -198,11 +198,12 @@ class PointSet:
     Exact fields key a dict on the canonical coordinates and keep, per
     column pair (lead, k > lead), the values stored points with that lead
     take at k.  Real points equal up to tol < 1 share their lead and lie
-    within tol at column lead + 1, so each is filed under (lead,
-    floor(c[lead + 1] / 2 tol)) and compared only with the points of that
-    bucket and its two neighbours; the earliest equal one wins.  Real
-    points are also listed, as (position, coordinates), under their lead
-    column, which on() filters a line's candidates by.
+    within tol at every column, so each is filed under (lead,
+    floor(c[lead + 1] / 2 tol), floor(c[-1] / 2 tol)) and compared only
+    with the points of that bucket and its eight neighbours; the earliest
+    equal one wins.  Real points are also listed, as (position,
+    coordinates), under their lead column, which on() filters a line's
+    candidates by.
     """
 
     def __init__(self, field: Field, points=()):
@@ -229,11 +230,13 @@ class PointSet:
                 for k in range(lead + 1, len(coords)):
                     self._values.setdefault((lead, k), set()).add(coords[k])
         else:
-            b = coords[lead + 1] // (2 * self.field.tol) if lead + 1 < len(coords) else 0.0
-            near = (j for d in (-1, 0, 1) for j in self._index.get((lead, b + d), ()))
+            w = 2 * self.field.tol
+            b = coords[lead + 1] // w if lead + 1 < len(coords) else 0.0
+            e = coords[-1] // w
+            near = (j for d in (-1, 0, 1) for f in (-1, 0, 1) for j in self._index.get((lead, b + d, e + f), ()))
             i = min((j for j in near if p == self.items[j]), default=new)
             if i == new:
-                self._index.setdefault((lead, b), []).append(new)
+                self._index.setdefault((lead, b, e), []).append(new)
                 self._leads.setdefault(lead, []).append((new, coords))
         if i == new:
             self.items.append(p)

@@ -6,8 +6,9 @@ the F_p rungs (q=5, 7, 11, 13 at n=3 and q=7 at n=4) byte-check the
 padding, which counts a line's points by looking them up, and the real
 rungs (ngon N=9, 11 at n=3) the bucketed point identity and the filtered
 real incidence.  PINNED adds values kept here only: ngon N=6 at n=4, the
-one real rung whose lifting goes two steps deep, ngon N=13 at n=3, and
-the stdout of `verify --r 1`.
+one real rung whose lifting goes two steps deep, ngon N=13 at n=3, the
+stdout of `verify --r 1`, and the stdout of certify on the two largest
+matrices (420x231 at conic q=7 n=2 r=3, 530x220 at q=5 n=3 r=2).
 """
 
 import hashlib
@@ -39,8 +40,10 @@ PINNED = {
     "construct ngon N=13 n=3": "6d619da8aa88e88020acbbfa3f439fecef9b46f9bf5cf1b32fe7c45c20578ee2",
     "verify r=1 ngon N=11 n=3": "3b5b774376d121d4a20ec675bf56e4a4a786160eae22f05202278d83cddd13fb",
     "verify r=1 ngon N=13 n=3": "5ce8534a9633a72f2e26b5ffea8ccde60338318b802bbeded3985b331de34d72",
+    "certify conic q=7 n=2 r=3": "f4eb8a08866f7f81630d967cd64922da0d80d5ae9682b1500178d85f741fee8d",
+    "certify conic q=5 n=3 r=2": "930f60363eaa9f0560ed84a2feb058428a04cee2f17e954959fd99031305295d",
 }
-CERTIFIES = [(5, 2, 1), (5, 2, 2), (5, 3, 1), (7, 2, 1), (7, 2, 2)]
+CERTIFIES = [(5, 2, 1), (5, 2, 2), (5, 3, 1), (7, 2, 1), (7, 2, 2), (7, 2, 3), (5, 3, 2)]
 BOUNDS = [(7, 3), (13, 3), (7, 4), (16, 4)]
 
 

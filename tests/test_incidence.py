@@ -268,6 +268,41 @@ def test_real_point_set_matches_the_linear_scan(tol):
     ), "no equal pair straddles a bucket edge"
 
 
+MOVES = [0.0] + [s * f * TOL for f in (0.99, 1.01) for s in (1, -1)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_real_point_set_matches_the_linear_scan_on_moved_points(data):
+    # copies of a few points, each column but the lead moved by 0, +-0.99 tol or +-1.01 tol,
+    # so equal and unequal copies straddle bucket edges at every column
+    value = st.floats(-3, 3) | st.sampled_from([0.0, TOL, -TOL, 2 * TOL, 0.5, 1e3])
+    bases = data.draw(st.lists(st.tuples(st.integers(0, 3), st.lists(value, min_size=3, max_size=3)), min_size=1, max_size=4))
+    points = []
+    for _ in range(data.draw(st.integers(1, 12))):
+        lead, rest = data.draw(st.sampled_from(bases))
+        coords = [0.0] * lead + [1.0] + rest[: 3 - lead]
+        for k in range(lead + 1, 4):
+            coords[k] += data.draw(st.sampled_from(MOVES))
+        points.append(ProjPoint(REAL, coords))
+    stored = PointSet(REAL)
+    assert [stored.setdefault(p, i) for i, p in enumerate(points)] == _scan_labels(points)
+
+
+def test_real_point_set_compares_an_ngon_point_with_few_others(monkeypatch):
+    # bucketed on column lead + 1 alone, the 1,015 points of ngon N=13 n=3 made 15,384 comparisons
+    points = [kp.point for kp in assemble(regular_ngon_seed(13), 3).points]
+    calls, eq = [0], ProjPoint.__eq__
+
+    def counted(self, other):
+        calls[0] += 1
+        return eq(self, other)
+
+    monkeypatch.setattr(ProjPoint, "__eq__", counted)
+    assert len(PointSet(REAL, points)) == len(points)
+    assert calls[0] < 4 * len(points)
+
+
 def test_point_set_on_returns_labels(families):
     K = families[(5, 2)]
     stored = PointSet(K.field)

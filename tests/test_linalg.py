@@ -1,16 +1,67 @@
-"""Row reduction and nullspace against brute-force checks."""
+"""Row reduction and nullspace against brute-force checks.
+
+rref inserts exact rows one at a time on raw values and stops at full
+column rank; _textbook_rref, the column sweep through the field methods
+it replaced, is the oracle it must match entry for entry (and, over the
+reals, bit for bit).
+"""
 
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kakeya.linalg import nullspace, rank, rref
+from kakeya.linalg import nullspace, rref
 from kakeya.scalar import PrimeField, RationalField, RealField
 
 F5 = PrimeField(5)
 QQ = RationalField()
+
+
+def _rank(rows, fld):
+    return len(rref(rows, fld)[0])
+
+
+def _textbook_rref(rows, field):
+    """Sweep the columns in turn, every entry operation through the field's methods."""
+    mat = [list(r) for r in rows]
+    nrows = len(mat)
+    ncols = len(mat[0]) if mat else 0
+    sub, mul, is_zero = field.sub, field.mul, field.is_zero
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r >= nrows:
+            break
+        best = None
+        if field.exact:
+            for i in range(r, nrows):
+                if not is_zero(mat[i][c]):
+                    best = i
+                    break
+        else:
+            mag = field.tol
+            for i in range(r, nrows):
+                v = abs(mat[i][c])
+                if v > mag:
+                    mag = v
+                    best = i
+        if best is None:
+            continue
+        mat[r], mat[best] = mat[best], mat[r]
+        inv = field.inv(mat[r][c])
+        pivot = mat[r] = [mul(x, inv) for x in mat[r]]
+        pivot[c] = field.one
+        for i in range(nrows):
+            f = mat[i][c]
+            if i != r and not is_zero(f):
+                mat[i] = [sub(a, mul(f, b)) for a, b in zip(mat[i], pivot)]
+                mat[i][c] = field.zero
+        pivots.append(c)
+        r += 1
+    return mat[:r], pivots
 
 
 def _mat(fld, raw):
@@ -46,9 +97,87 @@ def test_rref_drops_dependent_rows():
 
 
 def test_rank_examples():
-    assert rank(_mat(QQ, [[1, 2], [2, 4]]), QQ) == 1
-    assert rank(_mat(QQ, [[1, 0], [0, 1]]), QQ) == 2
-    assert rank([], QQ) == 0
+    assert _rank(_mat(QQ, [[1, 2], [2, 4]]), QQ) == 1
+    assert _rank(_mat(QQ, [[1, 0], [0, 1]]), QQ) == 2
+    assert _rank([], QQ) == 0
+
+
+@st.composite
+def _exact_matrices(draw):
+    """A field and a matrix over it: tall, wide or empty, with zero, repeated and dependent rows mixed in."""
+    fld = draw(st.sampled_from([PrimeField(2), PrimeField(7), QQ]))
+    ncols = draw(st.integers(0, 7))
+    entry = st.integers(-9, 9) if fld.kind == "rational" else st.integers(0, fld.p - 1)
+    raw = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=9))
+    rows = _mat(fld, raw)
+    if rows:
+        extra = draw(st.lists(st.sampled_from(["zero", "repeat", "combine"]), max_size=4))
+        for kind in extra:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            f = fld(draw(st.integers(1, 6)))
+            if kind == "zero":
+                rows.append([fld.zero] * ncols)
+            elif kind == "repeat":
+                rows.append(list(a))
+            else:
+                rows.append([fld.add(x, fld.mul(f, y)) for x, y in zip(a, b)])
+        rows = draw(st.permutations(rows))
+    return fld, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_exact_matrices())
+def test_rref_matches_the_textbook_sweep_over_exact_fields(case):
+    fld, rows = case
+    before = [list(r) for r in rows]
+    assert rref(rows, fld) == _textbook_rref(rows, fld)
+    assert rows == before
+
+
+def _bits(mat):
+    return [[x.hex() for x in row] for row in mat]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_real_rref_is_bitwise_the_textbook_sweep(seed):
+    rng = random.Random(seed)
+    fld = RealField(rng.choice([1e-9, 1e-6]))
+    nrows, ncols = rng.randrange(1, 7), rng.randrange(1, 7)
+    near_tol = [s * f * fld.tol for f in (0.5, 0.9, 1.1, 1.9) for s in (1, -1)]
+    rows = [
+        [rng.choice([0.0, -0.0, rng.choice(near_tol), rng.uniform(-5, 5), rng.uniform(-5, 5)]) for _ in range(ncols)]
+        for _ in range(nrows)
+    ]
+    if rng.random() < 0.5:  # a row that is a multiple of another up to rounding
+        f = rng.uniform(-3, 3)
+        rows.append([f * x for x in rng.choice(rows)])
+    red, pivots = rref(rows, fld)
+    want, want_pivots = _textbook_rref(rows, fld)
+    assert pivots == want_pivots
+    assert _bits(red) == _bits(want)
+
+
+def test_real_rref_pivots_within_a_factor_of_two_of_tol_stay_bitwise():
+    fld = RealField(1e-6)
+    rows = [[1.5e-6, 1.0, 0.3], [0.6e-6, 0.2, 1.0], [1.9e-6, 1.2, 1.3 + 1.5e-6]]
+    red, pivots = rref(rows, fld)
+    want, want_pivots = _textbook_rref(rows, fld)
+    assert pivots == want_pivots and pivots[0] == 0
+    assert _bits(red) == _bits(want)
+
+
+@pytest.mark.parametrize("fld", [F5, QQ], ids=["prime", "rational"])
+def test_rref_reads_no_row_after_full_column_rank(fld):
+    matrix = [[fld(int(i == k) + i // 3) for k in range(3)] for i in range(10)]
+    read = []
+
+    def rows():
+        for i, row in enumerate(matrix):
+            read.append(i)
+            yield row
+
+    assert rref(rows(), fld) == _textbook_rref(matrix, fld)
+    assert read == [0, 1, 2]
 
 
 def test_nullspace_vectors_annihilate_matrix():
@@ -61,7 +190,7 @@ def test_nullspace_vectors_annihilate_matrix():
         basis = nullspace([list(r) for r in rows], F5, ncols)
         for vec in basis:
             assert _is_zero_vector(_apply(rows, vec, F5), F5)
-        assert rank([list(r) for r in rows], F5) + len(basis) == ncols
+        assert _rank([list(r) for r in rows], F5) + len(basis) == ncols
 
 
 @settings(max_examples=60)
@@ -75,7 +204,7 @@ def test_nullspace_vectors_annihilate_matrix():
 def test_rank_plus_nullity_over_rationals(raw):
     rows = _mat(QQ, raw)
     basis = nullspace([list(r) for r in rows], QQ, 3)
-    assert rank([list(r) for r in rows], QQ) + len(basis) == 3
+    assert _rank([list(r) for r in rows], QQ) + len(basis) == 3
     for vec in basis:
         assert _is_zero_vector(_apply(rows, vec, QQ), QQ)
 
@@ -109,4 +238,4 @@ def test_real_rref_picks_largest_pivot():
 def test_real_near_dependent_rows_collapse():
     fld = RealField(1e-6)
     rows = _mat(fld, [[1.0, 2.0], [1.0, 2.0 + 1e-9]])
-    assert rank(rows, fld) == 1
+    assert _rank(rows, fld) == 1
