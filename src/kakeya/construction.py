@@ -13,13 +13,15 @@ one step and three bases: lifted lines ell_J start from the embedded
 seed lines, their infinite points p_J from the embedded infinite points,
 and lifted intersection points z_{J, Jbar, m} from the point where seed
 lines J and Jbar meet on m.  The step spans the two previous objects
-with the next frame points x_{|J|+1} and y_{|J|+1} and intersects the
-two resulting flats.  The infinite points admit a closed
-form: after the unitriangular change of basis implemented by
-grid_values_from_direction they become (1, d_1, ..., d_{|J|}) where d_i
-is the slope of seed line J[i-1], so the lifted directions fill the
-off-diagonal part of a grid and assemble() completes the diagonal with
-one extra line per missing cell.
+with the next frame points x_{j+1} = e_j and y_{j+1} = e_{j-1} + e_j
+(j = |J|) and intersects the two resulting flats; over F_p and Q the
+meet is read off their rows (_lifted_rows).  The infinite points admit a
+closed form, which direction() returns over F_p and Q: after the
+unitriangular change of basis implemented by grid_values_from_direction
+they become (1, d_1, ..., d_{|J|}) where d_i is the slope of seed line
+J[i-1], so the lifted directions fill the off-diagonal part of a grid
+and assemble() completes the diagonal with one extra line per missing
+cell.  The reals keep the meets, whose bits their files hold.
 """
 
 from __future__ import annotations
@@ -57,21 +59,11 @@ def build_frame(n: int, fld: Field) -> ConstructionFrame:
         raise UnsupportedDimension(f"need n >= 2, got {n}")
     one, zero = fld.one, fld.zero
 
-    def unit(i: int) -> ProjPoint:
-        v = [zero] * (n + 1)
-        v[i] = one
-        return ProjPoint(fld, v)
+    def unit(*cols: int) -> ProjPoint:
+        return ProjPoint(fld, [one if i in cols else zero for i in range(n + 1)])
 
-    x = {0: ProjPoint(fld, [one] * (n + 1))}
-    for j in range(1, n + 1):
-        x[j] = unit(j - 1)
-
-    y = {}
-    for i in range(3, n + 1):
-        v = [zero] * (n + 1)
-        v[i - 2] = one
-        v[i - 1] = one
-        y[i] = ProjPoint(fld, v)
+    x = {0: ProjPoint(fld, [one] * (n + 1))} | {j: unit(j - 1) for j in range(1, n + 1)}
+    y = {i: unit(i - 2, i - 1) for i in range(3, n + 1)}
     return ConstructionFrame(n=n, field=fld, x=x, y=y)
 
 
@@ -171,6 +163,30 @@ def _validate_tuple(J, N: int, n: int):
             raise ValueError(f"index {a} outside the seed line range")
 
 
+def _lifted_rows(fld: Field, j: int, a, b) -> list | None:
+    """Rows spanning meet(span(e_j, a), span(e_{j-1} + e_j, b)) over F_p or Q; None when not read off.
+
+    A row u of a and the w in b agreeing with it off the columns j-1, j differ by t = u - w there,
+    and the meet holds u + (t[j-1] - t[j]) e_j.  w solves b's rows as a triangular system, each at
+    its first nonzero column off {j-1, j}; None when they are not triangular or u has no w.
+    """
+    rows_b = b.basis if isinstance(b, Subspace) else (b.coords,)
+    off = [k for k in range(len(rows_b[0])) if k not in (j - 1, j)]
+    cols = [next((k for k in off if s[k]), None) for s in rows_b]
+    if None in cols or any(s[k] for i, k in enumerate(cols) for s in rows_b[i + 1 :]):
+        return None
+    sub, mul, out = fld.sub, fld.mul, []
+    for u in a.basis if isinstance(a, Subspace) else (a.coords,):
+        t = u
+        for s, k in zip(rows_b, cols):
+            f = fld.div(t[k], s[k])
+            t = [sub(x, mul(f, y)) for x, y in zip(t, s)]
+        if any(t[k] for k in off):
+            return None
+        out.append(u[:j] + (fld.add(u[j], sub(t[j - 1], t[j])),) + u[j + 1 :])
+    return out
+
+
 class Lifting:
     """Memoized lifting recursion over one seed: keys (J,) for lines and directions, (J, Jbar) for points.
 
@@ -194,17 +210,12 @@ class Lifting:
         return self._lift(self._lines, (J,), lambda J: self.emb.lines[J[0]])
 
     def direction(self, J) -> ProjPoint:
-        """The infinite point p_J of the lifted line ell_J."""
+        """The infinite point p_J of the lifted line ell_J: the closed form of the seed slopes over F_p and Q, the recursion over the reals."""
         J = tuple(J)
         _validate_tuple(J, self.seed.N, self.frame.n)
+        if self.frame.field.exact:
+            return direction_from_grid_values(self.frame.field, self.frame.n, [self.emb.d_values[a] for a in J])
         return self._lift(self._dirs, (J,), lambda J: self.emb.infinite_points[J[0]])
-
-    def grid_direction(self, J) -> ProjPoint:
-        """Closed form for direction(J) in terms of the seed slopes."""
-        J = tuple(J)
-        _validate_tuple(J, self.seed.N, self.frame.n)
-        values = [self.emb.d_values[a] for a in J]
-        return direction_from_grid_values(self.frame.field, self.frame.n, values)
 
     def intersection(self, J, Jbar, m_index: int) -> ProjPoint:
         """The lifted point z_{J, Jbar, m}.
@@ -255,10 +266,17 @@ class Lifting:
     def _step(self, J: tuple, a, b):
         """meet(span(x_{j+1}, a), span(y_{j+1}, b)) for j = len(J), a flat of the dimension of a.
 
+        Over F_p and Q the rows come from _lifted_rows; the reals, and inputs it leaves open, meet.
         A point comes back normalized: a raw meet row can carry entries below tolerance before its pivot.
         """
-        j = len(J)
-        out = meet(span(self.frame.x[j + 1], a), span(self.frame.y[j + 1], b))
+        j, fld = len(J), self.frame.field
+        rows = _lifted_rows(fld, j, a, b) if fld.exact else None
+        if rows is None:
+            out = meet(span(self.frame.x[j + 1], a), span(self.frame.y[j + 1], b))
+        elif isinstance(a, ProjPoint) and any(rows[0]):
+            return ProjPoint(fld, rows[0])
+        else:
+            out = Subspace.from_vectors(fld, self.frame.n, rows)
         want = 1 if isinstance(a, Subspace) else 0
         if out.proj_dim != want:
             raise DegenerateSeed(f"lifting {J} produced a flat of projective dimension {out.proj_dim}")

@@ -56,10 +56,6 @@ class ProjPoint:
         self._peer(other)
         return all(map(self.field.eq, self.coords, other.coords))
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
     def __hash__(self):
         if not self.field.exact:
             raise TypeError("real-kind points compare up to tolerance and are unhashable")
@@ -144,17 +140,11 @@ class Subspace:
     def proj_dim(self) -> int:
         return len(self.basis) - 1
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.basis
-
     def contains(self, p: ProjPoint) -> bool:
         if p.field != self.field:
             raise FieldMismatch("point from a different field")
         if p.ambient_dim != self.ambient_dim:
             raise AmbientMismatch("point from a different ambient space")
-        if self.is_empty:
-            return False
         residual = reduce_vector(p.coords, self.basis, self.pivots, self.field)
         return all(map(self.field.is_zero, residual))
 
@@ -169,10 +159,6 @@ class Subspace:
             return False
         eq = self.field.eq
         return all(all(map(eq, ra, rb)) for ra, rb in zip(self.basis, other.basis))
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
 
     def __hash__(self):
         if not self.field.exact:
@@ -366,8 +352,14 @@ def at_infinity(field: Field, ambient_dim: int) -> Subspace:
 def infinite_point(flat: Subspace) -> ProjPoint | None:
     """Where the flat meets the hyperplane at infinity; None when that is not one point.
 
-    Builders ask this; the audits (seed_report, verify_directions) meet with at_infinity
-    themselves, so a fault here, or a closed form in its place, cannot hide from them.
+    Over F_p and Q a line with reduced basis (r0, r1) meets it in r1[n] r0 - r0[n] r1, or lies
+    in it when both last entries are zero; the reals (whose files keep meet's bits) and other
+    flats meet at_infinity.  Builders ask this; the audits (seed_report, verify_directions) work
+    the point out themselves, so a fault here cannot hide from them.
     """
-    cut = meet(flat, at_infinity(flat.field, flat.ambient_dim))
+    fld = flat.field
+    if fld.exact and flat.proj_dim == 1:
+        (r0, r1), mul = flat.basis, fld.mul
+        return ProjPoint(fld, [fld.sub(mul(r1[-1], x), mul(r0[-1], y)) for x, y in zip(r0, r1)]) if r0[-1] or r1[-1] else None
+    cut = meet(flat, at_infinity(fld, flat.ambient_dim))
     return ProjPoint(cut.field, cut.basis[0]) if cut.proj_dim == 0 else None

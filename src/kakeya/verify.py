@@ -2,14 +2,13 @@
 
 Every check here recomputes incidence and membership from raw
 coordinates: stored directions are compared against the actual
-intersection of each line with the hyperplane at infinity, grid
-membership is recomputed through the published change of basis, and
-point counts come from the file's own point coordinates.  Which distinct
-points lie on which line is worked out once, by `projgeom.incidence`,
-from an index built here over the stored points: over an exact field
-each line's candidate points are looked up in it, over the reals every
-point is tested for containment.  The incidence, size and bound checks
-take that (first, on) table as inc.
+intersection of each line with the hyperplane at infinity (over F_p and
+Q read off the line's own basis, not the builders' `infinite_point`),
+grid membership is recomputed through the published change of basis,
+and point counts come from the file's own point coordinates.  Which
+distinct points lie on which line is worked out once, by
+`projgeom.incidence`, from an index built here over the stored points.
+The incidence, size and bound checks take that (first, on) table as inc.
 Provenance labels are consulted only to classify points for the
 reported construction claims (how many points a line acquired before
 padding); they never shortcut a geometric test.
@@ -135,10 +134,14 @@ def verify_directions(K: KakeyaSet, verbose: bool = False) -> VerifyReport:
         if kl.line.proj_dim != 1:
             witnesses.append(f"line {idx} is a flat of dimension {kl.line.proj_dim}, not a line")
             continue
-        cut = meet(kl.line, at_infinity(fld, n))
-        if cut.proj_dim != 0:
-            witnesses.append(f"line {idx} meets infinity in dimension {cut.proj_dim}")
-        elif ProjPoint(fld, cut.basis[0]) != kl.direction:
+        (r0, r1), mul = kl.line.basis, fld.mul
+        if not fld.exact:
+            cut = meet(kl.line, at_infinity(fld, n)).basis
+        else:  # read off the file's basis: r1[n] r0 - r0[n] r1, or the line itself when both are zero
+            cut = [[fld.sub(mul(r1[n], x), mul(r0[n], y)) for x, y in zip(r0, r1)]] if r0[n] or r1[n] else [r0, r1]
+        if len(cut) != 1:
+            witnesses.append(f"line {idx} meets infinity in dimension {len(cut) - 1}")
+        elif ProjPoint(fld, cut[0]) != kl.direction:
             witnesses.append(f"line {idx} stores a direction it does not have")
 
     seen = PointSet(fld)

@@ -31,7 +31,7 @@ from kakeya.polymethod import (
     top_part,
     vanishing_space,
 )
-from kakeya.projgeom import ProjPoint, affine_coords, incidence, meet
+from kakeya.projgeom import ProjPoint, affine_coords, incidence, meet, span
 from kakeya.scalar import PrimeField, RationalField, binomial
 from kakeya.seeds import dual_conic_seed, regular_ngon_seed, seed_report
 from kakeya.verify import (
@@ -108,13 +108,18 @@ def test_criterion_1_conic_pipeline(tmp_path, announce):
 
 
 def test_criterion_2_closed_form_oracle(announce):
+    # the closed-form directions against the meet recursion of the lifting step
     start = time.monotonic()
     seed = dual_conic_seed(11)
-    lift = Lifting(build_frame(4, seed.field), seed)
+    frame = build_frame(4, seed.field)
+    lift = Lifting(frame, seed)
+    by_meet = {(a,): p for a, p in enumerate(lift.emb.infinite_points)}
     total = 0
     for length in (2, 3):
         for J in permutations(range(11), length):
-            assert lift.direction(J) == lift.grid_direction(J)
+            cut = meet(span(frame.x[length + 1], by_meet[J[:-1]]), span(frame.y[length + 1], by_meet[J[:-2] + J[-1:]]))
+            by_meet[J] = ProjPoint(cut.field, cut.basis[0])
+            assert lift.direction(J) == by_meet[J]
             total += 1
     elapsed = time.monotonic() - start
     ok = total == 1100 and elapsed < 30

@@ -2,9 +2,12 @@
 
 import json
 import random
+from functools import cache
 from itertools import permutations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from kakeya.construction import (
     Lifting,
@@ -22,9 +25,9 @@ from kakeya.errors import (
     UndefinedBasePoint,
     UnsupportedDimension,
 )
-from kakeya.projgeom import ProjPoint, Subspace, meet
+from kakeya.projgeom import ProjPoint, Subspace, meet, span
 from kakeya.scalar import PrimeField, RationalField
-from kakeya.seeds import dual_conic_seed, regular_ngon_seed
+from kakeya.seeds import dual_conic_seed, regular_ngon_seed, seed_from_json, seed_to_json
 from kakeya.verify import verify_all
 
 QQ = RationalField()
@@ -98,11 +101,24 @@ def test_grid_value_maps_are_inverse():
             assert grid_values_from_direction(p) == values
 
 
+def _direction_oracle(lift, J):
+    """p_J by the meet recursion of the lifting step from the embedded infinite points (what the reals still run)."""
+    return _chain_oracle(lift.frame, [lift.emb.infinite_points[a] for a in J])
+
+
 def test_direction_recursion_matches_closed_form_f5():
     seed = dual_conic_seed(5)
     lift = Lifting(build_frame(3, seed.field), seed)
     for J in permutations(range(5), 2):
-        assert lift.direction(J) == lift.grid_direction(J)
+        assert lift.direction(J) == _direction_oracle(lift, J)
+
+
+def test_direction_recursion_matches_closed_form_f7_n4():
+    seed = dual_conic_seed(7)
+    lift = Lifting(build_frame(4, seed.field), seed)
+    for length in (2, 3):
+        for J in permutations(range(7), length):
+            assert lift.direction(J) == _direction_oracle(lift, J)
 
 
 def test_lifted_line_carries_its_direction():
@@ -290,30 +306,83 @@ def test_assemble_real_seed_n3():
     assert sum(1 for kp in K.points if kp.provenance["kind"] == "lifted") == 72
 
 
-def test_lifting_over_rationals():
-    # embed the q=7 seed coordinates into the rationals and lift there
-    seed = dual_conic_seed(7)
-    from kakeya.seeds import seed_from_json, seed_to_json
-
-    doc = seed_to_json(seed)
+def _rational_seed(q):
+    """The conic seed over F_q with its coordinates read as rationals."""
+    doc = seed_to_json(dual_conic_seed(q))
     doc["field"] = {"kind": "rational"}
+    return seed_from_json(doc)
 
-    def lift_strs(obj):
-        if isinstance(obj, list):
-            return [lift_strs(x) for x in obj]
-        if isinstance(obj, dict):
-            return {k: lift_strs(v) for k, v in obj.items()}
-        if isinstance(obj, str) and "/" not in obj:
-            return obj + "/1"
-        return obj
 
-    doc["lines"] = lift_strs(doc["lines"])
-    doc["m_lines"] = lift_strs(doc["m_lines"])
-    doc["points"] = [
-        {"coords": lift_strs(p["coords"]), "extra": p["extra"]} for p in doc["points"]
-    ]
-    doc["epsilon"] = doc["epsilon"]
-    rational_seed = seed_from_json(doc)
-    lift = Lifting(build_frame(3, QQ), rational_seed)
-    for J in [(0, 1), (2, 5)]:
-        assert lift.direction(J) == lift.grid_direction(J)
+def test_lifting_over_rationals():
+    # conic seeds read over Q, lifted to n = 3 and 4; directions against the meet recursion
+    for q, n in [(5, 3), (7, 4)]:
+        lift = Lifting(build_frame(n, QQ), _rational_seed(q))
+        for length in range(2, n):
+            for J in permutations(range(q), length):
+                assert lift.direction(J) == _direction_oracle(lift, J)
+
+
+@cache
+def _step_lifting(q: int, n: int, rational: bool) -> Lifting:
+    seed = _rational_seed(q) if rational else dual_conic_seed(q)
+    return Lifting(build_frame(n, seed.field), seed)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_exact_step_is_the_meet_of_its_spans(data):
+    """_step returns meet(span(x_{j+1}, a), span(y_{j+1}, b)), or raises DegenerateSeed when that has the wrong dimension."""
+    lift = _step_lifting(data.draw(st.sampled_from([5, 7])), data.draw(st.integers(3, 5)), data.draw(st.booleans()))
+    fld, n, frame = lift.frame.field, lift.frame.n, lift.frame
+    j = data.draw(st.integers(2, n - 1))
+    is_line = data.draw(st.booleans())
+    value = st.sampled_from([0, 0, 0, 1, 2, -1]).map(fld)
+
+    def rows(k):
+        return [[data.draw(value) for _ in range(n + 1)] for _ in range(k)]
+
+    a_rows = rows(2 if is_line else 1)
+    if data.draw(st.booleans()):  # a = x_{j+1}, or a line through it
+        a_rows[0] = list(frame.x[j + 1].coords)
+    mode = data.draw(st.sampled_from(["skew", "equal", "partner"]))
+    if mode == "skew":
+        b_rows = rows(len(a_rows))
+    else:
+        # b agrees with a off the columns j-1 and j; "partner" redraws those two
+        b_rows = [list(r) for r in a_rows]
+        for r in b_rows if mode != "equal" else ():
+            r[j - 1], r[j] = data.draw(value), data.draw(value)
+
+    def flat(rs):
+        if is_line:
+            S = Subspace.from_vectors(fld, n, rs)
+            assume(S.proj_dim == 1)
+            return S
+        assume(any(rs[0]))
+        return ProjPoint(fld, rs[0])
+
+    a, b = flat(a_rows), flat(b_rows)
+    out = meet(span(frame.x[j + 1], a), span(frame.y[j + 1], b))
+    J = tuple(range(j))
+    if out.proj_dim != (1 if is_line else 0):
+        with pytest.raises(DegenerateSeed):
+            lift._step(J, a, b)
+    else:
+        assert lift._step(J, a, b) == (out if is_line else ProjPoint(fld, out.basis[0]))
+
+
+def test_exact_assemble_meets_only_the_double_points_and_verify_never(monkeypatch):
+    seed = dual_conic_seed(7)
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return meet(a, b)
+
+    for module in ("kakeya.projgeom", "kakeya.construction", "kakeya.verify", "kakeya.seeds"):
+        monkeypatch.setattr(f"{module}.meet", counted)
+    K = assemble(seed, 4)
+    assert len(calls) <= 21  # C(7, 2) pairs of seed lines, one meet for each double point
+    calls.clear()
+    assert all(rep.verdict == "pass" for rep in verify_all(K, r=1))
+    assert calls == []

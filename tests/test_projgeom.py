@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from kakeya.errors import AmbientMismatch, FieldMismatch, ZeroVector
 from kakeya.projgeom import (
@@ -11,6 +13,8 @@ from kakeya.projgeom import (
     ProjPoint,
     Subspace,
     affine_coords,
+    at_infinity,
+    infinite_point,
     meet,
     point_from_affine,
     points_on,
@@ -67,6 +71,17 @@ def test_point_equality_guards_ambient_and_field():
         P(QQ, 1, 2, 3) == P(F7, 1, 2, 3)
 
 
+def test_not_equal_is_the_negated_eq():
+    p, q = P(F7, 1, 2, 3), P(QQ, 1, 2, 3)
+    s, t = Subspace.from_points([p, P(F7, 0, 1, 0)]), Subspace.from_points([q, P(QQ, 0, 1, 0)])
+    for a, b in ((p, q), (s, t)):
+        with pytest.raises(FieldMismatch):
+            a != b
+        assert a != "x"
+        assert not (a != a)
+    assert p != P(F7, 1, 2, 4) and s != Subspace.from_points([p, P(F7, 0, 0, 1)])
+
+
 def test_affine_round_trip():
     p = point_from_affine(QQ, [3, -2])
     assert affine_coords(p) == (QQ(3), QQ(-2))
@@ -105,8 +120,25 @@ def test_meet_of_plane_lines():
 def test_meet_of_skew_lines_is_empty():
     l1 = Subspace.from_points([P(QQ, 1, 0, 0, 0), P(QQ, 0, 1, 0, 0)])
     l2 = Subspace.from_points([P(QQ, 0, 0, 1, 0), P(QQ, 0, 0, 0, 1)])
-    assert meet(l1, l2).is_empty
     assert meet(l1, l2).proj_dim == -1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_infinite_point_is_the_meet_with_infinity(data):
+    fld = data.draw(st.sampled_from([PrimeField(2), PrimeField(3), F7, QQ]))
+    n = data.draw(st.integers(1, 4))
+    value = st.integers(-3, 3) | st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)) if fld is QQ else st.integers(0, 6)
+    rows = [[fld(data.draw(value)) for _ in range(n + 1)] for _ in range(2)]
+    shape = data.draw(st.sampled_from(["random", "inside infinity", "pivot at the last column"]))
+    if shape == "inside infinity":
+        rows[0][-1] = rows[1][-1] = fld.zero
+    elif shape == "pivot at the last column":
+        rows[1] = [fld.zero] * n + [fld.one]
+    line = Subspace.from_vectors(fld, n, rows)
+    assume(line.proj_dim == 1)
+    cut = meet(line, at_infinity(fld, n))
+    assert infinite_point(line) == (ProjPoint(fld, cut.basis[0]) if cut.proj_dim == 0 else None)
 
 
 def test_span_and_meet_dimension_formula():
