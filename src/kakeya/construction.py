@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 from itertools import combinations, permutations, product
 
 from .errors import (
@@ -392,17 +393,20 @@ def assemble(seed: PlanarSeed, n: int, audit: bool = False) -> KakeyaSet:
 
     # pad every line to N points by walking integer steps along it
     for idx, kline in enumerate(lines):
-        count = len(registry.on(kline.line))
+        on = registry.on(kline.line)
+        count = len(on)
         if count >= N:
             continue
         base, step = line_walk_start(kline.line)
+        stored = [registry.items[i] for i in on]
+        walk = _basis_walk(kline.line, base, step, stored) if fld.exact else partial(walk_point, fld, base, step)
         lam = 0
         limit = 4 * N + (fld.p if fld.kind == "prime" else 0)
         while count < N:
             if lam > limit:
                 raise DegenerateSeed(f"cannot pad line {idx} up to {N} points")
-            cand = walk_point(fld, base, step, lam)
-            if registry.add(cand):
+            cand = walk(lam)
+            if cand is not None and registry.add(cand):
                 if idx >= completion_start:
                     cell = completion_cells[idx - completion_start]
                     prov = {
@@ -417,6 +421,26 @@ def assemble(seed: PlanarSeed, n: int, audit: bool = False) -> KakeyaSet:
             lam += 1
 
     return KakeyaSet(fld, n, N, grid, lines, points, seed_meta)
+
+
+def _basis_walk(line: Subspace, base, step, stored):
+    """lam -> the walk point (base + lam * step, 1) of a line over F_p or Q; None when one of the stored points is it.
+
+    Its entries a, b at the pivots (c0, c1) make it a r0 + b r1 on the reduced basis: the canonical
+    r0 + (b / a) r1, or r1 when a is zero; b / a (None for r1) tells the points of the line apart.
+    """
+    fld, (r0, r1), (c0, c1) = line.field, line.basis, line.pivots
+    add, mul, at, dv = fld.add, fld.mul, [*base, fld.one], [*step, fld.zero]
+    taken = {p.coords[c1] if p.coords[c0] else None for p in stored}
+
+    def point(lam: int) -> ProjPoint | None:
+        a = add(at[c0], mul(lam, dv[c0]))
+        b = fld.div(add(at[c1], mul(lam, dv[c1])), a) if a else None
+        if b in taken:
+            return None
+        return ProjPoint._canonical(fld, r1 if b is None else tuple([add(x, mul(b, y)) for x, y in zip(r0, r1)]))
+
+    return point
 
 
 def kakeya_to_json(K: KakeyaSet) -> dict:
@@ -441,6 +465,7 @@ def kakeya_to_json(K: KakeyaSet) -> dict:
 
 
 def kakeya_from_json(doc) -> KakeyaSet:
+    """The line set a construction file holds; canonical bases and points are taken as stored, any others reduced."""
     fld = field_from_json(need(doc, dict, "line set")["field"])
     n, N = need(doc["n"], int, "n"), positive(doc["N"], "N")
     grid = [fld.values_from_json(axis, "grid axis") for axis in need(doc["grid"], list, "grid")]
@@ -465,12 +490,54 @@ def kakeya_from_json(doc) -> KakeyaSet:
     )
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _fmt(o, pad: str) -> str:
+    """o as json.dumps(o, indent=2, sort_keys=True) writes it at indentation pad.
+
+    Floats, bools, None, empty containers, dicts with other keys and other types go through json.dumps.
+    """
+    t = type(o)
+    if t is str:
+        return _encode_str(o)
+    if t is int:
+        return int.__repr__(o)
+    inner = pad + "  "
+    if t is list and o:
+        items = [_encode_str(v) if type(v) is str else _fmt(v, inner) for v in o]
+    elif t is dict and o and all(type(k) is str for k in o):
+        items = [_encode_str(k) + ": " + _fmt(o[k], inner) for k in sorted(o)]
+    else:
+        return json.dumps(o, indent=2, sort_keys=True).replace("\n", "\n" + pad)
+    return ("[\n" if t is list else "{\n") + inner + (",\n" + inner).join(items) + "\n" + pad + ("]" if t is list else "}")
+
+
+def _write(o, fh, pad: str):
+    """Write _fmt(o, pad) to fh: a dict with str keys key by key, a list one write per entry."""
+    inner, sep = pad + "  ", None
+    if type(o) is dict and o and all(type(k) is str for k in o):
+        for k in sorted(o):
+            fh.write((sep or "{\n") + inner + _encode_str(k) + ": ")
+            _write(o[k], fh, inner)
+            sep = ",\n"
+        fh.write("\n" + pad + "}")
+    elif type(o) is list and o:
+        for v in o:
+            fh.write((sep or "[\n") + inner + _fmt(v, inner))
+            sep = ",\n"
+        fh.write("\n" + pad + "]")
+    else:
+        fh.write(_fmt(o, pad))
+
+
 def dump(doc, fh):
     """Write doc in the one JSON layout of files and stdout: sorted keys, two-space indent, closing newline.
 
-    Streams to fh, so a large file is never held as one string.
+    The bytes are those of json.dump(doc, fh, indent=2, sort_keys=True) plus the newline.  Streams
+    to fh, one write per entry of a list, so a large file is never held as one string.
     """
-    json.dump(doc, fh, indent=2, sort_keys=True)
+    _write(doc, fh, "")
     fh.write("\n")
 
 

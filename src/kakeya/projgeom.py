@@ -68,8 +68,20 @@ class ProjPoint:
         return [self.field.to_str(c) for c in self.coords]
 
     @classmethod
+    def _canonical(cls, field: Field, coords: tuple) -> "ProjPoint":
+        """The point with these coordinates, which the caller knows to be normalized, taken as they are."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "field", field)
+        object.__setattr__(p, "coords", coords)
+        return p
+
+    @classmethod
     def from_json(cls, field: Field, doc) -> "ProjPoint":
-        return cls(field, field.values_from_json(doc, "point"))
+        """The point a JSON list of coordinate strings holds; over F_p and Q kept as read when its first nonzero coordinate is 1."""
+        coords = tuple(field.values_from_json(doc, "point"))
+        if field.exact and next((c for c in coords if c), None) == 1:
+            return cls._canonical(field, coords)
+        return cls(field, coords)
 
 
 def affine_coords(p: ProjPoint) -> tuple:
@@ -174,7 +186,19 @@ class Subspace:
 
     @classmethod
     def from_json(cls, field: Field, ambient_dim: int, doc) -> "Subspace":
+        """The flat a JSON list of rows of coordinate strings spans.
+
+        Over F_p and Q rows already reduced (each of the right length, led by a 1 after the previous
+        row's lead, zero at the later leads) are kept as read; all others go through from_vectors.
+        """
         rows = [field.values_from_json(row, "flat row") for row in need(doc, list, "flat")]
+        if field.exact:
+            pivots = [next((k for k, c in enumerate(r) if c), -1) for r in rows]
+            if all(
+                len(r) == ambient_dim + 1 and k > prev and r[k] == 1 and not any(r[c] for c in pivots[i + 1 :])
+                for i, (r, k, prev) in enumerate(zip(rows, pivots, [-1] + pivots))
+            ):
+                return cls(field, ambient_dim, rows, pivots)
         return cls.from_vectors(field, ambient_dim, rows)
 
 

@@ -101,7 +101,9 @@ class Field:
 
     def values_from_json(self, doc, what: str) -> list:
         """Values of a JSON list of strings; MalformedFile naming what otherwise."""
-        return [self.from_str(need(s, str, f"{what} entry")) for s in need(doc, list, what)]
+        if all(type(s) is str for s in need(doc, list, what)):
+            return list(map(self.from_str, doc))
+        return [self.from_str(need(s, str, f"{what} entry")) for s in doc]
 
     @property
     def zero(self):

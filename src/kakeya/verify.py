@@ -115,7 +115,7 @@ def verify_incidence(K: KakeyaSet, inc, verbose: bool = False) -> VerifyReport:
         "incidence_total": sum(counts),
     }
     if have_lifted:
-        measured["max_lifted_on_line"] = max(lifted_counts)
+        measured["max_lifted_on_line"] = max(lifted_counts, default=0)
     return _finish("incidence", witnesses, measured, verbose)
 
 

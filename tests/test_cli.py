@@ -66,6 +66,20 @@ def test_verify_with_r_fails_on_an_incomplete_grid(tmp_path, capsys):
     assert reports["bound_consistency"]["witnesses"] == ["grid covers 24 of 25 cells"]
 
 
+def test_verify_fails_on_a_file_without_lines(tmp_path, capsys):
+    # lifted points and no lines: failing verdicts, not a crash on the empty per-line counts
+    out = tmp_path / "k.json"
+    run(capsys, "construct", "--seed", "conic", "--q", "5", "--dim", "3", "--out", str(out))
+    doc = json.loads(out.read_text())
+    doc["lines"] = []
+    out.write_text(json.dumps(doc))
+    code, stdout, stderr = run(capsys, "verify", str(out))
+    assert code == 1 and not stderr
+    reports = {r["check"]: r for r in json.loads(stdout)}
+    assert reports["incidence"]["verdict"] == "pass" and reports["incidence"]["measured"]["lines"] == 0
+    assert reports["incidence"]["measured"]["max_lifted_on_line"] == 0
+
+
 def test_construct_rejects_undersized_seed(tmp_path, capsys):
     code, _, stderr = run(
         capsys,

@@ -1,5 +1,6 @@
 """Frame, embedding, lifting recursions and assembly."""
 
+import io
 import json
 import random
 from functools import cache
@@ -9,11 +10,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from kakeya import projgeom
 from kakeya.construction import (
     Lifting,
     assemble,
     build_frame,
     direction_from_grid_values,
+    dump,
     embed_seed,
     grid_values_from_direction,
     kakeya_from_json,
@@ -27,7 +30,7 @@ from kakeya.errors import (
 )
 from kakeya.projgeom import ProjPoint, Subspace, meet, span
 from kakeya.scalar import PrimeField, RationalField
-from kakeya.seeds import dual_conic_seed, regular_ngon_seed, seed_from_json, seed_to_json
+from kakeya.seeds import dual_conic_seed, line_walk_start, regular_ngon_seed, seed_from_json, seed_to_json, walk_point
 from kakeya.verify import verify_all
 
 QQ = RationalField()
@@ -386,3 +389,79 @@ def test_exact_assemble_meets_only_the_double_points_and_verify_never(monkeypatc
     calls.clear()
     assert all(rep.verdict == "pass" for rep in verify_all(K, r=1))
     assert calls == []
+
+
+@pytest.mark.parametrize("rational", [False, True], ids=["F_7", "Q"])
+def test_exact_padding_is_the_normalized_walk(rational):
+    # each padded point has the coordinates walk_point gives its line at its lam, value types included
+    seed = _rational_seed(7) if rational else dual_conic_seed(7)
+    K = assemble(seed, 3)
+    fld, padded = K.field, 0
+    origin = ProjPoint(fld, [fld.zero] * 3 + [fld.one])
+    for kp in K.points:
+        prov = kp.provenance
+        if prov["kind"] == "padding":
+            line = K.lines[prov["line"]].line
+        elif prov["kind"] == "grid_completion":
+            direction = direction_from_grid_values(fld, 3, [fld.from_str(s) for s in prov["cell"]])
+            line = Subspace.from_points([origin, direction])
+        else:
+            continue
+        want = walk_point(fld, *line_walk_start(line), prov["lam"]).coords
+        assert [(type(c), c) for c in kp.point.coords] == [(type(c), c) for c in want]
+        padded += 1
+    assert padded > 0
+
+
+def test_a_canonical_file_is_loaded_as_stored(monkeypatch):
+    # stored bases are reduced and stored points normalized, so loading reduces and normalizes nothing
+    K = assemble(dual_conic_seed(5), 3)
+    doc = kakeya_to_json(K)
+
+    def refuse(*args):
+        raise AssertionError("a canonical file was reduced or normalized again")
+
+    monkeypatch.setattr(projgeom, "rref", refuse)
+    monkeypatch.setattr(ProjPoint, "__init__", refuse)
+    back = kakeya_from_json(doc)
+    monkeypatch.undo()
+    assert [(kl.line, kl.direction) for kl in back.lines] == [(kl.line, kl.direction) for kl in K.lines]
+    assert [kp.point for kp in back.points] == [kp.point for kp in K.points]
+
+
+_text = st.text(st.sampled_from('az"\\/\n\t\x00\x1f\x7f\u00e9\u2028\ud800\U0001f600'), max_size=4) | st.text(max_size=4)
+_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(10**30), 10**30)
+    | st.floats()
+    | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 1e300])
+    | _text
+)
+_documents = st.recursive(
+    _leaves,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_text, inner, max_size=4) | st.dictionaries(st.integers(), inner, max_size=2),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_documents)
+def test_dump_writes_the_bytes_of_json_dumps(doc):
+    out = io.StringIO()
+    dump(doc, out)
+    assert out.getvalue() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_dump_writes_a_line_set_entry_by_entry():
+    doc = kakeya_to_json(assemble(dual_conic_seed(5), 3))
+    writes = []
+
+    class Recorder:
+        write = writes.append
+
+    dump(doc, Recorder)
+    assert "".join(writes) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert len(writes) > len(doc["lines"]) + len(doc["points"])
+    assert max(map(len, writes)) < 400

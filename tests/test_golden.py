@@ -6,9 +6,11 @@ the F_p rungs (q=5, 7, 11, 13 at n=3 and q=7 at n=4) byte-check the
 padding, which counts a line's points by looking them up, and the real
 rungs (ngon N=9, 11 at n=3) the bucketed point identity and the filtered
 real incidence.  PINNED adds values kept here only: ngon N=6 at n=4, the
-one real rung whose lifting goes two steps deep, ngon N=13 at n=3, the
-stdout of `verify --r 1`, and the stdout of certify on the two largest
-matrices (420x231 at conic q=7 n=2 r=3, 530x220 at q=5 n=3 r=2).
+one real rung whose lifting goes two steps deep, ngon N=13 at n=3, conic
+q=11 at n=4 (1,331 lines and 5,026 points, which byte-checks the JSON
+writer and the exact padding at size), the stdout of `verify --r 1`, and
+the stdout of certify on the two largest matrices (420x231 at conic q=7
+n=2 r=3, 530x220 at q=5 n=3 r=2).
 """
 
 import hashlib
@@ -27,6 +29,7 @@ CONSTRUCTS = {
     "construct conic q=7 n=3": ["--seed", "conic", "--q", "7", "--dim", "3"],
     "construct conic q=7 n=4": ["--seed", "conic", "--q", "7", "--dim", "4"],
     "construct conic q=11 n=3": ["--seed", "conic", "--q", "11", "--dim", "3"],
+    "construct conic q=11 n=4": ["--seed", "conic", "--q", "11", "--dim", "4"],
     "construct conic q=13 n=3": ["--seed", "conic", "--q", "13", "--dim", "3"],
     "construct ngon N=9 n=3": ["--seed", "ngon", "--N", "9", "--dim", "3"],
     "construct ngon N=11 n=3": ["--seed", "ngon", "--N", "11", "--dim", "3"],
@@ -42,6 +45,7 @@ PINNED = {
     "verify r=1 ngon N=13 n=3": "5ce8534a9633a72f2e26b5ffea8ccde60338318b802bbeded3985b331de34d72",
     "certify conic q=7 n=2 r=3": "f4eb8a08866f7f81630d967cd64922da0d80d5ae9682b1500178d85f741fee8d",
     "certify conic q=5 n=3 r=2": "930f60363eaa9f0560ed84a2feb058428a04cee2f17e954959fd99031305295d",
+    "construct conic q=11 n=4": "bdfaf8849ae15313e7243de5a7e05f48cec5765dba80dd32dc6af27ceb73f44e",
 }
 CERTIFIES = [(5, 2, 1), (5, 2, 2), (5, 3, 1), (7, 2, 1), (7, 2, 2), (7, 2, 3), (5, 3, 2)]
 BOUNDS = [(7, 3), (13, 3), (7, 4), (16, 4)]

@@ -222,3 +222,62 @@ def test_real_tolerance_containment():
     assert line.contains(wobble)
     off = ProjPoint(fld, [0.5, 0.6, 1.0])
     assert not line.contains(off)
+
+
+def _written(fld, value, k: int) -> str:
+    """value as a file may hold it: over F_p shifted by k * p, over Q with numerator and denominator times |k| + 1."""
+    if fld is QQ:
+        return f"{value.numerator * (abs(k) + 1)}/{value.denominator * (abs(k) + 1)}"
+    return str(value + k * fld.p)
+
+
+def _outcome(make, *args):
+    """What make(*args) returns, with the coordinate types of its rows, or the type of the error it raises."""
+    try:
+        out = make(*args)
+    except Exception as exc:
+        return type(exc)
+    rows = out.basis if isinstance(out, Subspace) else [out.coords]
+    return out, getattr(out, "pivots", None), [[(type(c), c) for c in r] for r in rows]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_loaders_agree_with_the_full_reduction(data):
+    # from_json keeps canonical rows and points as read; every other input must come out as from_vectors and ProjPoint make it
+    fld = data.draw(st.sampled_from([PrimeField(5), F7, QQ]))
+    n = data.draw(st.integers(2, 4))
+    value = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)) if fld is QQ else st.integers(0, fld.p - 1)
+    vectors = [[fld(data.draw(value)) for _ in range(n + 1)] for _ in range(data.draw(st.integers(0, 3)))]
+    rows = [list(r) for r in Subspace.from_vectors(fld, n, vectors).basis]
+    shape = data.draw(st.sampled_from(["canonical", "raw", "scaled", "swapped", "uncleared", "zero row", "repeated", "short", "long"]))
+    if shape == "raw":
+        rows = vectors
+    elif shape == "scaled" and rows:
+        i = data.draw(st.integers(0, len(rows) - 1))
+        rows[i] = [fld.mul(fld(data.draw(st.integers(2, 4))), c) for c in rows[i]]
+    elif shape == "swapped" and len(rows) > 1:
+        rows[0], rows[-1] = rows[-1], rows[0]
+    elif shape == "uncleared" and len(rows) > 1:
+        rows[0] = [fld.add(a, b) for a, b in zip(rows[0], rows[-1])]
+    elif shape == "zero row":
+        rows.insert(data.draw(st.integers(0, len(rows))), [fld.zero] * (n + 1))
+    elif shape == "repeated" and rows:
+        rows.append(rows[data.draw(st.integers(0, len(rows) - 1))])
+    elif shape in ("short", "long") and rows:
+        i = data.draw(st.integers(0, len(rows) - 1))
+        rows[i] = rows[i][:-1] if shape == "short" else rows[i] + [fld.one]
+    doc = [[_written(fld, c, data.draw(st.integers(-2, 2))) for c in r] for r in rows]
+    parsed = [[fld.from_str(s) for s in r] for r in doc]
+    assert _outcome(Subspace.from_json, fld, n, doc) == _outcome(Subspace.from_vectors, fld, n, parsed)
+
+    point = [fld(data.draw(value)) for _ in range(n + 1)]
+    if data.draw(st.booleans()) and any(point):
+        point = list(ProjPoint(fld, point).coords)
+    doc = [_written(fld, c, data.draw(st.integers(-2, 2))) for c in point]
+    assert _outcome(ProjPoint.from_json, fld, doc) == _outcome(ProjPoint, fld, [fld.from_str(s) for s in doc])
+
+
+def test_real_points_are_always_normalized():
+    # -0.0 is falsy but no canonical coordinate: a real point read from a file goes through the constructor
+    assert ProjPoint.from_json(RealField(1e-9), ["-0.0", "1.0", "0.5"]).to_json() == ["0.0", "1.0", "0.5"]
