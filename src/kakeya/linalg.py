@@ -1,20 +1,33 @@
 """Row reduction and nullspace over matrices of field values.
 
-Matrices are lists of rows, each row a sequence of canonical values of
-one field.  The entry arithmetic is inline: residues reduced mod p over
-F_p, the native operators on Fractions over the rationals and on floats
-over the reals (which is what the field methods compute).  Over the
-exact kinds every step is exact; over the real kind pivots are chosen by
-largest magnitude and anything at or below the field tolerance counts as
-zero.
+Matrices are lists of rows, each row a sequence of values of one field.
+The entry arithmetic is inline: residues reduced mod p over F_p, the
+native operators on Fractions over the rationals and on floats over the
+reals (which is what the field methods compute).  Over the exact kinds
+every step is exact; over the real kind pivots are chosen by largest
+magnitude and anything at or below the field tolerance counts as zero.
+
+Over F_p a row is packed into one int once a reduction needs it, entry
+k in lane k (bits k*W up to (k+1)*W), so one big-int multiply-add
+updates every entry.  W is a whole number of bytes (8 to 64 bits
+through `struct`, wider through bytes) with p + ncols*(p-1)^2 < 2^W: a
+row starts below p and takes at most ncols additions of (p-x)*b, x and
+b's lanes below p, so no lane carries and lanes are reduced mod p once,
+on unpacking.  Packing is lazy, for the many tiny matrices of the
+lifting: the first row, a row nothing reduces and a basis row that
+reduces nothing stay plain lists.
 """
 
 from __future__ import annotations
 
 from bisect import bisect
+from functools import cache
 from itertools import islice
+from struct import Struct
 
 from .scalar import Field
+
+_STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}  # little-endian struct items by byte size; wider lanes use bytes
 
 
 def _axpy(v: list, f, b, p: int = 0, start: int = 0) -> None:
@@ -23,43 +36,104 @@ def _axpy(v: list, f, b, p: int = 0, start: int = 0) -> None:
     v[start:] = [(x - f * y) % p for x, y in pairs] if p else [x - f * y for x, y in pairs]
 
 
+@cache
+def _lanes(p: int, ncols: int) -> tuple[Struct | None, int, int, int]:
+    """Struct of a row (None past 64-bit lanes), lane bytes, bits and mask, with p + ncols*(p-1)^2 < 2^bits."""
+    size = -(-(p + ncols * (p - 1) ** 2).bit_length() // 8)
+    size = next((s for s in _STRUCT_CODES if s >= size), size)
+    fmt = Struct(f"<{ncols}{_STRUCT_CODES[size]}") if size in _STRUCT_CODES else None
+    return fmt, size, 8 * size, (1 << 8 * size) - 1
+
+
+def _pack(vals: list, fmt: Struct | None, size: int) -> int:
+    return int.from_bytes(fmt.pack(*vals) if fmt else b"".join(x.to_bytes(size, "little") for x in vals), "little")
+
+
+def _unpack(w: int, fmt: Struct | None, size: int, ncols: int) -> tuple[int, ...] | list[int]:
+    buf = w.to_bytes(size * ncols, "little")
+    return fmt.unpack(buf) if fmt else [int.from_bytes(buf[k : k + size], "little") for k in range(0, len(buf), size)]
+
+
 def rref(rows, field: Field) -> tuple[list[list], list[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot columns).
 
     Over an exact field the rows are inserted one at a time into the
-    reduced basis of the rows read so far: each is reduced against the
-    basis, a pivot it keeps is normalised and cleared from the basis
-    rows, and reading stops once the rank equals the column count.  The
-    reduced form of an exact matrix is unique, so the result does not
-    depend on the order of the rows.  Over the reals the columns are
-    swept in turn with partial pivoting.
+    basis of the rows read so far, and reading stops once the rank
+    equals the column count.  The reduced form of an exact matrix is
+    unique, so the result does not depend on the order of the rows.
+    Over F_p the entries may be any ints: the basis is kept in echelon
+    form (pivot 1, entries below p) on lazily packed rows, an incoming
+    row is reduced in pivot order, and the basis is back-substituted at
+    the end.  Over the rationals a row is reduced against the reduced
+    basis, and a pivot it keeps is cleared from the basis rows.  Over
+    the reals the columns are swept in turn with partial pivoting.
     """
     if not field.exact:
         return _pivoting_rref(rows, field)
-    p = field.p if field.kind == "prime" else 0
+    if field.kind == "prime":
+        return _fp_rref(rows, field.p)
     red: list[list] = []
     pivots: list[int] = []
     for row in rows:
         # a basis row is zero left of its pivot and at every other pivot, so
-        # its factor v[c] is the entry v came with; one reduction mod p at the end
+        # its factor v[c] is the entry v came with
         v = list(row)
         for b, c in zip(red, pivots):
             if v[c]:
                 _axpy(v, v[c], b, start=c)
-        if p:
-            v = [x % p for x in v]
         lead = next((c for c, x in enumerate(v) if x), None)
         if lead is not None:
             inv = field.inv(v[lead])
-            v[lead:] = [x * inv % p for x in v[lead:]] if p else [x * inv for x in v[lead:]]
+            v[lead:] = [x * inv for x in v[lead:]]
             for b in red:
                 if b[lead]:
-                    _axpy(b, b[lead], v, p, lead)
+                    _axpy(b, b[lead], v, start=lead)
             k = bisect(pivots, lead)
             red.insert(k, v)
             pivots.insert(k, lead)
         if len(red) == len(v):
             break
+    return red, pivots
+
+
+def _fp_rref(rows, p: int) -> tuple[list[list[int]], list[int]]:
+    red: list[list[int]] = []  # the echelon basis, sorted by pivot
+    packed: list = []  # each basis row packed, None until a reduction needs it
+    pivots: list[int] = []
+    ncols = -1
+    for row in rows:
+        v = [x % p for x in row]
+        if ncols < 0:
+            ncols = len(v)
+            fmt, size, bits, mask = _lanes(p, ncols)
+        w = 0  # v packed, once a reduction has touched it (a packed row is never 0)
+        for k, c in enumerate(pivots):
+            x = ((w >> c * bits) & mask) % p if w else v[c]
+            if x:
+                b = packed[k] = packed[k] or _pack(red[k], fmt, size)
+                w = (w or _pack(v, fmt, size)) + (p - x) * b
+        if w:
+            v = [x % p for x in _unpack(w, fmt, size, ncols)]
+        lead = next((c for c, x in enumerate(v) if x), None)
+        if lead is not None:
+            if v[lead] != 1:
+                inv = pow(v[lead], -1, p)
+                v = [x * inv % p for x in v]
+            k = bisect(pivots, lead)
+            red.insert(k, v)
+            packed.insert(k, None)
+            pivots.insert(k, lead)
+        if len(red) == ncols:
+            break
+    # bottom-up: a finished row is zero at every other pivot, so row i's factors are its own entries
+    for i in range(len(red) - 2, -1, -1):
+        factors = [(j, red[i][c]) for j, c in enumerate(pivots[i + 1 :], i + 1) if red[i][c]]
+        if factors:
+            w = packed[i] or _pack(red[i], fmt, size)
+            for j, x in factors:
+                packed[j] = packed[j] or _pack(red[j], fmt, size)
+                w += (p - x) * packed[j]
+            red[i], packed[i] = [x % p for x in _unpack(w, fmt, size, ncols)], None
     return red, pivots
 
 

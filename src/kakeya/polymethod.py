@@ -37,6 +37,7 @@ from .errors import (
 from .linalg import nullspace
 from .projgeom import PointSet, ProjPoint, affine_coords, incidence
 from .scalar import Field, binomial
+from .verify import _grid_coverage, _recovered_cells
 
 
 def exponent_tuples(nvars: int, total: int):
@@ -290,9 +291,16 @@ def vanishing_space(
     if mult < 1:
         raise ValueError("mult must be at least 1")
     monos = monomial_basis(nvars, deg_bound)
+    index = {e: c for c, e in enumerate(monos)}
     p = fld.p if fld.kind == "prime" else 0
+    # X^e = X^(e - unit_i) * X_i for the first i with e_i > 0: (parent column, i)
+    # of every monomial after the constant, parents first in the graded order
+    steps = []
+    for e in monos[1:]:
+        i = next(i for i, k in enumerate(e) if k)
+        steps.append((index[e[:i] + (e[i] - 1,) + e[i + 1 :]], i))
     # d^j X^e = binomial(e, j) X^(e - j): per multi-index j, the (column,
-    # factor, e - j) of every monomial e whose factor is nonzero in the field
+    # factor, column of e - j) of every monomial e whose factor is nonzero in the field
     derivs = []
     for w in range(mult):
         for j in exponent_tuples(nvars, w):
@@ -301,7 +309,7 @@ def vanishing_space(
                 if all(ei >= ji for ei, ji in zip(e, j)):
                     factor = fld(prod(map(binomial, e, j)))
                     if not fld.is_zero(factor):
-                        keep.append((c, factor, tuple(ei - ji for ei, ji in zip(e, j))))
+                        keep.append((c, factor, index[tuple(ei - ji for ei, ji in zip(e, j))]))
             derivs.append(keep)
     rows: list[list] = []
     zero = fld.zero
@@ -311,16 +319,13 @@ def vanishing_space(
             raise DimensionMismatch(
                 f"point has {len(u)} coordinates, expected {nvars}"
             )
-        powers = [[fld.one] for _ in range(nvars)]
-        for i in range(nvars):
-            for _ in range(deg_bound):
-                powers[i].append(fld.mul(powers[i][-1], u[i]))
+        val = [fld.one]  # the value of every monomial at u, one product each
+        for s, i in steps:
+            val.append(val[s] * u[i] % p if p else val[s] * u[i])
         for keep in derivs:
             row = [zero] * len(monos)
-            for c, entry, shift in keep:
-                for pw, k in zip(powers, shift):
-                    entry = entry * pw[k]
-                row[c] = entry % p if p else entry
+            for c, factor, s in keep:
+                row[c] = factor * val[s] % p if p else factor * val[s]
             rows.append(row)
     basis_vectors = nullspace(rows, fld, len(monos))
     out = []
@@ -466,7 +471,10 @@ def certify(K, r: int) -> Certificate:
     multiplicity at least 2r - 1 at every point, then re-verifies both
     the point multiplicities and the induced direction multiplicities
     independently.  When the dimension count does not force a nonzero f
-    and none exists, the verdict is pass-vacuous.
+    and none exists, the verdict is pass-vacuous.  A family whose
+    directions miss a cell of the N^(n-1) grid, or with a line carrying
+    fewer than N distinct points, is outside the bound's hypothesis and
+    raises HypothesisViolation.
     """
     if r < 1:
         raise ValueError("r must be at least 1")
@@ -476,6 +484,9 @@ def certify(K, r: int) -> Certificate:
             "certificates need exact arithmetic; tolerance fields are refused"
         )
     n, N = K.n, K.N
+    covered, cells = _grid_coverage(K, _recovered_cells(K))
+    if covered < cells:
+        raise HypothesisViolation(f"directions cover {covered} of {cells} grid cells")
     points = [kp.point for kp in K.points]
     first, on = incidence(fld, [kline.line for kline in K.lines], points)
     for idx, on_line in enumerate(on):

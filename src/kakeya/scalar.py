@@ -47,7 +47,9 @@ class Field:
     The defaults are the native operators on canonical values, which the
     rationals use as they are; PrimeField replaces the arithmetic with
     residues mod p and RealField the zero and equality tests with the
-    tolerance.
+    tolerance.  Each kind stores its canonical zero and one as class
+    constants: a value written into an instance's __dict__ would slow
+    every later attribute read on it, such as PrimeField's self.p.
     """
 
     kind = "abstract"
@@ -105,14 +107,6 @@ class Field:
             return list(map(self.from_str, doc))
         return [self.from_str(need(s, str, f"{what} entry")) for s in doc]
 
-    @property
-    def zero(self):
-        return self(0)
-
-    @property
-    def one(self):
-        return self(1)
-
     def to_json(self) -> dict:
         raise NotImplementedError
 
@@ -133,6 +127,7 @@ class PrimeField(Field):
     """F_p for a prime p; values are canonical residues 0..p-1."""
 
     kind = "prime"
+    zero, one = 0, 1
 
     def __init__(self, p: int):
         if p < 2:
@@ -185,6 +180,7 @@ class RationalField(Field):
     """The rationals; values are Fractions in lowest terms."""
 
     kind = "rational"
+    zero, one = Fraction(0), Fraction(1)
 
     def __call__(self, value):
         if isinstance(value, (int, Fraction)):
@@ -220,6 +216,7 @@ class RealField(Field):
 
     kind = "real"
     exact = False
+    zero, one = 0.0, 1.0
 
     def __init__(self, tol: float = DEFAULT_REAL_TOLERANCE):
         # from 1 up the leading coordinate 1 of every normalized point counts as zero

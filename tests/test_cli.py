@@ -66,6 +66,18 @@ def test_verify_with_r_fails_on_an_incomplete_grid(tmp_path, capsys):
     assert reports["bound_consistency"]["witnesses"] == ["grid covers 24 of 25 cells"]
 
 
+def test_certify_refuses_a_family_that_does_not_cover_the_grid(tmp_path, capsys):
+    # no lines and no points, or one line dropped: the lower bound's hypothesis fails, so no certificate
+    out = tmp_path / "k.json"
+    run(capsys, "construct", "--seed", "conic", "--q", "5", "--dim", "3", "--out", str(out))
+    good = json.loads(out.read_text())
+    for bad, covered in (({**good, "lines": [], "points": []}, 0), ({**good, "lines": good["lines"][:-1]}, 24)):
+        out.write_text(json.dumps(bad))
+        code, stdout, stderr = run(capsys, "certify", str(out), "--r", "1")
+        assert code == 2 and not stdout
+        assert stderr == f"error: directions cover {covered} of 25 grid cells\n"
+
+
 def test_verify_fails_on_a_file_without_lines(tmp_path, capsys):
     # lifted points and no lines: failing verdicts, not a crash on the empty per-line counts
     out = tmp_path / "k.json"

@@ -9,8 +9,9 @@ real incidence.  PINNED adds values kept here only: ngon N=6 at n=4, the
 one real rung whose lifting goes two steps deep, ngon N=13 at n=3, conic
 q=11 at n=4 (1,331 lines and 5,026 points, which byte-checks the JSON
 writer and the exact padding at size), the stdout of `verify --r 1`, and
-the stdout of certify on the two largest matrices (420x231 at conic q=7
-n=2 r=3, 530x220 at q=5 n=3 r=2).
+the stdout of certify on the three largest matrices (420x231 at conic
+q=7 n=2 r=3, 530x220 at q=5 n=3 r=2 and 1350x560 at q=7 n=3 r=2, which
+byte-check the packed F_p kernel and the constraint rows at size).
 """
 
 import hashlib
@@ -46,8 +47,9 @@ PINNED = {
     "certify conic q=7 n=2 r=3": "f4eb8a08866f7f81630d967cd64922da0d80d5ae9682b1500178d85f741fee8d",
     "certify conic q=5 n=3 r=2": "930f60363eaa9f0560ed84a2feb058428a04cee2f17e954959fd99031305295d",
     "construct conic q=11 n=4": "bdfaf8849ae15313e7243de5a7e05f48cec5765dba80dd32dc6af27ceb73f44e",
+    "certify conic q=7 n=3 r=2": "088b110ae8899108db20debed08e64e4c3b087c7abec1c775aff2debb6e77cd1",
 }
-CERTIFIES = [(5, 2, 1), (5, 2, 2), (5, 3, 1), (7, 2, 1), (7, 2, 2), (7, 2, 3), (5, 3, 2)]
+CERTIFIES = [(5, 2, 1), (5, 2, 2), (5, 3, 1), (7, 2, 1), (7, 2, 2), (7, 2, 3), (5, 3, 2), (7, 3, 2)]
 BOUNDS = [(7, 3), (13, 3), (7, 4), (16, 4)]
 
 

@@ -1,9 +1,9 @@
 """Row reduction and nullspace against brute-force checks.
 
 rref inserts exact rows one at a time on raw values and stops at full
-column rank; _textbook_rref, the column sweep through the field methods
-it replaced, is the oracle it must match entry for entry (and, over the
-reals, bit for bit).
+column rank, over F_p on rows packed into one int each; _textbook_rref,
+the column sweep through the field methods it replaced, is the oracle it
+must match entry for entry (and, over the reals, bit for bit).
 """
 
 import random
@@ -13,11 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kakeya import linalg
 from kakeya.linalg import nullspace, rref
-from kakeya.scalar import PrimeField, RationalField, RealField
+from kakeya.scalar import _PRIME_LIMIT, PrimeField, RationalField, RealField, _is_prime
 
 F5 = PrimeField(5)
 QQ = RationalField()
+# lanes of 8, 16, 32 and 64 bits at up to 40 columns, then 9, 16 and 22 bytes
+LARGEST_PRIME = next(q for q in range(_PRIME_LIMIT - 2, 0, -2) if _is_prime(q))
+LANE_PRIMES = [2, 7, 251, 65521, 2**31 - 1, 2**61 - 1, LARGEST_PRIME]
 
 
 def _rank(rows, fld):
@@ -134,6 +138,47 @@ def test_rref_matches_the_textbook_sweep_over_exact_fields(case):
     assert rows == before
 
 
+@st.composite
+def _raw_prime_matrices(draw):
+    """A prime and a matrix of raw ints (any residue class representative) with up to 40 columns."""
+    p = draw(st.sampled_from(LANE_PRIMES))
+    ncols = draw(st.integers(0, 40))
+    entry = st.one_of(st.sampled_from([0, 0, 1, p - 1]), st.integers(-2 * p, 3 * p))
+    basis = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=14))
+    rows = list(basis)
+    for _ in range(draw(st.integers(0, 6)) if basis else 0):  # zero rows and combinations of drawn rows
+        f, g = draw(st.integers(-p, p)), draw(st.integers(-p, p))
+        a, b = draw(st.sampled_from(basis)), draw(st.sampled_from(basis))
+        rows.append([f * x + g * y for x, y in zip(a, b)])
+    return p, draw(st.permutations(rows)), draw(st.sampled_from([list, tuple, iter]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_raw_prime_matrices())
+def test_packed_rref_matches_the_textbook_sweep_on_raw_ints(case):
+    p, rows, kind = case
+    fld = PrimeField(p)
+    before = [list(r) for r in rows]
+    red, pivots = rref((kind(r) for r in rows), fld)
+    assert (red, pivots) == _textbook_rref([[x % p for x in r] for r in rows], fld)
+    assert all(type(x) is int and 0 <= x < p for row in red for x in row)
+    assert [list(r) for r in rows] == before
+
+
+def test_a_one_row_matrix_and_rows_no_reduction_touches_are_never_packed(monkeypatch):
+    packed = []
+    pack = linalg._pack
+    monkeypatch.setattr(linalg, "_pack", lambda vals, *lanes: packed.append(list(vals)) or pack(vals, *lanes))
+    F7 = PrimeField(7)
+    for rows in ([[3, 1, 4]], [[0, 2, 5, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 2, 0, 5], [3, 0, 0, 1], [0, 0, 6, 0]]):
+        assert rref(rows, F7) == _textbook_rref(rows, F7)
+        assert packed == []
+    # the third row is reduced by the first two; only those three rows are ever packed
+    rows = [[1, 0, 0, 2], [0, 1, 0, 3], [1, 1, 1, 1]]
+    assert rref(rows, F7) == _textbook_rref(rows, F7)
+    assert sorted(packed) == sorted(rows)
+
+
 def _bits(mat):
     return [[x.hex() for x in row] for row in mat]
 
@@ -166,7 +211,7 @@ def test_real_rref_pivots_within_a_factor_of_two_of_tol_stay_bitwise():
     assert _bits(red) == _bits(want)
 
 
-@pytest.mark.parametrize("fld", [F5, QQ], ids=["prime", "rational"])
+@pytest.mark.parametrize("fld", [F5, PrimeField(2**61 - 1), QQ], ids=["prime", "wide-lane prime", "rational"])
 def test_rref_reads_no_row_after_full_column_rank(fld):
     matrix = [[fld(int(i == k) + i // 3) for k in range(3)] for i in range(10)]
     read = []

@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -19,6 +20,7 @@ from kakeya.polymethod import (
     bound_grid,
     certify,
     direction_multiplicity,
+    exponent_tuples,
     grid_generator,
     hasse_derivative,
     monomial_basis,
@@ -26,12 +28,13 @@ from kakeya.polymethod import (
     top_part,
     vanishing_space,
 )
-from kakeya.projgeom import ProjPoint
+from kakeya.projgeom import ProjPoint, affine_coords
 from kakeya.scalar import PrimeField, RationalField, binomial
 
 QQ = RationalField()
 F2 = PrimeField(2)
 F5 = PrimeField(5)
+F7 = PrimeField(7)
 
 
 def _random_poly(fld, nvars, rng, max_deg=3, max_terms=4):
@@ -245,6 +248,58 @@ def test_vanishing_space_dimension_via_independent_elimination():
     assert len(basis) == ncols - rank
 
 
+def _per_power_rows(points, deg_bound, mult, nvars, fld):
+    """The constraint rows built entry by entry from per-variable power tables (the oracle)."""
+    monos = monomial_basis(nvars, deg_bound)
+    p = fld.p if fld.kind == "prime" else 0
+    derivs = []
+    for w in range(mult):
+        for j in exponent_tuples(nvars, w):
+            keep = []
+            for c, e in enumerate(monos):
+                if all(ei >= ji for ei, ji in zip(e, j)):
+                    factor = fld(prod(map(binomial, e, j)))
+                    if not fld.is_zero(factor):
+                        keep.append((c, factor, tuple(ei - ji for ei, ji in zip(e, j))))
+            derivs.append(keep)
+    rows = []
+    for raw in points:
+        u = [fld(c) for c in raw]
+        powers = [[fld.one] for _ in range(nvars)]
+        for i in range(nvars):
+            for _ in range(deg_bound):
+                powers[i].append(fld.mul(powers[i][-1], u[i]))
+        for keep in derivs:
+            row = [fld.zero] * len(monos)
+            for c, entry, shift in keep:
+                for pw, k in zip(powers, shift):
+                    entry = entry * pw[k]
+                row[c] = entry % p if p else entry
+            rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("fld", [F5, F7, QQ], ids=["F5", "F7", "Q"])
+@pytest.mark.parametrize("nvars", [2, 3])
+@pytest.mark.parametrize("deg_bound,mult", [(0, 1), (1, 2), (3, 1), (4, 2), (5, 3), (7, 2)])
+def test_vanishing_space_rows_match_the_per_power_oracle(fld, nvars, deg_bound, mult, monkeypatch):
+    from kakeya import polymethod
+
+    rng = random.Random(deg_bound * 10 + mult)
+    coord = (lambda: fld(rng.randrange(fld.p))) if fld.kind == "prime" else (lambda: Fraction(rng.randrange(-4, 5), rng.randrange(1, 4)))
+    points = [[coord() for _ in range(nvars)] for _ in range(rng.randrange(1, 6))]
+    points.append(list(points[0]))  # a repeated point
+    seen = []
+    solve = polymethod.nullspace
+    monkeypatch.setattr(polymethod, "nullspace", lambda rows, *rest: seen.append(rows) or solve(rows, *rest))
+    basis = vanishing_space(points, deg_bound, mult, nvars, fld)
+    want = _per_power_rows(points, deg_bound, mult, nvars, fld)
+    assert seen == [want]
+    assert [[type(x) for x in row] for row in seen[0]] == [[type(x) for x in row] for row in want]
+    monos = monomial_basis(nvars, deg_bound)
+    assert basis == [Poly(fld, nvars, dict(zip(monos, vec))) for vec in solve(want, fld, len(monos))]
+
+
 def test_direction_multiplicity_grid_generator():
     values = [F5(v) for v in range(5)]
     g = grid_generator(F5, 3, 0, values)
@@ -356,7 +411,8 @@ def test_certify_vacuous_on_full_conic_seed():
 
 def test_certify_forced_polynomial_single_line():
     # one line with N points: few enough constraints to force a nonzero f,
-    # whose top part must then vanish at the line's direction
+    # whose top part must then vanish at the line's direction; one direction
+    # does not cover the grid, so certify refuses the family
     from kakeya.construction import KakeyaSet, assemble
     from kakeya.seeds import dual_conic_seed
 
@@ -364,9 +420,28 @@ def test_certify_forced_polynomial_single_line():
     kl = K.lines[0]
     pts = [kp for kp in K.points if kl.line.contains(kp.point)]
     small = KakeyaSet(K.field, 2, 7, K.grid, [kl], pts, {})
-    cert = certify(small, 1)
-    assert cert.guaranteed
-    assert cert.verdict == "pass"
-    assert cert.f is not None and cert.f.degree <= 6
-    assert all(a["ok"] for a in cert.s_attestations)
-    assert all(a["ok"] for a in cert.d_attestations)
+    with pytest.raises(HypothesisViolation, match="directions cover 1 of 7 grid cells"):
+        certify(small, 1)
+    affine = [affine_coords(kp.point) for kp in pts]
+    assert binomial(2 + 6, 2) > len(affine)
+    f = vanishing_space(affine, 6, 1, 2, K.field)[0]
+    assert f.degree <= 6
+    assert all(multiplicity_at(f, u) >= 1 for u in affine)
+    assert direction_multiplicity(top_part(f), [kl.direction]) >= 1
+
+
+def test_certify_attests_the_solved_polynomial_independently(monkeypatch):
+    # on a covering family no f exists; a solver answer is still re-checked
+    # point by point and direction by direction, and a wrong one fails
+    from kakeya import polymethod
+    from kakeya.construction import assemble
+    from kakeya.seeds import dual_conic_seed
+
+    K = assemble(dual_conic_seed(5), 2)
+    x = Poly.variable(F5, 2, 1)
+    monkeypatch.setattr(polymethod, "vanishing_space", lambda *args: [x])
+    cert = certify(K, 1)
+    assert cert.f == x and cert.verdict == "fail"
+    assert len(cert.s_attestations) == cert.size and len(cert.d_attestations) == len(K.lines)
+    assert {a["ok"] for a in cert.s_attestations} == {True, False}
+    assert [a["ok"] for a in cert.d_attestations].count(True) == 1  # X1 vanishes at (1 : 0 : 0) alone

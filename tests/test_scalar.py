@@ -158,6 +158,24 @@ def test_power_matches_repeated_multiplication():
         acc = F7.mul(acc, x)
 
 
+@pytest.mark.parametrize(
+    "make,zero,one,kind",
+    [(lambda: PrimeField(7), 0, 1, int), (RationalField, Fraction(0), Fraction(1), Fraction), (RealField, 0.0, 1.0, float)],
+    ids=["prime", "rational", "real"],
+)
+def test_field_zero_and_one_are_stored_not_recomputed(make, zero, one, kind, monkeypatch):
+    fld, twin = make(), make()
+    state = dict(vars(fld))
+    monkeypatch.setattr(type(fld), "__call__", lambda self, value: pytest.fail("zero or one recomputed"))
+    assert (fld.zero, fld.one) == (zero, one)
+    assert type(fld.zero) is kind and type(fld.one) is kind
+    assert fld.zero is fld.zero and fld.one is fld.one
+    # nothing is written into the instance (that would slow its attribute reads),
+    # and equality and hashing are as before
+    assert vars(fld) == state
+    assert fld == twin and hash(fld) == hash(twin) and len({fld, twin}) == 1
+
+
 def test_field_json_round_trip():
     for fld in (F5, QQ, RealField(1e-6)):
         doc = fld.to_json()
