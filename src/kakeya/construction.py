@@ -8,27 +8,25 @@ seed plane embeds as the span of x_0, x_1, x_2 via
 
     (c1, c2, c0)  ->  c1*e_0 + c2*e_1 + c0*x_0.
 
-Ordered index tuples J over the seed lines drive one recursion with
-one step and three bases: lifted lines ell_J start from the embedded
-seed lines, their infinite points p_J from the embedded infinite points,
-and lifted intersection points z_{J, Jbar, m} from the point where seed
-lines J and Jbar meet on m.  The step spans the two previous objects
-with the next frame points x_{j+1} = e_j and y_{j+1} = e_{j-1} + e_j
-(j = |J|) and intersects the two resulting flats; over F_p and Q the
-meet is read off their rows (_lifted_rows).  The infinite points admit a
-closed form, which direction() returns over F_p and Q: after the
-unitriangular change of basis implemented by grid_values_from_direction
-they become (1, d_1, ..., d_{|J|}) where d_i is the slope of seed line
-J[i-1], so the lifted directions fill the off-diagonal part of a grid
-and assemble() completes the diagonal with one extra line per missing
-cell.  The reals keep the meets, whose bits their files hold.
+Ordered index tuples J over the seed lines index the lifted lines
+ell_J, their infinite points p_J and the lifted points z_{J, Jbar, m}
+over the point where seed lines J and Jbar meet on m.  The paper builds
+each by a recursion: span the two objects one index shorter with the
+frame points x_{j+1} = e_j and y_{j+1} = e_{j-1} + e_j (j = |J|) and
+meet the two flats.  Over F_p and Q that recursion has a closed form in
+the seed lines y = s_a x + c_a, which Lifting reads off directly; the
+reals keep the meets, whose bits their files hold.  After the
+unitriangular change of basis of grid_values_from_direction, p_J is
+(1, s_{J0}, ..., s_{J(|J|-1)}), so the lifted directions fill the
+off-diagonal part of a grid and assemble() completes the diagonal with
+one extra line per missing cell.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dc_field
-from functools import partial
+from functools import cached_property, partial
 from itertools import combinations, permutations, product
 
 from .errors import (
@@ -41,7 +39,7 @@ from .errors import (
     positive,
     records,
 )
-from .projgeom import PointSet, ProjPoint, Subspace, meet, span
+from .projgeom import PointSet, ProjPoint, Subspace, incidence, meet, span
 from .scalar import Field, field_from_json
 from .seeds import PlanarSeed, line_walk_start, seed_from_json, seed_report, seed_to_json, walk_point
 
@@ -97,6 +95,8 @@ def embed_seed(frame: ConstructionFrame, seed: PlanarSeed) -> EmbeddedSeed:
         rows = [_embed_vector(fld, n, row) for row in s.basis]
         return Subspace.from_vectors(fld, n, rows)
 
+    if any(s.proj_dim != 1 for s in seed.lines):
+        raise DegenerateSeed("a seed line is not a line")
     seen = PointSet(fld)
     for i, p in enumerate(seed.infinite_points):
         if fld.is_zero(p.coords[0]):
@@ -114,6 +114,16 @@ def embed_seed(frame: ConstructionFrame, seed: PlanarSeed) -> EmbeddedSeed:
     )
 
 
+def _grid_row(fld: Field, n: int, lead, values) -> list:
+    """(lead, v_1, ..., v_{len(values)}, 0, ..., 0) with v_1 = values[0] and v_k = (-1)^(k+1) (values[k-1] - values[k-2])."""
+    v = [fld.zero] * (n + 1)
+    v[0], v[1] = lead, values[0]
+    for k in range(2, len(values) + 1):
+        delta = fld.sub(values[k - 1], values[k - 2])
+        v[k] = delta if k % 2 == 1 else fld.neg(delta)
+    return v
+
+
 def direction_from_grid_values(fld: Field, n: int, values) -> ProjPoint:
     """Infinite point whose recovered grid coordinates are the given values.
 
@@ -124,13 +134,7 @@ def direction_from_grid_values(fld: Field, n: int, values) -> ProjPoint:
     values = list(values)
     if not 1 <= len(values) <= n - 1:
         raise ValueError("need between 1 and n-1 grid values")
-    v = [fld.zero] * (n + 1)
-    v[0] = fld.one
-    v[1] = values[0]
-    for k in range(2, len(values) + 1):
-        delta = fld.sub(values[k - 1], values[k - 2])
-        v[k] = delta if k % 2 == 1 else fld.neg(delta)
-    return ProjPoint(fld, v)
+    return ProjPoint(fld, _grid_row(fld, n, fld.one, values))
 
 
 def grid_values_from_direction(p: ProjPoint) -> list | None:
@@ -164,51 +168,39 @@ def _validate_tuple(J, N: int, n: int):
             raise ValueError(f"index {a} outside the seed line range")
 
 
-def _lifted_rows(fld: Field, j: int, a, b) -> list | None:
-    """Rows spanning meet(span(e_j, a), span(e_{j-1} + e_j, b)) over F_p or Q; None when not read off.
-
-    A row u of a and the w in b agreeing with it off the columns j-1, j differ by t = u - w there,
-    and the meet holds u + (t[j-1] - t[j]) e_j.  w solves b's rows as a triangular system, each at
-    its first nonzero column off {j-1, j}; None when they are not triangular or u has no w.
-    """
-    rows_b = b.basis if isinstance(b, Subspace) else (b.coords,)
-    off = [k for k in range(len(rows_b[0])) if k not in (j - 1, j)]
-    cols = [next((k for k in off if s[k]), None) for s in rows_b]
-    if None in cols or any(s[k] for i, k in enumerate(cols) for s in rows_b[i + 1 :]):
-        return None
-    sub, mul, out = fld.sub, fld.mul, []
-    for u in a.basis if isinstance(a, Subspace) else (a.coords,):
-        t = u
-        for s, k in zip(rows_b, cols):
-            f = fld.div(t[k], s[k])
-            t = [sub(x, mul(f, y)) for x, y in zip(t, s)]
-        if any(t[k] for k in off):
-            return None
-        out.append(u[:j] + (fld.add(u[j], sub(t[j - 1], t[j])),) + u[j + 1 :])
-    return out
-
-
 class Lifting:
-    """Memoized lifting recursion over one seed: keys (J,) for lines and directions, (J, Jbar) for points.
+    """The lifted lines ell_J, their infinite points p_J and the lifted points z_{J, Jbar, m} of one seed.
 
-    The object at a key of tuple length j + 1 is one _step from those at
-    (J[:-1], ...) and (J[:-2] + J[-1:], ...).
+    Over F_p and Q each is read off the seed lines y = s_a x + c_a through the affine point
+    Q_J(x) = Q_J(0) + x p_J (_chart): ell_J = span(Q_J(0), p_J) and z_{J, Jbar, m} = Q_J(x_m).
+    The reals run the memoized recursion, keys (J,) for lines and directions and (J, Jbar) for
+    points: the object at a key of tuple length j + 1 is one _step from those at (J[:-1], ...)
+    and (J[:-2] + J[-1:], ...).
     """
 
     def __init__(self, frame: ConstructionFrame, seed: PlanarSeed):
         self.frame = frame
         self.seed = seed
         self.emb = embed_seed(frame, seed)
-        self._lines: dict = {}
-        self._dirs: dict = {}
-        self._zs: dict[int, dict] = {}
-        self._doubles: dict = {}
+        self._lines, self._dirs, self._zs = {}, {}, {}
+        fld = frame.field
+        if fld.exact:  # seed line a has the reduced basis (1, s_a + c_a g, g), (0, c_a h, h)
+            bases = [line.basis for line in seed.lines]
+            self._cuts = [fld.div(r1[1], r1[2]) for _, r1 in bases]
+            self._slopes = [fld.sub(r0[1], fld.mul(c, r0[2])) for (r0, _), c in zip(bases, self._cuts)]
 
     def line(self, J) -> Subspace:
         """The lifted line ell_J."""
         J = tuple(J)
         _validate_tuple(J, self.seed.N, self.frame.n)
-        return self._lift(self._lines, (J,), lambda J: self.emb.lines[J[0]])
+        fld = self.frame.field
+        if not fld.exact:
+            return self._lift(self._lines, (J,), lambda J: self.emb.lines[J[0]])
+        # reduced basis: p_J - p_J[k] r1 and r1, the point Q_J(-1) = Q_J(0) - p_J normalized to lead k
+        q0, p = self._chart(J)
+        r1 = ProjPoint(fld, fld.comb(q0, fld.neg(fld.one), p)).coords
+        k = r1.index(fld.one)
+        return Subspace(fld, self.frame.n, (fld.comb(p, fld.neg(p[k]), r1), r1), (0, k))
 
     def direction(self, J) -> ProjPoint:
         """The infinite point p_J of the lifted line ell_J: the closed form of the seed slopes over F_p and Q, the recursion over the reals."""
@@ -222,7 +214,9 @@ class Lifting:
         """The lifted point z_{J, Jbar, m}.
 
         Requires that for each position the two seed lines meet on the
-        measuring line m; the result is an affine point on ell_J.
+        measuring line m (UndefinedBasePoint otherwise); the result is an
+        affine point on ell_J.  Over F_p and Q it is Q_J(x_m) = Q_Jbar(x_m) for the
+        abscissa x_m those double points share; DegenerateSeed when they share none.
         """
         J, Jbar = tuple(J), tuple(Jbar)
         _validate_tuple(J, self.seed.N, self.frame.n)
@@ -233,28 +227,54 @@ class Lifting:
             raise ValueError("paired index tuples must be disjoint")
         if not 0 <= m_index < len(self.emb.m_lines):
             raise ValueError(f"no measuring line {m_index}")
-        memo = self._zs.setdefault(m_index, {})
-        return self._lift(memo, (J, Jbar), lambda J, Jbar: self._base_point(J[0], Jbar[0], m_index))
+        fld = self.frame.field
+        if not fld.exact:
+            memo = self._zs.setdefault(m_index, {})
+            return self._lift(memo, (J, Jbar), lambda J, Jbar: self._base_point(J[0], Jbar[0], m_index))
+        at = {self._base_point(a, b, m_index) for a, b in zip(J, Jbar)}
+        if len(at) > 1:
+            raise DegenerateSeed(f"the pairs of {J} and {Jbar} meet measuring line {m_index} at different abscissae")
+        q0, p = self._chart(J)
+        return ProjPoint(fld, fld.comb(q0, at.pop(), p))
 
-    def double_point(self, a: int, b: int) -> tuple[ProjPoint, int | None]:
-        """Where seed lines a and b meet, and the first measuring line through it (None when none is); memoized."""
-        if (a, b) not in self._doubles:
-            cut = meet(self.emb.lines[a], self.emb.lines[b])
-            if cut.proj_dim != 0:
-                raise UndefinedBasePoint(f"seed lines {a} and {b} do not meet in a point")
-            pt = ProjPoint(cut.field, cut.basis[0])
-            self._doubles[a, b] = pt, next((i for i, m in enumerate(self.emb.m_lines) if m.contains(pt)), None)
-        return self._doubles[a, b]
+    @cached_property
+    def doubles(self) -> dict:
+        """{(a, b): (where seed lines a < b meet, the first measuring line through it or None)}.
 
-    def _base_point(self, a: int, b: int, m_index: int) -> ProjPoint:
-        """The double point of seed lines a and b, which must lie on measuring line m_index."""
-        pt, m = self.double_point(a, b)
+        Where: the abscissa (c_b - c_a) / (s_a - s_b) over F_p and Q, the meet of the embedded lines
+        over the reals.  The measuring lines come from one incidence pass over the embedded points.
+        """
+        fld, n, emb = self.frame.field, self.frame.n, self.emb
+        pairs = list(combinations(range(len(emb.lines)), 2))
+        if fld.exact:
+            s, c = self._slopes, self._cuts
+            at = [fld.div(fld.sub(c[b], c[a]), fld.sub(s[a], s[b])) for a, b in pairs]
+            pts = [ProjPoint(fld, _embed_vector(fld, n, (x, fld.add(fld.mul(s[a], x), c[a]), fld.one))) for x, (a, _) in zip(at, pairs)]
+        else:
+            cuts = [meet(emb.lines[a], emb.lines[b]) for a, b in pairs]
+            if bad := next((pair for pair, cut in zip(pairs, cuts) if cut.proj_dim != 0), None):
+                raise UndefinedBasePoint(f"seed lines {bad[0]} and {bad[1]} do not meet in a point")
+            at = pts = [ProjPoint(fld, cut.basis[0]) for cut in cuts]
+        on = incidence(fld, emb.m_lines, pts)[1]
+        first = {i: m for m in reversed(range(len(on))) for i in on[m]}  # the lowest m is written last
+        return {pair: (x, first.get(i)) for i, (pair, x) in enumerate(zip(pairs, at))}
+
+    def _base_point(self, a: int, b: int, m_index: int):
+        """Where seed lines a and b meet (doubles), which must be on measuring line m_index."""
+        at, m = self.doubles[min(a, b), max(a, b)]
         if m != m_index:
             raise UndefinedBasePoint(f"seed lines {a} and {b} miss measuring line {m_index}")
-        return pt
+        return at
+
+    def _chart(self, J) -> tuple[list, list]:
+        """Q_J(0) and p_J = Q_J(1) - Q_J(0) over F_p or Q for the affine point, each y_a = s_a x + c_a,
+        Q_J(x) = (1 + x, 1 + y_{J0}, ..., 1 + (-1)^(i+1) (y_{J(i-1)} - y_{J(i-2)}) at 2 <= i <= |J|, 1, ..., 1)."""
+        fld, n, one = self.frame.field, self.frame.n, self.frame.field.one
+        q0 = [fld.add(one, v) for v in _grid_row(fld, n, fld.zero, [self._cuts[a] for a in J])]
+        return q0, _grid_row(fld, n, one, [self._slopes[a] for a in J])
 
     def _lift(self, memo: dict, key: tuple, base):
-        """The object at key: base(*key) for tuples of length one, else one _step."""
+        """The object at key over the reals: base(*key) for tuples of length one, else one _step."""
         if key not in memo:
             if len(key[0]) == 1:
                 memo[key] = base(*key)
@@ -267,17 +287,11 @@ class Lifting:
     def _step(self, J: tuple, a, b):
         """meet(span(x_{j+1}, a), span(y_{j+1}, b)) for j = len(J), a flat of the dimension of a.
 
-        Over F_p and Q the rows come from _lifted_rows; the reals, and inputs it leaves open, meet.
-        A point comes back normalized: a raw meet row can carry entries below tolerance before its pivot.
+        One step of the reals' recursion, whose bits their files hold.  A point comes back
+        normalized: a raw meet row can carry entries below tolerance before its pivot.
         """
-        j, fld = len(J), self.frame.field
-        rows = _lifted_rows(fld, j, a, b) if fld.exact else None
-        if rows is None:
-            out = meet(span(self.frame.x[j + 1], a), span(self.frame.y[j + 1], b))
-        elif isinstance(a, ProjPoint) and any(rows[0]):
-            return ProjPoint(fld, rows[0])
-        else:
-            out = Subspace.from_vectors(fld, self.frame.n, rows)
+        j = len(J)
+        out = meet(span(self.frame.x[j + 1], a), span(self.frame.y[j + 1], b))
         want = 1 if isinstance(a, Subspace) else 0
         if out.proj_dim != want:
             raise DegenerateSeed(f"lifting {J} produced a flat of projective dimension {out.proj_dim}")
@@ -353,10 +367,9 @@ def assemble(seed: PlanarSeed, n: int, audit: bool = False) -> KakeyaSet:
 
     # the pairs of seed lines whose double point lies on each measuring line
     per_m: dict[int, list[tuple[int, int]]] = {}
-    for a, b in combinations(range(N), 2):
-        m_idx = lifting.double_point(a, b)[1]
+    for pair, (_, m_idx) in lifting.doubles.items():
         if m_idx is not None:
-            per_m.setdefault(m_idx, []).append((a, b))
+            per_m.setdefault(m_idx, []).append(pair)
 
     registry = PointSet(fld)
     points: list[KPoint] = []
@@ -438,7 +451,7 @@ def _basis_walk(line: Subspace, base, step, stored):
         b = fld.div(add(at[c1], mul(lam, dv[c1])), a) if a else None
         if b in taken:
             return None
-        return ProjPoint._canonical(fld, r1 if b is None else tuple([add(x, mul(b, y)) for x, y in zip(r0, r1)]))
+        return ProjPoint._canonical(fld, r1 if b is None else fld.comb(r0, b, r1))
 
     return point
 

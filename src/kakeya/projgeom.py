@@ -277,8 +277,8 @@ class PointSet:
         if not fld.exact:
             return [self.labels[i] for i in self._near(line) if line.contains(self.items[i])]
         (r0, r1), (c0, c1) = line.basis, line.pivots
-        add, mul, get = fld.add, fld.mul, self._index.get
-        found = [get(tuple(add(a, mul(b, c)) for a, c in zip(r0, r1))) for b in self._values.get((c0, c1), ())]
+        comb, get = fld.comb, self._index.get
+        found = [get(comb(r0, b, r1)) for b in self._values.get((c0, c1), ())]
         found.append(get(r1))
         return [self.labels[i] for i in sorted(i for i in found if i is not None)]
 

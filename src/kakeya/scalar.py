@@ -77,6 +77,10 @@ class Field:
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
+    def comb(self, u, b, v) -> tuple:
+        """The row u + b * v of two equally long rows of values."""
+        return tuple([x + b * y for x, y in zip(u, v)])
+
     def pow(self, a, e: int):
         if not isinstance(e, int) or e < 0:
             raise ValueError("exponent must be a nonnegative integer")
@@ -154,6 +158,9 @@ class PrimeField(Field):
 
     def neg(self, a):
         return (-a) % self.p
+
+    def comb(self, u, b, v):
+        return tuple([(x + b * y) % self.p for x, y in zip(u, v)])
 
     def inv(self, a):
         if a % self.p == 0:

@@ -8,7 +8,8 @@ grid membership is recomputed through the published change of basis,
 and point counts come from the file's own point coordinates.  Which
 distinct points lie on which line is worked out once, by
 `projgeom.incidence`, from an index built here over the stored points.
-The incidence, size and bound checks take that (first, on) table as inc.
+The incidence, size and bound checks take that (first, on) table as inc,
+the directions, size and bound checks the lines' grid cells as cells.
 Provenance labels are consulted only to classify points for the
 reported construction claims (how many points a line acquired before
 padding); they never shortcut a geometric test.
@@ -119,7 +120,7 @@ def verify_incidence(K: KakeyaSet, inc, verbose: bool = False) -> VerifyReport:
     return _finish("incidence", witnesses, measured, verbose)
 
 
-def verify_directions(K: KakeyaSet, verbose: bool = False) -> VerifyReport:
+def verify_directions(K: KakeyaSet, cells, verbose: bool = False) -> VerifyReport:
     """Directions must be distinct, honest, inside the grid, and cover it.
 
     Honest means each stored direction equals the actual meet of its
@@ -150,7 +151,6 @@ def verify_directions(K: KakeyaSet, verbose: bool = False) -> VerifyReport:
         if first != idx:
             witnesses.append(f"lines {first} and {idx} share a direction")
 
-    cells = _recovered_cells(K)
     for idx, cell in enumerate(cells):
         if cell is None:
             witnesses.append(f"direction of line {idx} lies outside the grid")
@@ -179,7 +179,7 @@ def verify_directions(K: KakeyaSet, verbose: bool = False) -> VerifyReport:
     return _finish("directions", witnesses, measured, verbose)
 
 
-def verify_size(K: KakeyaSet, inc, verbose: bool = False) -> VerifyReport:
+def verify_size(K: KakeyaSet, inc, cells, verbose: bool = False) -> VerifyReport:
     """Size accounting: leading term, measured constant, lifted-point counts.
 
     |S| counts distinct points, and every repeated entry is a witness.
@@ -223,7 +223,7 @@ def verify_size(K: KakeyaSet, inc, verbose: bool = False) -> VerifyReport:
                 )
 
         on_lines = [0] * len(K.points)
-        for cell, on_line in zip(_recovered_cells(K), on):
+        for cell, on_line in zip(cells, on):
             if cell is not None and len(set(cell)) == len(cell):
                 for i in on_line:
                     on_lines[i] += 1
@@ -239,7 +239,7 @@ def verify_size(K: KakeyaSet, inc, verbose: bool = False) -> VerifyReport:
     return _finish("size", witnesses, measured, verbose)
 
 
-def verify_bound_consistency(K: KakeyaSet, inc, r: int, verbose: bool = False) -> VerifyReport:
+def verify_bound_consistency(K: KakeyaSet, inc, cells, r: int, verbose: bool = False) -> VerifyReport:
     """The grid bound must hold for the number of distinct points at the given r.
 
     The bound applies only to a family whose directions cover the whole
@@ -248,7 +248,7 @@ def verify_bound_consistency(K: KakeyaSet, inc, r: int, verbose: bool = False) -
     if r < 1:
         raise ValueError("r must be at least 1")
     size = sum(f == i for i, f in enumerate(inc[0]))
-    covered, expected_cells = _grid_coverage(K, _recovered_cells(K))
+    covered, expected_cells = _grid_coverage(K, cells)
     if covered < expected_cells:
         witness = f"grid covers {covered} of {expected_cells} cells"
         measured = {"r": r, "size": size, "covered_cells": covered, "grid_cells": expected_cells}
@@ -272,13 +272,14 @@ def verify_bound_consistency(K: KakeyaSet, inc, r: int, verbose: bool = False) -
 
 
 def verify_all(K: KakeyaSet, r: int | None = None, verbose: bool = False) -> list[VerifyReport]:
-    """Run every check on one incidence table; bound consistency only when r is given."""
+    """Run every check on one incidence table and one list of grid cells; bound consistency only when r is given."""
     inc = incidence(K.field, [kl.line for kl in K.lines], [kp.point for kp in K.points])
+    cells = _recovered_cells(K)
     reports = [
         verify_incidence(K, inc, verbose),
-        verify_directions(K, verbose),
-        verify_size(K, inc, verbose),
+        verify_directions(K, cells, verbose),
+        verify_size(K, inc, cells, verbose),
     ]
     if r is not None:
-        reports.append(verify_bound_consistency(K, inc, r, verbose))
+        reports.append(verify_bound_consistency(K, inc, cells, r, verbose))
     return reports

@@ -35,6 +35,7 @@ from kakeya.projgeom import ProjPoint, affine_coords, incidence, meet, span
 from kakeya.scalar import PrimeField, RationalField, binomial
 from kakeya.seeds import dual_conic_seed, regular_ngon_seed, seed_report
 from kakeya.verify import (
+    _recovered_cells,
     verify_all,
     verify_bound_consistency,
     verify_directions,
@@ -339,7 +340,7 @@ def test_criterion_7_real_ngon_seeds(announce):
         assembly_ok = (
             assembly_ok
             and verify_incidence(K, inc).verdict == "pass"
-            and verify_directions(K).verdict == "pass"
+            and verify_directions(K, _recovered_cells(K)).verdict == "pass"
         )
     assert assembly_ok
 
@@ -350,7 +351,8 @@ def test_criterion_7_real_ngon_seeds(announce):
 def test_criterion_8_bound_consistency(conic7, announce):
     start = time.monotonic()
     inc = incidence(conic7.field, [kl.line for kl in conic7.lines], [kp.point for kp in conic7.points])
-    verdicts = [verify_bound_consistency(conic7, inc, r).verdict for r in (1, 2, 3)]
+    cells = _recovered_cells(conic7)
+    verdicts = [verify_bound_consistency(conic7, inc, cells, r).verdict for r in (1, 2, 3)]
     ok = verdicts == ["pass"] * 3
     elapsed = time.monotonic() - start
     announce(8, ok, f"r=1,2,3 on the exact construction, {elapsed:.2f}s")

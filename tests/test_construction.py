@@ -3,8 +3,8 @@
 import io
 import json
 import random
-from functools import cache
-from itertools import permutations
+from functools import cache, partial
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -28,7 +28,7 @@ from kakeya.errors import (
     UndefinedBasePoint,
     UnsupportedDimension,
 )
-from kakeya.projgeom import ProjPoint, Subspace, meet, span
+from kakeya.projgeom import ProjPoint, Subspace, affine_coords, meet, span
 from kakeya.scalar import PrimeField, RationalField
 from kakeya.seeds import dual_conic_seed, line_walk_start, regular_ngon_seed, seed_from_json, seed_to_json, walk_point
 from kakeya.verify import verify_all
@@ -106,7 +106,7 @@ def test_grid_value_maps_are_inverse():
 
 def _direction_oracle(lift, J):
     """p_J by the meet recursion of the lifting step from the embedded infinite points (what the reals still run)."""
-    return _chain_oracle(lift.frame, [lift.emb.infinite_points[a] for a in J])
+    return _chain_oracle(tuple(lift.emb.infinite_points[a] for a in J))
 
 
 def test_direction_recursion_matches_closed_form_f5():
@@ -170,19 +170,19 @@ def test_base_point_requires_meeting_on_m():
         lift.intersection((0,), (1,), 0)
 
 
-def _chain_oracle(frame, base_points):
-    """Independent unfold of the intersection recursion from its base points."""
-    if len(base_points) == 1:
-        return base_points[0]
-    k = len(base_points)
-    left = _chain_oracle(frame, base_points[:-1])
-    right = _chain_oracle(frame, base_points[:-2] + [base_points[-1]])
-    cut = meet(
-        Subspace.from_points([frame.x[k + 1], left]),
-        Subspace.from_points([frame.y[k + 1], right]),
-    )
-    assert cut.proj_dim == 0
-    return ProjPoint(cut.field, cut.basis[0])
+@cache
+def _chain_oracle(bases: tuple):
+    """Independent unfold of the lifting recursion from its base points or lines, by span and meet; memoized."""
+    if len(bases) == 1:
+        return bases[0]
+    k, fld = len(bases), bases[0].field
+    frame = build_frame(bases[0].ambient_dim, fld)
+    left = _chain_oracle(bases[:-1])
+    right = _chain_oracle(bases[:-2] + bases[-1:])
+    cut = meet(span(frame.x[k + 1], left), span(frame.y[k + 1], right))
+    want = 1 if isinstance(left, Subspace) else 0
+    assert cut.proj_dim == want
+    return cut if want else ProjPoint(fld, cut.basis[0])
 
 
 def test_intersection_matches_chain_oracle():
@@ -212,7 +212,7 @@ def test_intersection_matches_chain_oracle():
         if m_idx is None:
             continue
         z = lift.intersection((a, c), (b, d), m_idx)
-        assert z == _chain_oracle(frame, [p1, p2])
+        assert z == _chain_oracle((p1, p2))
         assert lift.line((a, c)).contains(z)
         checked += 1
 
@@ -283,6 +283,14 @@ def test_assemble_duplicate_direction_seed_rejected():
         assemble(seed, 3)
 
 
+def test_assemble_refuses_a_seed_flat_that_is_not_a_line():
+    # the closed form reads each seed line's slope and intercept off its two basis rows
+    seed = dual_conic_seed(5)
+    seed.lines[2] = Subspace.from_points([ProjPoint(seed.field, [1, 4, 0])])
+    with pytest.raises(DegenerateSeed):
+        assemble(seed, 3)
+
+
 def test_assemble_points_distinct():
     K = assemble(dual_conic_seed(7), 3)
     seen = {kp.point.coords for kp in K.points}
@@ -325,9 +333,80 @@ def test_lifting_over_rationals():
                 assert lift.direction(J) == _direction_oracle(lift, J)
 
 
+def _seed(q: int, rational: bool):
+    return _rational_seed(q) if rational else dual_conic_seed(q)
+
+
+@pytest.mark.parametrize(
+    "q, n, rational",
+    [(5, 3, False), (5, 4, False), (5, 5, False), (7, 3, False), (7, 4, False), (7, 5, False), (5, 3, True), (5, 4, True), (7, 3, True), (7, 4, True)],
+)
+def test_closed_form_lift_matches_chain_oracle(q, n, rational):
+    # every ell_J and every z_{J, Jbar, m}, both orientations of each pair, against span and meet from the embedded seed
+    seed = _seed(q, rational)
+    lift = Lifting(build_frame(n, seed.field), seed)
+    emb = lift.emb
+    for length in range(1, n):
+        for J in permutations(range(q), length):
+            assert lift.line(J) == _chain_oracle(tuple(emb.lines[a] for a in J))
+    per_m, checked = {}, 0
+    for a, b in combinations(range(q), 2):
+        pt = ProjPoint(seed.field, meet(emb.lines[a], emb.lines[b]).basis[0])
+        m = next((i for i, line in enumerate(emb.m_lines) if line.contains(pt)), None)
+        per_m.setdefault(m, []).append(((a, b), pt))
+    for m, found in per_m.items():
+        for length in range(1, n):
+            for seq in permutations(found, length):
+                if len({i for pair, _ in seq for i in pair}) < 2 * length or m is None:
+                    continue
+                want = _chain_oracle(tuple(pt for _, pt in seq))
+                for flips in product((0, 1), repeat=length):
+                    J = tuple(pair[f] for (pair, _), f in zip(seq, flips))
+                    Jbar = tuple(pair[1 - f] for (pair, _), f in zip(seq, flips))
+                    assert lift.intersection(J, Jbar, m) == want
+                    checked += 1
+    assert checked >= q * (q - 1) // 2 - len(per_m.get(None, ()))
+
+
+def test_paired_double_points_off_one_abscissa_are_refused():
+    # a slanted measuring line m_0 through the double points of tangents (0, 1) at (4, 0) and (2, 3) at (6, 6):
+    # the meet recursion comes back empty there, so the lift refuses the pair with the class it raised
+    seed = dual_conic_seed(7)
+    fld = seed.field
+    seed.m_lines[0] = Subspace.from_points([ProjPoint(fld, [4, 0, 1]), ProjPoint(fld, [6, 6, 1])])
+    lift = Lifting(build_frame(3, fld), seed)
+    assert lift.doubles[0, 1][1] == lift.doubles[2, 3][1] == 0
+    with pytest.raises(DegenerateSeed):
+        lift.intersection((0, 2), (1, 3), 0)
+    with pytest.raises(DegenerateSeed):
+        lift.intersection((2, 0), (3, 1), 0)
+    with pytest.raises(UndefinedBasePoint):
+        lift.intersection((0, 2), (1, 3), 4)
+    for n in (3, 4):
+        with pytest.raises(DegenerateSeed):
+            assemble(seed, n)
+
+
+@pytest.mark.parametrize("make", [partial(regular_ngon_seed, 9), partial(regular_ngon_seed, 11), partial(dual_conic_seed, 7)], ids=["ngon9", "ngon11", "conic7"])
+def test_double_point_table_matches_the_scan(make):
+    # one incidence pass finds the first measuring line through each double point that a contains() scan finds
+    seed = make()
+    fld = seed.field
+    lift = Lifting(build_frame(3, fld), seed)
+    emb = lift.emb
+    assert list(lift.doubles) == list(combinations(range(seed.N), 2))
+    for (a, b), (at, m) in lift.doubles.items():
+        pt = ProjPoint(fld, meet(emb.lines[a], emb.lines[b]).basis[0])
+        assert m == next((i for i, line in enumerate(emb.m_lines) if line.contains(pt)), None)
+        if fld.exact:
+            assert fld.add(at, fld.one) == affine_coords(pt)[0]
+        else:
+            assert at.coords == pt.coords
+
+
 @cache
 def _step_lifting(q: int, n: int, rational: bool) -> Lifting:
-    seed = _rational_seed(q) if rational else dual_conic_seed(q)
+    seed = _seed(q, rational)
     return Lifting(build_frame(n, seed.field), seed)
 
 
@@ -385,8 +464,7 @@ def test_exact_assemble_meets_only_the_double_points_and_verify_never(monkeypatc
     for module in ("kakeya.projgeom", "kakeya.construction", "kakeya.verify", "kakeya.seeds"):
         monkeypatch.setattr(f"{module}.meet", counted)
     K = assemble(seed, 4)
-    assert len(calls) <= 21  # C(7, 2) pairs of seed lines, one meet for each double point
-    calls.clear()
+    assert calls == []  # lines, double points and lifted points are all read off the seed's slopes and intercepts
     assert all(rep.verdict == "pass" for rep in verify_all(K, r=1))
     assert calls == []
 
@@ -394,7 +472,7 @@ def test_exact_assemble_meets_only_the_double_points_and_verify_never(monkeypatc
 @pytest.mark.parametrize("rational", [False, True], ids=["F_7", "Q"])
 def test_exact_padding_is_the_normalized_walk(rational):
     # each padded point has the coordinates walk_point gives its line at its lam, value types included
-    seed = _rational_seed(7) if rational else dual_conic_seed(7)
+    seed = _seed(7, rational)
     K = assemble(seed, 3)
     fld, padded = K.field, 0
     origin = ProjPoint(fld, [fld.zero] * 3 + [fld.one])

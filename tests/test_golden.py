@@ -12,15 +12,20 @@ writer and the exact padding at size), the stdout of `verify --r 1`, and
 the stdout of certify on the three largest matrices (420x231 at conic
 q=7 n=2 r=3, 530x220 at q=5 n=3 r=2 and 1350x560 at q=7 n=3 r=2, which
 byte-check the packed F_p kernel and the constraint rows at size).
+RATIONAL pins the lifted file of the conic seed read over Q (q=5 at
+n=3, q=7 at n=4), which byte-checks the closed-form lift over Q.
 """
 
 import hashlib
+import io
 import json
 import os
 
 import pytest
 
 from kakeya.cli import main
+from kakeya.construction import assemble, dump, kakeya_to_json
+from test_construction import _rational_seed
 
 GOLDEN = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "golden.json")
 CONSTRUCTS = {
@@ -48,6 +53,10 @@ PINNED = {
     "certify conic q=5 n=3 r=2": "930f60363eaa9f0560ed84a2feb058428a04cee2f17e954959fd99031305295d",
     "construct conic q=11 n=4": "bdfaf8849ae15313e7243de5a7e05f48cec5765dba80dd32dc6af27ceb73f44e",
     "certify conic q=7 n=3 r=2": "088b110ae8899108db20debed08e64e4c3b087c7abec1c775aff2debb6e77cd1",
+}
+RATIONAL = {
+    (5, 3): "5aad6065ec5efa8758de29dbd1abecbd1c8fb6079e5a16d2f985aa802d41a942",
+    (7, 4): "32c91cee623b87423134cbb3775ba74bfcf0e8d985e5948c613cb30adf3e6738",
 }
 CERTIFIES = [(5, 2, 1), (5, 2, 2), (5, 3, 1), (7, 2, 1), (7, 2, 2), (7, 2, 3), (5, 3, 2), (7, 3, 2)]
 BOUNDS = [(7, 3), (13, 3), (7, 4), (16, 4)]
@@ -93,3 +102,10 @@ def test_certify_stdout_matches_golden(q, n, r, golden, tmp_path, capsys):
 def test_bound_stdout_matches_golden(N, n, golden, capsys):
     assert main(["bound", "--N", str(N), "--dim", str(n), "--optimize"]) == 0
     assert _sha(capsys.readouterr().out.encode()) == golden[f"bound N={N} n={n} optimize"]
+
+
+@pytest.mark.parametrize("q,n", sorted(RATIONAL))
+def test_rational_lift_matches_pin(q, n):
+    out = io.StringIO()
+    dump(kakeya_to_json(assemble(_rational_seed(q), n)), out)
+    assert _sha(out.getvalue().encode()) == RATIONAL[q, n]

@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kakeya import verify
 from kakeya.construction import KakeyaSet, KLine, KPoint, assemble, direction_from_grid_values
 from kakeya.projgeom import ProjPoint, Subspace, affine_coords, incidence, point_from_affine, span
 from kakeya.seeds import dual_conic_seed, regular_ngon_seed, seed_from_json, seed_to_json
 from kakeya.verify import (
+    _recovered_cells,
     verify_all,
     verify_bound_consistency,
     verify_directions,
@@ -77,7 +79,7 @@ def test_directions_fail_on_tampered_direction(conic5):
         tampered = type(lines[0])(lines[0].line, direction_from_grid_values(fld, 3, [fld(1), fld(0)]))
     lines[0] = tampered
     K = KakeyaSet(fld, 3, 5, conic5.grid, lines, conic5.points, conic5.seed_meta)
-    rep = verify_directions(K)
+    rep = verify_directions(K, _recovered_cells(K))
     assert rep.verdict == "fail"
     assert any("stores a direction" in w for w in rep.witnesses)
 
@@ -86,7 +88,7 @@ def test_directions_fail_on_duplicate(conic5):
     lines = list(conic5.lines)
     lines[1] = lines[0]
     K = KakeyaSet(conic5.field, 3, 5, conic5.grid, lines, conic5.points, conic5.seed_meta)
-    rep = verify_directions(K)
+    rep = verify_directions(K, _recovered_cells(K))
     assert rep.verdict == "fail"
     assert any("share a direction" in w for w in rep.witnesses)
 
@@ -97,13 +99,13 @@ def test_directions_fail_off_grid(conic5):
     K = KakeyaSet(
         conic5.field, 3, 5, grid, conic5.lines, conic5.points, conic5.seed_meta
     )
-    rep = verify_directions(K)
+    rep = verify_directions(K, _recovered_cells(K))
     assert rep.verdict == "fail"
     assert any("outside the grid" in w for w in rep.witnesses)
 
 
 def test_size_report_measures_constant(conic5):
-    rep = verify_size(conic5, _inc(conic5))
+    rep = verify_size(conic5, _inc(conic5), _recovered_cells(conic5))
     assert rep.verdict == "pass"
     assert rep.measured["size"] == 53
     assert rep.measured["leading_term"] == "125/4"
@@ -114,14 +116,14 @@ def test_size_fails_on_wrong_epsilon(conic5):
     meta = dict(conic5.seed_meta)
     meta["epsilon"] = ["0"] * 5
     K = KakeyaSet(conic5.field, 3, 5, conic5.grid, conic5.lines, conic5.points, meta)
-    rep = verify_size(K, _inc(K))
+    rep = verify_size(K, _inc(K), _recovered_cells(K))
     assert rep.verdict == "fail"
     assert any("deficiency formula" in w for w in rep.witnesses)
 
 
 def test_size_passthrough_has_no_lifted_checks():
     K = assemble(dual_conic_seed(5), 2)
-    rep = verify_size(K, _inc(K))
+    rep = verify_size(K, _inc(K), _recovered_cells(K))
     assert rep.verdict == "pass"
     assert rep.measured["lifted_points"] == 0
     assert "lifted_expected" not in rep.measured
@@ -129,10 +131,10 @@ def test_size_passthrough_has_no_lifted_checks():
 
 def test_bound_consistency_exact_and_real(conic5):
     for r in (1, 2, 3):
-        assert verify_bound_consistency(conic5, _inc(conic5), r).verdict == "pass"
+        assert verify_bound_consistency(conic5, _inc(conic5), _recovered_cells(conic5), r).verdict == "pass"
     K = assemble(regular_ngon_seed(5), 3)
     for r in (1, 2, 3):
-        assert verify_bound_consistency(K, _inc(K), r).verdict == "pass"
+        assert verify_bound_consistency(K, _inc(K), _recovered_cells(K), r).verdict == "pass"
 
 
 def _with_points(K, points):
@@ -143,12 +145,12 @@ def test_size_counts_distinct_points(conic5):
     # 40 copies of a point on no line: |S| is 54 distinct points, not 93 entries
     extra = KPoint(point_from_affine(conic5.field, [1, 1, 1]), {"kind": "extra"})
     K = _with_points(conic5, list(conic5.points) + [extra] * 40)
-    rep = verify_size(K, _inc(K))
+    rep = verify_size(K, _inc(K), _recovered_cells(K))
     assert rep.verdict == "fail"
     assert rep.measured["size"] == 54
     assert "points 53 and 54 coincide" in rep.witnesses
-    assert len(verify_size(K, _inc(K), verbose=True).witnesses) == 39
-    assert verify_bound_consistency(K, _inc(K), 1).measured["size"] == 54
+    assert len(verify_size(K, _inc(K), _recovered_cells(K), verbose=True).witnesses) == 39
+    assert verify_bound_consistency(K, _inc(K), _recovered_cells(K), 1).measured["size"] == 54
     assert [r.verdict for r in verify_all(K, r=1)] == ["pass", "pass", "fail", "pass"]
 
 
@@ -166,7 +168,7 @@ def test_directions_name_a_flat_that_is_not_a_line(conic5):
     lines = list(conic5.lines)
     lines[3] = KLine(plane, line.direction)
     K = KakeyaSet(conic5.field, 3, 5, conic5.grid, lines, conic5.points, conic5.seed_meta)
-    rep = verify_directions(K)
+    rep = verify_directions(K, _recovered_cells(K))
     assert rep.verdict == "fail"
     assert rep.witnesses == ["line 3 is a flat of dimension 2, not a line"]
 
@@ -174,7 +176,7 @@ def test_directions_name_a_flat_that_is_not_a_line(conic5):
     lines = list(conic5.lines)
     lines[0] = KLine(span(lines[0].direction, lines[1].direction), lines[0].direction)
     K = KakeyaSet(conic5.field, 3, 5, conic5.grid, lines, conic5.points, conic5.seed_meta)
-    assert verify_directions(K).witnesses == ["line 0 meets infinity in dimension 1"]
+    assert verify_directions(K, _recovered_cells(K)).witnesses == ["line 0 meets infinity in dimension 1"]
 
 
 def test_bound_consistency_fails_for_tiny_point_set(conic5):
@@ -187,7 +189,7 @@ def test_bound_consistency_fails_for_tiny_point_set(conic5):
         conic5.points[:1],
         conic5.seed_meta,
     )
-    rep = verify_bound_consistency(K, _inc(K), 1)
+    rep = verify_bound_consistency(K, _inc(K), _recovered_cells(K), 1)
     assert rep.verdict == "fail"
 
 
@@ -202,7 +204,7 @@ def test_bound_consistency_needs_full_grid(conic5):
         conic5.points,
         conic5.seed_meta,
     )
-    rep = verify_bound_consistency(K, _inc(K), 1)
+    rep = verify_bound_consistency(K, _inc(K), _recovered_cells(K), 1)
     assert rep.verdict == "fail"
     assert rep.witnesses == ["grid covers 24 of 25 cells"]
 
@@ -222,7 +224,27 @@ def test_witness_truncation(conic5):
 def test_real_assembly_passes_core_checks():
     K = assemble(regular_ngon_seed(5), 3)
     assert verify_incidence(K, _inc(K)).verdict == "pass"
-    assert verify_directions(K).verdict == "pass"
+    assert verify_directions(K, _recovered_cells(K)).verdict == "pass"
+
+
+def test_verify_all_recovers_the_grid_cells_once(conic5, monkeypatch):
+    # the directions, size and bound checks share one list of cells and report what each gives on its own
+    inc, cells = _inc(conic5), _recovered_cells(conic5)
+    alone = [
+        verify_incidence(conic5, inc),
+        verify_directions(conic5, cells),
+        verify_size(conic5, inc, cells),
+        verify_bound_consistency(conic5, inc, cells, 1),
+    ]
+    calls = []
+
+    def counted(K):
+        calls.append(K)
+        return _recovered_cells(K)
+
+    monkeypatch.setattr(verify, "_recovered_cells", counted)
+    assert [rep.to_json() for rep in verify_all(conic5, r=1)] == [rep.to_json() for rep in alone]
+    assert calls == [conic5]
 
 
 def _count_contains(monkeypatch) -> list:
