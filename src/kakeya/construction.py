@@ -40,7 +40,7 @@ from .errors import (
     records,
 )
 from .projgeom import PointSet, ProjPoint, Subspace, incidence, meet, span
-from .scalar import Field, field_from_json
+from .scalar import Field, Memo, field_from_json
 from .seeds import PlanarSeed, line_walk_start, seed_from_json, seed_report, seed_to_json, walk_point
 
 
@@ -506,40 +506,60 @@ def kakeya_from_json(doc) -> KakeyaSet:
 _encode_str = json.encoder.encode_basestring_ascii
 
 
+def _block(brackets: str, items: list, pad: str) -> str:
+    """A list or dict whose entries come formatted, as json.dumps(..., indent=2) writes it at indentation pad."""
+    if not items:
+        return brackets
+    inner = pad + "  "
+    return brackets[0] + "\n" + inner + (",\n" + inner).join(items) + "\n" + pad + brackets[1]
+
+
 def _fmt(o, pad: str) -> str:
     """o as json.dumps(o, indent=2, sort_keys=True) writes it at indentation pad.
 
-    Floats, bools, None, empty containers, dicts with other keys and other types go through json.dumps.
+    Floats, bools, None, dicts with other keys and other types go through json.dumps.  The str and
+    int entries of a list or dict are written in place.
     """
     t = type(o)
     if t is str:
         return _encode_str(o)
     if t is int:
         return int.__repr__(o)
-    inner = pad + "  "
-    if t is list and o:
-        items = [_encode_str(v) if type(v) is str else _fmt(v, inner) for v in o]
-    elif t is dict and o and all(type(k) is str for k in o):
-        items = [_encode_str(k) + ": " + _fmt(o[k], inner) for k in sorted(o)]
+    if t is list:
+        values = o
+    elif t is dict and all(type(k) is str for k in o):
+        keys = sorted(o)
+        values = [o[k] for k in keys]
     else:
         return json.dumps(o, indent=2, sort_keys=True).replace("\n", "\n" + pad)
-    return ("[\n" if t is list else "{\n") + inner + (",\n" + inner).join(items) + "\n" + pad + ("]" if t is list else "}")
+    inner = pad + "  "
+    items = [_encode_str(v) if type(v) is str else int.__repr__(v) if type(v) is int else _fmt(v, inner) for v in values]
+    if t is list:
+        return _block("[]", items, pad)
+    return _block("{}", [_encode_str(k) + ": " + v for k, v in zip(keys, items)], pad)
+
+
+def _write_list(entries, fh, pad: str):
+    """Write a list whose entries come formatted at indentation pad + 2, one write per entry."""
+    first = sep = "[\n" + pad + "  "
+    for entry in entries:
+        fh.write(sep + entry)
+        sep = ",\n" + pad + "  "
+    fh.write("[]" if sep is first else "\n" + pad + "]")
 
 
 def _write(o, fh, pad: str):
     """Write _fmt(o, pad) to fh: a dict with str keys key by key, a list one write per entry."""
-    inner, sep = pad + "  ", None
+    inner = pad + "  "
     if type(o) is dict and o and all(type(k) is str for k in o):
+        sep = "{\n"
         for k in sorted(o):
-            fh.write((sep or "{\n") + inner + _encode_str(k) + ": ")
+            fh.write(sep + inner + _encode_str(k) + ": ")
             _write(o[k], fh, inner)
             sep = ",\n"
         fh.write("\n" + pad + "}")
-    elif type(o) is list and o:
-        for v in o:
-            fh.write((sep or "[\n") + inner + _fmt(v, inner))
-            sep = ",\n"
-        fh.write("\n" + pad + "]")
+    elif type(o) is list:
+        _write_list((_fmt(v, inner) for v in o), fh, pad)
     else:
         fh.write(_fmt(o, pad))
 
@@ -565,7 +585,38 @@ def read_json(path: str):
 
 
 def save_kakeya(K: KakeyaSet, path: str):
-    write_json(kakeya_to_json(K), path)
+    """Write the bytes of dump(kakeya_to_json(K)) to path, streamed from K without building that document.
+
+    The keys go in sorted order; each line and point record is its depth's template filled with its
+    coordinate vectors and provenance, one write per record.  Each distinct exact coordinate is
+    encoded once, each real one by repr (a value-keyed memo would merge -0.0 into 0.0).
+    """
+    fld, to_str = K.field, K.field.to_str
+
+    def enc(c) -> str:
+        return _encode_str(to_str(c))
+
+    if fld.exact:
+        enc = Memo(enc).__getitem__
+    join8, join10 = ",\n        ".join, ",\n          ".join  # coordinates at indentation 8 and 10
+
+    def line_record(kl: KLine) -> str:
+        basis = _block("[]", ["[\n          " + join10(map(enc, r)) + "\n        ]" for r in kl.line.basis], "      ")
+        direction = join8(map(enc, kl.direction.coords))
+        return '{\n      "basis": ' + basis + ',\n      "direction": [\n        ' + direction + "\n      ]\n    }"
+
+    def point_record(kp: KPoint) -> str:
+        coords = join8(map(enc, kp.point.coords))
+        return '{\n      "coords": [\n        ' + coords + '\n      ],\n      "provenance": ' + _fmt(kp.provenance, "      ") + "\n    }"
+
+    grid = _fmt([[to_str(s) for s in axis] for axis in K.grid], "  ")
+    head = '{\n  "N": ' + _fmt(K.N, "  ") + ',\n  "field": ' + _fmt(fld.to_json(), "  ") + ',\n  "grid": ' + grid
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(head + ',\n  "lines": ')
+        _write_list(map(line_record, K.lines), fh, "  ")
+        fh.write(',\n  "n": ' + _fmt(K.n, "  ") + ',\n  "points": ')
+        _write_list(map(point_record, K.points), fh, "  ")
+        fh.write(',\n  "seed_meta": ' + _fmt(K.seed_meta, "  ") + "\n}\n")
 
 
 def load_kakeya(path: str) -> KakeyaSet:

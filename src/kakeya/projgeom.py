@@ -79,7 +79,7 @@ class ProjPoint:
     def from_json(cls, field: Field, doc) -> "ProjPoint":
         """The point a JSON list of coordinate strings holds; over F_p and Q kept as read when its first nonzero coordinate is 1."""
         coords = tuple(field.values_from_json(doc, "point"))
-        if field.exact and next((c for c in coords if c), None) == 1:
+        if field.exact and next(filter(None, coords), None) == 1:
             return cls._canonical(field, coords)
         return cls(field, coords)
 
@@ -193,13 +193,23 @@ class Subspace:
         """
         rows = [field.values_from_json(row, "flat row") for row in need(doc, list, "flat")]
         if field.exact:
-            pivots = [next((k for k, c in enumerate(r) if c), -1) for r in rows]
-            if all(
-                len(r) == ambient_dim + 1 and k > prev and r[k] == 1 and not any(r[c] for c in pivots[i + 1 :])
-                for i, (r, k, prev) in enumerate(zip(rows, pivots, [-1] + pivots))
-            ):
+            pivots = _reduced_pivots(rows, ambient_dim + 1)
+            if pivots is not None:
                 return cls(field, ambient_dim, rows, pivots)
         return cls.from_vectors(field, ambient_dim, rows)
+
+
+def _reduced_pivots(rows: list, width: int) -> list | None:
+    """The lead columns of exact rows of this width already in reduced echelon form; None for any other rows."""
+    pivots = []
+    for r in rows:
+        k = r.index(1) if len(r) == width and 1 in r else -1
+        if k <= (pivots[-1] if pivots else -1) or any(r[:k]):
+            return None
+        pivots.append(k)
+    if any(r[k] for i, r in enumerate(rows) for k in pivots[i + 1 :]):
+        return None
+    return pivots
 
 
 class PointSet:

@@ -17,9 +17,11 @@ computes on plain values.
 from __future__ import annotations
 
 import math
+import weakref
 from fractions import Fraction
+from functools import partial
 
-from .errors import DivisionByZero, FieldMismatch, UnsupportedField, need
+from .errors import DivisionByZero, FieldMismatch, MalformedFile, UnsupportedField, need
 
 DEFAULT_REAL_TOLERANCE = 1e-9
 
@@ -27,6 +29,19 @@ DEFAULT_REAL_TOLERANCE = 1e-9
 # _PRIME_LIMIT (Sorenson and Webster, Math. Comp. 2017); larger moduli are refused.
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
+class Memo(dict):
+    """A dict that fills the entry of a missing key k with f(k) on first lookup."""
+
+    __slots__ = ("f",)
+
+    def __init__(self, f):
+        self.f = f
+
+    def __missing__(self, k):
+        v = self[k] = self.f(k)
+        return v
 
 
 def binomial(a: int, b: int) -> int:
@@ -48,12 +63,18 @@ class Field:
     rationals use as they are; PrimeField replaces the arithmetic with
     residues mod p and RealField the zero and equality tests with the
     tolerance.  Each kind stores its canonical zero and one as class
-    constants: a value written into an instance's __dict__ would slow
-    every later attribute read on it, such as PrimeField's self.p.
+    constants: a value written into an instance's __dict__ after
+    __init__ would slow every later attribute read on it, such as
+    PrimeField's self.p.
     """
 
     kind = "abstract"
     exact = True
+
+    def __init__(self):
+        # values_from_json's parse memo, set here rather than on first use for the reason above; it
+        # reaches the field through a weak proxy, so the two form no cycle and go with the last holder
+        self._parsed = Memo(partial(type(self)._parse, weakref.proxy(self)))
 
     def __call__(self, value):
         """The canonical value of an int (or of a Fraction or float, where admitted)."""
@@ -105,11 +126,18 @@ class Field:
         """The canonical value written as s."""
         raise NotImplementedError
 
+    def _parse(self, s):
+        """from_str(s) for a str s; TypeError for any other entry, which values_from_json then names."""
+        if type(s) is not str:
+            raise TypeError(s)
+        return self.from_str(s)
+
     def values_from_json(self, doc, what: str) -> list:
-        """Values of a JSON list of strings; MalformedFile naming what otherwise."""
-        if all(type(s) is str for s in need(doc, list, what)):
-            return list(map(self.from_str, doc))
-        return [self.from_str(need(s, str, f"{what} entry")) for s in doc]
+        """Values of a JSON list of strings, each distinct string parsed once; MalformedFile naming what otherwise."""
+        try:
+            return list(map(self._parsed.__getitem__, doc if type(doc) is list else need(doc, list, what)))
+        except TypeError:  # an entry that is not a str, hashable or not
+            return [self.from_str(need(s, str, f"{what} entry")) for s in doc]
 
     def to_json(self) -> dict:
         raise NotImplementedError
@@ -141,6 +169,7 @@ class PrimeField(Field):
         if not _is_prime(p):
             raise UnsupportedField(f"modulus {p} is not prime")
         self.p = p
+        super().__init__()
 
     def __call__(self, value):
         if isinstance(value, bool) or not isinstance(value, int):
@@ -203,7 +232,10 @@ class RationalField(Field):
         return f"{a.numerator}/{a.denominator}"
 
     def from_str(self, s):
-        return Fraction(s)
+        try:
+            return Fraction(s)
+        except ZeroDivisionError:
+            raise MalformedFile(f"rational coordinate {s!r} has denominator 0") from None
 
     def to_json(self):
         return {"kind": "rational"}
@@ -230,6 +262,7 @@ class RealField(Field):
         if not (0 < tol < 1):
             raise UnsupportedField(f"tolerance must lie strictly between 0 and 1, got {tol}")
         self.tol = float(tol)
+        super().__init__()
 
     def __call__(self, value):
         if isinstance(value, (int, float, Fraction)):
@@ -251,7 +284,10 @@ class RealField(Field):
         return repr(float(a))
 
     def from_str(self, s):
-        return float(s)
+        x = float(s)
+        if not math.isfinite(x):
+            raise MalformedFile(f"real coordinate {s!r} is not finite")
+        return x
 
     def to_json(self):
         return {"kind": "real", "tol": self.tol}

@@ -241,6 +241,40 @@ def test_truncated_json_is_input_error(tmp_path, capsys):
     assert stderr.startswith("error: ") and stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e999", "-Infinity", "NaN"])
+def test_non_finite_real_coordinate_is_input_error(tmp_path, capsys, bad):
+    out = tmp_path / "k.json"
+    run(capsys, "construct", "--seed", "ngon", "--N", "9", "--dim", "3", "--out", str(out))
+    doc = json.loads(out.read_text())
+    doc["points"].append({"coords": ["1.0", bad, bad, bad], "provenance": {"kind": "padding", "line": 0, "lam": 99}})
+    out.write_text(json.dumps(doc))
+    code, stdout, stderr = run(capsys, "verify", str(out), "--r", "1")
+    assert code == 2 and not stdout
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1
+
+    seed_path = tmp_path / "seed.json"
+    save_seed(regular_ngon_seed(9), str(seed_path))
+    seed = json.loads(seed_path.read_text())
+    seed["points"][0]["coords"][1] = bad
+    seed_path.write_text(json.dumps(seed))
+    for argv in (["seed-report", str(seed_path)], ["construct", "--seed", f"file:{seed_path}", "--dim", "3", "--out", str(out)]):
+        code, stdout, stderr = run(capsys, *argv)
+        assert code == 2 and not stdout, argv[0]
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
+
+
+def test_rational_zero_denominator_is_input_error(tmp_path, capsys):
+    out = tmp_path / "k.json"
+    run(capsys, "construct", "--seed", "conic", "--q", "5", "--dim", "2", "--out", str(out))
+    doc = json.loads(out.read_text())
+    doc["field"] = {"kind": "rational"}
+    doc["points"][0]["coords"] = ["1/1", "1/0", "1/1"]
+    out.write_text(json.dumps(doc))
+    code, stdout, stderr = run(capsys, "verify", str(out))
+    assert code == 2 and not stdout
+    assert stderr == "error: rational coordinate '1/0' has denominator 0\n"
+
+
 def test_missing_key_is_input_error(tmp_path, capsys):
     out = tmp_path / "k.json"
     run(capsys, "construct", "--seed", "conic", "--q", "5", "--dim", "2", "--out", str(out))
@@ -269,6 +303,10 @@ def test_missing_key_is_input_error(tmp_path, capsys):
         {**good, "grid": [good["grid"][0][:-1]]},
         {**good, "N": 0},
         {**good, "N": True},
+        {**good, "points": [{**point, "coords": "1234"}]},
+        {**good, "points": [{**point, "coords": [["1"], "0", "1"]}]},
+        {**good, "lines": [{**good["lines"][0], "basis": [[{"1": 1}, "0", "0"]]}]},
+        {**good, "grid": [[["0"]] * 5]},
     ]
     for bad in wrong:
         out.write_text(json.dumps(bad))

@@ -3,6 +3,7 @@
 import io
 import json
 import random
+from fractions import Fraction
 from functools import cache, partial
 from itertools import combinations, permutations, product
 
@@ -10,8 +11,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from kakeya import projgeom
+from kakeya import construction, projgeom
 from kakeya.construction import (
+    KakeyaSet,
+    KLine,
+    KPoint,
     Lifting,
     assemble,
     build_frame,
@@ -21,6 +25,7 @@ from kakeya.construction import (
     grid_values_from_direction,
     kakeya_from_json,
     kakeya_to_json,
+    save_kakeya,
 )
 from kakeya.errors import (
     DegenerateSeed,
@@ -29,7 +34,7 @@ from kakeya.errors import (
     UnsupportedDimension,
 )
 from kakeya.projgeom import ProjPoint, Subspace, affine_coords, meet, span
-from kakeya.scalar import PrimeField, RationalField
+from kakeya.scalar import PrimeField, RationalField, RealField
 from kakeya.seeds import dual_conic_seed, line_walk_start, regular_ngon_seed, seed_from_json, seed_to_json, walk_point
 from kakeya.verify import verify_all
 
@@ -530,6 +535,82 @@ def test_dump_writes_the_bytes_of_json_dumps(doc):
     out = io.StringIO()
     dump(doc, out)
     assert out.getvalue() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+_PRIME = PrimeField(2**61 - 1)
+_FIELDS = {
+    "prime": (PrimeField(7), st.integers(0, 6)),
+    "big prime": (_PRIME, st.integers(0, _PRIME.p - 1)),
+    "rational": (QQ, st.builds(Fraction, st.integers(), st.integers(1, 10**20))),
+    "real": (RealField(), st.floats() | st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300])),
+}
+_provenance = (
+    st.dictionaries(_text, _documents, max_size=4)
+    | st.dictionaries(st.integers(), _documents, max_size=2)
+    | st.dictionaries(st.floats(allow_nan=False), _documents, max_size=2)
+    | st.builds(lambda extra: {"kind": "seed", "extra": extra}, st.booleans())
+)
+
+
+@st.composite
+def _line_sets(draw, kind):
+    fld, values = _FIELDS[kind]
+    n, N = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    vectors = st.lists(values, min_size=n + 1, max_size=n + 1).map(tuple)
+    point = vectors.map(partial(ProjPoint._canonical, fld))
+    line = st.builds(
+        lambda rows, d: KLine(Subspace(fld, n, rows, range(len(rows))), d), st.lists(vectors, max_size=3), point
+    )
+    return KakeyaSet(
+        fld,
+        n,
+        N,
+        draw(st.lists(st.lists(values, min_size=N, max_size=N), max_size=n - 1)),
+        draw(st.lists(line, max_size=3)),
+        draw(st.lists(st.builds(KPoint, point, _provenance), max_size=4)),
+        draw(_provenance),
+    )
+
+
+def _dumped(K) -> str:
+    out = io.StringIO()
+    dump(kakeya_to_json(K), out)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("kind", sorted(_FIELDS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_save_kakeya_writes_the_bytes_of_dump(kind, data, tmp_path_factory):
+    K = data.draw(_line_sets(kind))
+    path = tmp_path_factory.getbasetemp() / f"{kind}.json"
+    save_kakeya(K, str(path))
+    assert path.read_text(encoding="utf-8") == _dumped(K)
+
+
+@pytest.mark.parametrize(
+    "seed,n",
+    [(dual_conic_seed(5), 2), (dual_conic_seed(5), 3), (regular_ngon_seed(9), 2), (regular_ngon_seed(9), 3), (_rational_seed(5), 3)],
+)
+def test_save_kakeya_writes_a_construction_record_by_record(seed, n, tmp_path, monkeypatch):
+    K = assemble(seed, n)
+    writes = []
+
+    class Recorder:
+        write = writes.append
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+    monkeypatch.setattr(construction, "open", lambda *args, **kwargs: Recorder(), raising=False)
+    save_kakeya(K, str(tmp_path / "k.json"))
+    monkeypatch.undo()
+    assert "".join(writes) == _dumped(K)
+    assert len(writes) == len(K.lines) + len(K.points) + 5  # head, two list ends, "n", seed_meta
+    assert max(map(len, writes[1:-1])) < 600
 
 
 def test_dump_writes_a_line_set_entry_by_entry():

@@ -13,18 +13,18 @@ the stdout of certify on the three largest matrices (420x231 at conic
 q=7 n=2 r=3, 530x220 at q=5 n=3 r=2 and 1350x560 at q=7 n=3 r=2, which
 byte-check the packed F_p kernel and the constraint rows at size).
 RATIONAL pins the lifted file of the conic seed read over Q (q=5 at
-n=3, q=7 at n=4), which byte-checks the closed-form lift over Q.
+n=3, q=7 at n=4), as save_kakeya writes it for construct, which
+byte-checks the closed-form lift and the record writer over Q.
 """
 
 import hashlib
-import io
 import json
 import os
 
 import pytest
 
 from kakeya.cli import main
-from kakeya.construction import assemble, dump, kakeya_to_json
+from kakeya.construction import assemble, save_kakeya
 from test_construction import _rational_seed
 
 GOLDEN = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "golden.json")
@@ -105,7 +105,7 @@ def test_bound_stdout_matches_golden(N, n, golden, capsys):
 
 
 @pytest.mark.parametrize("q,n", sorted(RATIONAL))
-def test_rational_lift_matches_pin(q, n):
-    out = io.StringIO()
-    dump(kakeya_to_json(assemble(_rational_seed(q), n)), out)
-    assert _sha(out.getvalue().encode()) == RATIONAL[q, n]
+def test_rational_lift_matches_pin(q, n, tmp_path):
+    path = tmp_path / "k.json"
+    save_kakeya(assemble(_rational_seed(q), n), str(path))
+    assert _sha(path.read_bytes()) == RATIONAL[q, n]

@@ -174,7 +174,7 @@ def test_real_on_keeps_a_far_point_that_r0_leftover_at_c1_puts_on_the_line():
 
 
 def test_real_on_confirms_what_a_nan_in_the_basis_leaves_undecided():
-    # a file may hold "nan": r1[2] is NaN, yet contains never scales r1 for the point r0 and accepts it
+    # built in process (a file cannot hold "nan"): r1[2] is NaN, yet contains never scales r1 for the point r0 and accepts it
     line = _line([[1.0, 0.0, 0.5, 1.0], [0.0, 1.0, float("nan"), 0.0]])
     assert _real_on(line, [ProjPoint(REAL, [1.0, 0.0, 0.5, 1.0]), ProjPoint(REAL, [1.0, 2.0, 0.5, 1.0])]) == [0]
 

@@ -1,11 +1,12 @@
 import time
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kakeya.errors import DivisionByZero, FieldMismatch, UnsupportedField
+from kakeya.errors import DivisionByZero, FieldMismatch, MalformedFile, UnsupportedField
 from kakeya.projgeom import ProjPoint, Subspace
 from kakeya.scalar import (
     DEFAULT_REAL_TOLERANCE,
@@ -194,3 +195,64 @@ def test_scalar_from_str_inverts_to_str():
             assert fld.from_str(fld.to_str(s)) == s
     r = RealField()(0.125)
     assert RealField().from_str(RealField().to_str(r)) == r
+
+
+SPELLINGS = ["007", " 3", "3 ", "1_0", "-1", "+3", "2/4", "-6/-4", "1e2", "-0.0", "0.0", "1.5", "x", "", "1/0", "5e-324", "1e-400"]
+
+
+@pytest.mark.parametrize("make", [partial(PrimeField, 7), RationalField, RealField], ids=["prime", "rational", "real"])
+def test_values_from_json_returns_what_from_str_returns(make):
+    ref, fld = make(), make()
+    for s in SPELLINGS:
+        try:
+            expected = ref.from_str(s)
+        except (ValueError, MalformedFile) as exc:
+            for _ in range(2):  # a failed parse is not remembered: it fails again
+                with pytest.raises(type(exc)):
+                    fld.values_from_json(["0", s], "point")
+            continue
+        for _ in range(2):  # parsed, then read back from the memo
+            got = fld.values_from_json([s, "1", s], "point")
+            assert list(map(repr, got)) == [repr(expected), repr(ref.from_str("1")), repr(expected)]
+
+
+def test_values_from_json_parses_each_distinct_string_once(monkeypatch):
+    fld, seen = PrimeField(7), []
+    parse = fld.from_str
+    monkeypatch.setattr(fld, "from_str", lambda s: seen.append(s) or parse(s))
+    assert fld.values_from_json(["1", "08", "1", "8"], "point") == [1, 1, 1, 1]
+    assert fld.values_from_json(["8", "1"], "row") == [1, 1]
+    assert seen == ["1", "08", "8"]
+
+
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        ("1234", "point has the wrong type (str)"),
+        ({"1": "2"}, "point has the wrong type (dict)"),
+        (None, "point has the wrong type (NoneType)"),
+        ([["1"], "0"], "point entry has the wrong type (list)"),
+        (["1", {"a": 1}], "point entry has the wrong type (dict)"),
+        (["1", 1], "point entry has the wrong type (int)"),
+        ([True, "1"], "point entry has the wrong type (bool)"),
+        (["1", None], "point entry has the wrong type (NoneType)"),
+    ],
+)
+def test_values_from_json_names_what_is_not_a_list_of_strings(doc, message):
+    for fld in (F7, QQ, RR):
+        with pytest.raises(MalformedFile) as info:
+            fld.values_from_json(doc, "point")
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("s", ["nan", "inf", "-inf", "1e999", "-1e999", "Infinity", "-NaN", " nan "])
+def test_real_from_str_refuses_non_finite_values(s):
+    with pytest.raises(MalformedFile):
+        RR.from_str(s)
+    with pytest.raises(MalformedFile):
+        RR.values_from_json(["1.0", s], "point")
+
+
+def test_rational_from_str_refuses_a_zero_denominator():
+    with pytest.raises(MalformedFile):
+        QQ.values_from_json(["1/1", "1/0"], "point")
