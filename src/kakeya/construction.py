@@ -40,7 +40,7 @@ from .errors import (
     records,
 )
 from .projgeom import PointSet, ProjPoint, Subspace, incidence, meet, span
-from .scalar import Field, Memo, field_from_json
+from .scalar import Field, Memo, RationalField, field_from_json
 from .seeds import PlanarSeed, line_walk_start, seed_from_json, seed_report, seed_to_json, walk_point
 
 
@@ -184,10 +184,8 @@ class Lifting:
         self.emb = embed_seed(frame, seed)
         self._lines, self._dirs, self._zs = {}, {}, {}
         fld = frame.field
-        if fld.exact:  # seed line a has the reduced basis (1, s_a + c_a g, g), (0, c_a h, h)
-            bases = [line.basis for line in seed.lines]
-            self._cuts = [fld.div(r1[1], r1[2]) for _, r1 in bases]
-            self._slopes = [fld.sub(r0[1], fld.mul(c, r0[2])) for (r0, _), c in zip(bases, self._cuts)]
+        if fld.exact:  # seed line a: slope s_a = emb.d_values[a], reduced basis (1, s_a + c_a g, g), (0, c_a h, h)
+            self._cuts = [fld.div(line.basis[1][1], line.basis[1][2]) for line in seed.lines]
 
     def line(self, J) -> Subspace:
         """The lifted line ell_J."""
@@ -247,7 +245,7 @@ class Lifting:
         fld, n, emb = self.frame.field, self.frame.n, self.emb
         pairs = list(combinations(range(len(emb.lines)), 2))
         if fld.exact:
-            s, c = self._slopes, self._cuts
+            s, c = emb.d_values, self._cuts
             at = [fld.div(fld.sub(c[b], c[a]), fld.sub(s[a], s[b])) for a, b in pairs]
             pts = [ProjPoint(fld, _embed_vector(fld, n, (x, fld.add(fld.mul(s[a], x), c[a]), fld.one))) for x, (a, _) in zip(at, pairs)]
         else:
@@ -271,7 +269,7 @@ class Lifting:
         Q_J(x) = (1 + x, 1 + y_{J0}, ..., 1 + (-1)^(i+1) (y_{J(i-1)} - y_{J(i-2)}) at 2 <= i <= |J|, 1, ..., 1)."""
         fld, n, one = self.frame.field, self.frame.n, self.frame.field.one
         q0 = [fld.add(one, v) for v in _grid_row(fld, n, fld.zero, [self._cuts[a] for a in J])]
-        return q0, _grid_row(fld, n, one, [self._slopes[a] for a in J])
+        return q0, _grid_row(fld, n, one, [self.emb.d_values[a] for a in J])
 
     def _lift(self, memo: dict, key: tuple, base):
         """The object at key over the reals: base(*key) for tuples of length one, else one _step."""
@@ -414,7 +412,7 @@ def assemble(seed: PlanarSeed, n: int, audit: bool = False) -> KakeyaSet:
         stored = [registry.items[i] for i in on]
         walk = _basis_walk(kline.line, base, step, stored) if fld.exact else partial(walk_point, fld, base, step)
         lam = 0
-        limit = 4 * N + (fld.p if fld.kind == "prime" else 0)
+        limit = 4 * N + fld.p
         while count < N:
             if lam > limit:
                 raise DegenerateSeed(f"cannot pad line {idx} up to {N} points")
@@ -492,6 +490,9 @@ def kakeya_from_json(doc) -> KakeyaSet:
         KPoint(ProjPoint.from_json(fld, entry["coords"]), need(entry["provenance"], dict, "provenance"))
         for entry in records(doc, "points")
     ]
+    seed_meta = dict(need(doc.get("seed_meta", {}), dict, "seed_meta"))
+    if seed_meta.get("epsilon") is not None:  # read by verify_size as a list of rationals
+        RationalField().values_from_json(seed_meta["epsilon"], "seed_meta epsilon")
     return KakeyaSet(
         field=fld,
         n=n,
@@ -499,10 +500,11 @@ def kakeya_from_json(doc) -> KakeyaSet:
         grid=grid,
         lines=lines,
         points=points,
-        seed_meta=dict(need(doc.get("seed_meta", {}), dict, "seed_meta")),
+        seed_meta=seed_meta,
     )
 
 
+# save_kakeya's record formatter: the bytes json.dump(indent=2, sort_keys=True) writes, built per record
 _encode_str = json.encoder.encode_basestring_ascii
 
 
@@ -548,29 +550,9 @@ def _write_list(entries, fh, pad: str):
     fh.write("[]" if sep is first else "\n" + pad + "]")
 
 
-def _write(o, fh, pad: str):
-    """Write _fmt(o, pad) to fh: a dict with str keys key by key, a list one write per entry."""
-    inner = pad + "  "
-    if type(o) is dict and o and all(type(k) is str for k in o):
-        sep = "{\n"
-        for k in sorted(o):
-            fh.write(sep + inner + _encode_str(k) + ": ")
-            _write(o[k], fh, inner)
-            sep = ",\n"
-        fh.write("\n" + pad + "}")
-    elif type(o) is list:
-        _write_list((_fmt(v, inner) for v in o), fh, pad)
-    else:
-        fh.write(_fmt(o, pad))
-
-
 def dump(doc, fh):
-    """Write doc in the one JSON layout of files and stdout: sorted keys, two-space indent, closing newline.
-
-    The bytes are those of json.dump(doc, fh, indent=2, sort_keys=True) plus the newline.  Streams
-    to fh, one write per entry of a list, so a large file is never held as one string.
-    """
-    _write(doc, fh, "")
+    """Write doc in the one JSON layout of files and stdout: sorted keys, two-space indent, closing newline."""
+    json.dump(doc, fh, indent=2, sort_keys=True)
     fh.write("\n")
 
 

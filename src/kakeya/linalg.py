@@ -70,7 +70,7 @@ def rref(rows, field: Field) -> tuple[list[list], list[int]]:
     """
     if not field.exact:
         return _pivoting_rref(rows, field)
-    if field.kind == "prime":
+    if field.p:
         return _fp_rref(rows, field.p)
     red: list[list] = []
     pivots: list[int] = []
@@ -195,10 +195,9 @@ def nullspace(rows, field: Field, ncols: int) -> list[list]:
 
 def reduce_vector(vec, red, pivots, field: Field) -> list:
     """Residual of vec after eliminating the pivots of an RREF basis."""
-    p = field.p if field.kind == "prime" else 0
     v = list(vec)
     for row, c in zip(red, pivots):
         if not field.is_zero(v[c]):
-            _axpy(v, v[c], row, p)
+            _axpy(v, v[c], row, field.p)
             v[c] = field.zero
     return v

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import comb, prod
 
 from .errors import (
     DimensionMismatch,
@@ -36,8 +36,8 @@ from .errors import (
 )
 from .linalg import nullspace
 from .projgeom import PointSet, ProjPoint, affine_coords, incidence
-from .scalar import Field, binomial
-from .verify import _grid_coverage, _recovered_cells
+from .scalar import Field
+from .verify import _direction_faults, _grid_coverage, _recovered_cells
 
 
 def exponent_tuples(nvars: int, total: int):
@@ -224,7 +224,7 @@ def hasse_derivative(f: Poly, j) -> Poly:
             continue
         factor = 1
         for ei, ji in zip(e, j):
-            factor *= binomial(ei, ji)
+            factor *= comb(ei, ji)
         coeff = fld.mul(c, fld(factor))
         if fld.is_zero(coeff):
             continue
@@ -292,7 +292,7 @@ def vanishing_space(
         raise ValueError("mult must be at least 1")
     monos = monomial_basis(nvars, deg_bound)
     index = {e: c for c, e in enumerate(monos)}
-    p = fld.p if fld.kind == "prime" else 0
+    p = fld.p
     # X^e = X^(e - unit_i) * X_i for the first i with e_i > 0: (parent column, i)
     # of every monomial after the constant, parents first in the graded order
     steps = []
@@ -307,7 +307,7 @@ def vanishing_space(
             keep = []
             for c, e in enumerate(monos):
                 if all(ei >= ji for ei, ji in zip(e, j)):
-                    factor = fld(prod(map(binomial, e, j)))
+                    factor = fld(prod(map(comb, e, j)))
                     if not fld.is_zero(factor):
                         keep.append((c, factor, index[tuple(ei - ji for ei, ji in zip(e, j))]))
             derivs.append(keep)
@@ -390,7 +390,7 @@ class BoundReport:
 
 
 def _grid_ratio(N: int, n: int, r: int) -> Fraction:
-    return Fraction(binomial(r * N + n - 1, n), binomial(2 * r + n - 2, n))
+    return Fraction(comb(r * N + n - 1, n), comb(2 * r + n - 2, n))
 
 
 def bound_grid(N: int, n: int, r: int) -> BoundReport:
@@ -471,7 +471,8 @@ def certify(K, r: int) -> Certificate:
     multiplicity at least 2r - 1 at every point, then re-verifies both
     the point multiplicities and the induced direction multiplicities
     independently.  When the dimension count does not force a nonzero f
-    and none exists, the verdict is pass-vacuous.  A family whose
+    and none exists, the verdict is pass-vacuous.  A family with a line
+    that is not a line or does not have its stored direction, whose
     directions miss a cell of the N^(n-1) grid, or with a line carrying
     fewer than N distinct points, is outside the bound's hypothesis and
     raises HypothesisViolation.
@@ -484,6 +485,8 @@ def certify(K, r: int) -> Certificate:
             "certificates need exact arithmetic; tolerance fields are refused"
         )
     n, N = K.n, K.N
+    if fault := next(_direction_faults(K), None):
+        raise HypothesisViolation(fault)
     covered, cells = _grid_coverage(K, _recovered_cells(K))
     if covered < cells:
         raise HypothesisViolation(f"directions cover {covered} of {cells} grid cells")
@@ -502,7 +505,7 @@ def certify(K, r: int) -> Certificate:
 
     deg_bound = r * N - 1
     mult = 2 * r - 1
-    guaranteed = binomial(n + 2 * r - 2, n) * size < binomial(n + deg_bound, n)
+    guaranteed = comb(n + 2 * r - 2, n) * size < comb(n + deg_bound, n)
     basis = vanishing_space(affine_points, deg_bound, mult, n, fld)
 
     if not basis:

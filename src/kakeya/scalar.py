@@ -44,18 +44,6 @@ class Memo(dict):
         return v
 
 
-def binomial(a: int, b: int) -> int:
-    """Binomial coefficient as an arbitrary-precision integer.
-
-    Follows the convention binomial(a, b) = 0 whenever b > a, which the
-    dimension-counting formulas below rely on.  Negative arguments are
-    rejected.
-    """
-    if a < 0 or b < 0:
-        raise ValueError("binomial requires nonnegative arguments")
-    return math.comb(a, b)
-
-
 class Field:
     """Common interface of the three coordinate fields.
 
@@ -63,13 +51,15 @@ class Field:
     rationals use as they are; PrimeField replaces the arithmetic with
     residues mod p and RealField the zero and equality tests with the
     tolerance.  Each kind stores its canonical zero and one as class
-    constants: a value written into an instance's __dict__ after
-    __init__ would slow every later attribute read on it, such as
+    constants, and the characteristic p as well (0; an F_p sets its
+    modulus in __init__): a value written into an instance's __dict__
+    after __init__ would slow every later attribute read on it, such as
     PrimeField's self.p.
     """
 
     kind = "abstract"
     exact = True
+    p = 0
 
     def __init__(self):
         # values_from_json's parse memo, set here rather than on first use for the reason above; it

@@ -247,6 +247,9 @@ def walk_point(fld: Field, base, step, lam: int) -> ProjPoint:
 
 
 def _infinite_points(lines: list[Subspace]) -> list[ProjPoint]:
+    for i, line in enumerate(lines):
+        if line.proj_dim != 1:
+            raise DegenerateSeed(f"seed line {i} is not a line")
     points = [infinite_point(line) for line in lines]
     if any(p is None for p in points):
         raise DegenerateSeed("seed line coincides with the line at infinity")

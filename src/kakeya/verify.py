@@ -24,11 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from math import perm
+from math import comb, perm
 
 from .construction import KakeyaSet, grid_values_from_direction
 from .projgeom import PointSet, ProjPoint, at_infinity, incidence, meet
-from .scalar import binomial
 
 WITNESS_LIMIT = 10
 
@@ -120,6 +119,24 @@ def verify_incidence(K: KakeyaSet, inc, verbose: bool = False) -> VerifyReport:
     return _finish("incidence", witnesses, measured, verbose)
 
 
+def _direction_faults(K: KakeyaSet):
+    """Yield a witness for each line that is not a line, or whose meet with infinity is not its stored direction."""
+    n, fld = K.n, K.field
+    for idx, kl in enumerate(K.lines):
+        if kl.line.proj_dim != 1:
+            yield f"line {idx} is a flat of dimension {kl.line.proj_dim}, not a line"
+            continue
+        (r0, r1), mul = kl.line.basis, fld.mul
+        if not fld.exact:
+            cut = meet(kl.line, at_infinity(fld, n)).basis
+        else:  # read off the file's basis: r1[n] r0 - r0[n] r1, or the line itself when both are zero
+            cut = [[fld.sub(mul(r1[n], x), mul(r0[n], y)) for x, y in zip(r0, r1)]] if r0[n] or r1[n] else [r0, r1]
+        if len(cut) != 1:
+            yield f"line {idx} meets infinity in dimension {len(cut) - 1}"
+        elif ProjPoint(fld, cut[0]) != kl.direction:
+            yield f"line {idx} stores a direction it does not have"
+
+
 def verify_directions(K: KakeyaSet, cells, verbose: bool = False) -> VerifyReport:
     """Directions must be distinct, honest, inside the grid, and cover it.
 
@@ -128,23 +145,8 @@ def verify_directions(K: KakeyaSet, cells, verbose: bool = False) -> VerifyRepor
     of the N^(n-1) grid; the count of lines whose recovered coordinates
     are pairwise distinct is compared with N(N-1)...(N-n+2).
     """
-    witnesses: list = []
     n, fld = K.n, K.field
-
-    for idx, kl in enumerate(K.lines):
-        if kl.line.proj_dim != 1:
-            witnesses.append(f"line {idx} is a flat of dimension {kl.line.proj_dim}, not a line")
-            continue
-        (r0, r1), mul = kl.line.basis, fld.mul
-        if not fld.exact:
-            cut = meet(kl.line, at_infinity(fld, n)).basis
-        else:  # read off the file's basis: r1[n] r0 - r0[n] r1, or the line itself when both are zero
-            cut = [[fld.sub(mul(r1[n], x), mul(r0[n], y)) for x, y in zip(r0, r1)]] if r0[n] or r1[n] else [r0, r1]
-        if len(cut) != 1:
-            witnesses.append(f"line {idx} meets infinity in dimension {len(cut) - 1}")
-        elif ProjPoint(fld, cut[0]) != kl.direction:
-            witnesses.append(f"line {idx} stores a direction it does not have")
-
+    witnesses = list(_direction_faults(K))
     seen = PointSet(fld)
     for idx, kl in enumerate(K.lines):
         first = seen.setdefault(kl.direction, idx)
@@ -254,8 +256,8 @@ def verify_bound_consistency(K: KakeyaSet, inc, cells, r: int, verbose: bool = F
         measured = {"r": r, "size": size, "covered_cells": covered, "grid_cells": expected_cells}
         return _finish("bound_consistency", [witness], measured, verbose)
     n, N = K.n, K.N
-    lhs = binomial(2 * r + n - 2, n) * size
-    rhs = binomial(r * N + n - 1, n)
+    lhs = comb(2 * r + n - 2, n) * size
+    rhs = comb(r * N + n - 1, n)
     witnesses: list = []
     if lhs < rhs:
         witnesses.append(
@@ -266,7 +268,7 @@ def verify_bound_consistency(K: KakeyaSet, inc, cells, r: int, verbose: bool = F
         "size": size,
         "lhs": lhs,
         "rhs": rhs,
-        "bound": str(Fraction(rhs, binomial(2 * r + n - 2, n))),
+        "bound": str(Fraction(rhs, comb(2 * r + n - 2, n))),
     }
     return _finish("bound_consistency", witnesses, measured, verbose)
 

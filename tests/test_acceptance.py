@@ -32,7 +32,7 @@ from kakeya.polymethod import (
     vanishing_space,
 )
 from kakeya.projgeom import ProjPoint, affine_coords, incidence, meet, span
-from kakeya.scalar import PrimeField, RationalField, binomial
+from kakeya.scalar import PrimeField, RationalField
 from kakeya.seeds import dual_conic_seed, regular_ngon_seed, seed_report
 from kakeya.verify import (
     _recovered_cells,
@@ -194,7 +194,7 @@ def test_criterion_4_hasse_property_suite(announce):
 
             coeff = 1
             for a, b in zip(i, j):
-                coeff *= binomial(a + b, a)
+                coeff *= math.comb(a + b, a)
             ij = tuple(a + b for a, b in zip(i, j))
             assert hasse_derivative(hasse_derivative(f, j), i) == hasse_derivative(
                 f, ij
@@ -304,7 +304,7 @@ def test_criterion_6_certificate_desk_scale(announce):
         basis = vanishing_space(S, deg_bound, mult, 2, fld)
         expected_dim = _independent_constraint_dimension(raw_points, deg_bound, mult, 5)
         assert len(basis) == expected_dim
-        guaranteed = binomial(2 + 2 * r - 2, 2) * len(S) < binomial(2 + deg_bound, 2)
+        guaranteed = math.comb(2 + 2 * r - 2, 2) * len(S) < math.comb(2 + deg_bound, 2)
         if guaranteed:
             assert basis
         for f in basis:

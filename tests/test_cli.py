@@ -78,6 +78,24 @@ def test_certify_refuses_a_family_that_does_not_cover_the_grid(tmp_path, capsys)
         assert stderr == f"error: directions cover {covered} of 25 grid cells\n"
 
 
+@pytest.mark.parametrize("q,n", [("5", "2"), ("5", "3"), ("7", "2")])
+def test_certify_refuses_a_line_that_does_not_have_its_stored_direction(tmp_path, capsys, q, n):
+    # line 0 takes line 1's basis and keeps its own direction: the stored directions still cover the
+    # grid, the lines' real directions miss a cell, so verify fails and certify refuses
+    out = tmp_path / "k.json"
+    run(capsys, "construct", "--seed", "conic", "--q", q, "--dim", n, "--out", str(out))
+    doc = json.loads(out.read_text())
+    doc["lines"][0]["basis"] = doc["lines"][1]["basis"]
+    out.write_text(json.dumps(doc))
+    code, stdout, stderr = run(capsys, "verify", str(out), "--r", "1")
+    assert code == 1 and not stderr
+    directions = next(r for r in json.loads(stdout) if r["check"] == "directions")
+    assert "line 0 stores a direction it does not have" in directions["witnesses"]
+    code, stdout, stderr = run(capsys, "certify", str(out), "--r", "1")
+    assert code == 2 and not stdout
+    assert stderr == "error: line 0 stores a direction it does not have\n"
+
+
 def test_verify_fails_on_a_file_without_lines(tmp_path, capsys):
     # lifted points and no lines: failing verdicts, not a crash on the empty per-line counts
     out = tmp_path / "k.json"
@@ -308,6 +326,7 @@ def test_missing_key_is_input_error(tmp_path, capsys):
         {**good, "lines": [{**good["lines"][0], "basis": [[{"1": 1}, "0", "0"]]}]},
         {**good, "grid": [[["0"]] * 5]},
     ]
+    wrong += [{**good, "seed_meta": {**good["seed_meta"], "epsilon": e}} for e in (5, [None], [["1"]], ["1/0"], [1.5], [True])]
     for bad in wrong:
         out.write_text(json.dumps(bad))
         for argv in (["verify", str(out)], ["certify", str(out), "--r", "1"]):
@@ -333,6 +352,11 @@ def test_missing_key_is_input_error(tmp_path, capsys):
         assert code == 2 and not stdout, bad
         assert stderr.startswith("error: ") and stderr.count("\n") == 1
     assert stderr == "error: seed line coincides with the line at infinity\n"  # the last entry
+    for rows in ([["0", "0", "1"]], [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]):  # a point, the plane
+        seed_path.write_text(json.dumps({**seed, "lines": seed["lines"][:1] + [rows] + seed["lines"][2:]}))
+        code, stdout, stderr = run(capsys, "seed-report", str(seed_path))
+        assert code == 2 and not stdout
+        assert stderr == "error: seed line 1 is not a line\n"
 
 
 def test_bound_rejects_nonpositive_n(capsys):

@@ -342,6 +342,17 @@ def _seed(q: int, rational: bool):
     return _rational_seed(q) if rational else dual_conic_seed(q)
 
 
+@pytest.mark.parametrize("q, rational", [(5, False), (13, False), (7, True)])
+def test_lifting_slopes_are_the_seed_lines_own(q, rational):
+    # the closed form takes s_a from the seed's directions (1, s_a, 0); the line's reduced basis
+    # (1, s_a + c_a g, g), (0, c_a h, h) must give the same slope
+    seed = _seed(q, rational)
+    fld = seed.field
+    lift = Lifting(build_frame(3, fld), seed)
+    for (r0, r1), s in zip((line.basis for line in seed.lines), lift.emb.d_values, strict=True):
+        assert fld.sub(r0[1], fld.mul(fld.div(r1[1], r1[2]), r0[2])) == s
+
+
 @pytest.mark.parametrize(
     "q, n, rational",
     [(5, 3, False), (5, 4, False), (5, 5, False), (7, 3, False), (7, 4, False), (7, 5, False), (5, 3, True), (5, 4, True), (7, 3, True), (7, 4, True)],
@@ -532,9 +543,8 @@ _documents = st.recursive(
 @settings(max_examples=400, deadline=None)
 @given(_documents)
 def test_dump_writes_the_bytes_of_json_dumps(doc):
-    out = io.StringIO()
-    dump(doc, out)
-    assert out.getvalue() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    # dump is json.dump; save_kakeya's record formatter _fmt must write the same bytes for any document
+    assert construction._fmt(doc, "") == json.dumps(doc, indent=2, sort_keys=True)
 
 
 _PRIME = PrimeField(2**61 - 1)

@@ -3,7 +3,7 @@
 import math
 import random
 from fractions import Fraction
-from math import prod
+from math import comb, prod
 
 import pytest
 
@@ -29,7 +29,7 @@ from kakeya.polymethod import (
     vanishing_space,
 )
 from kakeya.projgeom import ProjPoint, affine_coords
-from kakeya.scalar import PrimeField, RationalField, binomial
+from kakeya.scalar import PrimeField, RationalField
 
 QQ = RationalField()
 F2 = PrimeField(2)
@@ -115,7 +115,7 @@ def test_hasse_composition_identity():
             left = hasse_derivative(hasse_derivative(f, j), i)
             coeff = 1
             for a, b in zip(i, j):
-                coeff *= binomial(a + b, a)
+                coeff *= comb(a + b, a)
             ij = tuple(a + b for a, b in zip(i, j))
             right = hasse_derivative(f, ij) * fld(coeff)
             assert left == right
@@ -185,7 +185,7 @@ def test_top_part_multiplicative():
 def test_monomial_basis_counts():
     for n in (1, 2, 3):
         for d in (0, 1, 2, 5):
-            assert len(monomial_basis(n, d)) == binomial(n + d, n)
+            assert len(monomial_basis(n, d)) == comb(n + d, n)
 
 
 def test_vanishing_space_single_point():
@@ -198,14 +198,14 @@ def test_vanishing_space_single_point():
 
 def test_vanishing_space_no_constraints():
     basis = vanishing_space([], 2, 1, 2, QQ)
-    assert len(basis) == binomial(4, 2)
+    assert len(basis) == comb(4, 2)
 
 
 def test_vanishing_space_respects_multiplicity():
     rng = random.Random(41)
     pts = [[F5(rng.randrange(5)), F5(rng.randrange(5))] for _ in range(3)]
     basis = vanishing_space(pts, 5, 2, 2, F5)
-    dim_lower = binomial(2 + 5, 2) - binomial(2 + 1, 2) * len(pts)
+    dim_lower = comb(2 + 5, 2) - comb(2 + 1, 2) * len(pts)
     assert len(basis) >= dim_lower
     for f in basis:
         for u in pts:
@@ -258,7 +258,7 @@ def _per_power_rows(points, deg_bound, mult, nvars, fld):
             keep = []
             for c, e in enumerate(monos):
                 if all(ei >= ji for ei, ji in zip(e, j)):
-                    factor = fld(prod(map(binomial, e, j)))
+                    factor = fld(prod(map(comb, e, j)))
                     if not fld.is_zero(factor):
                         keep.append((c, factor, tuple(ei - ji for ei, ji in zip(e, j))))
             derivs.append(keep)
@@ -423,7 +423,7 @@ def test_certify_forced_polynomial_single_line():
     with pytest.raises(HypothesisViolation, match="directions cover 1 of 7 grid cells"):
         certify(small, 1)
     affine = [affine_coords(kp.point) for kp in pts]
-    assert binomial(2 + 6, 2) > len(affine)
+    assert comb(2 + 6, 2) > len(affine)
     f = vanishing_space(affine, 6, 1, 2, K.field)[0]
     assert f.degree <= 6
     assert all(multiplicity_at(f, u) >= 1 for u in affine)

@@ -14,7 +14,6 @@ from kakeya.scalar import (
     RationalField,
     RealField,
     Scalar,
-    binomial,
     field_from_json,
 )
 
@@ -22,27 +21,6 @@ F5 = PrimeField(5)
 F7 = PrimeField(7)
 QQ = RationalField()
 RR = RealField()
-
-
-def test_binomial_matches_factorial_definition():
-    import math
-
-    for a in range(12):
-        for b in range(a + 1):
-            expected = math.factorial(a) // (math.factorial(b) * math.factorial(a - b))
-            assert binomial(a, b) == expected
-
-
-def test_binomial_zero_above_diagonal():
-    assert binomial(3, 5) == 0
-    assert binomial(0, 1) == 0
-
-
-def test_binomial_rejects_negatives():
-    with pytest.raises(ValueError):
-        binomial(-1, 0)
-    with pytest.raises(ValueError):
-        binomial(4, -2)
 
 
 def test_prime_field_requires_prime():

@@ -2,14 +2,17 @@
 
 Installing its tracer and counter here turns a deleted or renamed
 function that `bench/layers.TRACED` names into a failing test rather
-than a broken traced run.
+than a broken traced run; running the benchmark's self-tests does the
+same for the sites they expect, such as the modules that bind `meet`.
 """
 
 import importlib
+import subprocess
 import sys
 from pathlib import Path
 
-BENCH = str(Path(__file__).resolve().parents[1] / "bench")
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = str(ROOT / "bench")
 
 
 def test_every_traced_function_is_bound():
@@ -29,3 +32,10 @@ def test_every_traced_function_is_bound():
             tracer.uninstall()
     finally:
         sys.path.remove(BENCH)
+
+
+def test_bench_self_tests_pass():
+    # in a fresh process: the self-tests drop and re-import kakeya
+    cmd = [sys.executable, "-m", "unittest", "discover", "-s", "bench", "-p", "test_*.py"]
+    done = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
