@@ -49,10 +49,6 @@ class ZeroPolynomial(KakeyaError):
     """The zero polynomial was passed where a nonzero one is required."""
 
 
-class NotHomogeneous(KakeyaError):
-    """A homogeneous polynomial was required."""
-
-
 class HypothesisViolation(KakeyaError):
     """A line family does not satisfy the counting hypothesis of a bound."""
 

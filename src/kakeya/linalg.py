@@ -13,9 +13,9 @@ updates every entry.  W is a whole number of bytes (8 to 64 bits
 through `struct`, wider through bytes) with p + ncols*(p-1)^2 < 2^W: a
 row starts below p and takes at most ncols additions of (p-x)*b, x and
 b's lanes below p, so no lane carries and lanes are reduced mod p once,
-on unpacking.  Packing is lazy, for the many tiny matrices of the
-lifting: the first row, a row nothing reduces and a basis row that
-reduces nothing stay plain lists.
+on unpacking.  Packing is lazy, as construct solves only systems of at
+most four rows (seed, audit, embedding, completion lines): the first
+row, a row nothing reduces and a basis row reducing nothing stay lists.
 """
 
 from __future__ import annotations

@@ -30,12 +30,11 @@ from math import comb, prod
 from .errors import (
     DimensionMismatch,
     HypothesisViolation,
-    NotHomogeneous,
     UnsupportedField,
     ZeroPolynomial,
 )
 from .linalg import nullspace
-from .projgeom import PointSet, ProjPoint, affine_coords, incidence
+from .projgeom import PointSet, affine_coords, incidence
 from .scalar import Field
 from .verify import _direction_faults, _grid_coverage, _recovered_cells
 
@@ -91,20 +90,6 @@ class Poly:
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
-    @classmethod
-    def zero(cls, field: Field, nvars: int) -> "Poly":
-        return cls(field, nvars, {})
-
-    @classmethod
-    def constant(cls, field: Field, nvars: int, value) -> "Poly":
-        return cls(field, nvars, {(0,) * nvars: value})
-
-    @classmethod
-    def variable(cls, field: Field, nvars: int, index: int) -> "Poly":
-        exps = [0] * nvars
-        exps[index] = 1
-        return cls(field, nvars, {tuple(exps): field.one})
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
@@ -115,57 +100,6 @@ class Poly:
         if not self.terms:
             return -1
         return max(sum(e) for e in self.terms)
-
-    def is_homogeneous(self) -> bool:
-        degrees = {sum(e) for e in self.terms}
-        return len(degrees) <= 1
-
-    def coefficient(self, exps):
-        return self.terms.get(tuple(exps), self.field.zero)
-
-    def _check_peer(self, other: "Poly"):
-        if not isinstance(other, Poly):
-            raise TypeError(f"expected Poly, got {other!r}")
-        if other.nvars != self.nvars or other.field != self.field:
-            raise DimensionMismatch("polynomials live in different rings")
-
-    def __add__(self, other: "Poly") -> "Poly":
-        self._check_peer(other)
-        add = self.field.add
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            terms[e] = add(terms[e], c) if e in terms else c
-        return Poly(self.field, self.nvars, terms)
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
-    def __neg__(self) -> "Poly":
-        return Poly(self.field, self.nvars, {e: self.field.neg(c) for e, c in self.terms.items()})
-
-    def __mul__(self, other):
-        fld = self.field
-        if not isinstance(other, Poly):
-            c = fld(other)
-            return Poly(fld, self.nvars, {e: fld.mul(v, c) for e, v in self.terms.items()})
-        self._check_peer(other)
-        terms: dict[tuple[int, ...], object] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                prod = fld.mul(c1, c2)
-                terms[e] = fld.add(terms[e], prod) if e in terms else prod
-        return Poly(fld, self.nvars, terms)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "Poly":
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        out = Poly.constant(self.field, self.nvars, 1)
-        for _ in range(k):
-            out = out * self
-        return out
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
@@ -261,22 +195,6 @@ def top_part(f: Poly) -> Poly:
     )
 
 
-def grid_generator(fld: Field, nvars: int, axis: int, values) -> Poly:
-    """The product of (X_axis - a * X_last) over the given values a.
-
-    Homogeneous of degree len(values); vanishes on every point of a
-    grid whose axis coordinates run over the values.
-    """
-    if not 0 <= axis < nvars - 1:
-        raise ValueError(f"axis must be in 0..{nvars - 2}")
-    out = Poly.constant(fld, nvars, 1)
-    x_axis = Poly.variable(fld, nvars, axis)
-    x_last = Poly.variable(fld, nvars, nvars - 1)
-    for a in values:
-        out = out * (x_axis - x_last * a)
-    return out
-
-
 def vanishing_space(
     points, deg_bound: int, mult: int, nvars: int, fld: Field
 ) -> list[Poly]:
@@ -333,34 +251,6 @@ def vanishing_space(
         terms = {e: c for e, c in zip(monos, vec) if not fld.is_zero(c)}
         out.append(Poly(fld, nvars, terms))
     return out
-
-
-def direction_multiplicity(f_hom: Poly, directions) -> int:
-    """Minimum multiplicity of a homogeneous polynomial over a direction set.
-
-    Each direction is a projective point with last coordinate zero,
-    evaluated at its canonical representative; homogeneity makes the
-    answer independent of the representative chosen.
-    """
-    if f_hom.is_zero:
-        raise ZeroPolynomial("the zero polynomial has no direction multiplicity")
-    if not f_hom.is_homogeneous():
-        raise NotHomogeneous("direction multiplicity needs a homogeneous polynomial")
-    best = None
-    for d in directions:
-        if isinstance(d, ProjPoint):
-            coords = d.coords
-            if not f_hom.field.is_zero(coords[-1]):
-                raise ValueError("directions must lie at infinity")
-            rep = list(coords[:-1])
-        else:
-            rep = list(d)
-        m = multiplicity_at(f_hom, rep)
-        if best is None or m < best:
-            best = m
-    if best is None:
-        raise ValueError("empty direction set")
-    return best
 
 
 @dataclass

@@ -124,10 +124,13 @@ class Field:
 
     def values_from_json(self, doc, what: str) -> list:
         """Values of a JSON list of strings, each distinct string parsed once; MalformedFile naming what otherwise."""
+        doc = doc if type(doc) is list else need(doc, list, what)
         try:
-            return list(map(self._parsed.__getitem__, doc if type(doc) is list else need(doc, list, what)))
+            return list(map(self._parsed.__getitem__, doc))
         except TypeError:  # an entry that is not a str, hashable or not
             return [self.from_str(need(s, str, f"{what} entry")) for s in doc]
+        except MalformedFile as exc:  # a string from_str refuses: a zero denominator, a non-finite real
+            raise MalformedFile(f"{what} entry {exc}") from None
 
     def to_json(self) -> dict:
         raise NotImplementedError
@@ -225,7 +228,7 @@ class RationalField(Field):
         try:
             return Fraction(s)
         except ZeroDivisionError:
-            raise MalformedFile(f"rational coordinate {s!r} has denominator 0") from None
+            raise MalformedFile(f"{s!r} has denominator 0") from None
 
     def to_json(self):
         return {"kind": "rational"}
@@ -276,7 +279,7 @@ class RealField(Field):
     def from_str(self, s):
         x = float(s)
         if not math.isfinite(x):
-            raise MalformedFile(f"real coordinate {s!r} is not finite")
+            raise MalformedFile(f"{s!r} is not finite")
         return x
 
     def to_json(self):

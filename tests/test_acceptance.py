@@ -22,10 +22,10 @@ from kakeya.construction import (
     load_kakeya,
 )
 from kakeya.polymethod import (
+    Poly,
     bound_best,
     bound_grid,
     certify,
-    direction_multiplicity,
     hasse_derivative,
     multiplicity_at,
     top_part,
@@ -174,8 +174,6 @@ def test_criterion_4_hasse_property_suite(announce):
     per_field = 250
 
     def random_poly(fld, nvars=2, max_deg=3):
-        from kakeya.polymethod import Poly
-
         while True:
             terms = {}
             for _ in range(rng.randrange(1, 5)):
@@ -184,6 +182,14 @@ def test_criterion_4_hasse_property_suite(announce):
             f = Poly(fld, nvars, terms)
             if not f.is_zero:
                 return f
+
+    def mul(f, g):
+        fld, terms = f.field, {}
+        for e1, c1 in f.terms.items():
+            for e2, c2 in g.terms.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                terms[e] = fld.add(terms.get(e, fld.zero), fld.mul(c1, c2))
+        return Poly(fld, f.nvars, terms)
 
     for fld in fields:
         for _ in range(per_field):
@@ -196,9 +202,9 @@ def test_criterion_4_hasse_property_suite(announce):
             for a, b in zip(i, j):
                 coeff *= math.comb(a + b, a)
             ij = tuple(a + b for a, b in zip(i, j))
-            assert hasse_derivative(hasse_derivative(f, j), i) == hasse_derivative(
-                f, ij
-            ) * fld(coeff)
+            assert hasse_derivative(hasse_derivative(f, j), i) == mul(
+                hasse_derivative(f, ij), Poly(fld, 2, {(0, 0): coeff})
+            )
 
             u = [fld(rng.randrange(5)) for _ in range(2)]
             m = multiplicity_at(f, u)
@@ -210,18 +216,16 @@ def test_criterion_4_hasse_property_suite(announce):
             ft = top_part(f)
             dft = hasse_derivative(ft, j)
             assert dft.is_zero or (
-                dft.is_homogeneous() and dft.degree == ft.degree - w
+                len({sum(e) for e in dft.terms}) == 1 and dft.degree == ft.degree - w
             )
 
-            assert top_part(f * g) == top_part(f) * top_part(g)
-
-    from kakeya.polymethod import Poly
+            assert top_part(mul(f, g)) == mul(top_part(f), top_part(g))
 
     F2 = fields[0]
-    x2 = Poly.variable(F2, 1, 0) ** 2
+    x2 = Poly(F2, 1, {(2,): 1})
     char2_ok = hasse_derivative(x2, (1,)).is_zero and hasse_derivative(
         x2, (2,)
-    ) == Poly.constant(F2, 1, 1)
+    ) == Poly(F2, 1, {(0,): 1})
     assert char2_ok
 
     elapsed = time.monotonic() - start
@@ -310,7 +314,7 @@ def test_criterion_6_certificate_desk_scale(announce):
         for f in basis:
             for u in S:
                 assert multiplicity_at(f, u) >= mult
-            assert direction_multiplicity(top_part(f), D) >= r
+            assert min(multiplicity_at(top_part(f), d.coords[:-1]) for d in D) >= r
         cert = certify(K, r)
         assert cert.verdict in ("pass", "pass-vacuous")
 

@@ -170,6 +170,34 @@ def test_construct_refuses_a_seed_file_with_a_repeated_measuring_line(tmp_path, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "edit,problem",
+    [
+        (lambda s: s["lines"].__setitem__(0, s["m_lines"][0]), "line 0 passes through the measuring direction (0,1,0)"),
+        (lambda s: s["lines"].__setitem__(0, s["lines"][1]), "lines 0 and 1 share an infinite point"),
+        (lambda s: s["m_lines"].__setitem__(0, s["lines"][0]), "measuring line 0 misses the common point (0,1,0)"),
+        (lambda s: s["m_lines"].pop(), "expected 5 measuring lines, found 4"),
+        (lambda s: s["epsilon"].pop(), "epsilon list length does not match the measuring lines"),
+    ],
+    ids=["vertical seed line", "repeated seed line", "seed line as measuring line", "missing measuring line", "missing epsilon"],
+)
+def test_seed_file_audit_problems(tmp_path, capsys, edit, problem):
+    # seed-report lists the problem with a failing verdict; construct refuses the seed with it as the first problem
+    spath = tmp_path / "seed.json"
+    save_seed(dual_conic_seed(5), str(spath))
+    doc = json.loads(spath.read_text())
+    edit(doc)
+    spath.write_text(json.dumps(doc))
+    code, stdout, _ = run(capsys, "seed-report", str(spath))
+    report = json.loads(stdout)
+    assert code == 1 and report["verdict"] == "fail"
+    assert report["problems"][0] == problem
+    out = tmp_path / "k.json"
+    code, stdout, stderr = run(capsys, "construct", "--seed", f"file:{spath}", "--dim", "3", "--out", str(out))
+    assert (code, stdout, stderr) == (2, "", f"error: the seed fails its audit: {problem}\n")
+    assert not out.exists()
+
+
 def test_construct_unknown_seed(tmp_path, capsys):
     code, _, stderr = run(
         capsys, "construct", "--seed", "pentagon", "--dim", "3", "--out", str(tmp_path / "x.json")
@@ -290,7 +318,23 @@ def test_rational_zero_denominator_is_input_error(tmp_path, capsys):
     out.write_text(json.dumps(doc))
     code, stdout, stderr = run(capsys, "verify", str(out))
     assert code == 2 and not stdout
-    assert stderr == "error: rational coordinate '1/0' has denominator 0\n"
+    assert stderr == "error: point entry '1/0' has denominator 0\n"
+
+
+def test_a_zero_epsilon_denominator_is_named_as_an_epsilon(tmp_path, capsys):
+    out = tmp_path / "k.json"
+    run(capsys, "construct", "--seed", "conic", "--q", "5", "--dim", "2", "--out", str(out))
+    doc = json.loads(out.read_text())
+    doc["seed_meta"]["epsilon"][0] = "1/0"
+    out.write_text(json.dumps(doc))
+    assert run(capsys, "verify", str(out)) == (2, "", "error: seed_meta epsilon entry '1/0' has denominator 0\n")
+
+    spath = tmp_path / "seed.json"
+    save_seed(dual_conic_seed(5), str(spath))
+    seed = json.loads(spath.read_text())
+    seed["epsilon"][0] = "1/0"
+    spath.write_text(json.dumps(seed))
+    assert run(capsys, "seed-report", str(spath)) == (2, "", "error: epsilon entry '1/0' has denominator 0\n")
 
 
 def test_missing_key_is_input_error(tmp_path, capsys):

@@ -296,6 +296,14 @@ def test_assemble_refuses_a_seed_flat_that_is_not_a_line():
         assemble(seed, 3)
 
 
+def test_assemble_refuses_a_seed_line_through_the_measuring_direction():
+    # without the audit, a loaded seed whose line 0 is vertical reaches the embedding, which refuses it
+    doc = seed_to_json(dual_conic_seed(5))
+    doc["lines"][0] = doc["m_lines"][0]
+    with pytest.raises(DegenerateSeed, match=r"^seed line 0 runs through the measuring direction$"):
+        assemble(seed_from_json(doc), 3)
+
+
 def test_assemble_points_distinct():
     K = assemble(dual_conic_seed(7), 3)
     seen = {kp.point.coords for kp in K.points}

@@ -1,3 +1,4 @@
+import re
 import time
 from fractions import Fraction
 from functools import partial
@@ -227,10 +228,10 @@ def test_values_from_json_names_what_is_not_a_list_of_strings(doc, message):
 def test_real_from_str_refuses_non_finite_values(s):
     with pytest.raises(MalformedFile):
         RR.from_str(s)
-    with pytest.raises(MalformedFile):
+    with pytest.raises(MalformedFile, match=f"^point entry {re.escape(repr(s))} is not finite$"):
         RR.values_from_json(["1.0", s], "point")
 
 
 def test_rational_from_str_refuses_a_zero_denominator():
-    with pytest.raises(MalformedFile):
-        QQ.values_from_json(["1/1", "1/0"], "point")
+    with pytest.raises(MalformedFile, match=r"^grid axis entry '1/0' has denominator 0$"):
+        QQ.values_from_json(["1/1", "1/0"], "grid axis")

@@ -1,11 +1,13 @@
 """Re-verification checks and their failure modes."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kakeya import verify
-from kakeya.construction import KakeyaSet, KLine, KPoint, assemble, direction_from_grid_values
+from kakeya.construction import KakeyaSet, KLine, KPoint, assemble, direction_from_grid_values, load_kakeya, save_kakeya
 from kakeya.projgeom import ProjPoint, Subspace, affine_coords, incidence, point_from_affine, span
 from kakeya.seeds import dual_conic_seed, regular_ngon_seed, seed_from_json, seed_to_json
 from kakeya.verify import (
@@ -67,6 +69,24 @@ def test_incidence_counts_distinct_points(conic5):
     assert "points 20 and 41 on line 20 coincide" in rep.witnesses
     assert "line 20 carries 4 points, needs 5" in rep.witnesses
     assert [r.verdict for r in verify_all(K, r=1)][0] == "fail"
+
+
+def test_incidence_flags_more_lifted_points_than_the_claim_allows(conic5, tmp_path):
+    # every point of line 0 relabelled lifted, and the first of them listed again: N + 1 lifted entries on the line
+    path = tmp_path / "k.json"
+    save_kakeya(conic5, str(path))
+    doc = json.loads(path.read_text())
+    on_line = [i for i, kp in enumerate(conic5.points) if conic5.lines[0].line.contains(kp.point)]
+    lifted = next(kp.provenance for kp in conic5.points if kp.provenance["kind"] == "lifted")
+    for i in on_line:
+        doc["points"][i]["provenance"] = lifted
+    doc["points"].append(doc["points"][on_line[0]])
+    path.write_text(json.dumps(doc))
+    K = load_kakeya(str(path))
+    rep = verify_incidence(K, _inc(K))
+    assert rep.verdict == "fail"
+    assert "line 0 carries 6 lifted points, claim allows 5" in rep.witnesses
+    assert rep.measured["max_lifted_on_line"] == 6
 
 
 def test_directions_fail_on_tampered_direction(conic5):
