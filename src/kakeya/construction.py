@@ -71,7 +71,6 @@ class EmbeddedSeed:
     lines: list[Subspace]
     infinite_points: list[ProjPoint]
     m_lines: list[Subspace]
-    points: list[tuple[ProjPoint, bool]]
     d_values: list
 
 
@@ -109,7 +108,6 @@ def embed_seed(frame: ConstructionFrame, seed: PlanarSeed) -> EmbeddedSeed:
         lines=[embed_flat(s) for s in seed.lines],
         infinite_points=[embed_point(p) for p in seed.infinite_points],
         m_lines=[embed_flat(s) for s in seed.m_lines],
-        points=[(embed_point(sp.point), sp.extra) for sp in seed.points],
         d_values=[p.coords[1] for p in seed.infinite_points],
     )
 
@@ -356,7 +354,8 @@ def assemble(seed: PlanarSeed, n: int, audit: bool = False) -> KakeyaSet:
     if n == 2:
         lines = [KLine(l, p) for l, p in zip(emb.lines, emb.infinite_points)]
         points = [
-            KPoint(p, {"kind": "seed", "extra": extra}) for p, extra in emb.points
+            KPoint(ProjPoint(fld, _embed_vector(fld, n, sp.point.coords)), {"kind": "seed", "extra": sp.extra})
+            for sp in seed.points
         ]
         return KakeyaSet(fld, n, N, grid, lines, points, seed_meta)
 
@@ -399,7 +398,7 @@ def assemble(seed: PlanarSeed, n: int, audit: bool = False) -> KakeyaSet:
     for cell in completion_cells:
         values = [slopes[i] for i in cell]
         direction = direction_from_grid_values(fld, n, values)
-        line = Subspace.from_points([origin, direction])
+        line = span(origin, direction)
         lines.append(KLine(line, direction))
 
     # pad every line to N points by walking integer steps along it

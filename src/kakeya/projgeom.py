@@ -122,20 +122,6 @@ class Subspace:
         return cls(field, ambient_dim, rows, pivots)
 
     @classmethod
-    def from_points(cls, points) -> "Subspace":
-        points = list(points)
-        if not points:
-            raise ZeroVector("need at least one point to span a flat")
-        field = points[0].field
-        dim = points[0].ambient_dim
-        for p in points:
-            if p.field != field:
-                raise FieldMismatch("mixed fields")
-            if p.ambient_dim != dim:
-                raise AmbientMismatch("mixed ambient dimensions")
-        return cls.from_vectors(field, dim, [p.coords for p in points])
-
-    @classmethod
     def empty(cls, field: Field, ambient_dim: int) -> "Subspace":
         return cls(field, ambient_dim, [], [])
 
@@ -163,10 +149,7 @@ class Subspace:
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
-        if other.field != self.field:
-            raise FieldMismatch("flats from different fields")
-        if other.ambient_dim != self.ambient_dim:
-            raise AmbientMismatch("flats from different ambient spaces")
+        _check_pair(self, other)
         if len(other.basis) != len(self.basis) or other.pivots != self.pivots:
             return False
         eq = self.field.eq

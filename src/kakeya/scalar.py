@@ -95,13 +95,7 @@ class Field:
     def pow(self, a, e: int):
         if not isinstance(e, int) or e < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        out = self.one
-        while e:
-            if e & 1:
-                out = self.mul(out, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return out
+        return pow(a, e, self.p) if self.p else a ** e
 
     def eq(self, a, b) -> bool:
         return a == b
@@ -129,7 +123,7 @@ class Field:
             return list(map(self._parsed.__getitem__, doc))
         except TypeError:  # an entry that is not a str, hashable or not
             return [self.from_str(need(s, str, f"{what} entry")) for s in doc]
-        except MalformedFile as exc:  # a string from_str refuses: a zero denominator, a non-finite real
+        except MalformedFile as exc:  # a string from_str refuses: not a number, a zero denominator, a non-finite real
             raise MalformedFile(f"{what} entry {exc}") from None
 
     def to_json(self) -> dict:
@@ -190,7 +184,10 @@ class PrimeField(Field):
         return pow(a, -1, self.p)
 
     def from_str(self, s):
-        return int(s, 10) % self.p
+        try:
+            return int(s, 10) % self.p
+        except ValueError:
+            raise MalformedFile(f"{s!r} is not an integer") from None
 
     def to_json(self):
         return {"kind": "prime", "p": self.p}
@@ -229,6 +226,8 @@ class RationalField(Field):
             return Fraction(s)
         except ZeroDivisionError:
             raise MalformedFile(f"{s!r} has denominator 0") from None
+        except ValueError:
+            raise MalformedFile(f"{s!r} is not a rational number") from None
 
     def to_json(self):
         return {"kind": "rational"}
@@ -277,7 +276,10 @@ class RealField(Field):
         return repr(float(a))
 
     def from_str(self, s):
-        x = float(s)
+        try:
+            x = float(s)
+        except ValueError:
+            raise MalformedFile(f"{s!r} is not a real number") from None
         if not math.isfinite(x):
             raise MalformedFile(f"{s!r} is not finite")
         return x

@@ -25,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .errors import DegenerateSeed, UnsupportedField, need, positive, records
+from .errors import DegenerateSeed, MalformedFile, UnsupportedField, need, positive, records
 from .projgeom import PointSet, ProjPoint, Subspace, at_infinity, incidence, infinite_point, meet
 from .scalar import DEFAULT_REAL_TOLERANCE, Field, PrimeField, RationalField, RealField, field_from_json
 
@@ -95,10 +95,8 @@ def dual_conic_seed(q: int) -> PlanarSeed:
     one, zero = fld.one, fld.zero
 
     lines = []
-    infinite_points = []
     for t in range(q):
         lines.append(Subspace.from_equations(fld, 2, [[fld(-2 * t), one, fld(t * t)]]))
-        infinite_points.append(ProjPoint(fld, [one, fld(2 * t), zero]))
 
     m_lines = [
         Subspace.from_equations(fld, 2, [[one, zero, fld(-c)]]) for c in range(q)
@@ -114,7 +112,7 @@ def dual_conic_seed(q: int) -> PlanarSeed:
         field=fld,
         N=q,
         lines=lines,
-        infinite_points=infinite_points,
+        infinite_points=_infinite_points(lines),
         m_lines=m_lines,
         points=points,
         epsilon=[],
@@ -358,10 +356,12 @@ def seed_to_json(seed: PlanarSeed) -> dict:
 def seed_from_json(doc) -> PlanarSeed:
     fld = field_from_json(need(doc, dict, "seed")["field"])
     lines = [Subspace.from_json(fld, 2, rows) for rows in need(doc["lines"], list, "lines")]
-    points = [
-        SeedPoint(ProjPoint.from_json(fld, entry["coords"]), bool(entry.get("extra", False)))
-        for entry in records(doc, "points")
-    ]
+    points = []
+    for entry in records(doc, "points"):
+        extra = entry.get("extra", False)  # a JSON boolean; need() refuses bools, so the check is written out
+        if type(extra) is not bool:
+            raise MalformedFile(f"point extra has the wrong type ({type(extra).__name__})")
+        points.append(SeedPoint(ProjPoint.from_json(fld, entry["coords"]), extra))
     return PlanarSeed(
         field=fld,
         N=positive(doc["N"], "N"),

@@ -85,7 +85,8 @@ def verify_incidence(K: KakeyaSet, inc, verbose: bool = False) -> VerifyReport:
     A point listed twice on a line is a witness and counts once.  Also
     audits the construction claim that no line picked up more than N
     points before padding, using the lifted provenance labels when they
-    are present.
+    are present: a line's lifted points are its distinct points whose
+    first entry is labelled lifted.
     """
     first, on = inc
     counts = []
@@ -100,7 +101,7 @@ def verify_incidence(K: KakeyaSet, inc, verbose: bool = False) -> VerifyReport:
         repeats = [i for i in on_line if first[i] != i]
         witnesses.extend(f"points {first[i]} and {i} on line {idx} coincide" for i in repeats)
         total = len(on_line) - len(repeats)
-        lifted = sum(1 for i in on_line if lifted_flags[i])
+        lifted = sum(1 for i in on_line if lifted_flags[i] and first[i] == i)
         counts.append(total)
         lifted_counts.append(lifted)
         if total < K.N:

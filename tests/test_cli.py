@@ -1,7 +1,12 @@
 """Command-line interface: exit codes, JSON output, determinism."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +14,8 @@ from kakeya.cli import main
 from kakeya import construction
 from kakeya.construction import save_seed
 from kakeya.seeds import SeedPoint, dual_conic_seed, regular_ngon_seed, seed_report
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -335,6 +342,98 @@ def test_a_zero_epsilon_denominator_is_named_as_an_epsilon(tmp_path, capsys):
     seed["epsilon"][0] = "1/0"
     spath.write_text(json.dumps(seed))
     assert run(capsys, "seed-report", str(spath)) == (2, "", "error: epsilon entry '1/0' has denominator 0\n")
+
+
+@pytest.fixture(scope="module")
+def conic5_files(tmp_path_factory):
+    """The construction file of conic q=5 n=3 and the q=5 seed file, as JSON documents."""
+    files = tmp_path_factory.mktemp("files")
+    out, spath = files / "k.json", files / "seed.json"
+    assert main(["construct", "--seed", "conic", "--q", "5", "--dim", "3", "--out", str(out)]) == 0
+    save_seed(dual_conic_seed(5), str(spath))
+    return json.loads(out.read_text()), json.loads(spath.read_text())
+
+
+_NOT_A_NUMBER = {"prime": "is not an integer", "rational": "is not a rational number", "real": "is not a real number"}
+
+
+def _set_x(doc, slot):
+    """Write the coordinate string "x" into one slot of a construction or seed document."""
+    if slot in ("point", "seed point"):
+        doc["points"][0]["coords"][1] = "x"
+    elif slot == "flat row":
+        doc["lines"][0]["basis"][0][1] = "x"
+    elif slot == "direction":
+        doc["lines"][0]["direction"][1] = "x"
+    elif slot == "grid axis":
+        doc["grid"][0][1] = "x"
+    elif slot == "seed_meta epsilon":
+        doc["seed_meta"]["epsilon"][1] = "x"
+    else:
+        doc["epsilon"][1] = "x"
+
+
+@pytest.mark.parametrize("kind", ["prime", "rational", "real"])
+@pytest.mark.parametrize(
+    "slot, what",
+    [
+        ("point", "point"),
+        ("flat row", "flat row"),
+        ("direction", "point"),
+        ("grid axis", "grid axis"),
+        ("seed_meta epsilon", "seed_meta epsilon"),
+        ("seed point", "point"),
+        ("seed epsilon", "epsilon"),
+    ],
+)
+def test_a_coordinate_that_does_not_parse_is_named(conic5_files, tmp_path, capsys, kind, slot, what):
+    # every file holds its coordinates as strings; an epsilon is always rational, a coordinate of the file's field
+    doc = json.loads(json.dumps(conic5_files[slot.startswith("seed ")]))
+    doc["field"] = {"prime": {"kind": "prime", "p": 5}, "rational": {"kind": "rational"}, "real": {"kind": "real"}}[kind]
+    _set_x(doc, slot)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    noun = _NOT_A_NUMBER["rational" if "epsilon" in slot else kind]
+    command = "seed-report" if slot.startswith("seed ") else "verify"
+    assert run(capsys, command, str(path)) == (2, "", f"error: {what} entry 'x' {noun}\n")
+
+
+@pytest.mark.parametrize("extra", ["no", 0, None, [1]], ids=["str", "int", "null", "list"])
+def test_a_seed_point_extra_must_be_a_boolean(conic5_files, tmp_path, capsys, extra):
+    spath, out = tmp_path / "seed.json", tmp_path / "k.json"
+    seed = json.loads(json.dumps(conic5_files[1]))
+    seed["points"][0]["extra"] = extra
+    spath.write_text(json.dumps(seed))
+    want = (2, "", f"error: point extra has the wrong type ({type(extra).__name__})\n")
+    assert run(capsys, "seed-report", str(spath)) == want
+    assert run(capsys, "construct", "--seed", f"file:{spath}", "--dim", "3", "--out", str(out)) == want
+    del seed["points"][0]["extra"]  # a missing extra means false
+    spath.write_text(json.dumps(seed))
+    code, stdout, _ = run(capsys, "seed-report", str(spath))
+    assert code == 0 and json.loads(stdout)["verdict"] == "pass"
+
+
+def test_the_process_entry_point_exits_with_the_cli_codes(conic5_files, tmp_path):
+    # python -m kakeya runs __main__.py, which hands main's code to sys.exit
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+
+    def kakeya(*argv):
+        return subprocess.run([sys.executable, "-m", "kakeya", *argv], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+
+    done = kakeya("bound", "--N", "7", "--dim", "3", "--optimize")
+    golden = json.loads((ROOT / "bench" / "golden.json").read_text())["sha256"]
+    assert done.returncode == 0, done.stderr
+    assert hashlib.sha256(done.stdout.encode()).hexdigest() == golden["bound N=7 n=3 optimize"]
+
+    doc = json.loads(json.dumps(conic5_files[0]))
+    doc["points"][0]["coords"] = doc["points"][1]["coords"]  # point 0 moved onto point 1
+    path = tmp_path / "moved.json"
+    path.write_text(json.dumps(doc))
+    assert kakeya("verify", str(path)).returncode == 1
+
+    done = kakeya("verify", str(tmp_path / "missing.json"))
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
 
 
 def test_missing_key_is_input_error(tmp_path, capsys):

@@ -51,12 +51,12 @@ def test_frame_points_n3():
 
 def _pi(frame, i):
     """The flat spanned by x_1..x_i."""
-    return Subspace.from_points([frame.x[j] for j in range(1, i + 1)])
+    return Subspace.from_vectors(frame.field, frame.n, [frame.x[j].coords for j in range(1, i + 1)])
 
 
 def _sigma(frame, i):
     """The flat spanned by x_0..x_i."""
-    return Subspace.from_points([frame.x[j] for j in range(i + 1)])
+    return Subspace.from_vectors(frame.field, frame.n, [frame.x[j].coords for j in range(i + 1)])
 
 
 def test_frame_flats_nest():
@@ -291,7 +291,7 @@ def test_assemble_duplicate_direction_seed_rejected():
 def test_assemble_refuses_a_seed_flat_that_is_not_a_line():
     # the closed form reads each seed line's slope and intercept off its two basis rows
     seed = dual_conic_seed(5)
-    seed.lines[2] = Subspace.from_points([ProjPoint(seed.field, [1, 4, 0])])
+    seed.lines[2] = Subspace.from_vectors(seed.field, 2, [ProjPoint(seed.field, [1, 4, 0]).coords])
     with pytest.raises(DegenerateSeed):
         assemble(seed, 3)
 
@@ -397,7 +397,7 @@ def test_paired_double_points_off_one_abscissa_are_refused():
     # the meet recursion comes back empty there, so the lift refuses the pair with the class it raised
     seed = dual_conic_seed(7)
     fld = seed.field
-    seed.m_lines[0] = Subspace.from_points([ProjPoint(fld, [4, 0, 1]), ProjPoint(fld, [6, 6, 1])])
+    seed.m_lines[0] = span(ProjPoint(fld, [4, 0, 1]), ProjPoint(fld, [6, 6, 1]))
     lift = Lifting(build_frame(3, fld), seed)
     assert lift.doubles[0, 1][1] == lift.doubles[2, 3][1] == 0
     with pytest.raises(DegenerateSeed):
@@ -506,7 +506,7 @@ def test_exact_padding_is_the_normalized_walk(rational):
             line = K.lines[prov["line"]].line
         elif prov["kind"] == "grid_completion":
             direction = direction_from_grid_values(fld, 3, [fld.from_str(s) for s in prov["cell"]])
-            line = Subspace.from_points([origin, direction])
+            line = span(origin, direction)
         else:
             continue
         want = walk_point(fld, *line_walk_start(line), prov["lam"]).coords

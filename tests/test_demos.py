@@ -12,7 +12,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def _run(argv):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
     return subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
 
 

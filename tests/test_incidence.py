@@ -72,7 +72,7 @@ def test_flats_that_are_not_lines_are_scanned(families):
     lines, points = _parts(K)
     off = next(p for p in points if not lines[0].contains(p))
     lines[0] = span(off, lines[0])
-    lines[1] = Subspace.from_points([points[0]])
+    lines[1] = Subspace.from_vectors(K.field, K.n, [points[0].coords])
     lines[2] = Subspace.empty(K.field, K.n)
     on = _check(K.field, lines, points)
     assert on[1] == [0] and on[2] == []

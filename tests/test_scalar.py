@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kakeya.errors import DivisionByZero, FieldMismatch, MalformedFile, UnsupportedField
-from kakeya.projgeom import ProjPoint, Subspace
+from kakeya.projgeom import ProjPoint, span
 from kakeya.scalar import (
     DEFAULT_REAL_TOLERANCE,
     PrimeField,
@@ -110,7 +110,7 @@ def test_real_points_and_flats_are_unhashable():
     a = ProjPoint(RR, [1.0, 0.5, 1.0])
     b = ProjPoint(RR, [1.0, 0.5 + 1e-12, 1.0])
     assert a == b
-    for x in (a, b, Subspace.from_points([a, ProjPoint(RR, [0.0, 1.0, 0.0])])):
+    for x in (a, b, span(a, ProjPoint(RR, [0.0, 1.0, 0.0]))):
         with pytest.raises(TypeError):
             hash(x)
     exact = ProjPoint(F5, [2, 1, 2])
@@ -130,12 +130,19 @@ def test_cross_field_arithmetic_is_refused():
 
 
 def test_power_matches_repeated_multiplication():
-    x = F7(3)
-    acc = F7(1)
-    for k in range(8):
-        assert F7.pow(x, k) == acc
-        assert Scalar(x, F7) ** k == Scalar(acc, F7)
-        acc = F7.mul(acc, x)
+    # F_7 and Q exactly, value type included; the reals up to the tolerance; a negative exponent is refused
+    for fld, x in ((F7, F7(3)), (QQ, QQ(Fraction(-3, 2))), (RR, RR(1.1))):
+        acc = fld.one
+        for k in range(12):
+            power = fld.pow(x, k)
+            if fld.exact:
+                assert (type(power), power) == (type(acc), acc)
+            else:
+                assert fld.eq(power, acc)
+            assert Scalar(x, fld) ** k == Scalar(acc, fld)
+            acc = fld.mul(acc, x)
+        with pytest.raises(ValueError):
+            fld.pow(x, -1)
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from kakeya.errors import DegenerateSeed, UnsupportedField
-from kakeya.projgeom import ProjPoint, Subspace, meet
+from kakeya.projgeom import ProjPoint, Subspace, meet, span
 from kakeya.scalar import PrimeField, RealField
 from kakeya.seeds import (
     SeedPoint,
@@ -145,7 +145,7 @@ def test_line_walk_start_parametrizes_the_line():
             affine = [fld.add(c, fld.mul(fld(lam), s)) for c, s in zip(base, step)]
             pt = ProjPoint(fld, affine + [fld.one])
             assert line.contains(pt)
-    at_infinity = Subspace.from_points([ProjPoint(fld, [1, 0, 0]), ProjPoint(fld, [0, 1, 0])])
+    at_infinity = span(ProjPoint(fld, [1, 0, 0]), ProjPoint(fld, [0, 1, 0]))
     plane = Subspace.from_vectors(fld, 2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     for flat, guard in ((at_infinity, "line lies at infinity"), (plane, "not an affine line")):
         with pytest.raises(ValueError, match=guard):

@@ -7,6 +7,7 @@ same for the sites they expect, such as the modules that bind `meet`.
 """
 
 import importlib
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -37,5 +38,6 @@ def test_every_traced_function_is_bound():
 def test_bench_self_tests_pass():
     # in a fresh process: the self-tests drop and re-import kakeya
     cmd = [sys.executable, "-m", "unittest", "discover", "-s", "bench", "-p", "test_*.py"]
-    done = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=300)
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from kakeya import verify
 from kakeya.construction import KakeyaSet, KLine, KPoint, assemble, direction_from_grid_values, load_kakeya, save_kakeya
-from kakeya.projgeom import ProjPoint, Subspace, affine_coords, incidence, point_from_affine, span
-from kakeya.seeds import dual_conic_seed, regular_ngon_seed, seed_from_json, seed_to_json
+from kakeya.projgeom import PointSet, ProjPoint, Subspace, affine_coords, incidence, point_from_affine, span
+from kakeya.seeds import dual_conic_seed, line_walk_start, regular_ngon_seed, seed_from_json, seed_to_json, walk_point
 from kakeya.verify import (
     _recovered_cells,
     verify_all,
@@ -71,22 +71,54 @@ def test_incidence_counts_distinct_points(conic5):
     assert [r.verdict for r in verify_all(K, r=1)][0] == "fail"
 
 
-def test_incidence_flags_more_lifted_points_than_the_claim_allows(conic5, tmp_path):
-    # every point of line 0 relabelled lifted, and the first of them listed again: N + 1 lifted entries on the line
+def _relabel_line_0(K, tmp_path, count):
+    """K's file with the first count points of line 0 relabelled lifted, as a JSON document, and those points' positions."""
     path = tmp_path / "k.json"
-    save_kakeya(conic5, str(path))
+    save_kakeya(K, str(path))
     doc = json.loads(path.read_text())
-    on_line = [i for i, kp in enumerate(conic5.points) if conic5.lines[0].line.contains(kp.point)]
-    lifted = next(kp.provenance for kp in conic5.points if kp.provenance["kind"] == "lifted")
+    on_line = [i for i, kp in enumerate(K.points) if K.lines[0].line.contains(kp.point)][:count]
+    lifted = next(kp.provenance for kp in K.points if kp.provenance["kind"] == "lifted")
     for i in on_line:
         doc["points"][i]["provenance"] = lifted
-    doc["points"].append(doc["points"][on_line[0]])
+    return doc, on_line
+
+
+def _reload(doc, tmp_path):
+    path = tmp_path / "k.json"
     path.write_text(json.dumps(doc))
-    K = load_kakeya(str(path))
+    return load_kakeya(str(path))
+
+
+def test_incidence_flags_more_lifted_points_than_the_claim_allows(tmp_path):
+    # over Q a line holds more than N affine points: line 0 of the Q-read conic q=5 lift gets N lifted
+    # points relabelled and one more distinct point of its own walk, N + 1 distinct lifted points
+    doc = seed_to_json(dual_conic_seed(5))
+    doc["field"] = {"kind": "rational"}
+    K = assemble(seed_from_json(doc), 3)
+    doc, on_line = _relabel_line_0(K, tmp_path, K.N)
+    assert len(on_line) == K.N
+    base, step = line_walk_start(K.lines[0].line)
+    stored = PointSet(K.field, [kp.point for kp in K.points])
+    extra = next(p for p in (walk_point(K.field, base, step, lam) for lam in range(K.N + len(K.points))) if stored.add(p))
+    doc["points"].append({"coords": extra.to_json(), "provenance": doc["points"][on_line[0]]["provenance"]})
+    K = _reload(doc, tmp_path)
     rep = verify_incidence(K, _inc(K))
     assert rep.verdict == "fail"
-    assert "line 0 carries 6 lifted points, claim allows 5" in rep.witnesses
+    assert rep.witnesses == ["line 0 carries 6 lifted points, claim allows 5"]
     assert rep.measured["max_lifted_on_line"] == 6
+
+
+def test_incidence_counts_a_repeated_lifted_point_once(conic5, tmp_path):
+    # over F_5 line 0 holds at most N affine points: all of them relabelled lifted, the first listed again,
+    # is N + 1 lifted entries but N distinct lifted points; the repeat is a witness on each line through it
+    doc, on_line = _relabel_line_0(conic5, tmp_path, conic5.N)
+    doc["points"].append(doc["points"][on_line[0]])
+    K = _reload(doc, tmp_path)
+    rep = verify_incidence(K, _inc(K))
+    assert rep.verdict == "fail"
+    assert f"points {on_line[0]} and {len(conic5.points)} on line 0 coincide" in rep.witnesses
+    assert not any("lifted" in w for w in rep.witnesses)
+    assert rep.measured["max_lifted_on_line"] == 5
 
 
 def test_directions_fail_on_tampered_direction(conic5):
