@@ -6,7 +6,9 @@ output is deterministic (sorted keys, fixed indentation), and exact
 coordinates are serialized as strings so nothing passes through
 floating point.  The environment variable KAKEYA_TOL overrides the
 default tolerance 1e-9 for real-kind seeds built by this process;
-files carry their own tolerance.
+files carry their own tolerance.  `main` builds its argparse parser on
+first use and reuses it: the parser holds no per-run state, and each
+`parse_args` call returns a fresh namespace.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import cache
 
 from .construction import assemble, dump, load_kakeya, load_seed, save_kakeya, write_json
 from .errors import KakeyaError
@@ -102,6 +105,7 @@ def _cmd_seed_report(args) -> int:
     return 0 if report.verdict == "pass" else 1
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kakeya",
@@ -126,8 +130,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bound", help="evaluate the grid lower bound")
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--r", type=int, default=None)
-    p.add_argument("--optimize", action="store_true", help="sweep r instead of a single value")
+    one_r = p.add_mutually_exclusive_group()
+    one_r.add_argument("--r", type=int, default=None)
+    one_r.add_argument("--optimize", action="store_true", help="sweep r instead of a single value")
     p.add_argument("--r-max", type=int, default=64, dest="r_max")
     p.set_defaults(run=_cmd_bound)
 
@@ -145,8 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.run(args)
     except KeyError as exc:  # a file missing a required entry

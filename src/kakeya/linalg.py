@@ -16,6 +16,8 @@ b's lanes below p, so no lane carries and lanes are reduced mod p once,
 on unpacking.  Packing is lazy, as construct solves only systems of at
 most four rows (seed, audit, embedding, completion lines): the first
 row, a row nothing reduces and a basis row reducing nothing stay lists.
+At full column rank the reduced form is the identity, returned as fresh
+rows; any other echelon basis is back-substituted at the end.
 """
 
 from __future__ import annotations
@@ -64,7 +66,8 @@ def rref(rows, field: Field) -> tuple[list[list], list[int]]:
     Over F_p the entries may be any ints: the basis is kept in echelon
     form (pivot 1, entries below p) on lazily packed rows, an incoming
     row is reduced in pivot order, and the basis is back-substituted at
-    the end.  Over the rationals a row is reduced against the reduced
+    the end, or returned as the identity once the rank reaches the
+    column count.  Over the rationals a row is reduced against the reduced
     basis, and a pivot it keeps is cleared from the basis rows.  Over
     the reals the columns are swept in turn with partial pivoting.
     """
@@ -123,8 +126,8 @@ def _fp_rref(rows, p: int) -> tuple[list[list[int]], list[int]]:
             red.insert(k, v)
             packed.insert(k, None)
             pivots.insert(k, lead)
-        if len(red) == ncols:
-            break
+        if len(red) == ncols:  # full column rank: the reduced form is the identity
+            return [[0] * i + [1] + [0] * (ncols - 1 - i) for i in range(ncols)], list(range(ncols))
     # bottom-up: a finished row is zero at every other pivot, so row i's factors are its own entries
     for i in range(len(red) - 2, -1, -1):
         factors = [(j, red[i][c]) for j, c in enumerate(pivots[i + 1 :], i + 1) if red[i][c]]

@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, prod
+from operator import add
 
 from .errors import (
     DimensionMismatch,
@@ -217,17 +218,19 @@ def vanishing_space(
     for e in monos[1:]:
         i = next(i for i, k in enumerate(e) if k)
         steps.append((index[e[:i] + (e[i] - 1,) + e[i + 1 :]], i))
-    # d^j X^e = binomial(e, j) X^(e - j): per multi-index j, the (column,
-    # factor, column of e - j) of every monomial e whose factor is nonzero in the field
+    # d^j X^e = binomial(e, j) X^(e - j) is zero unless e = e' + j with e' in the
+    # prefix of monos of degree <= deg_bound - w: per multi-index j of weight w, the
+    # (column of e, factor, column of e') of each such e whose factor is nonzero in the field
     derivs = []
     for w in range(mult):
+        reach = monos[: comb(deg_bound - w + nvars, nvars)] if w <= deg_bound else []
         for j in exponent_tuples(nvars, w):
             keep = []
-            for c, e in enumerate(monos):
-                if all(ei >= ji for ei, ji in zip(e, j)):
-                    factor = fld(prod(map(comb, e, j)))
-                    if not fld.is_zero(factor):
-                        keep.append((c, factor, index[tuple(ei - ji for ei, ji in zip(e, j))]))
+            for s, low in enumerate(reach):
+                e = tuple(map(add, low, j))
+                factor = fld(prod(map(comb, e, j)))
+                if not fld.is_zero(factor):
+                    keep.append((index[e], factor, s))
             derivs.append(keep)
     rows: list[list] = []
     zero = fld.zero
@@ -269,14 +272,21 @@ class BoundReport:
             "n": self.n,
             "r": self.r,
             "bound": str(self.bound),
-            "bound_approx": float(self.bound),
+            "bound_approx": _approx("bound", self.bound),
             "limit": str(self.limit),
-            "limit_approx": float(self.limit),
+            "limit_approx": _approx("limit", self.limit),
         }
         if self.r_max is not None:
             doc["r_max"] = self.r_max
             doc["best_r"] = self.best_r
         return doc
+
+
+def _approx(name: str, value: Fraction) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"the {name} is too large for its float approximation {name}_approx") from None
 
 
 def _grid_ratio(N: int, n: int, r: int) -> Fraction:

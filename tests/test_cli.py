@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from kakeya.cli import main
+from kakeya.cli import build_parser, main
 from kakeya import construction
 from kakeya.construction import save_seed
 from kakeya.seeds import SeedPoint, dual_conic_seed, regular_ngon_seed, seed_report
@@ -413,13 +413,17 @@ def test_a_seed_point_extra_must_be_a_boolean(conic5_files, tmp_path, capsys, ex
     assert code == 0 and json.loads(stdout)["verdict"] == "pass"
 
 
+def _python(*args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+
+
+def kakeya(*argv):
+    return _python("-m", "kakeya", *argv)
+
+
 def test_the_process_entry_point_exits_with_the_cli_codes(conic5_files, tmp_path):
     # python -m kakeya runs __main__.py, which hands main's code to sys.exit
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
-
-    def kakeya(*argv):
-        return subprocess.run([sys.executable, "-m", "kakeya", *argv], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
-
     done = kakeya("bound", "--N", "7", "--dim", "3", "--optimize")
     golden = json.loads((ROOT / "bench" / "golden.json").read_text())["sha256"]
     assert done.returncode == 0, done.stderr
@@ -434,6 +438,70 @@ def test_the_process_entry_point_exits_with_the_cli_codes(conic5_files, tmp_path
     done = kakeya("verify", str(tmp_path / "missing.json"))
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+
+
+def test_the_parser_is_built_once_per_process():
+    assert build_parser() is build_parser()
+
+
+def test_commands_in_one_process_print_what_each_prints_alone(conic5_files, tmp_path, capsys):
+    # main reuses its parser: no option value, default or flag carries over to the next call
+    path = tmp_path / "k.json"
+    path.write_text(json.dumps(conic5_files[0]))
+    sequence = [
+        ("verify", str(path), "--r", "1", "--verbose"),
+        ("bound", "--N", "7", "--dim", "3", "--r", "2"),
+        ("bound", "--N", "7"),  # argparse refuses it: --dim is required
+        ("verify", str(path), "--r", "1"),
+        ("bound", "--N", "7", "--dim", "3", "--optimize"),
+    ]
+    codes = []
+    for argv in sequence:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        alone = kakeya(*argv)
+        assert (code, out, err) == (alone.returncode, alone.stdout, alone.stderr), argv
+        codes.append(code)
+    assert codes == [0, 0, 2, 0, 0]
+
+
+def test_importing_the_cli_builds_no_parser():
+    probe = (
+        "import argparse\n"
+        "made = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "argparse.ArgumentParser.__init__ = lambda self, *a, **k: made.append(1) or init(self, *a, **k)\n"
+        "import kakeya.cli\n"
+        "print(len(made))\n"
+    )
+    done = _python("-c", probe)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "0\n", "")
+
+
+@pytest.mark.parametrize(
+    "argv,name",
+    [
+        (("--N", "7", "--dim", "1000"), "limit"),
+        (("--N", "7", "--dim", "600", "--optimize"), "limit"),
+        (("--N", "100000", "--dim", "400", "--r", "3"), "bound"),
+    ],
+)
+def test_bound_too_large_for_a_float_is_input_error(capsys, argv, name):
+    code, stdout, stderr = run(capsys, "bound", *argv)
+    assert (code, stdout) == (2, "")
+    assert stderr == f"error: the {name} is too large for its float approximation {name}_approx\n"
+
+
+def test_bound_refuses_r_with_optimize(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bound", "--N", "7", "--dim", "3", "--r", "3", "--optimize"])
+    _, stderr = capsys.readouterr()
+    assert exc.value.code == 2
+    assert stderr.startswith("usage: kakeya bound ")
+    assert stderr.endswith("error: argument --optimize: not allowed with argument --r\n")
 
 
 def test_missing_key_is_input_error(tmp_path, capsys):

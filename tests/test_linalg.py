@@ -225,6 +225,25 @@ def test_rref_reads_no_row_after_full_column_rank(fld):
     assert read == [0, 1, 2]
 
 
+@pytest.mark.parametrize("p", [2, 5, 2**61 - 1])
+@pytest.mark.parametrize("ncols,extra", [(1, 0), (4, 0), (7, 0), (1, 3), (4, 2), (7, 5)])
+def test_fp_rref_at_full_column_rank_is_fresh_identity_rows(p, ncols, extra):
+    # square matrices, and tall ones whose rank reaches ncols before their last row
+    fld = PrimeField(p)
+    rng = random.Random(p * 100 + ncols * 10 + extra)
+    while True:
+        square = [[rng.randrange(p) for _ in range(ncols)] for _ in range(ncols)]
+        if _rank(square, fld) == ncols:
+            break
+    rows = square + [[rng.randrange(-3 * p, 3 * p) for _ in range(ncols)] for _ in range(extra)]
+    red, pivots = rref(rows, fld)
+    assert (red, pivots) == _textbook_rref([[x % p for x in r] for r in rows], fld)
+    assert pivots == list(range(ncols))
+    assert all(type(x) is int for row in red for x in row)
+    red[0][:] = [p - 1] * ncols  # rows are not aliased: the others keep their entries
+    assert red[1:] == [[int(k == i) for k in range(ncols)] for i in range(1, ncols)]
+
+
 def test_nullspace_vectors_annihilate_matrix():
     rng = random.Random(20240)
     for _ in range(50):
