@@ -79,7 +79,9 @@ def _cmd_verify(args) -> int:
 
 def _cmd_bound(args) -> int:
     if args.optimize:
-        report = bound_best(args.N, args.dim, args.r_max)
+        report = bound_best(args.N, args.dim, 64 if args.r_max is None else args.r_max)
+    elif args.r_max is not None:
+        raise KakeyaError("--r-max needs --optimize")
     else:
         report = bound_grid(args.N, args.dim, args.r if args.r is not None else 1)
     _emit(report.to_json())
@@ -133,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     one_r = p.add_mutually_exclusive_group()
     one_r.add_argument("--r", type=int, default=None)
     one_r.add_argument("--optimize", action="store_true", help="sweep r instead of a single value")
-    p.add_argument("--r-max", type=int, default=64, dest="r_max")
+    p.add_argument("--r-max", type=int, default=None, dest="r_max", help="largest r --optimize sweeps (64)")
     p.set_defaults(run=_cmd_bound)
 
     p = sub.add_parser("certify", help="run the polynomial certificate pipeline")

@@ -53,9 +53,7 @@ class ConstructionFrame:
 
 
 def build_frame(n: int, fld: Field) -> ConstructionFrame:
-    """Frame points x_0..x_n and y_3..y_n for ambient dimension n."""
-    if n < 2:
-        raise UnsupportedDimension(f"need n >= 2, got {n}")
+    """Frame points x_0..x_n and y_3..y_n for ambient dimension n >= 2."""
     one, zero = fld.one, fld.zero
 
     def unit(*cols: int) -> ProjPoint:
@@ -84,8 +82,6 @@ def _embed_vector(fld: Field, n: int, c) -> list:
 
 def embed_seed(frame: ConstructionFrame, seed: PlanarSeed) -> EmbeddedSeed:
     fld, n = frame.field, frame.n
-    if seed.field != fld:
-        raise DegenerateSeed("seed field does not match the frame field")
 
     def embed_point(p: ProjPoint) -> ProjPoint:
         return ProjPoint(fld, _embed_vector(fld, n, p.coords))
@@ -126,12 +122,9 @@ def direction_from_grid_values(fld: Field, n: int, values) -> ProjPoint:
     """Infinite point whose recovered grid coordinates are the given values.
 
     Inverse of grid_values_from_direction, truncated to len(values)
-    leading cells; cells beyond the values (and the affine slot) are
-    zero.
+    leading cells (1 to n - 1 of them); cells beyond the values (and
+    the affine slot) are zero.
     """
-    values = list(values)
-    if not 1 <= len(values) <= n - 1:
-        raise ValueError("need between 1 and n-1 grid values")
     return ProjPoint(fld, _grid_row(fld, n, fld.one, values))
 
 
@@ -156,16 +149,6 @@ def grid_values_from_direction(p: ProjPoint) -> list | None:
     return out
 
 
-def _validate_tuple(J, N: int, n: int):
-    if not 1 <= len(J) <= n - 1:
-        raise ValueError(f"index tuple length must be in 1..{n - 1}")
-    if len(set(J)) != len(J):
-        raise ValueError("index tuple entries must be distinct")
-    for a in J:
-        if not 0 <= a < N:
-            raise ValueError(f"index {a} outside the seed line range")
-
-
 class Lifting:
     """The lifted lines ell_J, their infinite points p_J and the lifted points z_{J, Jbar, m} of one seed.
 
@@ -173,7 +156,8 @@ class Lifting:
     Q_J(x) = Q_J(0) + x p_J (_chart): ell_J = span(Q_J(0), p_J) and z_{J, Jbar, m} = Q_J(x_m).
     The reals run the memoized recursion, keys (J,) for lines and directions and (J, Jbar) for
     points: the object at a key of tuple length j + 1 is one _step from those at (J[:-1], ...)
-    and (J[:-2] + J[-1:], ...).
+    and (J[:-2] + J[-1:], ...).  An index tuple holds 1 to n - 1 distinct seed lines, and the two
+    tuples of a point are disjoint and of one length: assemble asks for no others.
     """
 
     def __init__(self, frame: ConstructionFrame, seed: PlanarSeed):
@@ -188,7 +172,6 @@ class Lifting:
     def line(self, J) -> Subspace:
         """The lifted line ell_J."""
         J = tuple(J)
-        _validate_tuple(J, self.seed.N, self.frame.n)
         fld = self.frame.field
         if not fld.exact:
             return self._lift(self._lines, (J,), lambda J: self.emb.lines[J[0]])
@@ -201,7 +184,6 @@ class Lifting:
     def direction(self, J) -> ProjPoint:
         """The infinite point p_J of the lifted line ell_J: the closed form of the seed slopes over F_p and Q, the recursion over the reals."""
         J = tuple(J)
-        _validate_tuple(J, self.seed.N, self.frame.n)
         if self.frame.field.exact:
             return direction_from_grid_values(self.frame.field, self.frame.n, [self.emb.d_values[a] for a in J])
         return self._lift(self._dirs, (J,), lambda J: self.emb.infinite_points[J[0]])
@@ -215,14 +197,6 @@ class Lifting:
         abscissa x_m those double points share; DegenerateSeed when they share none.
         """
         J, Jbar = tuple(J), tuple(Jbar)
-        _validate_tuple(J, self.seed.N, self.frame.n)
-        _validate_tuple(Jbar, self.seed.N, self.frame.n)
-        if len(J) != len(Jbar):
-            raise ValueError("paired index tuples must have equal length")
-        if set(J) & set(Jbar):
-            raise ValueError("paired index tuples must be disjoint")
-        if not 0 <= m_index < len(self.emb.m_lines):
-            raise ValueError(f"no measuring line {m_index}")
         fld = self.frame.field
         if not fld.exact:
             memo = self._zs.setdefault(m_index, {})
@@ -475,20 +449,26 @@ def kakeya_to_json(K: KakeyaSet) -> dict:
 
 
 def kakeya_from_json(doc) -> KakeyaSet:
-    """The line set a construction file holds; canonical bases and points are taken as stored, any others reduced."""
+    """The line set a construction file holds; canonical bases and points are taken as stored, any others reduced.
+
+    Every point and stored direction must have n + 1 coordinates, every basis row too (Subspace.from_json).
+    """
     fld = field_from_json(need(doc, dict, "line set")["field"])
     n, N = need(doc["n"], int, "n"), positive(doc["N"], "N")
     grid = [fld.values_from_json(axis, "grid axis") for axis in need(doc["grid"], list, "grid")]
     if len(grid) != n - 1 or any(len(axis) != N for axis in grid):
         raise MalformedFile(f"grid must hold n - 1 = {n - 1} axes of N = {N} values each")
-    lines = [
-        KLine(Subspace.from_json(fld, n, entry["basis"]), ProjPoint.from_json(fld, entry["direction"]))
-        for entry in records(doc, "lines")
-    ]
-    points = [
-        KPoint(ProjPoint.from_json(fld, entry["coords"]), need(entry["provenance"], dict, "provenance"))
-        for entry in records(doc, "points")
-    ]
+    lines, points = [], []
+    for i, entry in enumerate(records(doc, "lines")):
+        direction = entry["direction"]
+        if type(direction) is list and len(direction) != n + 1:  # any other value meets from_json's type check
+            raise MalformedFile(f"direction of line {i} has {len(direction)} coordinates, not n + 1 = {n + 1}")
+        lines.append(KLine(Subspace.from_json(fld, n, entry["basis"]), ProjPoint.from_json(fld, direction)))
+    for i, entry in enumerate(records(doc, "points")):
+        coords = entry["coords"]
+        if type(coords) is list and len(coords) != n + 1:
+            raise MalformedFile(f"point {i} has {len(coords)} coordinates, not n + 1 = {n + 1}")
+        points.append(KPoint(ProjPoint.from_json(fld, coords), need(entry["provenance"], dict, "provenance")))
     seed_meta = dict(need(doc.get("seed_meta", {}), dict, "seed_meta"))
     if seed_meta.get("epsilon") is not None:  # read by verify_size as a list of rationals
         RationalField().values_from_json(seed_meta["epsilon"], "seed_meta epsilon")

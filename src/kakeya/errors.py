@@ -41,14 +41,6 @@ class SeedTooSmall(KakeyaError):
     """The planar seed has too few lines for the requested dimension."""
 
 
-class DimensionMismatch(KakeyaError):
-    """A polynomial or point has the wrong number of variables/coordinates."""
-
-
-class ZeroPolynomial(KakeyaError):
-    """The zero polynomial was passed where a nonzero one is required."""
-
-
 class HypothesisViolation(KakeyaError):
     """A line family does not satisfy the counting hypothesis of a bound."""
 

@@ -178,11 +178,8 @@ def nullspace(rows, field: Field, ncols: int) -> list[list]:
 
     The basis is canonical: vector k has a one in the k-th free column,
     zeros in the other free columns, and the negated RREF entries in the
-    pivot columns.
+    pivot columns.  Every row has ncols entries.
     """
-    for row in rows:
-        if len(row) != ncols:
-            raise ValueError("ragged matrix")
     red, pivots = rref(rows, field)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]

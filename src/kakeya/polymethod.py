@@ -28,12 +28,7 @@ from fractions import Fraction
 from math import comb, prod
 from operator import add
 
-from .errors import (
-    DimensionMismatch,
-    HypothesisViolation,
-    UnsupportedField,
-    ZeroPolynomial,
-)
+from .errors import HypothesisViolation, UnsupportedField
 from .linalg import nullspace
 from .projgeom import PointSet, affine_coords, incidence
 from .scalar import Field
@@ -63,30 +58,23 @@ def monomial_basis(nvars: int, deg_bound: int) -> list[tuple[int, ...]]:
 
 
 class Poly:
-    """Sparse polynomial in nvars variables over one field; immutable."""
+    """Sparse polynomial in nvars variables over one field; immutable.
+
+    terms maps exponent tuples (nvars nonnegative ints each) to coefficients; each coefficient
+    is canonicalized by field(c), and the zero ones are dropped.
+    """
 
     __slots__ = ("field", "nvars", "terms")
 
     def __init__(self, field: Field, nvars: int, terms=None):
         clean: dict[tuple[int, ...], object] = {}
         for exps, coeff in (terms or {}).items():
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != nvars:
-                raise DimensionMismatch(
-                    f"exponent tuple {exps} does not have {nvars} entries"
-                )
-            if any(e < 0 for e in exps):
-                raise ValueError(f"negative exponent in {exps}")
             c = field(coeff)
-            if exps in clean:
-                c = field.add(clean[exps], c)
-            if field.is_zero(c):
-                clean.pop(exps, None)
-            else:
+            if not field.is_zero(c):
                 clean[exps] = c
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", dict(clean))
+        object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -128,10 +116,6 @@ class Poly:
     def evaluate(self, point):
         """Value at an affine point given by nvars field values."""
         point = list(point)
-        if len(point) != self.nvars:
-            raise DimensionMismatch(
-                f"point has {len(point)} coordinates, polynomial has {self.nvars} variables"
-            )
         fld = self.field
         total = fld.zero
         for e, c in self.terms.items():
@@ -146,10 +130,6 @@ class Poly:
 def hasse_derivative(f: Poly, j) -> Poly:
     """Hasse derivative of f with respect to the multi-index j."""
     j = tuple(int(x) for x in j)
-    if len(j) != f.nvars:
-        raise DimensionMismatch(
-            f"multi-index {j} does not have {f.nvars} entries"
-        )
     if any(x < 0 for x in j):
         raise ValueError(f"negative entry in multi-index {j}")
     fld = f.field
@@ -169,14 +149,12 @@ def hasse_derivative(f: Poly, j) -> Poly:
 
 
 def multiplicity_at(f: Poly, point) -> int:
-    """Largest m with every Hasse derivative of weight < m vanishing at the point.
+    """Largest m with every Hasse derivative of weight < m of the nonzero f vanishing at the point.
 
     The search is capped at deg f + 1, which is only reached under
     tolerance arithmetic: over an exact field some derivative of weight
     at most deg f is a nonzero constant.
     """
-    if f.is_zero:
-        raise ZeroPolynomial("the zero polynomial has no multiplicity")
     point = list(point)
     deg = f.degree
     for w in range(deg + 1):
@@ -187,9 +165,7 @@ def multiplicity_at(f: Poly, point) -> int:
 
 
 def top_part(f: Poly) -> Poly:
-    """The homogeneous part of f of top degree."""
-    if f.is_zero:
-        raise ZeroPolynomial("the zero polynomial has no top part")
+    """The homogeneous part of the nonzero f of top degree."""
     deg = f.degree
     return Poly(
         f.field, f.nvars, {e: c for e, c in f.terms.items() if sum(e) == deg}
@@ -203,12 +179,9 @@ def vanishing_space(
 
     One linear constraint per point and multi-index of weight below
     mult; the basis is the exact nullspace of that system over the
-    monomials of degree at most deg_bound.
+    monomials of degree at most deg_bound, for deg_bound >= 0, mult >= 1
+    and points of nvars coordinates each.
     """
-    if deg_bound < 0:
-        raise ValueError("deg_bound must be nonnegative")
-    if mult < 1:
-        raise ValueError("mult must be at least 1")
     monos = monomial_basis(nvars, deg_bound)
     index = {e: c for c, e in enumerate(monos)}
     p = fld.p
@@ -236,10 +209,6 @@ def vanishing_space(
     zero = fld.zero
     for raw in points:
         u = [fld(c) for c in raw]
-        if len(u) != nvars:
-            raise DimensionMismatch(
-                f"point has {len(u)} coordinates, expected {nvars}"
-            )
         val = [fld.one]  # the value of every monomial at u, one product each
         for s, i in steps:
             val.append(val[s] * u[i] % p if p else val[s] * u[i])

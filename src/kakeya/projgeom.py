@@ -196,7 +196,7 @@ def _reduced_pivots(rows: list, width: int) -> list | None:
 
 
 class PointSet:
-    """Distinct projective points over one field, each kept under the label it was first added with.
+    """Distinct projective points of one field and one ambient space, each kept under the label it was first added with.
 
     Exact fields key a dict on the canonical coordinates and keep, per
     column pair (lead, k > lead), the values stored points with that lead
@@ -216,7 +216,6 @@ class PointSet:
         self._index: dict = {}
         self._values: dict[tuple[int, int], set] = {}
         self._leads: dict[int, list] = {}
-        self._shapes: set = set()
         for p in points:
             self.add(p)
 
@@ -244,7 +243,6 @@ class PointSet:
         if i == new:
             self.items.append(p)
             self.labels.append(label)
-            self._shapes.add((p.field, len(coords)))
         return self.labels[i]
 
     def add(self, p: ProjPoint) -> bool:
@@ -261,11 +259,12 @@ class PointSet:
         canonical as they stand, with lead c0 and coordinate c1 equal to
         b; only the b some stored point takes in the slot (c0, c1) are
         looked up.  Over the reals only the points _near the line are
-        confirmed with Subspace.contains.  Other flats and points of
-        another field or length test every stored point (points_on).
+        confirmed with Subspace.contains.  Other flats test every stored
+        point (points_on).  The stored points are taken to be of the
+        line's field and length, as the loaders make every file's.
         """
         fld = line.field
-        if line.proj_dim != 1 or not self._shapes <= {(fld, line.ambient_dim + 1)}:
+        if line.proj_dim != 1:
             return [self.labels[i] for i in points_on(line, self.items)]
         if not fld.exact:
             return [self.labels[i] for i in self._near(line) if line.contains(self.items[i])]
@@ -306,8 +305,8 @@ class PointSet:
 def points_on(line: Subspace, points) -> list[int]:
     """Positions of the points lying on the flat, each tested with Subspace.contains.
 
-    The scan PointSet.on runs for flats that are not lines and for points
-    of another field or length; it makes len(points) tests.
+    The scan PointSet.on runs for flats that are not lines; it makes
+    len(points) tests.
     """
     return [i for i, p in enumerate(points) if line.contains(p)]
 

@@ -281,8 +281,6 @@ def seed_report(seed: PlanarSeed) -> SeedReport:
             problems.append(f"stored infinite point of line {i} is wrong")
         if d == x_point:
             problems.append(f"line {i} passes through the measuring direction (0,1,0)")
-        elif fld.is_zero(d.coords[0]):
-            problems.append(f"line {i} has no finite slope coordinate")
     if len(seed.lines) != seed.N:
         problems.append(f"expected {seed.N} lines, found {len(seed.lines)}")
 
@@ -357,11 +355,14 @@ def seed_from_json(doc) -> PlanarSeed:
     fld = field_from_json(need(doc, dict, "seed")["field"])
     lines = [Subspace.from_json(fld, 2, rows) for rows in need(doc["lines"], list, "lines")]
     points = []
-    for entry in records(doc, "points"):
+    for i, entry in enumerate(records(doc, "points")):
         extra = entry.get("extra", False)  # a JSON boolean; need() refuses bools, so the check is written out
         if type(extra) is not bool:
             raise MalformedFile(f"point extra has the wrong type ({type(extra).__name__})")
-        points.append(SeedPoint(ProjPoint.from_json(fld, entry["coords"]), extra))
+        coords = entry["coords"]
+        if type(coords) is list and len(coords) != 3:  # any other value meets from_json's type check
+            raise MalformedFile(f"seed point {i} has {len(coords)} coordinates, not 3")
+        points.append(SeedPoint(ProjPoint.from_json(fld, coords), extra))
     return PlanarSeed(
         field=fld,
         N=positive(doc["N"], "N"),

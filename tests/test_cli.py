@@ -103,6 +103,27 @@ def test_certify_refuses_a_line_that_does_not_have_its_stored_direction(tmp_path
     assert stderr == "error: line 0 stores a direction it does not have\n"
 
 
+@pytest.mark.parametrize("direction", [["1", "2", "3", "1"], ["0", "1", "0", "0"]], ids=["affine", "first-zero"])
+def test_a_stored_direction_in_no_grid_fails_verify_and_certify_refuses_it(conic5_files, tmp_path, capsys, direction):
+    # an affine direction, or one with first coordinate 0, has no grid coordinates
+    doc = json.loads(json.dumps(conic5_files[0]))
+    doc["lines"][0]["direction"] = direction
+    path = tmp_path / "k.json"
+    path.write_text(json.dumps(doc))
+    code, stdout, stderr = run(capsys, "verify", str(path), "--r", "1")
+    assert code == 1 and not stderr
+    directions = next(r for r in json.loads(stdout) if r["check"] == "directions")
+    assert directions["witnesses"][:2] == ["line 0 stores a direction it does not have", "direction of line 0 lies outside the grid"]
+    assert run(capsys, "certify", str(path), "--r", "1") == (2, "", "error: line 0 stores a direction it does not have\n")
+
+
+def test_an_unknown_field_kind_is_named(conic5_files, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    for doc, command in zip(conic5_files, ("verify", "seed-report")):
+        path.write_text(json.dumps({**doc, "field": {"kind": "foo"}}))
+        assert run(capsys, command, str(path)) == (2, "", "error: unknown field kind 'foo'\n")
+
+
 def test_verify_fails_on_a_file_without_lines(tmp_path, capsys):
     # lifted points and no lines: failing verdicts, not a crash on the empty per-line counts
     out = tmp_path / "k.json"
@@ -219,6 +240,11 @@ def test_construct_conic_requires_q(tmp_path, capsys):
     )
     assert code == 2
     assert "--q" in stderr
+
+
+def test_construct_ngon_requires_n(tmp_path, capsys):
+    argv = ["construct", "--seed", "ngon", "--dim", "3", "--out", str(tmp_path / "x.json")]
+    assert run(capsys, *argv) == (2, "", "error: --seed ngon requires --N\n")
 
 
 def test_bound_single_and_optimized(capsys):
@@ -502,6 +528,16 @@ def test_bound_refuses_r_with_optimize(capsys):
     assert exc.value.code == 2
     assert stderr.startswith("usage: kakeya bound ")
     assert stderr.endswith("error: argument --optimize: not allowed with argument --r\n")
+
+
+def test_bound_refuses_r_max_without_optimize(capsys):
+    # --r-max bounds the sweep of --optimize; unset, the sweep stops at 64, as the golden output records
+    for argv in (["--r", "2", "--r-max", "1"], ["--r-max", "0"]):
+        assert run(capsys, "bound", "--N", "7", "--dim", "3", *argv) == (2, "", "error: --r-max needs --optimize\n")
+    assert run(capsys, "bound", "--N", "7", "--dim", "3", "--r-max", "0", "--optimize")[0] == 2
+    code, stdout, _ = run(capsys, "bound", "--N", "7", "--dim", "3", "--optimize")
+    golden = json.loads((ROOT / "bench" / "golden.json").read_text())["sha256"]
+    assert code == 0 and hashlib.sha256(stdout.encode()).hexdigest() == golden["bound N=7 n=3 optimize"]
 
 
 def test_missing_key_is_input_error(tmp_path, capsys):

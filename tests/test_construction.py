@@ -68,12 +68,6 @@ def test_frame_flats_nest():
             assert _pi(frame, i + 1).contains(ProjPoint(QQ, row))
 
 
-def test_frame_rejects_low_dimension():
-    for n in (-1, 0, 1):
-        with pytest.raises(UnsupportedDimension):
-            build_frame(n, QQ)
-
-
 def test_embedding_sends_plane_into_sigma2():
     seed = dual_conic_seed(7)
     frame = build_frame(3, seed.field)
@@ -146,23 +140,6 @@ def test_lifted_lines_distinct():
         line = lift.line(J)
         assert all(line != other for other in seen)
         seen.append(line)
-
-
-def test_tuple_validation():
-    seed = dual_conic_seed(5)
-    lift = Lifting(build_frame(3, seed.field), seed)
-    with pytest.raises(ValueError):
-        lift.line((0, 0))
-    with pytest.raises(ValueError):
-        lift.line((0, 1, 2))
-    with pytest.raises(ValueError):
-        lift.line((7,))
-    with pytest.raises(ValueError):
-        lift.intersection((0,), (0,), 0)
-    with pytest.raises(ValueError):
-        lift.intersection((0, 1), (2,), 0)
-    with pytest.raises(ValueError):
-        lift.intersection((0,), (1,), 9)
 
 
 def test_base_point_requires_meeting_on_m():

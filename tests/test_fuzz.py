@@ -1,0 +1,89 @@
+"""Mutated construction and seed files through the CLI: every outcome is an exit code, never a traceback.
+
+Each mutant makes one or two edits at a random place in a valid file: it
+replaces a value, deletes or duplicates a list entry, drops a key, steps
+an int by one or wraps a value in a list.  Whatever the file then holds,
+`main` must return 0, 1 or 2; a refusal (2) prints one `error:` line and
+nothing on stdout, and a verdict (0 or 1) prints JSON.  The random
+stream is seeded, so every run makes the same mutants.
+"""
+
+import json
+import random
+from collections import Counter
+
+import pytest
+
+from kakeya.cli import main
+from kakeya.construction import assemble, kakeya_to_json
+from kakeya.seeds import dual_conic_seed, seed_to_json
+
+_VALUES = ['"x"', '"1/0"', '"nan"', '""', '"7"', '"-1"', "3", "null", "[]", "{}", "true"]  # as JSON text
+
+
+def _edit(doc, rng: random.Random) -> str:
+    """Make one edit in doc, at a slot reached by walking down from the root; describe it."""
+    node, path = doc, []
+    while True:
+        key = rng.choice(list(node) if type(node) is dict else range(len(node)))
+        path.append(key)
+        child = node[key]
+        if type(child) not in (dict, list) or not child or rng.random() < 0.3:
+            break
+        node = child
+    kinds = ["replace", "wrap"] + (["delete", "duplicate"] if type(node) is list else ["drop"])
+    if type(child) is int:
+        kinds.append("step")
+    kind = rng.choice(kinds)
+    if kind == "replace":
+        node[key] = json.loads(rng.choice(_VALUES))
+    elif kind == "wrap":
+        node[key] = [child]
+    elif kind == "duplicate":
+        node.insert(key, json.loads(json.dumps(child)))
+    elif kind == "step":
+        node[key] = child + rng.choice((-1, 1))
+    else:  # delete a list entry or drop a key
+        del node[key]
+    return f"{kind} at {path}"
+
+
+def _mutants(doc, count: int, rng: random.Random):
+    text = json.dumps(doc)
+    for _ in range(count):
+        mutant = json.loads(text)
+        edits = [_edit(mutant, rng) for _ in range(rng.randint(1, 2))]
+        yield mutant, edits
+
+
+def _outcome(capsys, argv, edits) -> int:
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2), (argv[0], edits, code)
+    if code == 2:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (argv[0], edits, out, err)
+    else:
+        json.loads(out)
+    return code
+
+
+@pytest.mark.parametrize(
+    "kind, count, commands",
+    [
+        ("construction", 300, [["verify", "{path}", "--r", "1"], ["certify", "{path}", "--r", "1"]]),
+        ("seed", 200, [["seed-report", "{path}"], ["construct", "--seed", "file:{path}", "--dim", "3", "--out", "{out}"]]),
+    ],
+)
+def test_mutated_files_give_an_exit_code(tmp_path, capsys, kind, count, commands):
+    seed = dual_conic_seed(5)
+    doc = kakeya_to_json(assemble(seed, 3)) if kind == "construction" else seed_to_json(seed)
+    path, out = tmp_path / "mutant.json", tmp_path / "k.json"
+    codes = Counter()
+    for mutant, edits in _mutants(doc, count, random.Random(19)):
+        path.write_text(json.dumps(mutant))
+        for command in commands:
+            argv = [a.format(path=path, out=out) for a in command]
+            codes[argv[0], _outcome(capsys, argv, edits)] += 1
+    # the mutants reach both the loaders' refusals and the verdicts behind them
+    for command in commands:
+        assert codes[command[0], 2] and codes[command[0], 0] + codes[command[0], 1], codes

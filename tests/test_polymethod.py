@@ -7,12 +7,7 @@ from math import comb, prod
 
 import pytest
 
-from kakeya.errors import (
-    DimensionMismatch,
-    HypothesisViolation,
-    UnsupportedField,
-    ZeroPolynomial,
-)
+from kakeya.errors import HypothesisViolation, UnsupportedField
 from kakeya.polymethod import (
     Poly,
     bound_best,
@@ -96,12 +91,6 @@ def test_hasse_characteristic_two():
     assert hasse_derivative(f, (2,)) == Poly(F2, 1, {(0,): 1})
 
 
-def test_hasse_dimension_guard():
-    f = Poly(QQ, 2, {(1, 0): 1})
-    with pytest.raises(DimensionMismatch):
-        hasse_derivative(f, (1,))
-
-
 def test_hasse_composition_identity():
     # d^i d^j = prod binomial(i+j, i) d^(i+j)
     rng = random.Random(31)
@@ -124,8 +113,6 @@ def test_multiplicity_simple_cases():
     assert multiplicity_at(Poly(QQ, 2, {(1, 0): 1}), origin) == 1
     assert multiplicity_at(Poly(QQ, 2, {(2, 1): 1}), origin) == 3
     assert multiplicity_at(Poly(QQ, 2, {(1, 0): 1, (0, 0): 1}), origin) == 0
-    with pytest.raises(ZeroPolynomial):
-        multiplicity_at(Poly(QQ, 2), origin)
 
 
 def test_multiplicity_downgrade():
@@ -163,8 +150,6 @@ def test_top_part_examples():
     assert top_part(Poly(QQ, 2, {(2, 0): 1, (0, 1): 1, (0, 0): 1})) == xx
     assert top_part(Poly(QQ, 2, {(1, 1): 1, (1, 0): 1, (0, 1): 1})) == xy
     assert top_part(xy) == xy
-    with pytest.raises(ZeroPolynomial):
-        top_part(Poly(QQ, 2))
 
 
 def test_top_part_multiplicative():
