@@ -156,7 +156,9 @@ class Lifting:
     Q_J(x) = Q_J(0) + x p_J (_chart): ell_J = span(Q_J(0), p_J) and z_{J, Jbar, m} = Q_J(x_m).
     The reals run the memoized recursion, keys (J,) for lines and directions and (J, Jbar) for
     points: the object at a key of tuple length j + 1 is one _step from those at (J[:-1], ...)
-    and (J[:-2] + J[-1:], ...).  An index tuple holds 1 to n - 1 distinct seed lines, and the two
+    and (J[:-2] + J[-1:], ...), the meet of their spans with x_{j+1} and y_{j+1}.  Every key
+    extending a sub-key on one side shares that span, so memo keeps it under ("x", sub-key) or
+    ("y", sub-key), built once.  An index tuple holds 1 to n - 1 distinct seed lines, and the two
     tuples of a point are disjoint and of one length: assemble asks for no others.
     """
 
@@ -244,24 +246,29 @@ class Lifting:
         return q0, _grid_row(fld, n, one, [self.emb.d_values[a] for a in J])
 
     def _lift(self, memo: dict, key: tuple, base):
-        """The object at key over the reals: base(*key) for tuples of length one, else one _step."""
+        """The object at key over the reals: base(*key) for tuples of length one, else one _step on spans kept in memo."""
         if key not in memo:
             if len(key[0]) == 1:
                 memo[key] = base(*key)
             else:
-                a = self._lift(memo, tuple(J[:-1] for J in key), base)
-                b = self._lift(memo, tuple(J[:-2] + J[-1:] for J in key), base)
-                memo[key] = self._step(key[0], a, b)
+                j, ka, kb = len(key[0]), tuple(J[:-1] for J in key), tuple(J[:-2] + J[-1:] for J in key)
+                a, b = self._lift(memo, ka, base), self._lift(memo, kb, base)
+                if ("x", ka) not in memo:
+                    memo["x", ka] = span(self.frame.x[j + 1], a)
+                if ("y", kb) not in memo:
+                    memo["y", kb] = span(self.frame.y[j + 1], b)
+                memo[key] = self._step(key[0], a, b, (memo["x", ka], memo["y", kb]))
         return memo[key]
 
-    def _step(self, J: tuple, a, b):
+    def _step(self, J: tuple, a, b, spans=None):
         """meet(span(x_{j+1}, a), span(y_{j+1}, b)) for j = len(J), a flat of the dimension of a.
 
-        One step of the reals' recursion, whose bits their files hold.  A point comes back
-        normalized: a raw meet row can carry entries below tolerance before its pivot.
+        One step of the reals' recursion, whose bits their files hold; spans, when given, are
+        those two spans, built by the caller.  A point comes back normalized: a raw meet row can
+        carry entries below tolerance before its pivot.
         """
         j = len(J)
-        out = meet(span(self.frame.x[j + 1], a), span(self.frame.y[j + 1], b))
+        out = meet(*(spans or (span(self.frame.x[j + 1], a), span(self.frame.y[j + 1], b))))
         want = 1 if isinstance(a, Subspace) else 0
         if out.proj_dim != want:
             raise DegenerateSeed(f"lifting {J} produced a flat of projective dimension {out.proj_dim}")

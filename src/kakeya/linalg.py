@@ -159,15 +159,14 @@ def _pivoting_rref(rows, field: Field) -> tuple[list[list], list[int]]:
                 best = i
         if best is None:
             continue
-        mat[r], mat[best] = mat[best], mat[r]
-        inv = field.inv(mat[r][c])
-        pivot = mat[r] = [x * inv for x in mat[r]]
-        pivot[c] = field.one
-        for i in range(nrows):
-            f = mat[i][c]
-            if i != r and not abs(f) <= tol:
-                _axpy(mat[i], f, pivot)
-                mat[i][c] = field.zero
+        row, mat[best] = mat[best], mat[r]
+        inv = 1.0 / row[c]  # field.inv without its refusal: |row[c]| > tol
+        pivot = mat[r] = [x * inv for x in row]
+        pivot[c] = 1.0
+        for i, v in enumerate(mat):
+            if i != r and not abs(f := v[c]) <= tol:
+                v = mat[i] = [x - f * y for x, y in zip(v, pivot)]
+                v[c] = 0.0
         pivots.append(c)
         r += 1
     return mat[:r], pivots
@@ -196,8 +195,15 @@ def nullspace(rows, field: Field, ncols: int) -> list[list]:
 def reduce_vector(vec, red, pivots, field: Field) -> list:
     """Residual of vec after eliminating the pivots of an RREF basis."""
     v = list(vec)
+    if field.exact:
+        for row, c in zip(red, pivots):
+            if not field.is_zero(v[c]):
+                _axpy(v, v[c], row, field.p)
+                v[c] = field.zero
+        return v
+    tol = field.tol
     for row, c in zip(red, pivots):
-        if not field.is_zero(v[c]):
-            _axpy(v, v[c], row, field.p)
-            v[c] = field.zero
+        if not abs(f := v[c]) <= tol:
+            v = [x - f * y for x, y in zip(v, row)]
+            v[c] = 0.0
     return v

@@ -15,6 +15,8 @@ infinity", all others correspond to affine points.
 from __future__ import annotations
 
 from functools import cache
+from math import floor
+from operator import mul
 
 from .errors import AmbientMismatch, FieldMismatch, ZeroVector, need
 from .linalg import reduce_vector, rref
@@ -144,7 +146,10 @@ class Subspace:
         if p.ambient_dim != self.ambient_dim:
             raise AmbientMismatch("point from a different ambient space")
         residual = reduce_vector(p.coords, self.basis, self.pivots, self.field)
-        return all(map(self.field.is_zero, residual))
+        if self.field.exact:
+            return all(map(self.field.is_zero, residual))
+        tol = self.field.tol
+        return all(abs(x) <= tol for x in residual)
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -201,10 +206,19 @@ class PointSet:
     Exact fields key a dict on the canonical coordinates and keep, per
     column pair (lead, k > lead), the values stored points with that lead
     take at k.  Real points equal up to tol < 1 share their lead and lie
-    within tol at every column, so each is filed under (lead,
-    floor(c[lead + 1] / 2 tol), floor(c[-1] / 2 tol)) and compared only
-    with the points of that bucket and its eight neighbours; the earliest
-    equal one wins.  Real points are also listed, as (position,
+    within tol at every column (tol / (1 - 2^-53) before rounding), so
+    the sums s = sum(alpha_k c_k) of two equal points, over m coordinates
+    with weights alpha_k = 1 + frac(k phi) in [1, 2) of sum A, lie within
+    tol A.  Each real point is filed under (lead, floor(s / 4 tol A)) on
+    its computed s, and a lookup probes the buckets that the window
+    (s - r, s + r) / (4 tol A) meets, r = tol A + m A max|c_k| 2^-48.  The
+    second term bounds the float rounding, for m < 2^20: of s for either
+    point (at most 1.01 m 2^-53 A max|c_k| each, as max|c_k| >= 1), of the
+    window's ends and of r itself.  So the window holds the bucket of
+    every equal stored point, and it meets at most two buckets when
+    r < 2 tol A; when it does not (max|c_k| >= tol 2^48 / m, or a value
+    that is not finite), every stored point with p's lead is compared.  The
+    earliest equal point wins.  Real points are also listed, as (position,
     coordinates), under their lead column, which on() filters a line's
     candidates by.
     """
@@ -232,13 +246,18 @@ class PointSet:
                 for k in range(lead + 1, len(coords)):
                     self._values.setdefault((lead, k), set()).add(coords[k])
         else:
-            w = 2 * self.field.tol
-            b = coords[lead + 1] // w if lead + 1 < len(coords) else 0.0
-            e = coords[-1] // w
-            near = (j for d in (-1, 0, 1) for f in (-1, 0, 1) for j in self._index.get((lead, b + d, e + f), ()))
+            weights, w, tol_a, slop = _real_key(len(coords), self.field.tol)
+            s = sum(map(mul, weights, coords))
+            r = tol_a + slop * max(map(abs, coords))
+            lo, hi = (s - r) / w, (s + r) / w
+            if hi - lo < 1:  # false for NaN, inf and overflow
+                near = (j for b in range(floor(lo), floor(hi) + 1) for j in self._index.get((lead, b), ()))
+            else:
+                near = (j for j, _ in self._leads.get(lead, ()))
             i = min((j for j in near if p == self.items[j]), default=new)
             if i == new:
-                self._index.setdefault((lead, b, e), []).append(new)
+                if (x := s / w) - x == 0:  # x finite; a window wider than a bucket scans the lead instead
+                    self._index.setdefault((lead, floor(x)), []).append(new)
                 self._leads.setdefault(lead, []).append((new, coords))
         if i == new:
             self.items.append(p)
@@ -300,6 +319,14 @@ class PointSet:
         others = [L for L in range(c1) if L != c0 and (r1[L] or L < c0 and r0[L])]
         found += (i for L in others for i, _ in self._leads.get(L, ()))
         return sorted(found)
+
+
+@cache
+def _real_key(m: int, tol: float) -> tuple[tuple[float, ...], float, float, float]:
+    """PointSet's real key over m coordinates: the weights, the bucket width 4 tol A, tol A and the slop m A 2^-48."""
+    weights = tuple(1 + k * 0.6180339887498949 % 1 for k in range(m))
+    a = sum(weights)
+    return weights, 4 * tol * a, tol * a, m * a * 2.0**-48
 
 
 def points_on(line: Subspace, points) -> list[int]:

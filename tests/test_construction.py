@@ -454,6 +454,53 @@ def test_exact_step_is_the_meet_of_its_spans(data):
         assert lift._step(J, a, b) == (out if is_line else ProjPoint(fld, out.basis[0]))
 
 
+def _hex(obj) -> list:
+    return [x.hex() for row in (obj.basis if isinstance(obj, Subspace) else (obj.coords,)) for x in row]
+
+
+def _fresh(obj):
+    """An equal object built anew, of the same bits."""
+    if isinstance(obj, Subspace):
+        return Subspace(obj.field, obj.ambient_dim, obj.basis, obj.pivots)
+    return ProjPoint(obj.field, obj.coords)
+
+
+@pytest.mark.parametrize("N,n", [(9, 3), (8, 4)])
+def test_real_step_is_bitwise_the_meet_of_its_spans(N, n):
+    """Each lifted line, direction and point is meet(span(x_{j+1}, a), span(y_{j+1}, b)) bit for bit, and so is
+    _step on fresh copies of a and b: the spans kept per sub-key are the ones _step would build."""
+    seed = regular_ngon_seed(N)
+    lift = Lifting(build_frame(n, seed.field), seed)
+    x, y = lift.frame.x, lift.frame.y
+    keys = [(lift.line, (J,)) for k in range(2, n) for J in permutations(range(N), k)]
+    keys += [(lift.direction, (J,)) for k in range(2, n) for J in permutations(range(N), k)]
+    for m in range(N):
+        pairs = [pair for pair, (_, at) in lift.doubles.items() if at == m]
+        for seq in permutations(pairs, 2):
+            if len({i for pair in seq for i in pair}) == 4:
+                keys.append((partial(lift.intersection, m_index=m), tuple(zip(*seq))))
+    assert len(keys) > 2 * N * (N - 1)
+    for get, key in keys:
+        a, b = (_fresh(get(*(f(J) for J in key))) for f in (lambda J: J[:-1], lambda J: J[:-2] + J[-1:]))
+        j = len(key[0])
+        out = meet(span(x[j + 1], a), span(y[j + 1], b))
+        want = _hex(out if isinstance(a, Subspace) else ProjPoint(out.field, out.basis[0]))
+        assert _hex(get(*key)) == want
+        assert _hex(lift._step(key[0], a, b)) == want
+
+
+def test_real_assemble_spans_no_pair_twice(monkeypatch):
+    seen = []
+
+    def recorded(a, b):
+        seen.append((repr(a), repr(b)))
+        return span(a, b)
+
+    monkeypatch.setattr(construction, "span", recorded)
+    assemble(regular_ngon_seed(11), 3)
+    assert seen and len(set(seen)) == len(seen)
+
+
 def test_exact_assemble_meets_only_the_double_points_and_verify_never(monkeypatch):
     seed = dual_conic_seed(7)
     calls = []

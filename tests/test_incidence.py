@@ -10,6 +10,7 @@ points finds.
 
 import json
 import random
+from math import floor
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 from kakeya.cli import main
 from kakeya.construction import KakeyaSet, assemble, kakeya_from_json, kakeya_to_json
-from kakeya.projgeom import PointSet, ProjPoint, Subspace, incidence, points_on, span
+from kakeya.projgeom import PointSet, ProjPoint, Subspace, _real_key, incidence, points_on, span
 from kakeya.scalar import RealField
 from kakeya.seeds import dual_conic_seed, regular_ngon_seed, seed_from_json, seed_to_json
 from kakeya.verify import verify_all
@@ -244,7 +245,8 @@ def _scan_labels(points):
 
 @pytest.mark.parametrize("tol", [1e-9, 1e-6])
 def test_real_point_set_matches_the_linear_scan(tol):
-    # values within tol / 2 of a bucket edge, some near 10^6, at two leading columns
+    # values within tol / 2 of an edge of 2 tol, some near 10^6, at two leading columns; at 10^6 the
+    # window of tol 1e-9 meets more than two buckets, and the points of the lead are scanned
     fld, w, rng = RealField(tol), 2 * tol, random.Random(11)
     values = []
     for centre in (0.0, 0.3, -2.0, 1e6, -1e6 + 0.5):
@@ -260,11 +262,18 @@ def test_real_point_set_matches_the_linear_scan(tol):
     stored = PointSet(fld)
     labels = [stored.setdefault(p, i) for i, p in enumerate(points)]
     assert labels == _scan_labels(points)
-    col = [p.coords.index(1.0) + 1 for p in points]
-    assert any(
-        points[i].coords[col[i]] // w != points[j].coords[col[j]] // w
-        for i, j in enumerate(labels)
-    ), "no equal pair straddles a bucket edge"
+    weights, width = _real_key(4, tol)[:2]
+    bucket = [floor(sum(a * c for a, c in zip(weights, p.coords)) / width) for p in points]
+    assert any(bucket[i] != bucket[j] for i, j in enumerate(labels)), "no equal pair straddles a bucket edge"
+
+
+def test_real_point_set_scans_the_lead_for_huge_and_non_finite_values():
+    # s / (4 tol A) overflows at 1e300 and is NaN for nan or inf: such points are found by scanning their lead
+    fld, nan, inf = RealField(1e-9), float("nan"), float("inf")
+    rows = [[1.0, 1e300, 2.0], [1.0, 1e300, 2.0], [1.0, -1e300, 1e300], [1.0, nan, 0.0], [1.0, nan, 0.0], [0.0, 1.0, inf], [1.0, 1e300, 2.0]]
+    points = [ProjPoint(fld, r) for r in rows]
+    stored = PointSet(fld)
+    assert [stored.setdefault(p, i) for i, p in enumerate(points)] == _scan_labels(points) == [0, 0, 2, 3, 4, 5, 0]
 
 
 MOVES = [0.0] + [s * f * TOL for f in (0.99, 1.01) for s in (1, -1)]
@@ -289,17 +298,23 @@ def test_real_point_set_matches_the_linear_scan_on_moved_points(data):
 
 
 def test_real_point_set_compares_an_ngon_point_with_few_others(monkeypatch):
-    # bucketed on column lead + 1 alone, the 1,015 points of ngon N=13 n=3 made 15,384 comparisons
-    points = [kp.point for kp in assemble(regular_ngon_seed(13), 3).points]
+    # the points of ngon N=11 and N=13 at n=3 (661 and 1,015), each added twice.  Filed by row on
+    # (lead + 1, last) and probed in 3 x 3 buckets, they made 6,106 and 10,897 comparisons.  With about
+    # one point per bucket each copy meets its original alone (661 and 1,015 measured); the bound allows
+    # a tenth more, for points that share a bucket or a window that meets two.
     calls, eq = [0], ProjPoint.__eq__
 
     def counted(self, other):
         calls[0] += 1
         return eq(self, other)
 
-    monkeypatch.setattr(ProjPoint, "__eq__", counted)
-    assert len(PointSet(REAL, points)) == len(points)
-    assert calls[0] < 4 * len(points)
+    for N in (11, 13):
+        points = [kp.point for kp in assemble(regular_ngon_seed(N), 3).points]
+        calls[0] = 0
+        with monkeypatch.context() as m:
+            m.setattr(ProjPoint, "__eq__", counted)
+            assert len(PointSet(REAL, points + points)) == len(points)
+        assert calls[0] <= len(points) + len(points) // 10
 
 
 def test_point_set_on_returns_labels(families):

@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kakeya import linalg
-from kakeya.linalg import nullspace, rref
+from kakeya.linalg import nullspace, reduce_vector, rref
+from kakeya.projgeom import ProjPoint, Subspace
 from kakeya.scalar import _PRIME_LIMIT, PrimeField, RationalField, RealField, _is_prime
 
 F5 = PrimeField(5)
@@ -209,6 +210,52 @@ def test_real_rref_pivots_within_a_factor_of_two_of_tol_stay_bitwise():
     want, want_pivots = _textbook_rref(rows, fld)
     assert pivots == want_pivots and pivots[0] == 0
     assert _bits(red) == _bits(want)
+
+
+def _textbook_reduce_vector(vec, red, pivots, field):
+    """The residual of vec against an RREF basis, every entry operation through the field's methods."""
+    v = list(vec)
+    for row, c in zip(red, pivots):
+        f = v[c]
+        if not field.is_zero(f):
+            v = [field.sub(x, field.mul(f, y)) for x, y in zip(v, row)]
+            v[c] = field.zero
+    return v
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_real_residual_is_bitwise_the_textbook_reduction(seed):
+    # reduce_vector and Subspace.contains on a real line against the field-method oracle: random
+    # points, points on the line moved near tol, and points r0 + d r1 with |d| <= tol, whose r1 step is skipped
+    rng = random.Random(seed)
+    fld = RealField(rng.choice([1e-9, 1e-6]))
+    near_tol = [s * f * fld.tol for f in (0.5, 0.9, 1.0, 1.1, 1.9) for s in (1, -1)]
+
+    def entry():
+        return rng.choice([0.0, -0.0, rng.choice(near_tol), rng.uniform(-5, 5), rng.uniform(-5, 5)])
+
+    def line_entry():  # a pivot near tol would scale the basis far from the points
+        return rng.choice([0.0, -0.0, rng.uniform(-5, 5), rng.uniform(-5, 5)])
+
+    n, line = rng.randrange(2, 6), None
+    while line is None or line.proj_dim != 1:
+        line = Subspace.from_vectors(fld, n, [[line_entry() for _ in range(n + 1)] for _ in range(2)])
+    (r0, r1), (c0, c1) = line.basis, line.pivots
+    vectors = [[entry() for _ in range(n + 1)] for _ in range(20)]
+    for d in [rng.uniform(-3, 3) for _ in range(10)]:
+        v = [x + d * y for x, y in zip(r0, r1)]
+        for k in rng.sample(range(n + 1), rng.randrange(n + 1)):
+            v[k] += rng.choice(near_tol + [0.0, -0.0])
+        vectors.append(v)
+    vectors += [[x + d * y for x, y in zip(r0, r1)] for d in near_tol[:4] + [0.0, -0.0]]
+    assert any(v[c0] == 1.0 and abs(v[c1] - r0[c1]) <= fld.tol for v in vectors), "no point skips the r1 step"
+    for v in vectors:
+        want = _textbook_reduce_vector(v, line.basis, line.pivots, fld)
+        assert _bits([reduce_vector(v, line.basis, line.pivots, fld)]) == _bits([want])
+        if any(abs(x) > fld.tol for x in v):
+            p = ProjPoint(fld, v)
+            residual = _textbook_reduce_vector(p.coords, line.basis, line.pivots, fld)
+            assert line.contains(p) == all(map(fld.is_zero, residual))
 
 
 @pytest.mark.parametrize("fld", [F5, PrimeField(2**61 - 1), QQ], ids=["prime", "wide-lane prime", "rational"])
