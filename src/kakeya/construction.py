@@ -166,7 +166,7 @@ class Lifting:
         self.frame = frame
         self.seed = seed
         self.emb = embed_seed(frame, seed)
-        self._lines, self._dirs, self._zs = {}, {}, {}
+        self._lines, self._dirs, self._zs, self._charts = {}, {}, {}, {}
         fld = frame.field
         if fld.exact:  # seed line a: slope s_a = emb.d_values[a], reduced basis (1, s_a + c_a g, g), (0, c_a h, h)
             self._cuts = [fld.div(line.basis[1][1], line.basis[1][2]) for line in seed.lines]
@@ -240,10 +240,13 @@ class Lifting:
 
     def _chart(self, J) -> tuple[list, list]:
         """Q_J(0) and p_J = Q_J(1) - Q_J(0) over F_p or Q for the affine point, each y_a = s_a x + c_a,
-        Q_J(x) = (1 + x, 1 + y_{J0}, ..., 1 + (-1)^(i+1) (y_{J(i-1)} - y_{J(i-2)}) at 2 <= i <= |J|, 1, ..., 1)."""
-        fld, n, one = self.frame.field, self.frame.n, self.frame.field.one
-        q0 = [fld.add(one, v) for v in _grid_row(fld, n, fld.zero, [self._cuts[a] for a in J])]
-        return q0, _grid_row(fld, n, one, [self.emb.d_values[a] for a in J])
+        Q_J(x) = (1 + x, 1 + y_{J0}, ..., 1 + (-1)^(i+1) (y_{J(i-1)} - y_{J(i-2)}) at 2 <= i <= |J|, 1, ..., 1);
+        worked out once per J, for line(J) and every intersection(J, ...)."""
+        if J not in self._charts:
+            fld, n, one = self.frame.field, self.frame.n, self.frame.field.one
+            q0 = [fld.add(one, v) for v in _grid_row(fld, n, fld.zero, [self._cuts[a] for a in J])]
+            self._charts[J] = q0, _grid_row(fld, n, one, [self.emb.d_values[a] for a in J])
+        return self._charts[J]
 
     def _lift(self, memo: dict, key: tuple, base):
         """The object at key over the reals: base(*key) for tuples of length one, else one _step on spans kept in memo."""
@@ -388,9 +391,7 @@ def assemble(seed: PlanarSeed, n: int, audit: bool = False) -> KakeyaSet:
         count = len(on)
         if count >= N:
             continue
-        base, step = line_walk_start(kline.line)
-        stored = [registry.items[i] for i in on]
-        walk = _basis_walk(kline.line, base, step, stored) if fld.exact else partial(walk_point, fld, base, step)
+        walk = _basis_walk(kline.line, [registry.items[i] for i in on]) if fld.exact else partial(walk_point, fld, *line_walk_start(kline.line))
         lam = 0
         limit = 4 * N + fld.p
         while count < N:
@@ -414,19 +415,26 @@ def assemble(seed: PlanarSeed, n: int, audit: bool = False) -> KakeyaSet:
     return KakeyaSet(fld, n, N, grid, lines, points, seed_meta)
 
 
-def _basis_walk(line: Subspace, base, step, stored):
-    """lam -> the walk point (base + lam * step, 1) of a line over F_p or Q; None when one of the stored points is it.
+def _basis_walk(line: Subspace, stored):
+    """lam -> the walk point (base + lam * step, 1) of line_walk_start over F_p or Q; None when one of the stored points is it.
 
-    Its entries a, b at the pivots (c0, c1) make it a r0 + b r1 on the reduced basis: the canonical
+    The walk is read off the reduced basis (r0, r1) with pivots (c0, c1), no infinite point built: at
+    the pivots the base is (1 / r0[n], 0) when r0[n] != 0, else (0, 1 / r1[n]), and the step is
+    (1, -r0[n] / r1[n]) when r1[n] != 0, else (0, 1); a line with r0[n] = r1[n] = 0 lies at infinity
+    (ValueError).  The walk's entries a, b at the pivots make it a r0 + b r1: the canonical
     r0 + (b / a) r1, or r1 when a is zero; b / a (None for r1) tells the points of the line apart.
     """
     fld, (r0, r1), (c0, c1) = line.field, line.basis, line.pivots
-    add, mul, at, dv = fld.add, fld.mul, [*base, fld.one], [*step, fld.zero]
-    taken = {p.coords[c1] if p.coords[c0] else None for p in stored}
+    e0, e1 = r0[-1], r1[-1]
+    if not (e0 or e1):
+        raise ValueError("line lies at infinity")
+    a0, b0 = (fld.inv(e0), fld.zero) if e0 else (fld.zero, fld.inv(e1))  # the base at (c0, c1)
+    a1, b1 = (fld.one, fld.neg(fld.div(e0, e1))) if e1 else (fld.zero, fld.one)  # the step there
+    add, mul, taken = fld.add, fld.mul, {p.coords[c1] if p.coords[c0] else None for p in stored}
 
     def point(lam: int) -> ProjPoint | None:
-        a = add(at[c0], mul(lam, dv[c0]))
-        b = fld.div(add(at[c1], mul(lam, dv[c1])), a) if a else None
+        a = add(a0, mul(lam, a1))
+        b = fld.div(add(b0, mul(lam, b1)), a) if a else None
         if b in taken:
             return None
         return ProjPoint._canonical(fld, r1 if b is None else fld.comb(r0, b, r1))
@@ -527,6 +535,33 @@ def _fmt(o, pad: str) -> str:
     return _block("{}", [_encode_str(k) + ": " + v for k, v in zip(keys, items)], pad)
 
 
+_list10 = ",\n          ".join  # the entries of a provenance list, at indentation 10
+
+
+def _of_type(t: type, *xs) -> bool:
+    return all(type(x) is t for x in xs)  # an int is no bool, which %d would write as 1 where json writes true
+
+
+def _provenance(p: dict) -> str:
+    """_fmt(p, "      ") for a point's provenance, by template for the three kinds assemble writes.
+
+    A template serves only a dict with exactly its kind's keys, an int for each int and a nonempty
+    list of ints (J, Jbar) or of strs (cell) for each list; any other provenance goes through _fmt.
+    """
+    kind, keys = p.get("kind"), p.keys()
+    if kind == "padding" and keys == {"kind", "lam", "line"} and _of_type(int, p["lam"], p["line"]):
+        return '{\n        "kind": "padding",\n        "lam": %d,\n        "line": %d\n      }' % (p["lam"], p["line"])
+    if kind == "lifted" and keys == {"J", "Jbar", "kind", "m"} and _of_type(list, J := p["J"], Jbar := p["Jbar"]) and J and Jbar:
+        if _of_type(int, p["m"], *J, *Jbar):
+            return ('{\n        "J": [\n          %s\n        ],\n        "Jbar": [\n          %s\n        ],\n        "kind": "lifted",\n'
+                    '        "m": %d\n      }') % (_list10(map(str, J)), _list10(map(str, Jbar)), p["m"])
+    if kind == "grid_completion" and keys == {"cell", "kind", "lam"} and _of_type(int, p["lam"]) and _of_type(list, cell := p["cell"]) and cell:
+        if _of_type(str, *cell):
+            return ('{\n        "cell": [\n          %s\n        ],\n        "kind": "grid_completion",\n        "lam": %d\n      }'
+                    % (_list10(map(_encode_str, cell)), p["lam"]))
+    return _fmt(p, "      ")
+
+
 def _write_list(entries, fh, pad: str):
     """Write a list whose entries come formatted at indentation pad + 2, one write per entry."""
     first = sep = "[\n" + pad + "  "
@@ -556,8 +591,8 @@ def save_kakeya(K: KakeyaSet, path: str):
     """Write the bytes of dump(kakeya_to_json(K)) to path, streamed from K without building that document.
 
     The keys go in sorted order; each line and point record is its depth's template filled with its
-    coordinate vectors and provenance, one write per record.  Each distinct exact coordinate is
-    encoded once, each real one by repr (a value-keyed memo would merge -0.0 into 0.0).
+    coordinate vectors and provenance (_provenance), one write per record.  Each distinct exact
+    coordinate is encoded once, each real one by repr (a value-keyed memo would merge -0.0 into 0.0).
     """
     fld, to_str = K.field, K.field.to_str
 
@@ -575,7 +610,7 @@ def save_kakeya(K: KakeyaSet, path: str):
 
     def point_record(kp: KPoint) -> str:
         coords = join8(map(enc, kp.point.coords))
-        return '{\n      "coords": [\n        ' + coords + '\n      ],\n      "provenance": ' + _fmt(kp.provenance, "      ") + "\n    }"
+        return '{\n      "coords": [\n        ' + coords + '\n      ],\n      "provenance": ' + _provenance(kp.provenance) + "\n    }"
 
     grid = _fmt([[to_str(s) for s in axis] for axis in K.grid], "  ")
     head = '{\n  "N": ' + _fmt(K.N, "  ") + ',\n  "field": ' + _fmt(fld.to_json(), "  ") + ',\n  "grid": ' + grid

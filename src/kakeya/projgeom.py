@@ -277,10 +277,12 @@ class PointSet:
         Over an exact field it holds r1 and the points r0 + b * r1,
         canonical as they stand, with lead c0 and coordinate c1 equal to
         b; only the b some stored point takes in the slot (c0, c1) are
-        looked up.  Over the reals only the points _near the line are
-        confirmed with Subspace.contains.  Other flats test every stored
-        point (points_on).  The stored points are taken to be of the
-        line's field and length, as the loaders make every file's.
+        looked up, in rows built column by column through Field.comb:
+        column k holds r0[k] + b * r1[k] for every such b.  Over the reals
+        only the points _near the line are confirmed with
+        Subspace.contains.  Other flats test every stored point
+        (points_on).  The stored points are taken to be of the line's
+        field and length, as the loaders make every file's.
         """
         fld = line.field
         if line.proj_dim != 1:
@@ -288,9 +290,9 @@ class PointSet:
         if not fld.exact:
             return [self.labels[i] for i in self._near(line) if line.contains(self.items[i])]
         (r0, r1), (c0, c1) = line.basis, line.pivots
-        comb, get = fld.comb, self._index.get
-        found = [get(comb(r0, b, r1)) for b in self._values.get((c0, c1), ())]
-        found.append(get(r1))
+        values = tuple(self._values.get((c0, c1), ()))
+        cols = [fld.comb((x,) * len(values), y, values) if y else (x,) * len(values) for x, y in zip(r0, r1)]
+        found = [*map(self._index.get, zip(*cols)), self._index.get(r1)]
         return [self.labels[i] for i in sorted(i for i in found if i is not None)]
 
     def _near(self, line: Subspace) -> list[int]:

@@ -58,14 +58,16 @@ def _finish(check: str, witnesses: list, measured: dict, verbose: bool) -> Verif
 
 
 def _recovered_cells(K: KakeyaSet):
-    """Per-line grid coordinates resolved to axis indices, None when off-grid."""
+    """Per-line grid coordinates resolved to axis indices, None when off-grid; a repeated axis value resolves to its first index."""
+    fld = K.field
+    if fld.exact:  # one value -> index dict per axis, filled from the end so the first index stays
+        find = [{a: i for i, a in reversed([*enumerate(axis)])}.get for axis in K.grid]
+    else:
+        find = [lambda v, axis=axis: next((i for i, a in enumerate(axis) if fld.eq(a, v)), None) for axis in K.grid]
     cells = []
     for kl in K.lines:
         values = grid_values_from_direction(kl.direction)
-        cell = None if values is None else tuple(
-            next((i for i, a in enumerate(axis) if K.field.eq(a, v)), None)
-            for axis, v in zip(K.grid, values)
-        )
+        cell = None if values is None else tuple(f(v) for f, v in zip(find, values))
         cells.append(None if cell is None or None in cell else cell)
     return cells
 

@@ -586,11 +586,33 @@ _FIELDS = {
     "rational": (QQ, st.builds(Fraction, st.integers(), st.integers(1, 10**20))),
     "real": (RealField(), st.floats() | st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300])),
 }
+# the three provenance shapes assemble writes, each value drawn as it writes it or as a near miss:
+# a bool, a negative or a huge int, a float, an empty list, a list entry of the other type
+_int = st.integers(0, 99) | st.sampled_from([True, False, -1, -(10**30), 10**30, 2.0, 0.5])
+_shapes = (
+    st.fixed_dictionaries({"kind": st.just("lifted"), "J": st.lists(_int, max_size=3), "Jbar": st.lists(_int, max_size=3), "m": _int})
+    | st.fixed_dictionaries({"kind": st.just("padding"), "line": _int, "lam": _int})
+    | st.fixed_dictionaries({"kind": st.just("grid_completion"), "cell": st.lists(_text | _int, max_size=3), "lam": _int})
+)
+
+
+def _near_miss(prov: dict, key: str, value, drop: int | None) -> dict:
+    """prov as drawn with one more key set to value, or, given drop, without its key in that place."""
+    prov = dict(prov)
+    if drop is None:
+        prov.setdefault(key, value)
+    else:
+        del prov[sorted(prov)[drop % len(prov)]]
+    return prov
+
+
 _provenance = (
     st.dictionaries(_text, _documents, max_size=4)
     | st.dictionaries(st.integers(), _documents, max_size=2)
     | st.dictionaries(st.floats(allow_nan=False), _documents, max_size=2)
     | st.builds(lambda extra: {"kind": "seed", "extra": extra}, st.booleans())
+    | _shapes
+    | st.builds(_near_miss, _shapes, _text, _documents, st.none() | st.integers(0, 3))
 )
 
 
@@ -631,6 +653,32 @@ def test_save_kakeya_writes_the_bytes_of_dump(kind, data, tmp_path_factory):
 
 
 @pytest.mark.parametrize(
+    "prov, template",
+    [
+        ({"kind": "lifted", "J": [0, 12], "Jbar": [3, 10**30], "m": 0}, True),
+        ({"kind": "padding", "line": -1, "lam": 10**30}, True),
+        ({"kind": "grid_completion", "cell": ["1", "\u00e9\n"], "lam": 4}, True),
+        ({"kind": "lifted", "J": [], "Jbar": [1], "m": 0}, False),
+        ({"kind": "lifted", "J": [0], "Jbar": [True], "m": 0}, False),
+        ({"kind": "lifted", "J": [0], "Jbar": [1], "m": False}, False),
+        ({"kind": "padding", "line": 3, "lam": 1.0}, False),
+        ({"kind": "padding", "line": 3, "lam": 1, "note": "x"}, False),
+        ({"kind": "padding", "lam": 1}, False),
+        ({"kind": "grid_completion", "cell": ["1", 2], "lam": 4}, False),
+        ({"kind": "grid_completion", "cell": [], "lam": 4}, False),
+        ({"kind": "seed", "line": 3, "lam": 1}, False),
+    ],
+)
+def test_provenance_templates_write_what_fmt_writes(prov, template, monkeypatch):
+    # a template serves only the exact shapes assemble writes; every near miss goes through _fmt
+    want = json.dumps(prov, indent=2, sort_keys=True).replace("\n", "\n      ")
+    calls = []
+    monkeypatch.setattr(construction, "_fmt", lambda *args: calls.append(args) or want)
+    assert construction._provenance(prov) == want
+    assert calls == ([] if template else [(prov, "      ")])
+
+
+@pytest.mark.parametrize(
     "seed,n",
     [(dual_conic_seed(5), 2), (dual_conic_seed(5), 3), (regular_ngon_seed(9), 2), (regular_ngon_seed(9), 3), (_rational_seed(5), 3)],
 )
@@ -666,3 +714,37 @@ def test_dump_writes_a_line_set_entry_by_entry():
     assert "".join(writes) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
     assert len(writes) > len(doc["lines"]) + len(doc["points"])
     assert max(map(len, writes)) < 400
+
+
+@st.composite
+def _exact_lines(draw, fld, values, n=3):
+    """A line's reduced basis (r0, r1) over fld at random pivots (c0, c1), c1 = n included; the last entries
+    r0[n], r1[n] are drawn like the rest, or set to zero in one row or both."""
+    c0, c1 = draw(st.sampled_from([(c0, c1) for c1 in range(1, n + 1) for c0 in range(c1)]))
+    r0, r1 = [fld.zero] * (n + 1), [fld.zero] * (n + 1)
+    r0[c0], r1[c1] = fld.one, fld.one
+    for k in range(c0 + 1, n + 1):
+        if k != c1:
+            r0[k] = fld(draw(values))
+            r1[k] = fld(draw(values)) if k > c1 else fld.zero
+    for row in draw(st.sampled_from([(), (r0,), (r1,), (r0, r1)])) if c1 < n else ():
+        row[n] = fld.zero
+    return Subspace(fld, n, (r0, r1), (c0, c1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(["prime", "big prime", "rational"]), data=st.data())
+def test_basis_walk_is_the_walk_of_line_walk_start(kind, data):
+    # read off the basis, the walk has walk_point's coordinates at each lam, value types included
+    fld, values = _FIELDS[kind]
+    line = data.draw(_exact_lines(fld, values))
+    assert Subspace.from_vectors(fld, 3, line.basis) == line
+    if not (line.basis[0][-1] or line.basis[1][-1]):
+        for walk in (line_walk_start, partial(construction._basis_walk, stored=[])):
+            with pytest.raises(ValueError, match="line lies at infinity"):
+                walk(line)
+        return
+    walk, start = construction._basis_walk(line, []), line_walk_start(line)
+    for lam in range(9):
+        want = walk_point(fld, *start, lam).coords
+        assert [(type(c), c) for c in walk(lam).coords] == [(type(c), c) for c in want]

@@ -1,5 +1,8 @@
 """Mutated construction and seed files through the CLI: every outcome is an exit code, never a traceback.
 
+The construction files are a conic lift over F_5 and over Q (the F_5 seed read as rationals) and a
+regular 7-gon lift over the reals, all at n = 3; the seed file is the conic seed over F_5.
+
 Each mutant makes one or two edits at a random place in a valid file: it
 replaces a value, deletes or duplicates a list entry, drops a key, steps
 an int by one or wraps a value in a list.  Whatever the file then holds,
@@ -16,7 +19,7 @@ import pytest
 
 from kakeya.cli import main
 from kakeya.construction import assemble, kakeya_to_json
-from kakeya.seeds import dual_conic_seed, seed_to_json
+from kakeya.seeds import dual_conic_seed, regular_ngon_seed, seed_from_json, seed_to_json
 
 _VALUES = ['"x"', '"1/0"', '"nan"', '""', '"7"', '"-1"', "3", "null", "[]", "{}", "true"]  # as JSON text
 
@@ -67,16 +70,32 @@ def _outcome(capsys, argv, edits) -> int:
     return code
 
 
+def _rational_conic(q: int):
+    """The conic seed over F_q with its coordinates read as rationals."""
+    doc = seed_to_json(dual_conic_seed(q))
+    doc["field"] = {"kind": "rational"}
+    return seed_from_json(doc)
+
+
+_DOCS = {
+    "construction": lambda: kakeya_to_json(assemble(dual_conic_seed(5), 3)),
+    "seed": lambda: seed_to_json(dual_conic_seed(5)),
+    "rational construction": lambda: kakeya_to_json(assemble(_rational_conic(5), 3)),
+    "real construction": lambda: kakeya_to_json(assemble(regular_ngon_seed(7), 3)),
+}
+
+
 @pytest.mark.parametrize(
     "kind, count, commands",
     [
         ("construction", 300, [["verify", "{path}", "--r", "1"], ["certify", "{path}", "--r", "1"]]),
         ("seed", 200, [["seed-report", "{path}"], ["construct", "--seed", "file:{path}", "--dim", "3", "--out", "{out}"]]),
+        ("rational construction", 100, [["verify", "{path}", "--r", "1"]]),
+        ("real construction", 100, [["verify", "{path}", "--r", "1"]]),
     ],
 )
 def test_mutated_files_give_an_exit_code(tmp_path, capsys, kind, count, commands):
-    seed = dual_conic_seed(5)
-    doc = kakeya_to_json(assemble(seed, 3)) if kind == "construction" else seed_to_json(seed)
+    doc = _DOCS[kind]()
     path, out = tmp_path / "mutant.json", tmp_path / "k.json"
     codes = Counter()
     for mutant, edits in _mutants(doc, count, random.Random(19)):

@@ -10,6 +10,7 @@ points finds.
 
 import json
 import random
+from fractions import Fraction
 from math import floor
 
 import pytest
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 from kakeya.cli import main
 from kakeya.construction import KakeyaSet, assemble, kakeya_from_json, kakeya_to_json
 from kakeya.projgeom import PointSet, ProjPoint, Subspace, _real_key, incidence, points_on, span
-from kakeya.scalar import RealField
+from kakeya.scalar import PrimeField, RationalField, RealField
 from kakeya.seeds import dual_conic_seed, regular_ngon_seed, seed_from_json, seed_to_json
 from kakeya.verify import verify_all
 
@@ -112,6 +113,38 @@ def test_a_real_ngon_family_matches_the_brute_force_table():
     on = _check(fld, lines, points)
     assert all(len(on_line) >= K.N for on_line in on)
     assert any(3 in on_line and len(points) - 1 in on_line for on_line in on)
+
+
+_EXACT = {
+    "F_7": (PrimeField(7), st.integers(0, 6)),
+    "F_(2^61-1)": (PrimeField(2**61 - 1), st.integers(0, 3) | st.integers(0, 2**61 - 2)),
+    "Q": (RationalField(), st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(sorted(_EXACT)), data=st.data())
+def test_exact_on_matches_the_scan_on_random_lines(kind, data):
+    # lines at every pivot pair (c1 = n among them); points on the line (r1, led by c1, among them),
+    # such points moved at one column (off the line or along it), random points, and repeats
+    fld, values = _EXACT[kind]
+    n = 3
+    c0, c1 = data.draw(st.sampled_from([(c0, c1) for c1 in range(1, n + 1) for c0 in range(c1)]))
+    value = values.map(fld)
+    r0 = [fld.zero] * c0 + [fld.one] + [fld.zero if k == c1 else data.draw(value) for k in range(c0 + 1, n + 1)]
+    r1 = [fld.zero] * c1 + [fld.one] + [data.draw(value) for k in range(c1 + 1, n + 1)]
+    line = Subspace.from_vectors(fld, n, [r0, r1])
+    assert line.pivots == (c0, c1)
+    vector = st.lists(value, min_size=n + 1, max_size=n + 1).filter(any)
+    on_line = st.builds(lambda b: fld.comb(r0, b, r1), value) | st.just(r1)
+    moved = st.builds(lambda v, k, d: [fld.add(x, d) if j == k else x for j, x in enumerate(v)], on_line, st.integers(0, n), value)
+    coords = data.draw(st.lists(on_line | moved | vector, min_size=1, max_size=12))
+    points = [ProjPoint(fld, c) for c in coords if any(c)]
+    points += [points[i] for i in data.draw(st.lists(st.integers(0, len(points) - 1), max_size=3))] if points else []
+    stored = PointSet(fld)
+    for i, p in enumerate(points):
+        stored.setdefault(p, f"p{i}")
+    assert stored.on(line) == [stored.labels[i] for i in points_on(line, stored.items)]
 
 
 REAL = RealField()

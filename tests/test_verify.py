@@ -299,6 +299,33 @@ def test_verify_all_recovers_the_grid_cells_once(conic5, monkeypatch):
     assert calls == [conic5]
 
 
+def _rational_conic(q, n):
+    doc = seed_to_json(dual_conic_seed(q))
+    doc["field"] = {"kind": "rational"}
+    return assemble(seed_from_json(doc), n)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: assemble(dual_conic_seed(5), 3), lambda: _rational_conic(5, 3), lambda: assemble(regular_ngon_seed(7), 3)],
+    ids=["F_5", "Q", "reals"],
+)
+def test_recovered_cells_resolve_a_repeated_axis_value_to_its_first_index(make):
+    # the exact fields look the values up in a dict per axis; the cells must be those of the scan with field.eq
+    K = make()
+    K.grid = [list(axis) for axis in K.grid]
+    K.grid[0][3] = K.grid[0][1]
+    K.grid[-1][-1] = K.grid[-1][0]
+    want = []
+    for kl in K.lines:
+        values = verify.grid_values_from_direction(kl.direction)
+        cell = None if values is None else tuple(next((i for i, a in enumerate(axis) if K.field.eq(a, v)), None) for axis, v in zip(K.grid, values))
+        want.append(None if cell is None or None in cell else cell)
+    assert _recovered_cells(K) == want
+    assert any(c and c[0] == 1 for c in want) and any(c and c[-1] == 0 for c in want)
+    assert not any(c and (c[0] == 3 or c[-1] == K.N - 1) for c in want)
+
+
 def _count_contains(monkeypatch) -> list:
     calls = []
     contains = Subspace.contains
