@@ -243,7 +243,13 @@ class RationalField(Field):
 
 
 class RealField(Field):
-    """Floating-point reals compared up to an absolute tolerance below 1."""
+    """Floating-point reals compared up to an absolute tolerance below 1.
+
+    tol bounds each single comparison, |a - b| <= tol or |a| <= tol, of input
+    coordinates and computed residuals alike.  It is no distance between points
+    or lines: a residual scales with its coordinates, so a coordinate moved by
+    less than tol can change a verdict.
+    """
 
     kind = "real"
     exact = False

@@ -192,13 +192,17 @@ def regular_ngon_seed(N: int, field: RealField | None = None) -> PlanarSeed:
             chords[a, b] = ProjPoint(fld, [fld(x) for x in w])
     points = [SeedPoint(p) for p in chords.values()]
 
-    # one additional point per line: the first point of its walk not yet known
+    # one additional point per line: the first point of its walk not yet known,
+    # within the step bound of assemble's padding walk (a coarse tol can make
+    # every step equal a known point as the walk nears the infinite point)
     known = PointSet(fld, chords.values())
-    for line in lines:
+    for idx, line in enumerate(lines):
         base, step = line_walk_start(line)
-        lam = 0
-        while not known.add(cand := walk_point(fld, base, step, lam)):
-            lam += 1
+        for lam in range(4 * N + 1):
+            if known.add(cand := walk_point(fld, base, step, lam)):
+                break
+        else:
+            raise DegenerateSeed(f"seed line {idx} has no new point within {4 * N + 1} steps at tolerance {fld.tol}")
         points.append(SeedPoint(cand, extra=True))
 
     seed = PlanarSeed(

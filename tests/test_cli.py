@@ -644,6 +644,16 @@ def test_bad_kakeya_tol_is_input_error(tmp_path, capsys, monkeypatch):
     assert "KAKEYA_TOL" in stderr
 
 
+def test_a_kakeya_tol_that_leaves_no_extra_seed_point_is_input_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("KAKEYA_TOL", "0.5")
+    out = tmp_path / "n.json"
+    code, _, stderr = run(capsys, "construct", "--seed", "ngon", "--N", "7", "--dim", "3", "--out", str(out))
+    # every step of line 0's walk equals a known point up to tol, as the walk nears
+    # the line's infinite point, so the walk is cut at 4N + 1 steps
+    assert code == 2 and not out.exists()
+    assert stderr == "error: seed line 0 has no new point within 29 steps at tolerance 0.5\n"
+
+
 def test_ngon_seed_report_via_file(tmp_path, capsys):
     spath = tmp_path / "ngon.json"
     save_seed(regular_ngon_seed(9), str(spath))

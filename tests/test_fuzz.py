@@ -9,9 +9,14 @@ an int by one or wraps a value in a list.  Whatever the file then holds,
 `main` must return 0, 1 or 2; a refusal (2) prints one `error:` line and
 nothing on stdout, and a verdict (0 or 1) prints JSON.  The random
 stream is seeded, so every run makes the same mutants.
+
+The real file is also perturbed numerically: one coordinate moves by
+a small multiple of the tolerance, across the line where two values
+stop counting as equal, or is rescaled by a power of ten.
 """
 
 import json
+import math
 import random
 from collections import Counter
 
@@ -106,3 +111,37 @@ def test_mutated_files_give_an_exit_code(tmp_path, capsys, kind, count, commands
     # the mutants reach both the loaders' refusals and the verdicts behind them
     for command in commands:
         assert codes[command[0], 2] and codes[command[0], 0] + codes[command[0], 1], codes
+
+
+def _coordinate_slots(doc) -> list:
+    """(list, index) of every coordinate string of a construction document."""
+    rows = list(doc["grid"])
+    for line in doc["lines"]:
+        rows += line["basis"] + [line["direction"]]
+    rows += [point["coords"] for point in doc["points"]]
+    return [(row, k) for row in rows for k in range(len(row))]
+
+
+def test_real_coordinates_moved_around_tol_give_an_exit_code(tmp_path, capsys):
+    doc = _DOCS["real construction"]()
+    tol = doc["field"]["tol"]
+    text, path = json.dumps(doc), tmp_path / "mutant.json"
+    rng = random.Random(23)
+    codes = Counter()
+    for _ in range(120):
+        mutant = json.loads(text)
+        row, k = rng.choice(_coordinate_slots(mutant))
+        x = float(row[k])
+        if rng.random() < 0.6:
+            shift = rng.choice((-1, 1)) * rng.choice((0.5, 1, 2, 10)) * tol
+            y, edit = x + shift, f"{row[k]} moved by {shift}"
+        else:
+            e = rng.choice((-300, -12, -9, -1, 1, 9, 12, 300))
+            y, edit = x * 10.0**e, f"{row[k]} scaled by 1e{e}"
+        assert math.isfinite(y), edit
+        row[k] = repr(y)
+        path.write_text(json.dumps(mutant))
+        for command in ("verify", "certify"):
+            codes[command, _outcome(capsys, [command, str(path), "--r", "1"], [edit])] += 1
+    # the moves reach both verdicts (half a tol can already break an incidence); certify refuses the reals
+    assert codes["verify", 0] and codes["verify", 1] and codes["certify", 2] == 120, codes

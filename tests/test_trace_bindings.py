@@ -41,3 +41,29 @@ def test_bench_self_tests_pass():
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     done = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
+
+
+def test_a_traced_certify_passes_its_rows_to_the_hooks():
+    # the rref hook takes len() of its rows and the vanishing_space hook reads its
+    # first four arguments; a certify under the tracer fails here if either breaks
+    sys.path.insert(0, BENCH)
+    try:
+        import layers
+        from spans import Tracer
+
+        from kakeya import assemble, dual_conic_seed, polymethod
+
+        K = assemble(dual_conic_seed(5), 2)
+        tracer = Tracer()
+        try:
+            layers.install_tracer(tracer)
+            cert = polymethod.certify(K, 2)
+        finally:
+            tracer.uninstall()
+    finally:
+        sys.path.remove(BENCH)
+    assert cert.verdict == "pass-vacuous"
+    stats = tracer.stats  # 15 points, 6 multi-indices of weight below 3, 55 monomials of degree <= 9
+    assert (stats["linalg.rref.max_rows"], stats["linalg.rref.max_cols"]) == (90, 55)
+    assert [stats[f"polymethod.vanishing_space.{k}"] for k in ("rows", "cols", "nullity")] == [90, 55, 0]
+    assert tracer.summary()["polymethod.vanishing_space"]["calls"] == 1
