@@ -25,19 +25,27 @@ from .scalar import Field
 
 
 class ProjPoint:
-    """A projective point over a field; construction normalizes the coordinates."""
+    """A projective point over a field; construction normalizes the coordinates.
+
+    Over F_p and Q one pass scales every coordinate by the inverse of the first nonzero one (mod p
+    over F_p), and points are equal when their coordinate tuples are; the reals compare up to tol.
+    """
 
     __slots__ = ("field", "coords")
 
     def __init__(self, field: Field, coords):
-        coords = tuple(coords)
-        lead = next((i for i, c in enumerate(coords) if not field.is_zero(c)), None)
+        coords, exact = tuple(coords), field.exact
+        lead = next(filter(None, coords) if exact else (i for i, c in enumerate(coords) if not field.is_zero(c)), None)
         if lead is None:
             raise ZeroVector("a projective point needs a nonzero coordinate")
-        inv, mul = field.inv(coords[lead]), field.mul
-        rest = tuple(mul(c, inv) for c in coords[lead + 1 :])
+        if exact:  # lead is the first nonzero value
+            inv, p = field.one if lead == 1 else field.inv(lead), field.p
+            coords = tuple([c * inv % p for c in coords] if p else [c * inv for c in coords])
+        else:  # lead is the position of the first value above tol
+            inv = field.inv(coords[lead])
+            coords = (field.zero,) * lead + (field.one,) + tuple(c * inv for c in coords[lead + 1 :])
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coords", (field.zero,) * lead + (field.one,) + rest)
+        object.__setattr__(self, "coords", coords)
 
     def __setattr__(self, name, value):
         raise AttributeError("ProjPoint is immutable")
@@ -56,7 +64,7 @@ class ProjPoint:
         if not isinstance(other, ProjPoint):
             return NotImplemented
         self._peer(other)
-        return all(map(self.field.eq, self.coords, other.coords))
+        return self.coords == other.coords if self.field.exact else all(map(self.field.eq, self.coords, other.coords))
 
     def __hash__(self):
         if not self.field.exact:
@@ -203,10 +211,10 @@ def _reduced_pivots(rows: list, width: int) -> list | None:
 class PointSet:
     """Distinct projective points of one field and one ambient space, each kept under the label it was first added with.
 
-    Exact fields key a dict on the canonical coordinates and keep, per
-    column pair (lead, k > lead), the values stored points with that lead
-    take at k.  Real points equal up to tol < 1 share their lead and lie
-    within tol at every column (tol / (1 - 2^-53) before rounding), so
+    Every point is listed, as (position, coordinates), under its lead
+    column, the lists on() reads.  Exact fields key a dict on the
+    canonical coordinates.  Real points equal up to tol < 1 share their
+    lead and lie within tol at every column (tol / (1 - 2^-53) before rounding), so
     the sums s = sum(alpha_k c_k) of two equal points, over m coordinates
     with weights alpha_k = 1 + frac(k phi) in [1, 2) of sum A, lie within
     tol A.  Each real point is filed under (lead, floor(s / 4 tol A)) on
@@ -218,9 +226,7 @@ class PointSet:
     every equal stored point, and it meets at most two buckets when
     r < 2 tol A; when it does not (max|c_k| >= tol 2^48 / m, or a value
     that is not finite), every stored point with p's lead is compared.  The
-    earliest equal point wins.  Real points are also listed, as (position,
-    coordinates), under their lead column, which on() filters a line's
-    candidates by.
+    earliest equal point wins.
     """
 
     def __init__(self, field: Field, points=()):
@@ -228,7 +234,7 @@ class PointSet:
         self.items: list[ProjPoint] = []
         self.labels: list = []
         self._index: dict = {}
-        self._values: dict[tuple[int, int], set] = {}
+        self._values: dict[tuple[int, int], tuple[set, int]] = {}
         self._leads: dict[int, list] = {}
         for p in points:
             self.add(p)
@@ -242,9 +248,6 @@ class PointSet:
         lead = coords.index(p.field.one)
         if self.field.exact:
             i = self._index.setdefault(coords, new)
-            if i == new:
-                for k in range(lead + 1, len(coords)):
-                    self._values.setdefault((lead, k), set()).add(coords[k])
         else:
             weights, w, tol_a, slop = _real_key(len(coords), self.field.tol)
             s = sum(map(mul, weights, coords))
@@ -255,13 +258,12 @@ class PointSet:
             else:
                 near = (j for j, _ in self._leads.get(lead, ()))
             i = min((j for j in near if p == self.items[j]), default=new)
-            if i == new:
-                if (x := s / w) - x == 0:  # x finite; a window wider than a bucket scans the lead instead
-                    self._index.setdefault((lead, floor(x)), []).append(new)
-                self._leads.setdefault(lead, []).append((new, coords))
+            if i == new and (x := s / w) - x == 0:  # x finite; a window wider than a bucket scans the lead instead
+                self._index.setdefault((lead, floor(x)), []).append(new)
         if i == new:
             self.items.append(p)
             self.labels.append(label)
+            self._leads.setdefault(lead, []).append((new, coords))
         return self.labels[i]
 
     def add(self, p: ProjPoint) -> bool:
@@ -278,7 +280,9 @@ class PointSet:
         canonical as they stand, with lead c0 and coordinate c1 equal to
         b; only the b some stored point takes in the slot (c0, c1) are
         looked up, in rows built column by column through Field.comb:
-        column k holds r0[k] + b * r1[k] for every such b.  Over the reals
+        column k holds r0[k] + b * r1[k] for every such b.  The set of
+        those b is kept per (c0, c1) and takes in, at each call, the points
+        of lead c0 stored since the last call for that pair.  Over the reals
         only the points _near the line are confirmed with
         Subspace.contains.  Other flats test every stored point
         (points_on).  The stored points are taken to be of the line's
@@ -290,7 +294,9 @@ class PointSet:
         if not fld.exact:
             return [self.labels[i] for i in self._near(line) if line.contains(self.items[i])]
         (r0, r1), (c0, c1) = line.basis, line.pivots
-        values = tuple(self._values.get((c0, c1), ()))
+        stored, (values, done) = self._leads.get(c0, ()), self._values.get((c0, c1), (set(), 0))
+        values.update([q[c1] for _, q in stored[done:]])
+        self._values[c0, c1] = values, len(stored)
         cols = [fld.comb((x,) * len(values), y, values) if y else (x,) * len(values) for x, y in zip(r0, r1)]
         found = [*map(self._index.get, zip(*cols)), self._index.get(r1)]
         return [self.labels[i] for i in sorted(i for i in found if i is not None)]
@@ -346,10 +352,12 @@ def incidence(field: Field, lines, points) -> tuple[list[int], list[list[int]]]:
     first[i] is the position of the first point equal to point i, so the
     distinct points are the i with first[i] == i; on[l] lists, ascending,
     the positions of the points on lines[l], repeated points included.
-    Each line is matched once against the distinct points by PointSet.on.
+    Each line is matched once by PointSet.on, whose labels are on[l] itself unless some point repeats.
     """
     seen = PointSet(field)
     first = [seen.setdefault(p, i) for i, p in enumerate(points)]
+    if len(seen) == len(first):
+        return first, [seen.on(line) for line in lines]
     copies: dict[int, list[int]] = {}
     for i, f in enumerate(first):
         copies.setdefault(f, []).append(i)

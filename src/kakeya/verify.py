@@ -129,11 +129,12 @@ def _direction_faults(K: KakeyaSet):
         if kl.line.proj_dim != 1:
             yield f"line {idx} is a flat of dimension {kl.line.proj_dim}, not a line"
             continue
-        (r0, r1), mul = kl.line.basis, fld.mul
+        (r0, r1), p = kl.line.basis, fld.p
         if not fld.exact:
             cut = meet(kl.line, at_infinity(fld, n)).basis
-        else:  # read off the file's basis: r1[n] r0 - r0[n] r1, or the line itself when both are zero
-            cut = [[fld.sub(mul(r1[n], x), mul(r0[n], y)) for x, y in zip(r0, r1)]] if r0[n] or r1[n] else [r0, r1]
+        else:  # read off the file's basis: r1[n] r0 - r0[n] r1 (mod p over F_p), or the line itself when both are zero
+            d = [r1[n] * x - r0[n] * y for x, y in zip(r0, r1)]
+            cut = [[v % p for v in d] if p else d] if r0[n] or r1[n] else [r0, r1]
         if len(cut) != 1:
             yield f"line {idx} meets infinity in dimension {len(cut) - 1}"
         elif ProjPoint(fld, cut[0]) != kl.direction:

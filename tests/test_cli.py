@@ -654,6 +654,16 @@ def test_a_kakeya_tol_that_leaves_no_extra_seed_point_is_input_error(tmp_path, c
     assert stderr == "error: seed line 0 has no new point within 29 steps at tolerance 0.5\n"
 
 
+@pytest.mark.xfail(strict=True, reason="known defect: at tol 1e-14 the ngon N=7 n=3 file that construct writes fails its own size check")
+def test_a_file_construct_writes_at_a_small_kakeya_tol_passes_verify(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("KAKEYA_TOL", "1e-14")
+    out = tmp_path / "n.json"
+    code, _, _ = run(capsys, "construct", "--seed", "ngon", "--N", "7", "--dim", "3", "--out", str(out))
+    # either construct refuses the tolerance or verify accepts what it wrote; today verify reports
+    # "42 lifted points, the deficiency formula gives 36"
+    assert code == 2 or run(capsys, "verify", str(out), "--r", "1")[0] == 0
+
+
 def test_ngon_seed_report_via_file(tmp_path, capsys):
     spath = tmp_path / "ngon.json"
     save_seed(regular_ngon_seed(9), str(spath))

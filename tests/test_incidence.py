@@ -147,6 +147,67 @@ def test_exact_on_matches_the_scan_on_random_lines(kind, data):
     assert stored.on(line) == [stored.labels[i] for i in points_on(line, stored.items)]
 
 
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(sorted(_EXACT)), data=st.data())
+def test_exact_on_sees_the_points_added_after_a_query(kind, data):
+    # lines sharing one pivot pair, queried between batches of adds: each query must also find
+    # the points stored after the pair's last query
+    fld, values = _EXACT[kind]
+    n = 3
+    c0, c1 = data.draw(st.sampled_from([(c0, c1) for c1 in range(1, n + 1) for c0 in range(c1)]))
+    value = values.map(fld)
+    lines = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        r0 = [fld.zero] * c0 + [fld.one] + [fld.zero if k == c1 else data.draw(value) for k in range(c0 + 1, n + 1)]
+        r1 = [fld.zero] * c1 + [fld.one] + [data.draw(value) for k in range(c1 + 1, n + 1)]
+        lines.append((Subspace.from_vectors(fld, n, [r0, r1]), r0, r1))
+    stored = PointSet(fld)
+    for _ in range(data.draw(st.integers(1, 5))):
+        batch = []
+        for _ in range(data.draw(st.integers(0, 6))):
+            _, r0, r1 = data.draw(st.sampled_from(lines))
+            on_line = list(fld.comb(r0, data.draw(value), r1))
+            if data.draw(st.booleans()):
+                on_line[data.draw(st.integers(0, n))] = data.draw(value)  # moved along the line or off it
+            batch.append(on_line)
+        for coords in batch:
+            if any(coords):
+                stored.add(ProjPoint(fld, coords))
+        for line, _, _ in data.draw(st.lists(st.sampled_from(lines), max_size=3)):
+            assert stored.on(line) == [stored.labels[i] for i in points_on(line, stored.items)]
+
+
+_FILES = {
+    "F_5": lambda: assemble(dual_conic_seed(5), 3),
+    "Q": lambda: assemble(seed_from_json({**seed_to_json(dual_conic_seed(5)), "field": {"kind": "rational"}}), 3),
+    "reals": lambda: assemble(regular_ngon_seed(7), 3),
+}
+
+
+@pytest.mark.parametrize("repeat", [False, True], ids=["distinct", "repeated"])
+@pytest.mark.parametrize("kind", sorted(_FILES))
+def test_incidence_is_the_scan_expanded_by_copies(kind, repeat):
+    # repeated: the duplicate control's shape, a point on one full line only overwritten by another point of that line
+    K = kakeya_from_json(kakeya_to_json(_FILES[kind]()))
+    lines, points = _parts(K)
+    on = _brute(lines, points)
+    if repeat:
+        full = next(li for li, pts in enumerate(on) if len(pts) == K.N and any(sum(i in o for o in on) == 1 for i in pts))
+        drop = next(i for i in on[full] if sum(i in o for o in on) == 1)
+        keep = next(i for i in on[full] if i != drop)
+        points[drop] = points[keep]
+        K = kakeya_from_json({**kakeya_to_json(K), "points": [{"coords": p.to_json(), "provenance": kp.provenance} for p, kp in zip(points, K.points)]})
+        lines, points = _parts(K)
+    first = [next(j for j, q in enumerate(points) if q == p) for p in points]
+    distinct = [i for i, f in enumerate(first) if f == i]
+    copies = {f: [i for i, g in enumerate(first) if g == f] for f in distinct}
+    scan = [sorted(i for d in points_on(line, [points[f] for f in distinct]) for i in copies[distinct[d]]) for line in lines]
+    assert incidence(K.field, lines, points) == (first, scan)
+    assert (len(distinct) < len(points)) is repeat
+    if repeat:
+        assert drop in scan[full] and keep in scan[full] and len(scan[full]) == K.N
+
+
 REAL = RealField()
 TOL = REAL.tol
 OFFSETS = [f * TOL for f in (0.5, 0.99, 1.01, 3.0)]

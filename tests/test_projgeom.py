@@ -279,3 +279,47 @@ def test_loaders_agree_with_the_full_reduction(data):
 def test_real_points_are_always_normalized():
     # -0.0 is falsy but no canonical coordinate: a real point read from a file goes through the constructor
     assert ProjPoint.from_json(RealField(1e-9), ["-0.0", "1.0", "0.5"]).to_json() == ["0.0", "1.0", "0.5"]
+
+
+def _field_mul_point(fld, coords):
+    """The normalized coordinates as Field.is_zero, Field.inv and Field.mul give them, coordinate by coordinate."""
+    coords = tuple(coords)
+    lead = next((i for i, c in enumerate(coords) if not fld.is_zero(c)), None)
+    if lead is None:
+        raise ZeroVector("zero vector")
+    inv = fld.inv(coords[lead])
+    return (fld.zero,) * lead + (fld.one,) + tuple(fld.mul(c, inv) for c in coords[lead + 1 :])
+
+
+_RAW = {
+    # ints as callers may pass them: negative, at least p, multiples of p; over Q ints and Fractions mixed
+    "F_7": (F7, st.integers(-15, 22)),
+    "F_(2^61-1)": (PrimeField(2**61 - 1), st.sampled_from([0, 1, -1, 2**61 - 1, 2**61, 2**62 + 5]) | st.integers(-(2**70), 2**70)),
+    "Q": (QQ, st.integers(-9, 9) | st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5))),
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(kind=st.sampled_from(sorted(_RAW)), data=st.data())
+def test_exact_points_normalize_as_field_mul_does(kind, data):
+    fld, raw = _RAW[kind]
+    n = data.draw(st.integers(1, 4))
+    coords = data.draw(st.lists(raw, min_size=n + 1, max_size=n + 1))
+    zeros = data.draw(st.integers(0, n + 1))
+    coords[:zeros] = [0] * zeros  # leading zeros; all n + 1 make the zero vector
+    if zeros <= n and data.draw(st.booleans()):
+        coords[zeros] = 1  # a lead already equal to 1
+    got = _outcome(ProjPoint, fld, coords)
+    assert got == _outcome(lambda f, c: ProjPoint._canonical(f, _field_mul_point(f, c)), fld, coords)
+    if not any(coords):
+        assert got is ZeroVector
+    if not isinstance(got, tuple):
+        return  # the same error as the reference: ZeroVector, or DivisionByZero for a lead that is 0 mod p
+    p = got[0]
+    assert hash(p) == hash(ProjPoint._canonical(fld, _field_mul_point(fld, coords)))
+    scale = data.draw(raw.filter(lambda k: k % fld.p if fld.p else k))
+    other = data.draw(st.sampled_from([[scale * c for c in coords], data.draw(st.lists(raw, min_size=n + 1, max_size=n + 1))]))
+    if any(fld(c) for c in other):
+        q = ProjPoint(fld, [fld(c) for c in other])
+        assert (p == q) is (q == p) is all(map(fld.eq, p.coords, q.coords))
+        assert p != q or hash(p) == hash(q)
