@@ -26,10 +26,6 @@ from .seeds import dual_conic_seed, regular_ngon_seed, seed_report
 from .verify import verify_all
 
 
-def _emit(doc) -> None:
-    dump(doc, sys.stdout)
-
-
 def _real_tolerance() -> float:
     raw = os.environ.get("KAKEYA_TOL")
     if raw is None:
@@ -58,14 +54,15 @@ def _cmd_construct(args) -> int:
     seed = _load_seed_arg(args.seed, args)
     K = assemble(seed, args.dim, audit=args.seed.startswith("file:"))  # the built-in seeds pass it by construction
     save_kakeya(K, args.out)
-    _emit(
+    dump(
         {
             "out": args.out,
             "n": K.n,
             "N": K.N,
             "lines": len(K.lines),
             "points": len(K.points),
-        }
+        },
+        sys.stdout,
     )
     return 0
 
@@ -73,7 +70,7 @@ def _cmd_construct(args) -> int:
 def _cmd_verify(args) -> int:
     K = load_kakeya(args.path)
     reports = verify_all(K, r=args.r, verbose=args.verbose)
-    _emit([rep.to_json() for rep in reports])
+    dump([rep.to_json() for rep in reports], sys.stdout)
     return 0 if all(rep.verdict == "pass" for rep in reports) else 1
 
 
@@ -84,7 +81,7 @@ def _cmd_bound(args) -> int:
         raise KakeyaError("--r-max needs --optimize")
     else:
         report = bound_grid(args.N, args.dim, args.r if args.r is not None else 1)
-    _emit(report.to_json())
+    dump(report.to_json(), sys.stdout)
     return 0
 
 
@@ -94,16 +91,16 @@ def _cmd_certify(args) -> int:
     doc = cert.to_json()
     if args.out:
         write_json(doc, args.out)
-        _emit({"out": args.out, "verdict": cert.verdict})
+        dump({"out": args.out, "verdict": cert.verdict}, sys.stdout)
     else:
-        _emit(doc)
+        dump(doc, sys.stdout)
     return 0 if cert.verdict in ("pass", "pass-vacuous") else 1
 
 
 def _cmd_seed_report(args) -> int:
     seed = load_seed(args.path)
     report = seed_report(seed)
-    _emit(report.to_json())
+    dump(report.to_json(), sys.stdout)
     return 0 if report.verdict == "pass" else 1
 
 

@@ -164,7 +164,6 @@ class Lifting:
 
     def __init__(self, frame: ConstructionFrame, seed: PlanarSeed):
         self.frame = frame
-        self.seed = seed
         self.emb = embed_seed(frame, seed)
         self._lines, self._dirs, self._zs, self._charts = {}, {}, {}, {}
         fld = frame.field
@@ -502,39 +501,6 @@ def kakeya_from_json(doc) -> KakeyaSet:
 _encode_str = json.encoder.encode_basestring_ascii
 
 
-def _block(brackets: str, items: list, pad: str) -> str:
-    """A list or dict whose entries come formatted, as json.dumps(..., indent=2) writes it at indentation pad."""
-    if not items:
-        return brackets
-    inner = pad + "  "
-    return brackets[0] + "\n" + inner + (",\n" + inner).join(items) + "\n" + pad + brackets[1]
-
-
-def _fmt(o, pad: str) -> str:
-    """o as json.dumps(o, indent=2, sort_keys=True) writes it at indentation pad.
-
-    Floats, bools, None, dicts with other keys and other types go through json.dumps.  The str and
-    int entries of a list or dict are written in place.
-    """
-    t = type(o)
-    if t is str:
-        return _encode_str(o)
-    if t is int:
-        return int.__repr__(o)
-    if t is list:
-        values = o
-    elif t is dict and all(type(k) is str for k in o):
-        keys = sorted(o)
-        values = [o[k] for k in keys]
-    else:
-        return json.dumps(o, indent=2, sort_keys=True).replace("\n", "\n" + pad)
-    inner = pad + "  "
-    items = [_encode_str(v) if type(v) is str else int.__repr__(v) if type(v) is int else _fmt(v, inner) for v in values]
-    if t is list:
-        return _block("[]", items, pad)
-    return _block("{}", [_encode_str(k) + ": " + v for k, v in zip(keys, items)], pad)
-
-
 _list10 = ",\n          ".join  # the entries of a provenance list, at indentation 10
 
 
@@ -543,10 +509,11 @@ def _of_type(t: type, *xs) -> bool:
 
 
 def _provenance(p: dict) -> str:
-    """_fmt(p, "      ") for a point's provenance, by template for the three kinds assemble writes.
+    """A point's provenance as json.dumps(p, indent=2, sort_keys=True) writes it at indentation 6.
 
-    A template serves only a dict with exactly its kind's keys, an int for each int and a nonempty
-    list of ints (J, Jbar) or of strs (cell) for each list; any other provenance goes through _fmt.
+    The three kinds assemble writes go by template.  A template serves only a dict with exactly its
+    kind's keys, an int for each int and a nonempty list of ints (J, Jbar) or of strs (cell) for each
+    list; any other provenance goes through json.dumps.
     """
     kind, keys = p.get("kind"), p.keys()
     if kind == "padding" and keys == {"kind", "lam", "line"} and _of_type(int, p["lam"], p["line"]):
@@ -559,7 +526,7 @@ def _provenance(p: dict) -> str:
         if _of_type(str, *cell):
             return ('{\n        "cell": [\n          %s\n        ],\n        "kind": "grid_completion",\n        "lam": %d\n      }'
                     % (_list10(map(_encode_str, cell)), p["lam"]))
-    return _fmt(p, "      ")
+    return json.dumps(p, indent=2, sort_keys=True).replace("\n", "\n      ")
 
 
 def _write_list(entries, fh, pad: str):
@@ -604,7 +571,8 @@ def save_kakeya(K: KakeyaSet, path: str):
     join8, join10 = ",\n        ".join, ",\n          ".join  # coordinates at indentation 8 and 10
 
     def line_record(kl: KLine) -> str:
-        basis = _block("[]", ["[\n          " + join10(map(enc, r)) + "\n        ]" for r in kl.line.basis], "      ")
+        rows = ["[\n          " + join10(map(enc, r)) + "\n        ]" for r in kl.line.basis]
+        basis = "[\n        " + join8(rows) + "\n      ]" if rows else "[]"
         direction = join8(map(enc, kl.direction.coords))
         return '{\n      "basis": ' + basis + ',\n      "direction": [\n        ' + direction + "\n      ]\n    }"
 
@@ -612,14 +580,13 @@ def save_kakeya(K: KakeyaSet, path: str):
         coords = join8(map(enc, kp.point.coords))
         return '{\n      "coords": [\n        ' + coords + '\n      ],\n      "provenance": ' + _provenance(kp.provenance) + "\n    }"
 
-    grid = _fmt([[to_str(s) for s in axis] for axis in K.grid], "  ")
-    head = '{\n  "N": ' + _fmt(K.N, "  ") + ',\n  "field": ' + _fmt(fld.to_json(), "  ") + ',\n  "grid": ' + grid
+    head = {"N": K.N, "field": fld.to_json(), "grid": [[to_str(s) for s in axis] for axis in K.grid]}
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(head + ',\n  "lines": ')
+        fh.write(json.dumps(head, indent=2, sort_keys=True)[:-2] + ',\n  "lines": ')  # N, field, grid without the closing "\n}"
         _write_list(map(line_record, K.lines), fh, "  ")
-        fh.write(',\n  "n": ' + _fmt(K.n, "  ") + ',\n  "points": ')
+        fh.write(',\n  "n": ' + json.dumps(K.n) + ',\n  "points": ')
         _write_list(map(point_record, K.points), fh, "  ")
-        fh.write(',\n  "seed_meta": ' + _fmt(K.seed_meta, "  ") + "\n}\n")
+        fh.write(',\n  "seed_meta": ' + json.dumps(K.seed_meta, indent=2, sort_keys=True).replace("\n", "\n  ") + "\n}\n")
 
 
 def load_kakeya(path: str) -> KakeyaSet:

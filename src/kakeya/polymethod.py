@@ -23,7 +23,7 @@ an N^(n-1) grid of directions, together with its large-r limit (N/2)^n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb, prod
 from operator import add
@@ -32,21 +32,17 @@ from .errors import HypothesisViolation, UnsupportedField
 from .linalg import nullspace
 from .projgeom import PointSet, affine_coords, incidence
 from .scalar import Field
-from .verify import _direction_faults, _grid_coverage, _recovered_cells
+from .verify import _approx, _direction_faults, _grid_coverage, _recovered_cells
 
 
-def exponent_tuples(nvars: int, total: int):
+def exponent_tuples(nvars: int, total: int) -> list[tuple[int, ...]]:
     """All exponent tuples of the given length summing to total, in lex order."""
     if nvars == 0:
-        if total == 0:
-            yield ()
-        return
-    if nvars == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in exponent_tuples(nvars - 1, total - first):
-            yield (first,) + rest
+        return [()] if total == 0 else []
+    level = [((), total)]  # (prefix, what the remaining entries sum to), one variable at a time
+    for _ in range(nvars - 1):
+        level = [(pre + (k,), rest - k) for pre, rest in level for k in range(rest + 1)]
+    return [pre + (rest,) for pre, rest in level]
 
 
 def monomial_basis(nvars: int, deg_bound: int) -> list[tuple[int, ...]]:
@@ -261,13 +257,6 @@ class BoundReport:
         return doc
 
 
-def _approx(name: str, value: Fraction) -> float:
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError(f"the {name} is too large for its float approximation {name}_approx") from None
-
-
 def _grid_ratio(N: int, n: int, r: int) -> Fraction:
     return Fraction(comb(r * N + n - 1, n), comb(2 * r + n - 2, n))
 
@@ -296,15 +285,7 @@ def bound_best(N: int, n: int, r_max: int = 64) -> BoundReport:
         if value <= best:
             break
         best_r, best = r, value
-    return BoundReport(
-        N=N,
-        n=n,
-        r=best_r,
-        bound=best,
-        limit=Fraction(N, 2) ** n,
-        r_max=r_max,
-        best_r=best_r,
-    )
+    return replace(bound_grid(N, n, best_r), r_max=r_max, best_r=best_r)
 
 
 @dataclass
@@ -355,6 +336,12 @@ def certify(K, r: int) -> Certificate:
     directions miss a cell of the N^(n-1) grid, or with a line carrying
     fewer than N distinct points, is outside the bound's hypothesis and
     raises HypothesisViolation.
+
+    Every family accepted here gives an empty basis and pass-vacuous: such
+    an f would have a top part vanishing to order r on the N^(n-1) grid of
+    directions, which the grid lemma forbids for a nonzero polynomial of
+    degree below rN.  With (deg_bound, mult) fixed at (rN - 1, 2r - 1),
+    the attestation branch runs only when the solver is substituted.
     """
     if r < 1:
         raise ValueError("r must be at least 1")
@@ -380,11 +367,9 @@ def certify(K, r: int) -> Certificate:
 
     affine_points = [affine_coords(p) for i, p in enumerate(points) if first[i] == i]
     size = len(affine_points)
-    directions = PointSet(fld, (kline.direction for kline in K.lines)).items
-
     deg_bound = r * N - 1
     mult = 2 * r - 1
-    guaranteed = comb(n + 2 * r - 2, n) * size < comb(n + deg_bound, n)
+    guaranteed = size < _grid_ratio(N, n, r)
     basis = vanishing_space(affine_points, deg_bound, mult, n, fld)
 
     if not basis:
@@ -392,33 +377,25 @@ def certify(K, r: int) -> Certificate:
         return Certificate(N, n, r, size, guaranteed, None, [], [], verdict)
 
     f = basis[0]
-    ok = not f.is_zero and f.degree <= deg_bound
-    s_attestations = []
-    for coords in affine_points:
-        m = multiplicity_at(f, coords)
-        good = m >= mult
-        ok = ok and good
-        s_attestations.append(
-            {
-                "point": [fld.to_str(c) for c in coords],
-                "multiplicity": m,
-                "required": mult,
-                "ok": good,
-            }
-        )
-    f_top = top_part(f)
-    d_attestations = []
-    for d in directions:
-        m = multiplicity_at(f_top, list(d.coords[:-1]))
-        good = m >= r
-        ok = ok and good
-        d_attestations.append(
-            {
-                "direction": d.to_json(),
-                "multiplicity": m,
-                "required": r,
-                "ok": good,
-            }
-        )
+    directions = PointSet(fld, (kline.direction for kline in K.lines)).items
+    s_attestations = _attest(f, ((c, [fld.to_str(x) for x in c]) for c in affine_points), "point", mult)
+    d_attestations = _attest(top_part(f), ((d.coords[:-1], d.to_json()) for d in directions), "direction", r)
+    ok = not f.is_zero and f.degree <= deg_bound and all(a["ok"] for a in s_attestations + d_attestations)
     verdict = "pass" if ok else "fail"
     return Certificate(N, n, r, size, guaranteed, f, s_attestations, d_attestations, verdict)
+
+
+def _attest(f: Poly, pairs, key: str, required: int) -> list[dict]:
+    """The record of f's multiplicity at each (coordinates, shown) pair, shown under key, against required."""
+    out = []
+    for coords, shown in pairs:
+        m = multiplicity_at(f, coords)
+        out.append(
+            {
+                key: shown,
+                "multiplicity": m,
+                "required": required,
+                "ok": m >= required,
+            }
+        )
+    return out

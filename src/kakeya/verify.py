@@ -32,6 +32,13 @@ from .projgeom import PointSet, ProjPoint, at_infinity, incidence, meet
 WITNESS_LIMIT = 10
 
 
+def _approx(name: str, value: Fraction) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"the {name} is too large for its float approximation {name}_approx") from None
+
+
 @dataclass
 class VerifyReport:
     check: str
@@ -204,9 +211,9 @@ def verify_size(K: KakeyaSet, inc, cells, verbose: bool = False) -> VerifyReport
     measured = {
         "size": size,
         "leading_term": str(leading),
-        "leading_term_approx": float(leading),
+        "leading_term_approx": _approx("leading_term", leading),
         "c_measured": str(c_measured),
-        "c_measured_approx": float(c_measured),
+        "c_measured_approx": _approx("c_measured", c_measured),
     }
 
     lifted_flags = _lifted_point_flags(K)

@@ -521,6 +521,17 @@ def test_bound_too_large_for_a_float_is_input_error(capsys, argv, name):
     assert stderr == f"error: the {name} is too large for its float approximation {name}_approx\n"
 
 
+@pytest.mark.parametrize("n, N", [(1800, 3), (1100, 4)])
+@pytest.mark.parametrize("r", [[], ["--r", "1"]], ids=["no r", "r=1"])
+def test_verify_size_too_large_for_a_float_is_input_error(tmp_path, capsys, n, N, r):
+    # the header alone, with a leading term N^n / 2^(n-1) beyond the float range
+    doc = {"field": {"kind": "prime", "p": 5}, "n": n, "N": N, "grid": [[str(i) for i in range(N)]] * (n - 1), "lines": [], "points": []}
+    path = tmp_path / "k.json"
+    path.write_text(json.dumps(doc))
+    error = "error: the leading_term is too large for its float approximation leading_term_approx\n"
+    assert run(capsys, "verify", str(path), *r) == (2, "", error)
+
+
 def test_bound_refuses_r_with_optimize(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bound", "--N", "7", "--dim", "3", "--r", "3", "--optimize"])

@@ -572,13 +572,6 @@ _documents = st.recursive(
 )
 
 
-@settings(max_examples=400, deadline=None)
-@given(_documents)
-def test_dump_writes_the_bytes_of_json_dumps(doc):
-    # dump is json.dump; save_kakeya's record formatter _fmt must write the same bytes for any document
-    assert construction._fmt(doc, "") == json.dumps(doc, indent=2, sort_keys=True)
-
-
 _PRIME = PrimeField(2**61 - 1)
 _FIELDS = {
     "prime": (PrimeField(7), st.integers(0, 6)),
@@ -670,12 +663,12 @@ def test_save_kakeya_writes_the_bytes_of_dump(kind, data, tmp_path_factory):
     ],
 )
 def test_provenance_templates_write_what_fmt_writes(prov, template, monkeypatch):
-    # a template serves only the exact shapes assemble writes; every near miss goes through _fmt
-    want = json.dumps(prov, indent=2, sort_keys=True).replace("\n", "\n      ")
+    # a template serves only the exact shapes assemble writes; every near miss goes through json.dumps
+    flat = json.dumps(prov, indent=2, sort_keys=True)
     calls = []
-    monkeypatch.setattr(construction, "_fmt", lambda *args: calls.append(args) or want)
-    assert construction._provenance(prov) == want
-    assert calls == ([] if template else [(prov, "      ")])
+    monkeypatch.setattr(json, "dumps", lambda *args, **kwargs: calls.append((args, kwargs)) or flat)
+    assert construction._provenance(prov) == flat.replace("\n", "\n      ")
+    assert calls == ([] if template else [((prov,), {"indent": 2, "sort_keys": True})])
 
 
 @pytest.mark.parametrize(

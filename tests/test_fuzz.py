@@ -13,12 +13,18 @@ stream is seeded, so every run makes the same mutants.
 The real file is also perturbed numerically: one coordinate moves by
 a small multiple of the tolerance, across the line where two values
 stop counting as equal, or is rescaled by a power of ten.
+
+The header of an F_p file is fuzzed apart from its records: every
+combination of a few dimensions n (up to 1800), grid sizes N and primes,
+with no lines or with one line through one point, goes through `verify`
+and `certify`, where a large n makes big integers and deep tuples.
 """
 
 import json
 import math
 import random
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -145,3 +151,25 @@ def test_real_coordinates_moved_around_tol_give_an_exit_code(tmp_path, capsys):
             codes[command, _outcome(capsys, [command, str(path), "--r", "1"], [edit])] += 1
     # the moves reach both verdicts (half a tol can already break an incidence); certify refuses the reals
     assert codes["verify", 0] and codes["verify", 1] and codes["certify", 2] == 120, codes
+
+
+def _header(p: int, n: int, N: int, line: bool) -> dict:
+    """An F_p file of n - 1 grid axes 0, ..., N - 1; with line, its one line is the x_0 axis, through its one point, the origin."""
+    doc = {"field": {"kind": "prime", "p": p}, "n": n, "N": N, "grid": [[str(i) for i in range(N)]] * (n - 1), "lines": [], "points": []}
+    if line:
+        unit = [["1" if i == k else "0" for i in range(n + 1)] for k in (0, n)]
+        doc["lines"] = [{"basis": unit, "direction": unit[0]}]
+        doc["points"] = [{"coords": unit[1], "provenance": {"kind": "padding", "line": 0, "lam": 0}}]
+    return doc
+
+
+def test_fuzzed_headers_give_an_exit_code(tmp_path, capsys):
+    path = tmp_path / "header.json"
+    codes = Counter()
+    for n, N, p, line in product((1, 2, 3, 40, 1100, 1800), range(1, 5), (2, 3, 5), (False, True)):
+        path.write_text(json.dumps(_header(p, n, N, line)))
+        for command in (["verify"], ["verify", "--r", "1"], ["certify", "--r", "1"]):
+            argv = [command[0], str(path), *command[1:]]
+            codes[command[0], _outcome(capsys, argv, [f"p={p} n={n} N={N} line={line}"])] += 1
+    # both commands reach a verdict and a refusal; verify refuses a leading term beyond the float range
+    assert all(codes[command, 2] and codes[command, 0] + codes[command, 1] for command in ("verify", "certify")), codes

@@ -1,5 +1,7 @@
 """Hasse derivatives, multiplicities, vanishing spaces and bounds."""
 
+import hashlib
+import io
 import math
 import random
 from fractions import Fraction
@@ -167,6 +169,27 @@ def test_monomial_basis_counts():
     for n in (1, 2, 3):
         for d in (0, 1, 2, 5):
             assert len(monomial_basis(n, d)) == comb(n + d, n)
+
+
+def _recursive_exponent_tuples(nvars: int, total: int):
+    if nvars == 0:
+        if total == 0:
+            yield ()
+        return
+    if nvars == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _recursive_exponent_tuples(nvars - 1, total - first):
+            yield (first,) + rest
+
+
+def test_exponent_tuples_match_the_recursive_generator():
+    for nvars in range(7):
+        for total in range(9):
+            assert exponent_tuples(nvars, total) == list(_recursive_exponent_tuples(nvars, total)), (nvars, total)
+    # one level per variable, no recursion: far past the interpreter's recursion limit
+    assert exponent_tuples(3000, 0) == [(0,) * 3000]
 
 
 def test_vanishing_space_single_point():
@@ -474,3 +497,26 @@ def test_certify_attests_the_solved_polynomial_independently(monkeypatch):
     assert len(cert.s_attestations) == cert.size and len(cert.d_attestations) == len(K.lines)
     assert {a["ok"] for a in cert.s_attestations} == {True, False}
     assert [a["ok"] for a in cert.d_attestations].count(True) == 1  # X1 vanishes at (1 : 0 : 0) alone
+
+
+@pytest.mark.parametrize(
+    "q, n, r, terms, digest",
+    [
+        (5, 2, 1, {(0, 1): 1}, "6ac9988a11882ee80a04e3a42590d9760975996de96429b97426537dafdd96b8"),
+        (7, 3, 2, {(0, 2, 2): 1}, "3122ce49ded99157b6568a437b98aa25763fc96032b494b9cbf67ffe82b6faaf"),
+    ],
+)
+def test_certify_attestation_records_are_pinned(monkeypatch, q, n, r, terms, digest):
+    # every point and direction record of a substituted f, its keys, order and verdicts, byte for byte;
+    # X1^2 X2^2 at r = 2 passes 7 points and 13 directions and fails the others
+    from kakeya import polymethod
+    from kakeya.construction import assemble, dump
+    from kakeya.seeds import dual_conic_seed
+
+    f = Poly(PrimeField(q), n, terms)
+    monkeypatch.setattr(polymethod, "vanishing_space", lambda *args: [f])
+    cert = certify(assemble(dual_conic_seed(q), n), r)
+    assert {a["ok"] for a in cert.s_attestations} == {a["ok"] for a in cert.d_attestations} == {True, False}
+    out = io.StringIO()
+    dump(cert.to_json(), out)
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
