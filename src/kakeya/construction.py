@@ -183,10 +183,10 @@ class Lifting:
         return Subspace(fld, self.frame.n, (fld.comb(p, fld.neg(p[k]), r1), r1), (0, k))
 
     def direction(self, J) -> ProjPoint:
-        """The infinite point p_J of the lifted line ell_J: the closed form of the seed slopes over F_p and Q, the recursion over the reals."""
+        """The infinite point p_J of the lifted line ell_J: the chart's p_J over F_p and Q, the recursion over the reals."""
         J = tuple(J)
         if self.frame.field.exact:
-            return direction_from_grid_values(self.frame.field, self.frame.n, [self.emb.d_values[a] for a in J])
+            return ProjPoint(self.frame.field, self._chart(J)[1])
         return self._lift(self._dirs, (J,), lambda J: self.emb.infinite_points[J[0]])
 
     def intersection(self, J, Jbar, m_index: int) -> ProjPoint:

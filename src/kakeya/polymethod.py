@@ -25,24 +25,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import comb, prod
-from operator import add
+from operator import add, ge, sub
 
 from .errors import HypothesisViolation, UnsupportedField
 from .linalg import nullspace
 from .projgeom import PointSet, affine_coords, incidence
 from .scalar import Field
-from .verify import _approx, _direction_faults, _grid_coverage, _recovered_cells
+from .verify import _approx, _direction_faults, _grid_coverage, _grid_ratio, _recovered_cells
 
 
 def exponent_tuples(nvars: int, total: int) -> list[tuple[int, ...]]:
-    """All exponent tuples of the given length summing to total, in lex order."""
+    """All exponent tuples of the given length summing to total, in lex order.
+
+    Stars and bars: the nvars - 1 bars stand after s_0 <= s_1 <= ... stars, the partial sums
+    e_0, e_0 + e_1, ... of the tuple, and lex order on the s is lex order on the tuples.
+    """
     if nvars == 0:
         return [()] if total == 0 else []
-    level = [((), total)]  # (prefix, what the remaining entries sum to), one variable at a time
-    for _ in range(nvars - 1):
-        level = [(pre + (k,), rest - k) for pre, rest in level for k in range(rest + 1)]
-    return [pre + (rest,) for pre, rest in level]
+    return [tuple(map(sub, s + (total,), (0,) + s)) for s in combinations_with_replacement(range(total + 1), nvars - 1)]
 
 
 def monomial_basis(nvars: int, deg_bound: int) -> list[tuple[int, ...]]:
@@ -129,19 +131,11 @@ def hasse_derivative(f: Poly, j) -> Poly:
     if any(x < 0 for x in j):
         raise ValueError(f"negative entry in multi-index {j}")
     fld = f.field
-    terms: dict[tuple[int, ...], object] = {}
-    for e, c in f.terms.items():
-        if any(ei < ji for ei, ji in zip(e, j)):
-            continue
-        factor = 1
-        for ei, ji in zip(e, j):
-            factor *= comb(ei, ji)
-        coeff = fld.mul(c, fld(factor))
-        if fld.is_zero(coeff):
-            continue
-        shifted = tuple(ei - ji for ei, ji in zip(e, j))
-        terms[shifted] = fld.add(terms[shifted], coeff) if shifted in terms else coeff
-    return Poly(fld, f.nvars, terms)
+    return Poly(
+        fld,
+        f.nvars,
+        {tuple(map(sub, e, j)): fld.mul(c, fld(prod(map(comb, e, j)))) for e, c in f.terms.items() if all(map(ge, e, j))},
+    )
 
 
 def multiplicity_at(f: Poly, point) -> int:
@@ -174,9 +168,10 @@ def vanishing_space(
     """Basis of polynomials of degree <= deg_bound with multiplicity >= mult on points.
 
     One linear constraint per point and multi-index of weight below
-    mult; the basis is the exact nullspace of that system over the
-    monomials of degree at most deg_bound, for deg_bound >= 0, mult >= 1
-    and points of nvars coordinates each.
+    mult and at most deg_bound (a heavier one reaches no monomial, so its
+    constraint is zero); the basis is the exact nullspace of that system
+    over the monomials of degree at most deg_bound, for deg_bound >= 0,
+    mult >= 1 and points of nvars coordinates each.
 
     The rows go weight by weight: every point's monomial values (its
     weight-0 row, as binomial(e, 0) = 1), then per multi-index of weight
@@ -203,21 +198,19 @@ def vanishing_space(
         vals.append(val)
     rows: list[list] = list(vals)
     zero = fld.zero
-    for w in range(1, mult):
+    for w in range(1, min(mult, deg_bound + 1)):
         # d^j X^e = binomial(e, j) X^(e - j) is zero unless e = e' + j with e' in the
-        # prefix of monos of degree <= deg_bound - w: per multi-index j of weight w, the
-        # (column of e, factor, column of e') of each such e whose factor is nonzero in the field
-        reach = monos[: comb(deg_bound - w + nvars, nvars)] if w <= deg_bound else []
-        derivs = []
-        for j in exponent_tuples(nvars, w):
+        # prefix of monos of degree <= deg_bound - w: per multi-index j of weight w (the
+        # weight-w slice of monos), the (column of e, factor, column of e') of each such e
+        # whose factor is nonzero in the field
+        reach = monos[: comb(deg_bound - w + nvars, nvars)]
+        for j in monos[comb(w - 1 + nvars, nvars) : comb(w + nvars, nvars)]:
             keep = []
             for s, low in enumerate(reach):
                 e = tuple(map(add, low, j))
                 factor = fld(prod(map(comb, e, j)))
                 if not fld.is_zero(factor):
                     keep.append((index[e], factor, s))
-            derivs.append(keep)
-        for keep in derivs:
             for val in vals:
                 row = [zero] * len(monos)
                 for c, factor, s in keep:
@@ -255,10 +248,6 @@ class BoundReport:
             doc["r_max"] = self.r_max
             doc["best_r"] = self.best_r
         return doc
-
-
-def _grid_ratio(N: int, n: int, r: int) -> Fraction:
-    return Fraction(comb(r * N + n - 1, n), comb(2 * r + n - 2, n))
 
 
 def bound_grid(N: int, n: int, r: int) -> BoundReport:

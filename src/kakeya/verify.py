@@ -39,6 +39,10 @@ def _approx(name: str, value: Fraction) -> float:
         raise ValueError(f"the {name} is too large for its float approximation {name}_approx") from None
 
 
+def _grid_ratio(N: int, n: int, r: int) -> Fraction:
+    return Fraction(comb(r * N + n - 1, n), comb(2 * r + n - 2, n))
+
+
 @dataclass
 class VerifyReport:
     check: str
@@ -279,7 +283,7 @@ def verify_bound_consistency(K: KakeyaSet, inc, cells, r: int, verbose: bool = F
         "size": size,
         "lhs": lhs,
         "rhs": rhs,
-        "bound": str(Fraction(rhs, comb(2 * r + n - 2, n))),
+        "bound": str(_grid_ratio(N, n, r)),
     }
     return _finish("bound_consistency", witnesses, measured, verbose)
 

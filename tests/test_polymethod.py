@@ -188,8 +188,10 @@ def test_exponent_tuples_match_the_recursive_generator():
     for nvars in range(7):
         for total in range(9):
             assert exponent_tuples(nvars, total) == list(_recursive_exponent_tuples(nvars, total)), (nvars, total)
-    # one level per variable, no recursion: far past the interpreter's recursion limit
+    # no recursion: far past the interpreter's recursion limit
     assert exponent_tuples(3000, 0) == [(0,) * 3000]
+    # linear in the count times nvars: the unit vectors in lex order, last variable first
+    assert exponent_tuples(1500, 1) == [tuple(int(i == k) for i in range(1500)) for k in reversed(range(1500))]
 
 
 def test_vanishing_space_single_point():
@@ -261,7 +263,7 @@ def _per_power_rows(points, deg_bound, mult, nvars, fld, point_major=False):
     monos = monomial_basis(nvars, deg_bound)
     p = fld.p if fld.kind == "prime" else 0
     derivs = []
-    for w in range(mult):
+    for w in range(min(mult, deg_bound + 1)):
         for j in exponent_tuples(nvars, w):
             keep = []
             for c, e in enumerate(monos):
@@ -291,7 +293,7 @@ def _per_power_rows(points, deg_bound, mult, nvars, fld, point_major=False):
 
 
 # over F_2 and F_3 more binomial factors vanish; at mult - 1 > deg_bound the
-# multi-indices of weight above deg_bound reach no monomial (an empty prefix)
+# multi-indices of weight above deg_bound reach no monomial and give no row
 @pytest.mark.parametrize("fld", [F2, F3, F5, F7, QQ], ids=["F2", "F3", "F5", "F7", "Q"])
 @pytest.mark.parametrize("nvars", [1, 2, 3])
 @pytest.mark.parametrize("deg_bound,mult", [(0, 1), (1, 2), (3, 1), (4, 2), (5, 3), (7, 2), (0, 3), (1, 4), (2, 5)])
@@ -480,6 +482,31 @@ def test_certify_forced_polynomial_single_line():
     assert f.degree <= 6
     assert all(multiplicity_at(f, u) >= 1 for u in affine)
     assert _direction_multiplicity(top_part(f), [kl.direction]) >= 1
+
+
+def test_certify_one_cell_grid_builds_no_zero_rows(monkeypatch):
+    # N = 1, one line (the x_0 axis) through one point (the origin) at n = 200: r = 2 gives
+    # deg_bound 1 and mult 3, and the 20,100 multi-indices of weight 2 reach no monomial
+    from kakeya import polymethod
+    from kakeya.construction import kakeya_from_json
+
+    n = 200
+    unit = [["1" if i == k else "0" for i in range(n + 1)] for k in (0, n)]
+    K = kakeya_from_json(
+        {
+            "field": {"kind": "prime", "p": 5},
+            "n": n,
+            "N": 1,
+            "grid": [["0"]] * (n - 1),
+            "lines": [{"basis": unit, "direction": unit[0]}],
+            "points": [{"coords": unit[1], "provenance": {"kind": "padding", "line": 0, "lam": 0}}],
+        }
+    )
+    seen = []
+    solve = polymethod.nullspace
+    monkeypatch.setattr(polymethod, "nullspace", lambda rows, *rest: seen.append(len(rows)) or solve(rows, *rest))
+    assert certify(K, 2).verdict == "pass-vacuous"
+    assert seen == [1 + n]
 
 
 def test_certify_attests_the_solved_polynomial_independently(monkeypatch):
