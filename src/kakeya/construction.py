@@ -25,7 +25,6 @@ one extra line per missing cell.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field
 from functools import cached_property, partial
 from itertools import combinations, permutations, product
 
@@ -44,12 +43,11 @@ from .scalar import Field, Memo, RationalField, field_from_json
 from .seeds import PlanarSeed, line_walk_start, seed_from_json, seed_report, seed_to_json, walk_point
 
 
-@dataclass
 class ConstructionFrame:
-    n: int
-    field: Field
-    x: dict[int, ProjPoint]
-    y: dict[int, ProjPoint]
+    __slots__ = ("n", "field", "x", "y")
+
+    def __init__(self, n: int, field: Field, x: dict[int, ProjPoint], y: dict[int, ProjPoint]):
+        self.n, self.field, self.x, self.y = n, field, x, y
 
 
 def build_frame(n: int, fld: Field) -> ConstructionFrame:
@@ -64,12 +62,11 @@ def build_frame(n: int, fld: Field) -> ConstructionFrame:
     return ConstructionFrame(n=n, field=fld, x=x, y=y)
 
 
-@dataclass
 class EmbeddedSeed:
-    lines: list[Subspace]
-    infinite_points: list[ProjPoint]
-    m_lines: list[Subspace]
-    d_values: list
+    __slots__ = ("lines", "infinite_points", "m_lines", "d_values")
+
+    def __init__(self, lines: list[Subspace], infinite_points: list[ProjPoint], m_lines: list[Subspace], d_values: list):
+        self.lines, self.infinite_points, self.m_lines, self.d_values = lines, infinite_points, m_lines, d_values
 
 
 def _embed_vector(fld: Field, n: int, c) -> list:
@@ -277,27 +274,28 @@ class Lifting:
         return out if want else ProjPoint(out.field, out.basis[0])
 
 
-@dataclass
 class KLine:
-    line: Subspace
-    direction: ProjPoint
+    __slots__ = ("line", "direction")
+
+    def __init__(self, line: Subspace, direction: ProjPoint):
+        self.line, self.direction = line, direction
 
 
-@dataclass
 class KPoint:
-    point: ProjPoint
-    provenance: dict
+    __slots__ = ("point", "provenance")
+
+    def __init__(self, point: ProjPoint, provenance: dict):
+        self.point, self.provenance = point, provenance
 
 
-@dataclass
 class KakeyaSet:
-    field: Field
-    n: int
-    N: int
-    grid: list[list]
-    lines: list[KLine]
-    points: list[KPoint]
-    seed_meta: dict = dc_field(default_factory=dict)
+    __slots__ = ("field", "n", "N", "grid", "lines", "points", "seed_meta")
+
+    def __init__(
+        self, field: Field, n: int, N: int, grid: list[list], lines: list[KLine], points: list[KPoint], seed_meta: dict | None = None
+    ):
+        self.field, self.n, self.N, self.grid, self.lines, self.points = field, n, N, grid, lines, points
+        self.seed_meta = {} if seed_meta is None else seed_meta
 
 
 def assemble(seed: PlanarSeed, n: int, audit: bool = False) -> KakeyaSet:

@@ -23,7 +23,6 @@ an N^(n-1) grid of directions, together with its large-r limit (N/2)^n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb, prod
@@ -224,15 +223,11 @@ def vanishing_space(
     return out
 
 
-@dataclass
 class BoundReport:
-    N: int
-    n: int
-    r: int
-    bound: Fraction
-    limit: Fraction
-    r_max: int | None = None
-    best_r: int | None = None
+    __slots__ = ("N", "n", "r", "bound", "limit", "r_max", "best_r")
+
+    def __init__(self, N: int, n: int, r: int, bound: Fraction, limit: Fraction, r_max: int | None = None, best_r: int | None = None):
+        self.N, self.n, self.r, self.bound, self.limit, self.r_max, self.best_r = N, n, r, bound, limit, r_max, best_r
 
     def to_json(self) -> dict:
         doc = {
@@ -274,20 +269,20 @@ def bound_best(N: int, n: int, r_max: int = 64) -> BoundReport:
         if value <= best:
             break
         best_r, best = r, value
-    return replace(bound_grid(N, n, best_r), r_max=r_max, best_r=best_r)
+    report = bound_grid(N, n, best_r)
+    report.r_max, report.best_r = r_max, best_r
+    return report
 
 
-@dataclass
 class Certificate:
-    N: int
-    n: int
-    r: int
-    size: int
-    guaranteed: bool
-    f: Poly | None
-    s_attestations: list[dict]
-    d_attestations: list[dict]
-    verdict: str
+    __slots__ = ("N", "n", "r", "size", "guaranteed", "f", "s_attestations", "d_attestations", "verdict")
+
+    def __init__(
+        self, N: int, n: int, r: int, size: int, guaranteed: bool, f: Poly | None,
+        s_attestations: list[dict], d_attestations: list[dict], verdict: str,
+    ):
+        self.N, self.n, self.r, self.size, self.guaranteed, self.f = N, n, r, size, guaranteed, f
+        self.s_attestations, self.d_attestations, self.verdict = s_attestations, d_attestations, verdict
 
     def to_json(self) -> dict:
         if self.f is None:

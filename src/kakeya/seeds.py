@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .errors import DegenerateSeed, MalformedFile, UnsupportedField, need, positive, records
@@ -30,36 +29,38 @@ from .projgeom import PointSet, ProjPoint, Subspace, at_infinity, incidence, inf
 from .scalar import DEFAULT_REAL_TOLERANCE, Field, PrimeField, RationalField, RealField, field_from_json
 
 
-@dataclass
 class SeedPoint:
-    point: ProjPoint
-    extra: bool = False
+    __slots__ = ("point", "extra")
+
+    def __init__(self, point: ProjPoint, extra: bool = False):
+        self.point, self.extra = point, extra
 
 
-@dataclass
 class PlanarSeed:
-    field: Field
-    N: int
-    lines: list[Subspace]
-    infinite_points: list[ProjPoint]
-    m_lines: list[Subspace]
-    points: list[SeedPoint]
-    epsilon: list[Fraction]
-    meta: dict = dc_field(default_factory=dict)
+    __slots__ = ("field", "N", "lines", "infinite_points", "m_lines", "points", "epsilon", "meta")
+
+    def __init__(
+        self, field: Field, N: int, lines: list[Subspace], infinite_points: list[ProjPoint], m_lines: list[Subspace],
+        points: list[SeedPoint], epsilon: list[Fraction], meta: dict | None = None,
+    ):
+        self.field, self.N, self.lines, self.infinite_points, self.m_lines = field, N, lines, infinite_points, m_lines
+        self.points, self.epsilon, self.meta = points, epsilon, {} if meta is None else meta
 
 
-@dataclass
 class SeedReport:
-    N: int
-    line_point_counts: list[int]
-    directions_distinct: bool
-    epsilon_stored: list[Fraction]
-    epsilon_measured: list[Fraction]
-    epsilon_sorted: list[Fraction]
-    epsilon_sum: Fraction
-    density: Fraction
-    problems: list[str]
-    verdict: str
+    __slots__ = (
+        "N", "line_point_counts", "directions_distinct", "epsilon_stored", "epsilon_measured",
+        "epsilon_sorted", "epsilon_sum", "density", "problems", "verdict",
+    )
+
+    def __init__(
+        self, N: int, line_point_counts: list[int], directions_distinct: bool, epsilon_stored: list[Fraction],
+        epsilon_measured: list[Fraction], epsilon_sorted: list[Fraction], epsilon_sum: Fraction, density: Fraction,
+        problems: list[str], verdict: str,
+    ):
+        self.N, self.line_point_counts, self.directions_distinct = N, line_point_counts, directions_distinct
+        self.epsilon_stored, self.epsilon_measured, self.epsilon_sorted = epsilon_stored, epsilon_measured, epsilon_sorted
+        self.epsilon_sum, self.density, self.problems, self.verdict = epsilon_sum, density, problems, verdict
 
     def to_json(self) -> dict:
         return {
@@ -155,7 +156,10 @@ def regular_ngon_seed(N: int, field: RealField | None = None) -> PlanarSeed:
     per line).  The N chord directions dualize to N concurrent lines;
     a change of frame makes them parallel, with common infinite point
     (0, 1, 0).  With the measuring lines ordered by double-point count,
-    epsilon is (0,..,0,1,..,1) for even N and constant 1/2 for odd N.
+    epsilon is (0,..,0,1,..,1) for even N and constant 1/2 for odd N; a
+    tolerance below the float error of the chords misses a double point
+    on its measuring line, and a measured epsilon that is not this closed
+    form raises DegenerateSeed.
     """
     if not isinstance(N, int) or N < 5:
         raise ValueError(f"need an integer N >= 5, got {N}")
@@ -216,6 +220,8 @@ def regular_ngon_seed(N: int, field: RealField | None = None) -> PlanarSeed:
         meta={"kind": "regular_ngon", "N": N},
     )
     seed.epsilon = _measure_epsilon(seed)
+    if sorted(seed.epsilon) != ([Fraction(1, 2)] * N if N % 2 else [0] * (N // 2) + [1] * (N // 2)):
+        raise DegenerateSeed(f"the measured epsilon is not the regular {N}-gon's closed form at tolerance {fld.tol}")
     return seed
 
 

@@ -22,7 +22,6 @@ distinction is visible in coordinates alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import comb, perm
 
@@ -43,12 +42,12 @@ def _grid_ratio(N: int, n: int, r: int) -> Fraction:
     return Fraction(comb(r * N + n - 1, n), comb(2 * r + n - 2, n))
 
 
-@dataclass
 class VerifyReport:
-    check: str
-    verdict: str
-    witnesses: list = dc_field(default_factory=list)
-    measured: dict = dc_field(default_factory=dict)
+    __slots__ = ("check", "verdict", "witnesses", "measured")
+
+    def __init__(self, check: str, verdict: str, witnesses: list | None = None, measured: dict | None = None):
+        self.check, self.verdict = check, verdict
+        self.witnesses, self.measured = [] if witnesses is None else witnesses, {} if measured is None else measured
 
     def to_json(self) -> dict:
         return {

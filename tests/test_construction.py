@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 from kakeya import construction, projgeom
 from kakeya.construction import (
+    ConstructionFrame,
+    EmbeddedSeed,
     KakeyaSet,
     KLine,
     KPoint,
@@ -35,8 +37,19 @@ from kakeya.errors import (
 )
 from kakeya.projgeom import ProjPoint, Subspace, affine_coords, meet, span
 from kakeya.scalar import PrimeField, RationalField, RealField
-from kakeya.seeds import dual_conic_seed, line_walk_start, regular_ngon_seed, seed_from_json, seed_to_json, walk_point
-from kakeya.verify import verify_all
+from kakeya.polymethod import BoundReport, Certificate
+from kakeya.seeds import (
+    PlanarSeed,
+    SeedPoint,
+    SeedReport,
+    dual_conic_seed,
+    line_walk_start,
+    regular_ngon_seed,
+    seed_from_json,
+    seed_to_json,
+    walk_point,
+)
+from kakeya.verify import VerifyReport, verify_all
 
 QQ = RationalField()
 
@@ -741,3 +754,24 @@ def test_basis_walk_is_the_walk_of_line_walk_start(kind, data):
     for lam in range(9):
         want = walk_point(fld, *start, lam).coords
         assert [(type(c), c) for c in walk(lam).coords] == [(type(c), c) for c in want]
+
+
+def test_records_are_slotted_and_build_their_own_defaults():
+    fld = PrimeField(5)
+    one, zero = fld.one, fld.zero
+    a, b = KakeyaSet(fld, 3, 5, [], [], []), KakeyaSet(fld, 3, 5, [], [], [])
+    assert a.seed_meta == {} and a.seed_meta is not b.seed_meta
+    s, t = PlanarSeed(fld, 5, [], [], [], [], []), PlanarSeed(fld, 5, [], [], [], [], [])
+    assert s.meta == {} and s.meta is not t.meta
+    u, v = VerifyReport("size", "pass"), VerifyReport("size", "pass")
+    assert (u.witnesses, u.measured) == ([], {}) and u.witnesses is not v.witnesses and u.measured is not v.measured
+    p = ProjPoint(fld, [one, zero, zero, one])
+    kp = KPoint(p, {"kind": "seed"})  # the positional form bench/workloads.py builds
+    assert (kp.point, kp.provenance) == (p, {"kind": "seed"})
+    frame = ConstructionFrame(n=3, field=fld, x={0: p}, y={})
+    assert (frame.n, frame.field, frame.x, frame.y) == (3, fld, {0: p}, {})
+    for record, misspelt in ((a, "seedmeta"), (s, "epsilons"), (kp, "provenence"), (frame, "z")):
+        with pytest.raises(AttributeError):
+            setattr(record, misspelt, None)
+    records = (ConstructionFrame, EmbeddedSeed, KLine, KPoint, KakeyaSet, SeedPoint, PlanarSeed, SeedReport, VerifyReport)
+    assert all(cls.__dictoffset__ == 0 for cls in (*records, BoundReport, Certificate))  # no instance __dict__
