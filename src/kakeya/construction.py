@@ -8,25 +8,25 @@ seed plane embeds as the span of x_0, x_1, x_2 via
 
     (c1, c2, c0)  ->  c1*e_0 + c2*e_1 + c0*x_0.
 
-Ordered index tuples J over the seed lines index the lifted lines
-ell_J, their infinite points p_J and the lifted points z_{J, Jbar, m}
-over the point where seed lines J and Jbar meet on m.  The paper builds
-each by a recursion: span the two objects one index shorter with the
-frame points x_{j+1} = e_j and y_{j+1} = e_{j-1} + e_j (j = |J|) and
-meet the two flats.  Over F_p and Q that recursion has a closed form in
-the seed lines y = s_a x + c_a, which Lifting reads off directly; the
-reals keep the meets, whose bits their files hold.  After the
-unitriangular change of basis of grid_values_from_direction, p_J is
-(1, s_{J0}, ..., s_{J(|J|-1)}), so the lifted directions fill the
-off-diagonal part of a grid and assemble() completes the diagonal with
-one extra line per missing cell.
+Ordered index tuples J over the seed lines index the lifted lines ell_J,
+their infinite points p_J and the lifted points z_{J, Jbar, m} over the
+double point of S where seed lines J and Jbar meet on m
+(seeds.double_points).  The paper builds each by a recursion: span the
+two objects one index shorter with the frame points x_{j+1} = e_j and
+y_{j+1} = e_{j-1} + e_j (j = |J|) and meet the two flats.  Over F_p and
+Q that recursion has a closed form in the seed lines y = s_a x + c_a,
+which Lifting reads off directly; the reals keep the meets, whose bits
+their files hold.  After the unitriangular change of basis of
+grid_values_from_direction, p_J is (1, s_{J0}, ..., s_{J(|J|-1)}), so
+the lifted directions fill the off-diagonal part of a grid and
+assemble() completes the diagonal with one extra line per missing cell.
 """
 
 from __future__ import annotations
 
 import json
 from functools import cached_property, partial
-from itertools import combinations, permutations, product
+from itertools import permutations, product
 
 from .errors import (
     DegenerateSeed,
@@ -38,9 +38,9 @@ from .errors import (
     positive,
     records,
 )
-from .projgeom import PointSet, ProjPoint, Subspace, incidence, meet, span
+from .projgeom import PointSet, ProjPoint, Subspace, meet, span
 from .scalar import Field, Memo, RationalField, field_from_json
-from .seeds import PlanarSeed, line_walk_start, seed_from_json, seed_report, seed_to_json, walk_point
+from .seeds import PlanarSeed, double_points, line_walk_start, seed_from_json, seed_report, seed_to_json, walk_point
 
 
 class ConstructionFrame:
@@ -160,7 +160,7 @@ class Lifting:
     """
 
     def __init__(self, frame: ConstructionFrame, seed: PlanarSeed):
-        self.frame = frame
+        self.frame, self.seed = frame, seed
         self.emb = embed_seed(frame, seed)
         self._lines, self._dirs, self._zs, self._charts = {}, {}, {}, {}
         fld = frame.field
@@ -189,8 +189,8 @@ class Lifting:
     def intersection(self, J, Jbar, m_index: int) -> ProjPoint:
         """The lifted point z_{J, Jbar, m}.
 
-        Requires that for each position the two seed lines meet on the
-        measuring line m (UndefinedBasePoint otherwise); the result is an
+        Requires that for each position the two seed lines meet in a double
+        point on the measuring line m (UndefinedBasePoint otherwise); the result is an
         affine point on ell_J.  Over F_p and Q it is Q_J(x_m) = Q_Jbar(x_m) for the
         abscissa x_m those double points share; DegenerateSeed when they share none.
         """
@@ -207,31 +207,29 @@ class Lifting:
 
     @cached_property
     def doubles(self) -> dict:
-        """{(a, b): (where seed lines a < b meet, the first measuring line through it or None)}.
+        """{(a, b): (where seed lines a < b meet, the first measuring line through it or None)}, one per double point.
 
-        Where: the abscissa (c_b - c_a) / (s_a - s_b) over F_p and Q, the meet of the embedded lines
-        over the reals.  The measuring lines come from one incidence pass over the embedded points.
+        The pairs are those of double_points, refused (DegenerateSeed) at a point on three seed lines.  Where: the
+        point's abscissa over F_p and Q, the meet of the embedded lines over the reals.
         """
-        fld, n, emb = self.frame.field, self.frame.n, self.emb
-        pairs = list(combinations(range(len(emb.lines)), 2))
-        if fld.exact:
-            s, c = emb.d_values, self._cuts
-            at = [fld.div(fld.sub(c[b], c[a]), fld.sub(s[a], s[b])) for a, b in pairs]
-            pts = [ProjPoint(fld, _embed_vector(fld, n, (x, fld.add(fld.mul(s[a], x), c[a]), fld.one))) for x, (a, _) in zip(at, pairs)]
-        else:
-            cuts = [meet(emb.lines[a], emb.lines[b]) for a, b in pairs]
-            if bad := next((pair for pair, cut in zip(pairs, cuts) if cut.proj_dim != 0), None):
-                raise UndefinedBasePoint(f"seed lines {bad[0]} and {bad[1]} do not meet in a point")
-            at = pts = [ProjPoint(fld, cut.basis[0]) for cut in cuts]
-        on = incidence(fld, emb.m_lines, pts)[1]
-        first = {i: m for m in reversed(range(len(on))) for i in on[m]}  # the lowest m is written last
-        return {pair: (x, first.get(i)) for i, (pair, x) in enumerate(zip(pairs, at))}
+        fld, emb, out = self.frame.field, self.emb, {}
+        for p, lines, ms in double_points(self.seed):
+            if len(lines) > 2:
+                raise DegenerateSeed(f"seed lines {', '.join(map(str, lines))} meet in one point of S")
+            if fld.exact:
+                at = fld.div(p.coords[0], p.coords[2])
+            elif (cut := meet(emb.lines[lines[0]], emb.lines[lines[1]])).proj_dim != 0:
+                raise UndefinedBasePoint(f"seed lines {lines[0]} and {lines[1]} do not meet in a point")
+            else:
+                at = ProjPoint(fld, cut.basis[0])
+            out.setdefault(tuple(lines), (at, ms[0] if ms else None))
+        return dict(sorted(out.items()))
 
     def _base_point(self, a: int, b: int, m_index: int):
-        """Where seed lines a and b meet (doubles), which must be on measuring line m_index."""
-        at, m = self.doubles[min(a, b), max(a, b)]
+        """Where seed lines a and b meet (doubles), which must be a double point on measuring line m_index."""
+        at, m = self.doubles.get((min(a, b), max(a, b)), (None, None))
         if m != m_index:
-            raise UndefinedBasePoint(f"seed lines {a} and {b} miss measuring line {m_index}")
+            raise UndefinedBasePoint(f"seed lines {a} and {b} have no double point on measuring line {m_index}")
         return at
 
     def _chart(self, J) -> tuple[list, list]:
@@ -303,8 +301,8 @@ def assemble(seed: PlanarSeed, n: int, audit: bool = False) -> KakeyaSet:
 
     For n = 2 the seed passes through unchanged (up to the embedding).
     Otherwise the lines are the lifts of all ordered (n-1)-tuples of
-    seed lines, the lifted points are the z-lifts of ordered runs of
-    disjoint double points on each measuring line, every deficient line
+    seed lines, the lifted points are the z-lifts of ordered runs of the
+    seed's double points on each measuring line, every deficient line
     is padded to N points by walking integer steps along it, and one
     padded line through the affine origin is added for every grid cell
     missed by the lifted directions.  With audit, a seed that fails
@@ -343,30 +341,20 @@ def assemble(seed: PlanarSeed, n: int, audit: bool = False) -> KakeyaSet:
     tuples = list(permutations(range(N), n - 1))
     lines = [KLine(lifting.line(J), lifting.direction(J)) for J in tuples]
 
-    # the pairs of seed lines whose double point lies on each measuring line
-    per_m: dict[int, list[tuple[int, int]]] = {}
+    per_m: dict = {}  # the pairs of seed lines whose double point lies on each measuring line (None: on none)
     for pair, (_, m_idx) in lifting.doubles.items():
-        if m_idx is not None:
-            per_m.setdefault(m_idx, []).append(pair)
+        per_m.setdefault(m_idx, []).append(pair)
 
     registry = PointSet(fld)
     points: list[KPoint] = []
     for m_idx in range(N):
         for seq in permutations(per_m.get(m_idx, []), n - 1):
-            if len({i for pair in seq for i in pair}) != 2 * (n - 1):
-                continue
-            J = tuple(a for a, _ in seq)
-            Jbar = tuple(b for _, b in seq)
+            J, Jbar = zip(*seq)
             z = lifting.intersection(J, Jbar, m_idx)
             if fld.is_zero(z.coords[-1]):
                 raise DegenerateSeed("a lifted intersection point fell at infinity")
             if registry.add(z):
-                points.append(
-                    KPoint(
-                        z,
-                        {"kind": "lifted", "J": list(J), "Jbar": list(Jbar), "m": m_idx},
-                    )
-                )
+                points.append(KPoint(z, {"kind": "lifted", "J": list(J), "Jbar": list(Jbar), "m": m_idx}))
 
     # one line through the affine origin per grid cell with repeats
     origin = ProjPoint(fld, [fld.zero] * n + [fld.one])

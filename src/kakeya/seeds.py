@@ -264,13 +264,27 @@ def _infinite_points(lines: list[Subspace]) -> list[ProjPoint]:
     return points
 
 
-def _measure_epsilon(seed: PlanarSeed) -> list[Fraction]:
-    """N/2 minus the number of double points (core points on two seed lines) on each measuring line."""
+def _through(fld: Field, lines: list[Subspace], points: list[ProjPoint]) -> list[list[int]]:
+    """For each point, the positions of the lines through it, ascending, from one incidence pass."""
+    out: list[list[int]] = [[] for _ in points]
+    for a, on_line in enumerate(incidence(fld, lines, points)[1]):
+        for i in on_line:
+            out[i].append(a)
+    return out
+
+
+def double_points(seed: PlanarSeed) -> list[tuple[ProjPoint, list[int], list[int]]]:
+    """Each double point of S, a core point (not flagged extra) on two or more seed lines, in the order of S:
+    (point, the seed lines through it, the measuring lines through it)."""
     core = [sp.point for sp in seed.points if not sp.extra]
-    hits = Counter(i for on_line in incidence(seed.field, seed.lines, core)[1] for i in on_line)
-    double = [p for i, p in enumerate(core) if hits[i] >= 2]
-    half = Fraction(seed.N, 2)
-    return [half - len(on_m) for on_m in incidence(seed.field, seed.m_lines, double)[1]]
+    double = [(p, lines) for p, lines in zip(core, _through(seed.field, seed.lines, core)) if len(lines) > 1]
+    return [(p, lines, ms) for (p, lines), ms in zip(double, _through(seed.field, seed.m_lines, [p for p, _ in double]))]
+
+
+def _measure_epsilon(seed: PlanarSeed, doubles=None) -> list[Fraction]:
+    """N/2 minus the number of double_points on each measuring line."""
+    hits = Counter(m for _, _, ms in (double_points(seed) if doubles is None else doubles) for m in ms)
+    return [Fraction(seed.N, 2) - hits[m] for m in range(len(seed.m_lines))]
 
 
 def seed_report(seed: PlanarSeed) -> SeedReport:
@@ -322,7 +336,8 @@ def seed_report(seed: PlanarSeed) -> SeedReport:
         if c < seed.N:
             problems.append(f"line {i} holds only {c} distinct points, needs {seed.N}")
 
-    measured = _measure_epsilon(seed)
+    measured = _measure_epsilon(seed, doubles := double_points(seed))
+    problems.extend(f"seed lines {', '.join(map(str, lines))} meet in one point of S" for _, lines, _ in doubles if len(lines) > 2)
     if len(seed.epsilon) != len(measured):
         problems.append("epsilon list length does not match the measuring lines")
     else:

@@ -3,9 +3,11 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,7 +15,9 @@ import pytest
 from kakeya.cli import build_parser, main
 from kakeya import construction
 from kakeya.construction import save_seed
-from kakeya.seeds import SeedPoint, dual_conic_seed, regular_ngon_seed, seed_report
+from kakeya.errors import DegenerateSeed
+from kakeya.projgeom import PointSet, ProjPoint, Subspace, infinite_point
+from kakeya.seeds import SeedPoint, dual_conic_seed, line_walk_start, regular_ngon_seed, seed_report, walk_point
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -734,3 +738,101 @@ def test_verify_decides_a_loaded_modulus_quickly(tmp_path, capsys):
         code, _, stderr = run(capsys, "verify", str(kpath))
         assert code == want, stderr
     assert time.monotonic() - start < 10
+
+
+def _remeasured(seed):
+    seed.epsilon = seed_report(seed).epsilon_measured
+    return seed
+
+
+def _flag_extra(seed, points):
+    """The seed with the given points of S flagged extra, epsilon re-measured."""
+    seed.points = [SeedPoint(sp.point, sp.extra or sp.point in points) for sp in seed.points]
+    return _remeasured(seed)
+
+
+def _ngon_without_chords(N: int, pairs):
+    """The regular N-gon seed without the chord points of the given pairs of lines, each line topped up with
+    one new point of its walk (flagged extra) per chord point it lost, epsilon re-measured."""
+    seed = regular_ngon_seed(N)
+    fld, lines = seed.field, seed.lines
+    on_pair = [lambda p, a=a, b=b: lines[a].contains(p) and lines[b].contains(p) for a, b in pairs]
+    seed.points = [sp for sp in seed.points if sp.extra or not any(on(sp.point) for on in on_pair)]
+    known = PointSet(fld, [sp.point for sp in seed.points])
+    for a in sorted(a for pair in pairs for a in pair):
+        base, step = line_walk_start(lines[a])
+        lam = 0
+        while not known.add(p := walk_point(fld, base, step, lam)):
+            lam += 1
+        seed.points.append(SeedPoint(p, extra=True))
+    return _remeasured(seed)
+
+
+def _file_lift_failures(seed, n: int, tmp_path, capsys) -> list:
+    """The witnesses of each check `verify --r 1` fails on the file `construct --seed file:` writes for seed."""
+    spath, out = tmp_path / "seed.json", tmp_path / "k.json"
+    save_seed(seed, str(spath))
+    code, _, stderr = run(capsys, "construct", "--seed", f"file:{spath}", "--dim", str(n), "--out", str(out))
+    assert code == 0, stderr
+    code, stdout, _ = run(capsys, "verify", str(out), "--r", "1")
+    failures = [r["witnesses"] for r in json.loads(stdout) if r["verdict"] != "pass"]
+    assert code == (1 if failures else 0)
+    return failures
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_a_double_point_flagged_extra_is_not_lifted(tmp_path, capsys, n):
+    # (4, 0), where tangents 0 and 1 meet, flagged extra: epsilon_4 is 3/2, and the lift must skip that pair,
+    # or verify's size check finds 42 lifted points against the 38 (n=3) or 36 (n=4) of the deficiency formula
+    seed = dual_conic_seed(7)
+    _flag_extra(seed, [ProjPoint(seed.field, [4, 0, 1])])
+    assert seed.epsilon[4] == Fraction(3, 2)
+    assert seed_report(seed).verdict == "pass"
+    assert _file_lift_failures(seed, n, tmp_path, capsys) == []
+
+
+def test_a_chord_point_missing_from_s_is_not_lifted(tmp_path, capsys):
+    # without the chord point of lines 0 and 1 the lift must skip that pair ("42 lifted points ... gives 38")
+    seed = _ngon_without_chords(7, [(0, 1)])
+    assert seed_report(seed).verdict == "pass"
+    assert _file_lift_failures(seed, 3, tmp_path, capsys) == []
+
+
+def test_three_seed_lines_through_one_point_of_s_are_refused(tmp_path, capsys):
+    # tangent 6 of the q=7 conic replaced by y = 5x + 1, its slope through (4, 0), where tangents 0 and 1 meet:
+    # lifted, the triple point gave "lifted point 2 lies on 6 lifted lines, expected 4"
+    seed = dual_conic_seed(7)
+    fld = seed.field
+    seed.lines[6] = Subspace.from_equations(fld, 2, [[fld(-5), fld.one, fld(-1)]])
+    seed.infinite_points[6] = infinite_point(seed.lines[6])
+    known = PointSet(fld)
+    for line in seed.lines:
+        base, step = line_walk_start(line)
+        for lam in range(7):
+            known.add(walk_point(fld, base, step, lam))
+    seed.points = [SeedPoint(p) for p in known.items]
+    spath, out = tmp_path / "seed.json", tmp_path / "k.json"
+    save_seed(_remeasured(seed), str(spath))
+    with pytest.raises(DegenerateSeed, match="seed lines 0, 1, 6 meet in one point of S"):
+        construction.assemble(seed, 3)  # the lift refuses the point, audit or none
+    code, stdout, _ = run(capsys, "seed-report", str(spath))
+    assert code == 1 and "seed lines 0, 1, 6 meet in one point of S" in json.loads(stdout)["problems"]
+    code, stdout, stderr = run(capsys, "construct", "--seed", f"file:{spath}", "--dim", "3", "--out", str(out))
+    assert (code, stdout) == (2, "") and "seed lines 0, 1, 6" in stderr
+    assert not out.exists()
+
+
+def test_a_perturbed_seed_that_passes_its_report_lifts_to_a_file_verify_passes(tmp_path, capsys):
+    # differential: the report's double points and the lift's agree on seeds the built-in ones do not cover
+    rng = random.Random(27)
+    for trial in range(40):
+        if trial % 2:
+            q = rng.choice((5, 7))
+            n = rng.choice((3, 4)) if q == 7 else 3
+            seed = dual_conic_seed(q)
+            _flag_extra(seed, [sp.point for sp in rng.sample(seed.points, rng.randint(1, 3))])
+        else:
+            N, n = rng.choice((7, 8)), 3
+            seed = _ngon_without_chords(N, rng.sample([(a, b) for a in range(N) for b in range(a + 1, N)], rng.randint(1, 2)))
+        assert seed_report(seed).verdict == "pass"
+        assert _file_lift_failures(seed, n, tmp_path, capsys) == [], trial

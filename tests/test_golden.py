@@ -56,7 +56,7 @@ PINNED = {
 }
 RATIONAL = {
     (5, 3): "5aad6065ec5efa8758de29dbd1abecbd1c8fb6079e5a16d2f985aa802d41a942",
-    (7, 4): "32c91cee623b87423134cbb3775ba74bfcf0e8d985e5948c613cb30adf3e6738",
+    (7, 4): "3c95847609bbcd2684454e633592ac40b3251e381210e07309ce8f092fed2c07",
 }
 CERTIFIES = [(5, 2, 1), (5, 2, 2), (5, 3, 1), (7, 2, 1), (7, 2, 2), (7, 2, 3), (5, 3, 2), (7, 3, 2)]
 BOUNDS = [(7, 3), (13, 3), (7, 4), (16, 4)]
