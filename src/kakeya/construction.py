@@ -40,7 +40,7 @@ from .errors import (
 )
 from .projgeom import PointSet, ProjPoint, Subspace, meet, span
 from .scalar import Field, Memo, RationalField, field_from_json
-from .seeds import PlanarSeed, double_points, line_walk_start, seed_from_json, seed_report, seed_to_json, walk_point
+from .seeds import PlanarSeed, _infinite_points, double_points, line_walk_start, seed_from_json, seed_report, seed_to_json, walk_point
 
 
 class ConstructionFrame:
@@ -87,10 +87,9 @@ def embed_seed(frame: ConstructionFrame, seed: PlanarSeed) -> EmbeddedSeed:
         rows = [_embed_vector(fld, n, row) for row in s.basis]
         return Subspace.from_vectors(fld, n, rows)
 
-    if any(s.proj_dim != 1 for s in seed.lines):
-        raise DegenerateSeed("a seed line is not a line")
+    directions = _infinite_points(seed.lines)
     seen = PointSet(fld)
-    for i, p in enumerate(seed.infinite_points):
+    for i, p in enumerate(directions):
         if fld.is_zero(p.coords[0]):
             raise DegenerateSeed(f"seed line {i} runs through the measuring direction")
         first = seen.setdefault(p, i)
@@ -99,9 +98,9 @@ def embed_seed(frame: ConstructionFrame, seed: PlanarSeed) -> EmbeddedSeed:
 
     return EmbeddedSeed(
         lines=[embed_flat(s) for s in seed.lines],
-        infinite_points=[embed_point(p) for p in seed.infinite_points],
+        infinite_points=[embed_point(p) for p in directions],
         m_lines=[embed_flat(s) for s in seed.m_lines],
-        d_values=[p.coords[1] for p in seed.infinite_points],
+        d_values=[p.coords[1] for p in directions],
     )
 
 
@@ -299,14 +298,14 @@ class KakeyaSet:
 def assemble(seed: PlanarSeed, n: int, audit: bool = False) -> KakeyaSet:
     """Build the n-dimensional line family and point set from a planar seed.
 
-    For n = 2 the seed passes through unchanged (up to the embedding).
-    Otherwise the lines are the lifts of all ordered (n-1)-tuples of
-    seed lines, the lifted points are the z-lifts of ordered runs of the
-    seed's double points on each measuring line, every deficient line
-    is padded to N points by walking integer steps along it, and one
-    padded line through the affine origin is added for every grid cell
-    missed by the lifted directions.  With audit, a seed that fails
-    seed_report is refused after the size checks and before the lift.
+    The lines are the lifts of all ordered (n-1)-tuples of seed lines.
+    At n = 2 the seed points pass through (up to the embedding); otherwise
+    the lifted points are the z-lifts of ordered runs of the seed's double
+    points on each measuring line, every deficient line is padded to N
+    points by walking integer steps along it, and one padded line through
+    the affine origin is added for every grid cell missed by the lifted
+    directions.  With audit, a seed that fails seed_report is refused
+    after the size checks and before the lift.
     """
     if n < 2:
         raise UnsupportedDimension(f"need n >= 2, got {n}")
@@ -330,16 +329,13 @@ def assemble(seed: PlanarSeed, n: int, audit: bool = False) -> KakeyaSet:
     seed_meta["N"] = N
     seed_meta["epsilon"] = [str(e) for e in seed.epsilon]
 
+    lines = [KLine(lifting.line(J), lifting.direction(J)) for J in permutations(range(N), n - 1)]
     if n == 2:
-        lines = [KLine(l, p) for l, p in zip(emb.lines, emb.infinite_points)]
         points = [
             KPoint(ProjPoint(fld, _embed_vector(fld, n, sp.point.coords)), {"kind": "seed", "extra": sp.extra})
             for sp in seed.points
         ]
         return KakeyaSet(fld, n, N, grid, lines, points, seed_meta)
-
-    tuples = list(permutations(range(N), n - 1))
-    lines = [KLine(lifting.line(J), lifting.direction(J)) for J in tuples]
 
     per_m: dict = {}  # the pairs of seed lines whose double point lies on each measuring line (None: on none)
     for pair, (_, m_idx) in lifting.doubles.items():

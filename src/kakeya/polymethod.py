@@ -32,7 +32,7 @@ from .errors import HypothesisViolation, UnsupportedField
 from .linalg import nullspace
 from .projgeom import PointSet, affine_coords, incidence
 from .scalar import Field
-from .verify import _approx, _direction_faults, _grid_coverage, _grid_ratio, _recovered_cells
+from .verify import _approx, _bound_hypothesis, _direction_faults, _grid_ratio, _recovered_cells
 
 
 def exponent_tuples(nvars: int, total: int) -> list[tuple[int, ...]]:
@@ -316,10 +316,9 @@ def certify(K, r: int) -> Certificate:
     the point multiplicities and the induced direction multiplicities
     independently.  When the dimension count does not force a nonzero f
     and none exists, the verdict is pass-vacuous.  A family with a line
-    that is not a line or does not have its stored direction, whose
-    directions miss a cell of the N^(n-1) grid, or with a line carrying
-    fewer than N distinct points, is outside the bound's hypothesis and
-    raises HypothesisViolation.
+    that is not a line or lacks its stored direction (_direction_faults),
+    or outside the bound's hypothesis (_bound_hypothesis), raises
+    HypothesisViolation with the first witness.
 
     Every family accepted here gives an empty basis and pass-vacuous: such
     an f would have a top part vanishing to order r on the N^(n-1) grid of
@@ -337,19 +336,12 @@ def certify(K, r: int) -> Certificate:
     n, N = K.n, K.N
     if fault := next(_direction_faults(K), None):
         raise HypothesisViolation(fault)
-    covered, cells = _grid_coverage(K, _recovered_cells(K))
-    if covered < cells:
-        raise HypothesisViolation(f"directions cover {covered} of {cells} grid cells")
     points = [kp.point for kp in K.points]
-    first, on = incidence(fld, [kline.line for kline in K.lines], points)
-    for idx, on_line in enumerate(on):
-        count = sum(first[i] == i for i in on_line)
-        if count < N:
-            raise HypothesisViolation(
-                f"line {idx} carries {count} distinct points, needs at least {N}"
-            )
+    inc = incidence(fld, [kline.line for kline in K.lines], points)
+    if fault := next(_bound_hypothesis(K, inc, _recovered_cells(K)), None):
+        raise HypothesisViolation(fault)
 
-    affine_points = [affine_coords(p) for i, p in enumerate(points) if first[i] == i]
+    affine_points = [affine_coords(p) for i, p in enumerate(points) if inc[0][i] == i]
     size = len(affine_points)
     deg_bound = r * N - 1
     mult = 2 * r - 1

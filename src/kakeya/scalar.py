@@ -248,10 +248,11 @@ class RealField(Field):
     tol bounds each single comparison, |a - b| <= tol or |a| <= tol, of input
     coordinates and computed residuals alike.  It is no distance between points
     or lines: a residual scales with its coordinates, so a coordinate moved by
-    less than tol can change a verdict.  Of a real basis (rref) a caller may
-    assume only that each pivot is 1: an entry that elimination skipped as at
-    most tol stays, and a later division by a pivot just above tol can scale it
-    up, so the basis need not be reduced (hence PointSet._near's other leads).
+    less than tol can change a verdict.  A real basis (rref) need not be reduced,
+    nor a row 1 at its own pivot: an entry elimination skipped as at most tol
+    stays, a later pivot just above tol scales it up to about 1/tol, and that
+    row's elimination moves the earlier pivots' entries (hence PointSet._near's
+    other leads); Subspace.contains can then reject points the basis spans.
     """
 
     kind = "real"

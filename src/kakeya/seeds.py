@@ -37,13 +37,13 @@ class SeedPoint:
 
 
 class PlanarSeed:
-    __slots__ = ("field", "N", "lines", "infinite_points", "m_lines", "points", "epsilon", "meta")
+    __slots__ = ("field", "N", "lines", "m_lines", "points", "epsilon", "meta")
 
     def __init__(
-        self, field: Field, N: int, lines: list[Subspace], infinite_points: list[ProjPoint], m_lines: list[Subspace],
+        self, field: Field, N: int, lines: list[Subspace], m_lines: list[Subspace],
         points: list[SeedPoint], epsilon: list[Fraction], meta: dict | None = None,
     ):
-        self.field, self.N, self.lines, self.infinite_points, self.m_lines = field, N, lines, infinite_points, m_lines
+        self.field, self.N, self.lines, self.m_lines = field, N, lines, m_lines
         self.points, self.epsilon, self.meta = points, epsilon, {} if meta is None else meta
 
 
@@ -113,7 +113,6 @@ def dual_conic_seed(q: int) -> PlanarSeed:
         field=fld,
         N=q,
         lines=lines,
-        infinite_points=_infinite_points(lines),
         m_lines=m_lines,
         points=points,
         epsilon=[],
@@ -213,7 +212,6 @@ def regular_ngon_seed(N: int, field: RealField | None = None) -> PlanarSeed:
         field=fld,
         N=N,
         lines=lines,
-        infinite_points=_infinite_points(lines),
         m_lines=m_lines,
         points=points,
         epsilon=[],
@@ -255,6 +253,7 @@ def walk_point(fld: Field, base, step, lam: int) -> ProjPoint:
 
 
 def _infinite_points(lines: list[Subspace]) -> list[ProjPoint]:
+    """The infinite point of each seed line; DegenerateSeed for a flat that is not an affine line."""
     for i, line in enumerate(lines):
         if line.proj_dim != 1:
             raise DegenerateSeed(f"seed line {i} is not a line")
@@ -301,8 +300,6 @@ def seed_report(seed: PlanarSeed) -> SeedReport:
         if d is None:
             problems.append(f"line {i} is the line at infinity")
             continue
-        if i < len(seed.infinite_points) and d != seed.infinite_points[i]:
-            problems.append(f"stored infinite point of line {i} is wrong")
         if d == x_point:
             problems.append(f"line {i} passes through the measuring direction (0,1,0)")
     if len(seed.lines) != seed.N:
@@ -388,11 +385,11 @@ def seed_from_json(doc) -> PlanarSeed:
         if type(coords) is list and len(coords) != 3:  # any other value meets from_json's type check
             raise MalformedFile(f"seed point {i} has {len(coords)} coordinates, not 3")
         points.append(SeedPoint(ProjPoint.from_json(fld, coords), extra))
+    _infinite_points(lines)  # refuses a flat that is not an affine line
     return PlanarSeed(
         field=fld,
         N=positive(doc["N"], "N"),
         lines=lines,
-        infinite_points=_infinite_points(lines),
         m_lines=[Subspace.from_json(fld, 2, rows) for rows in need(doc["m_lines"], list, "m_lines")],
         points=points,
         epsilon=RationalField().values_from_json(doc["epsilon"], "epsilon"),

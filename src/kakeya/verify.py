@@ -255,24 +255,33 @@ def verify_size(K: KakeyaSet, inc, cells, verbose: bool = False) -> VerifyReport
     return _finish("size", witnesses, measured, verbose)
 
 
+def _bound_hypothesis(K: KakeyaSet, inc, cells):
+    """Yield a witness for each miss of the grid bound's hypothesis: an uncovered grid, then each line short of N points."""
+    covered, grid_cells = _grid_coverage(K, cells)
+    if covered < grid_cells:
+        yield f"grid covers {covered} of {grid_cells} cells"
+    first, on = inc
+    for idx, on_line in enumerate(on):
+        if (count := sum(first[i] == i for i in on_line)) < K.N:
+            yield f"line {idx} carries {count} distinct points, needs at least {K.N}"
+
+
 def verify_bound_consistency(K: KakeyaSet, inc, cells, r: int, verbose: bool = False) -> VerifyReport:
     """The grid bound must hold for the number of distinct points at the given r.
 
-    The bound applies only to a family whose directions cover the whole
-    grid; an uncovered cell is a witness and the bound is not evaluated.
+    A family outside the bound's hypothesis fails with every _bound_hypothesis witness, the bound not evaluated.
     """
     if r < 1:
         raise ValueError("r must be at least 1")
     size = sum(f == i for i, f in enumerate(inc[0]))
-    covered, expected_cells = _grid_coverage(K, cells)
-    if covered < expected_cells:
-        witness = f"grid covers {covered} of {expected_cells} cells"
-        measured = {"r": r, "size": size, "covered_cells": covered, "grid_cells": expected_cells}
-        return _finish("bound_consistency", [witness], measured, verbose)
+    if witnesses := list(_bound_hypothesis(K, inc, cells)):
+        covered, grid_cells = _grid_coverage(K, cells)
+        measured = {"r": r, "size": size, "covered_cells": covered, "grid_cells": grid_cells}
+        return _finish("bound_consistency", witnesses, measured, verbose)
     n, N = K.n, K.N
     lhs = comb(2 * r + n - 2, n) * size
     rhs = comb(r * N + n - 1, n)
-    witnesses: list = []
+    witnesses = []
     if lhs < rhs:
         witnesses.append(
             f"binomial(2r+n-2, n)*|S| = {lhs} < binomial(rN+n-1, n) = {rhs}"

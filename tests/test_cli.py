@@ -16,7 +16,7 @@ from kakeya.cli import build_parser, main
 from kakeya import construction
 from kakeya.construction import save_seed
 from kakeya.errors import DegenerateSeed
-from kakeya.projgeom import PointSet, ProjPoint, Subspace, infinite_point
+from kakeya.projgeom import PointSet, ProjPoint, Subspace
 from kakeya.seeds import SeedPoint, dual_conic_seed, line_walk_start, regular_ngon_seed, seed_report, walk_point
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -86,7 +86,7 @@ def test_certify_refuses_a_family_that_does_not_cover_the_grid(tmp_path, capsys)
         out.write_text(json.dumps(bad))
         code, stdout, stderr = run(capsys, "certify", str(out), "--r", "1")
         assert code == 2 and not stdout
-        assert stderr == f"error: directions cover {covered} of 25 grid cells\n"
+        assert stderr == f"error: grid covers {covered} of 25 cells\n"
 
 
 @pytest.mark.parametrize("q,n", [("5", "2"), ("5", "3"), ("7", "2")])
@@ -804,7 +804,6 @@ def test_three_seed_lines_through_one_point_of_s_are_refused(tmp_path, capsys):
     seed = dual_conic_seed(7)
     fld = seed.field
     seed.lines[6] = Subspace.from_equations(fld, 2, [[fld(-5), fld.one, fld(-1)]])
-    seed.infinite_points[6] = infinite_point(seed.lines[6])
     known = PointSet(fld)
     for line in seed.lines:
         base, step = line_walk_start(line)

@@ -35,7 +35,7 @@ from kakeya.errors import (
     UndefinedBasePoint,
     UnsupportedDimension,
 )
-from kakeya.projgeom import ProjPoint, Subspace, affine_coords, meet, span
+from kakeya.projgeom import ProjPoint, Subspace, affine_coords, infinite_point, meet, span
 from kakeya.scalar import PrimeField, RationalField, RealField
 from kakeya.polymethod import BoundReport, Certificate
 from kakeya.seeds import (
@@ -49,7 +49,7 @@ from kakeya.seeds import (
     seed_to_json,
     walk_point,
 )
-from kakeya.verify import VerifyReport, verify_all
+from kakeya.verify import VerifyReport, _direction_faults, verify_all
 
 QQ = RationalField()
 
@@ -97,8 +97,22 @@ def test_embedded_slopes_match_plane_directions():
     seed = dual_conic_seed(5)
     frame = build_frame(3, seed.field)
     emb = embed_seed(frame, seed)
-    for plane_pt, d in zip(seed.infinite_points, emb.d_values):
-        assert plane_pt.coords[1] == d
+    for line, d in zip(seed.lines, emb.d_values, strict=True):
+        assert infinite_point(line).coords[1] == d
+
+
+@pytest.mark.parametrize("n, want", [(2, (1, 100, 0)), (3, (1, 100, Fraction(201, 2), 0))])
+def test_an_edited_seed_line_lifts_with_its_own_slope(n, want):
+    # line 0 of the rational conic q=5 becomes y = 100x: the lift reads its direction off the line,
+    # where a stored copy of the seed's directions kept its old slope 0
+    doc = seed_to_json(dual_conic_seed(5))
+    doc["field"] = {"kind": "rational"}
+    seed = seed_from_json(doc)
+    fld = seed.field
+    seed.lines[0] = Subspace.from_equations(fld, 2, [[fld(-100), fld.one, fld.zero]])
+    K = assemble(seed, n)
+    assert K.lines[0].direction.coords == want
+    assert list(_direction_faults(K)) == []
 
 
 def test_closed_form_example():
@@ -272,9 +286,11 @@ def test_assemble_every_line_reaches_n_points():
 
 
 def test_assemble_duplicate_direction_seed_rejected():
+    # line 1 becomes y = 1, parallel to tangent 0 (y = 0)
     seed = dual_conic_seed(5)
-    seed.infinite_points[1] = seed.infinite_points[0]
-    with pytest.raises(DegenerateSeed):
+    fld = seed.field
+    seed.lines[1] = Subspace.from_equations(fld, 2, [[fld.zero, fld.one, fld(-1)]])
+    with pytest.raises(DegenerateSeed, match="seed lines 0 and 1 share a direction"):
         assemble(seed, 3)
 
 
@@ -768,7 +784,7 @@ def test_records_are_slotted_and_build_their_own_defaults():
     one, zero = fld.one, fld.zero
     a, b = KakeyaSet(fld, 3, 5, [], [], []), KakeyaSet(fld, 3, 5, [], [], [])
     assert a.seed_meta == {} and a.seed_meta is not b.seed_meta
-    s, t = PlanarSeed(fld, 5, [], [], [], [], []), PlanarSeed(fld, 5, [], [], [], [], [])
+    s, t = PlanarSeed(fld, 5, [], [], [], []), PlanarSeed(fld, 5, [], [], [], [])
     assert s.meta == {} and s.meta is not t.meta
     u, v = VerifyReport("size", "pass"), VerifyReport("size", "pass")
     assert (u.witnesses, u.measured) == ([], {}) and u.witnesses is not v.witnesses and u.measured is not v.measured

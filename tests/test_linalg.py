@@ -346,6 +346,31 @@ def test_real_rref_picks_largest_pivot():
     assert pivots == [0, 1]
 
 
+# at tol 1e-6 column 0 keeps -5e-07 uneliminated in row 0, column 2's pivot 1.1e-06 then scales it up,
+# and the row that ends with pivot 0 is 0.563 there while the other row is 0.455 in that column
+_UNREDUCED_AT_1E_6 = [[-5e-07, 5e-07, -1.1e-06, 4.904, 4.336, -0.634], [4.096, 0.0, 3.936, 1.761, -2.125, 1.1e-06]]
+
+
+def test_real_rref_of_rows_near_tol_is_not_reduced():
+    red, pivots = rref(_UNREDUCED_AT_1E_6, RealField(1e-6))
+    assert pivots == [0, 2]
+    assert red == [
+        [0.5632102272727273, 0.4367897727272727, 0.0, 4284034.520840731, 3787840.390292081, -553849.4318179132],
+        [0.45454545454545453, -0.45454545454545453, 1.0, -4458181.818181818, -3941818.181818182, 576363.6363636364],
+    ]
+
+
+@pytest.mark.xfail(strict=True, reason="known defect: the real rref of these rows is not reduced, and contains rejects its span")
+def test_a_real_line_contains_the_points_its_own_basis_spans():
+    fld = RealField(1e-6)
+    line = Subspace.from_vectors(fld, 5, _UNREDUCED_AT_1E_6)
+    r0, r1 = line.basis
+    rng = random.Random(6)
+    for _ in range(200):
+        a, b = rng.uniform(-2, 2), rng.uniform(-2, 2)
+        assert line.contains(ProjPoint(fld, [a * x + b * y for x, y in zip(r0, r1)]))
+
+
 def test_real_near_dependent_rows_collapse():
     fld = RealField(1e-6)
     rows = _mat(fld, [[1.0, 2.0], [1.0, 2.0 + 1e-9]])

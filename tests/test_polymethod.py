@@ -474,7 +474,7 @@ def test_certify_forced_polynomial_single_line():
     kl = K.lines[0]
     pts = [kp for kp in K.points if kl.line.contains(kp.point)]
     small = KakeyaSet(K.field, 2, 7, K.grid, [kl], pts, {})
-    with pytest.raises(HypothesisViolation, match="directions cover 1 of 7 grid cells"):
+    with pytest.raises(HypothesisViolation, match="grid covers 1 of 7 cells"):
         certify(small, 1)
     affine = [affine_coords(kp.point) for kp in pts]
     assert comb(2 + 6, 2) > len(affine)

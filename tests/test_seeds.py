@@ -6,9 +6,10 @@ from fractions import Fraction
 import pytest
 
 from kakeya.errors import DegenerateSeed, UnsupportedField
-from kakeya.projgeom import ProjPoint, Subspace, meet, span
+from kakeya.projgeom import ProjPoint, Subspace, infinite_point, meet, span
 from kakeya.scalar import PrimeField, RealField
 from kakeya.seeds import (
+    PlanarSeed,
     SeedPoint,
     dual_conic_seed,
     line_walk_start,
@@ -129,7 +130,7 @@ def test_ngon_rejects_small_and_exact_fields():
 def test_ngon_directions_distinct_and_affine_frame():
     for N in (5, 8, 9, 12):
         seed = regular_ngon_seed(N)
-        dirs = seed.infinite_points
+        dirs = [infinite_point(line) for line in seed.lines]
         for i in range(N):
             assert not seed.field.is_zero(dirs[i].coords[0])
             for j in range(i + 1, N):
@@ -165,11 +166,16 @@ def test_seed_json_round_trip_exact():
         assert a.point == b.point and a.extra == b.extra
 
 
+@pytest.mark.parametrize("make", [lambda: dual_conic_seed(5), lambda: regular_ngon_seed(7)])
+def test_the_seed_record_holds_what_its_file_holds(make):
+    assert set(PlanarSeed.__slots__) == set(seed_to_json(make()))
+
+
 def test_seed_json_round_trip_real():
     seed = regular_ngon_seed(8)
     back = seed_from_json(seed_to_json(seed))
-    for a, b in zip(back.infinite_points, seed.infinite_points):
-        assert a == b
+    for a, b in zip(back.lines, seed.lines, strict=True):
+        assert infinite_point(a) == infinite_point(b)
     rep = seed_report(back)
     assert rep.verdict == "pass"
 

@@ -1,13 +1,16 @@
 """Re-verification checks and their failure modes."""
 
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kakeya import verify
+from kakeya.errors import HypothesisViolation
 from kakeya.construction import KakeyaSet, KLine, KPoint, assemble, direction_from_grid_values, load_kakeya, save_kakeya
+from kakeya.polymethod import certify
 from kakeya.projgeom import PointSet, ProjPoint, Subspace, affine_coords, incidence, point_from_affine, span
 from kakeya.seeds import dual_conic_seed, line_walk_start, regular_ngon_seed, seed_from_json, seed_to_json, walk_point
 from kakeya.verify import (
@@ -241,8 +244,11 @@ def test_bound_consistency_fails_for_tiny_point_set(conic5):
         conic5.points[:1],
         conic5.seed_meta,
     )
-    rep = verify_bound_consistency(K, _inc(K), _recovered_cells(K), 1)
+    rep = verify_bound_consistency(K, _inc(K), _recovered_cells(K), 1, verbose=True)
     assert rep.verdict == "fail"
+    # every line is short of N points, so the bound is not evaluated on a family outside its hypothesis
+    assert "lhs" not in rep.measured
+    assert len(rep.witnesses) == 25 and all(w.endswith("distinct points, needs at least 5") for w in rep.witnesses)
 
 
 def test_bound_consistency_needs_full_grid(conic5):
@@ -259,6 +265,52 @@ def test_bound_consistency_needs_full_grid(conic5):
     rep = verify_bound_consistency(K, _inc(K), _recovered_cells(K), 1)
     assert rep.verdict == "fail"
     assert rep.witnesses == ["grid covers 24 of 25 cells"]
+
+
+def _certify_refusal(K):
+    """certify's HypothesisViolation message on K at r = 1, None when it certifies."""
+    try:
+        certify(K, 1)
+    except HypothesisViolation as exc:
+        return str(exc)
+    return None
+
+
+def test_bound_consistency_fails_a_line_short_of_n_points_as_certify_refuses_it(conic5):
+    # without its first padding point line 0 holds 4 of its 5 points: the bound's hypothesis fails,
+    # though |S| = 52 would still meet the bound (52 >= 35)
+    pad = next(i for i, kp in enumerate(conic5.points) if kp.provenance["kind"] == "padding")
+    K = _with_points(conic5, conic5.points[:pad] + conic5.points[pad + 1 :])
+    rep = verify_bound_consistency(K, _inc(K), _recovered_cells(K), 1)
+    assert (rep.verdict, rep.witnesses[0]) == ("fail", "line 0 carries 4 distinct points, needs at least 5")
+    assert rep.measured == {"r": 1, "size": 52, "covered_cells": 25, "grid_cells": 25}
+    assert _certify_refusal(K) == rep.witnesses[0]
+
+
+def test_certify_refuses_exactly_the_mutants_bound_consistency_fails(conic5):
+    # certify raises HypothesisViolation(m) exactly when bound_consistency fails with first witness m:
+    # on the family itself neither does, and each mutant drops a point, a line or the last (completion)
+    # line, or copies a point over another on its line
+    assert verify_bound_consistency(conic5, _inc(conic5), _recovered_cells(conic5), 1).verdict == "pass"
+    assert _certify_refusal(conic5) is None
+    rng = random.Random(28)
+    on = _inc(conic5)[1]
+    for trial in range(400):
+        lines, points = list(conic5.lines), list(conic5.points)
+        kind = trial % 4
+        if kind == 0:
+            del points[rng.randrange(len(points))]
+        elif kind == 1:
+            del lines[rng.randrange(len(lines))]
+        elif kind == 2:
+            del lines[-1]
+        else:
+            i, j = rng.sample(rng.choice(on), 2)
+            points[i] = points[j]
+        K = KakeyaSet(conic5.field, conic5.n, conic5.N, conic5.grid, lines, points, conic5.seed_meta)
+        rep = verify_bound_consistency(K, _inc(K), _recovered_cells(K), 1)
+        assert rep.verdict == "fail"
+        assert _certify_refusal(K) == rep.witnesses[0], (trial, rep.witnesses)
 
 
 def test_witness_truncation(conic5):
