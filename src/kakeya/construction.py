@@ -173,10 +173,10 @@ class Lifting:
         if not fld.exact:
             return self._lift(self._lines, (J,), lambda J: self.emb.lines[J[0]])
         # reduced basis: p_J - p_J[k] r1 and r1, the point Q_J(-1) = Q_J(0) - p_J normalized to lead k
-        q0, p = self._chart(J)
-        r1 = ProjPoint(fld, fld.comb(q0, fld.neg(fld.one), p)).coords
+        (q0, pj), p = self._chart(J), fld.p
+        r1 = ProjPoint(fld, _comb(q0, -1, pj, p)).coords
         k = r1.index(fld.one)
-        return Subspace(fld, self.frame.n, (fld.comb(p, fld.neg(p[k]), r1), r1), (0, k))
+        return Subspace(fld, self.frame.n, (_comb(pj, -pj[k], r1, p), r1), (0, k))
 
     def direction(self, J) -> ProjPoint:
         """The infinite point p_J of the lifted line ell_J: the chart's p_J over F_p and Q, the recursion over the reals."""
@@ -201,8 +201,8 @@ class Lifting:
         at = {self._base_point(a, b, m_index) for a, b in zip(J, Jbar)}
         if len(at) > 1:
             raise DegenerateSeed(f"the pairs of {J} and {Jbar} meet measuring line {m_index} at different abscissae")
-        q0, p = self._chart(J)
-        return ProjPoint(fld, fld.comb(q0, at.pop(), p))
+        q0, pj = self._chart(J)
+        return ProjPoint(fld, _comb(q0, at.pop(), pj, fld.p))
 
     @cached_property
     def doubles(self) -> dict:
@@ -269,6 +269,12 @@ class Lifting:
         if out.proj_dim != want:
             raise DegenerateSeed(f"lifting {J} produced a flat of projective dimension {out.proj_dim}")
         return out if want else ProjPoint(out.field, out.basis[0])
+
+
+def _comb(u, b, v, p: int) -> tuple:
+    """The row u + b * v of raw values, each entry reduced mod p when p is nonzero."""
+    pairs = zip(u, v)
+    return tuple([(x + b * y) % p for x, y in pairs] if p else [x + b * y for x, y in pairs])
 
 
 class KLine:
@@ -404,21 +410,22 @@ def _basis_walk(line: Subspace, stored):
     (1, -r0[n] / r1[n]) when r1[n] != 0, else (0, 1); a line with r0[n] = r1[n] = 0 lies at infinity
     (ValueError).  The walk's entries a, b at the pivots make it a r0 + b r1: the canonical
     r0 + (b / a) r1, or r1 when a is zero; b / a (None for r1) tells the points of the line apart.
+    Each step computes on raw values, mod p over F_p.
     """
-    fld, (r0, r1), (c0, c1) = line.field, line.basis, line.pivots
+    fld, (r0, r1), (c0, c1), p = line.field, line.basis, line.pivots, line.field.p
     e0, e1 = r0[-1], r1[-1]
     if not (e0 or e1):
         raise ValueError("line lies at infinity")
     a0, b0 = (fld.inv(e0), fld.zero) if e0 else (fld.zero, fld.inv(e1))  # the base at (c0, c1)
     a1, b1 = (fld.one, fld.neg(fld.div(e0, e1))) if e1 else (fld.zero, fld.one)  # the step there
-    add, mul, taken = fld.add, fld.mul, {p.coords[c1] if p.coords[c0] else None for p in stored}
+    taken = {q.coords[c1] if q.coords[c0] else None for q in stored}
 
     def point(lam: int) -> ProjPoint | None:
-        a = add(a0, mul(lam, a1))
-        b = fld.div(add(b0, mul(lam, b1)), a) if a else None
+        a, b = (a0 + lam * a1) % p if p else a0 + lam * a1, b0 + lam * b1
+        b = (b * pow(a, -1, p) % p if p else b / a) if a else None
         if b in taken:
             return None
-        return ProjPoint._canonical(fld, r1 if b is None else fld.comb(r0, b, r1))
+        return ProjPoint._canonical(fld, r1 if b is None else _comb(r0, b, r1, p))
 
     return point
 
@@ -486,28 +493,24 @@ _encode_str = json.encoder.encode_basestring_ascii
 _list10 = ",\n          ".join  # the entries of a provenance list, at indentation 10
 
 
-def _of_type(t: type, *xs) -> bool:
-    return all(type(x) is t for x in xs)  # an int is no bool, which %d would write as 1 where json writes true
-
-
 def _provenance(p: dict) -> str:
     """A point's provenance as json.dumps(p, indent=2, sort_keys=True) writes it at indentation 6.
 
     The three kinds assemble writes go by template.  A template serves only a dict with exactly its
-    kind's keys, an int for each int and a nonempty list of ints (J, Jbar) or of strs (cell) for each
-    list; any other provenance goes through json.dumps.
+    kind's keys (their number, each key present), an int for each int and a nonempty list of ints
+    (J, Jbar) or of strs (cell) for each list; any other provenance goes through json.dumps.  An int
+    is no bool, which %d would write as 1 where json writes true.
     """
-    kind, keys = p.get("kind"), p.keys()
-    if kind == "padding" and keys == {"kind", "lam", "line"} and _of_type(int, p["lam"], p["line"]):
-        return '{\n        "kind": "padding",\n        "lam": %d,\n        "line": %d\n      }' % (p["lam"], p["line"])
-    if kind == "lifted" and keys == {"J", "Jbar", "kind", "m"} and _of_type(list, J := p["J"], Jbar := p["Jbar"]) and J and Jbar:
-        if _of_type(int, p["m"], *J, *Jbar):
+    kind, size, lam = p.get("kind"), len(p), p.get("lam")
+    if kind == "padding" and size == 3 and type(lam) is int and type(line := p.get("line")) is int:
+        return '{\n        "kind": "padding",\n        "lam": %d,\n        "line": %d\n      }' % (lam, line)
+    if kind == "lifted" and size == 4 and type(J := p.get("J")) is list and type(Jbar := p.get("Jbar")) is list:
+        if type(m := p.get("m")) is int and {*map(type, J)} == {*map(type, Jbar)} == {int}:
             return ('{\n        "J": [\n          %s\n        ],\n        "Jbar": [\n          %s\n        ],\n        "kind": "lifted",\n'
-                    '        "m": %d\n      }') % (_list10(map(str, J)), _list10(map(str, Jbar)), p["m"])
-    if kind == "grid_completion" and keys == {"cell", "kind", "lam"} and _of_type(int, p["lam"]) and _of_type(list, cell := p["cell"]) and cell:
-        if _of_type(str, *cell):
-            return ('{\n        "cell": [\n          %s\n        ],\n        "kind": "grid_completion",\n        "lam": %d\n      }'
-                    % (_list10(map(_encode_str, cell)), p["lam"]))
+                    '        "m": %d\n      }') % (_list10(map(str, J)), _list10(map(str, Jbar)), m)
+    if kind == "grid_completion" and size == 3 and type(lam) is int and type(cell := p.get("cell")) is list and {*map(type, cell)} == {str}:
+        return ('{\n        "cell": [\n          %s\n        ],\n        "kind": "grid_completion",\n        "lam": %d\n      }'
+                % (_list10(map(_encode_str, cell)), lam))
     return json.dumps(p, indent=2, sort_keys=True).replace("\n", "\n      ")
 
 

@@ -279,8 +279,8 @@ class PointSet:
         Over an exact field it holds r1 and the points r0 + b * r1,
         canonical as they stand, with lead c0 and coordinate c1 equal to
         b; only the b some stored point takes in the slot (c0, c1) are
-        looked up, in rows built column by column through Field.comb:
-        column k holds r0[k] + b * r1[k] for every such b.  The set of
+        looked up, in rows built column by column on raw values (mod p
+        over F_p): column k holds r0[k] + b * r1[k] for every such b.  The set of
         those b is kept per (c0, c1) and takes in, at each call, the points
         of lead c0 stored since the last call for that pair.  Over the reals
         only the points _near the line are confirmed with
@@ -293,11 +293,14 @@ class PointSet:
             return [self.labels[i] for i in points_on(line, self.items)]
         if not fld.exact:
             return [self.labels[i] for i in self._near(line) if line.contains(self.items[i])]
-        (r0, r1), (c0, c1) = line.basis, line.pivots
+        (r0, r1), (c0, c1), p = line.basis, line.pivots, fld.p
         stored, (values, done) = self._leads.get(c0, ()), self._values.get((c0, c1), (set(), 0))
         values.update([q[c1] for _, q in stored[done:]])
         self._values[c0, c1] = values, len(stored)
-        cols = [fld.comb((x,) * len(values), y, values) if y else (x,) * len(values) for x, y in zip(r0, r1)]
+        cols = [
+            ([(x + y * b) % p for b in values] if p else [x + y * b for b in values]) if y else (x,) * len(values)
+            for x, y in zip(r0, r1)
+        ]
         found = [*map(self._index.get, zip(*cols)), self._index.get(r1)]
         return [self.labels[i] for i in sorted(i for i in found if i is not None)]
 
@@ -362,6 +365,15 @@ def incidence(field: Field, lines, points) -> tuple[list[int], list[list[int]]]:
     for i, f in enumerate(first):
         copies.setdefault(f, []).append(i)
     return first, [sorted(i for f in seen.on(line) for i in copies[f]) for line in lines]
+
+
+def distinct_counts(inc) -> tuple[int, list[int]]:
+    """|S| and each line's number of distinct points from incidence's (first, on): its list's length when no point repeats."""
+    first, on = inc
+    size = sum(f == i for i, f in enumerate(first))
+    if size == len(first):
+        return size, list(map(len, on))
+    return size, [sum(first[i] == i for i in on_line) for on_line in on]
 
 
 def _check_pair(a, b):

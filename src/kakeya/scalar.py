@@ -4,9 +4,9 @@ A Field object fixes the kind of arithmetic: a prime field F_p with
 canonical residues 0..p-1, the rational numbers with exact Fraction
 values in lowest terms, or floating-point reals compared up to an
 absolute tolerance.  Field elements are plain canonical Python values
-(an int, a Fraction or a float); every operation on them goes through
-the field's methods, and field(x) turns an int (or a Fraction or float,
-where the field admits it) into the canonical value.
+(an int, a Fraction or a float); the field's methods define each operation
+on them (hot loops compute the same inline), and field(x) turns an int (or
+a Fraction or float, where the field admits it) into the canonical value.
 
 Scalar wraps a value together with its field and overloads the usual
 operators; arithmetic between scalars of different fields raises
@@ -87,10 +87,6 @@ class Field:
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
-
-    def comb(self, u, b, v) -> tuple:
-        """The row u + b * v of two equally long rows of values."""
-        return tuple([x + b * y for x, y in zip(u, v)])
 
     def pow(self, a, e: int):
         if not isinstance(e, int) or e < 0:
@@ -174,9 +170,6 @@ class PrimeField(Field):
 
     def neg(self, a):
         return (-a) % self.p
-
-    def comb(self, u, b, v):
-        return tuple([(x + b * y) % self.p for x, y in zip(u, v)])
 
     def inv(self, a):
         if a % self.p == 0:

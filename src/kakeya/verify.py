@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import comb, perm
 
 from .construction import KakeyaSet, grid_values_from_direction
-from .projgeom import PointSet, ProjPoint, at_infinity, incidence, meet
+from .projgeom import PointSet, ProjPoint, at_infinity, distinct_counts, incidence, meet
 
 WITNESS_LIMIT = 10
 
@@ -101,7 +101,7 @@ def verify_incidence(K: KakeyaSet, inc, verbose: bool = False) -> VerifyReport:
     first entry is labelled lifted.
     """
     first, on = inc
-    counts = []
+    size, counts = distinct_counts(inc)
     lifted_flags = _lifted_point_flags(K)
     have_lifted = any(lifted_flags)
     lifted_counts = []
@@ -109,17 +109,16 @@ def verify_incidence(K: KakeyaSet, inc, verbose: bool = False) -> VerifyReport:
     witnesses = [
         f"point {i} lies at infinity" for i, p in enumerate(points) if K.field.is_zero(p.coords[-1])
     ]
-    for idx, on_line in enumerate(on):
-        repeats = [i for i in on_line if first[i] != i]
-        witnesses.extend(f"points {first[i]} and {i} on line {idx} coincide" for i in repeats)
-        total = len(on_line) - len(repeats)
-        lifted = sum(1 for i in on_line if lifted_flags[i] and first[i] == i)
-        counts.append(total)
-        lifted_counts.append(lifted)
+    for idx, (on_line, total) in enumerate(zip(on, counts)):
+        if size < len(first):
+            witnesses.extend(f"points {first[i]} and {i} on line {idx} coincide" for i in on_line if first[i] != i)
         if total < K.N:
             witnesses.append(f"line {idx} carries {total} points, needs {K.N}")
-        if have_lifted and lifted > K.N:
-            witnesses.append(f"line {idx} carries {lifted} lifted points, claim allows {K.N}")
+        if have_lifted:
+            lifted = sum(1 for i in on_line if lifted_flags[i] and first[i] == i)
+            lifted_counts.append(lifted)
+            if lifted > K.N:
+                witnesses.append(f"line {idx} carries {lifted} lifted points, claim allows {K.N}")
     measured = {
         "lines": len(K.lines),
         "points": len(K.points),
@@ -207,7 +206,7 @@ def verify_size(K: KakeyaSet, inc, cells, verbose: bool = False) -> VerifyReport
     """
     n, N = K.n, K.N
     first, on = inc
-    size = sum(f == i for i, f in enumerate(first))
+    size = distinct_counts(inc)[0]
     witnesses = [f"points {f} and {i} coincide" for i, f in enumerate(first) if f != i]
     leading = Fraction(2) * Fraction(N, 2) ** n
     c_measured = Fraction(size - leading) / Fraction(N) ** (n - 1)
@@ -260,9 +259,8 @@ def _bound_hypothesis(K: KakeyaSet, inc, cells):
     covered, grid_cells = _grid_coverage(K, cells)
     if covered < grid_cells:
         yield f"grid covers {covered} of {grid_cells} cells"
-    first, on = inc
-    for idx, on_line in enumerate(on):
-        if (count := sum(first[i] == i for i in on_line)) < K.N:
+    for idx, count in enumerate(distinct_counts(inc)[1]):
+        if count < K.N:
             yield f"line {idx} carries {count} distinct points, needs at least {K.N}"
 
 
@@ -273,7 +271,7 @@ def verify_bound_consistency(K: KakeyaSet, inc, cells, r: int, verbose: bool = F
     """
     if r < 1:
         raise ValueError("r must be at least 1")
-    size = sum(f == i for i, f in enumerate(inc[0]))
+    size = distinct_counts(inc)[0]
     if witnesses := list(_bound_hypothesis(K, inc, cells)):
         covered, grid_cells = _grid_coverage(K, cells)
         measured = {"r": r, "size": size, "covered_cells": covered, "grid_cells": grid_cells}

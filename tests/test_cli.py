@@ -17,6 +17,7 @@ from kakeya import construction
 from kakeya.construction import save_seed
 from kakeya.errors import DegenerateSeed
 from kakeya.projgeom import PointSet, ProjPoint, Subspace
+from kakeya.scalar import PrimeField
 from kakeya.seeds import SeedPoint, dual_conic_seed, line_walk_start, regular_ngon_seed, seed_report, walk_point
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -26,6 +27,20 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+
+def test_construct_and_verify_keep_their_record_loops_off_the_field_methods(tmp_path, capsys, monkeypatch):
+    # the exact record loops (PointSet.on, the padding walk, the lift) compute on raw values; a loop routed back
+    # through the PrimeField methods adds thousands of calls here (2,871 in all when those three still called them)
+    calls = []
+    for name in ("add", "sub", "mul", "neg", "inv", "div", "pow", "eq", "is_zero"):
+        method = getattr(PrimeField, name)
+        monkeypatch.setattr(PrimeField, name, lambda self, *args, _method=method: calls.append(_method) or _method(self, *args))
+    out = str(tmp_path / "k.json")
+    assert run(capsys, "construct", "--seed", "conic", "--q", "7", "--dim", "3", "--out", out)[0] == 0
+    assert run(capsys, "verify", out, "--r", "1")[0] == 0
+    assert 0 < len(calls) <= 1328
 
 
 def test_construct_and_verify_round_trip(tmp_path, capsys):

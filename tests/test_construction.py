@@ -575,6 +575,45 @@ def test_exact_padding_is_the_normalized_walk(rational):
     assert padded > 0
 
 
+def _canonical_values(fld, coords) -> bool:
+    """Every value a residue int in [0, p) over F_p, a Fraction over Q."""
+    if fld.p:
+        return all(type(c) is int and 0 <= c < fld.p for c in coords)
+    return all(type(c) is Fraction for c in coords)
+
+
+@pytest.mark.parametrize("q, n", [(5, 3), (7, 4)])
+@pytest.mark.parametrize("field", [None, {"kind": "prime", "p": 2**61 - 1}, {"kind": "rational"}], ids=["F_q", "F_(2^61-1)", "Q"])
+def test_exact_lift_values_are_canonical_and_match_the_oracles(q, n, field):
+    # the rows the lift, the padding walk and PointSet.on build on raw values: each coordinate of every line, direction
+    # and point is of the field's own type, and each object equals the span-and-meet chain or walk_point oracle
+    doc = seed_to_json(dual_conic_seed(q))
+    seed = seed_from_json({**doc, "field": field} if field else doc)
+    K = assemble(seed, n)
+    fld, emb = K.field, Lifting(build_frame(n, seed.field), seed).emb
+    for kl in K.lines:
+        assert all(_canonical_values(fld, row) for row in (*kl.line.basis, kl.direction.coords))
+    for J, kl in zip(permutations(range(q), n - 1), K.lines):
+        assert kl.line == _chain_oracle(tuple(emb.lines[a] for a in J))
+        assert kl.direction == _chain_oracle(tuple(emb.infinite_points[a] for a in J))
+    origin, kinds = ProjPoint(fld, [fld.zero] * n + [fld.one]), set()
+    for kp in K.points:
+        prov = kp.provenance
+        assert _canonical_values(fld, kp.point.coords)
+        if prov["kind"] == "lifted":
+            pairs = zip(prov["J"], prov["Jbar"])
+            want = _chain_oracle(tuple(ProjPoint(fld, meet(emb.lines[a], emb.lines[b]).basis[0]) for a, b in pairs))
+        else:
+            if prov["kind"] == "padding":
+                line = K.lines[prov["line"]].line
+            else:
+                line = span(origin, direction_from_grid_values(fld, n, [fld.from_str(s) for s in prov["cell"]]))
+            want = walk_point(fld, *line_walk_start(line), prov["lam"])
+        assert kp.point.coords == want.coords
+        kinds.add(prov["kind"])
+    assert kinds == {"lifted", "padding", "grid_completion"}
+
+
 def test_a_canonical_file_is_loaded_as_stored(monkeypatch):
     # stored bases are reduced and stored points normalized, so loading reduces and normalizes nothing
     K = assemble(dual_conic_seed(5), 3)
@@ -696,6 +735,12 @@ def test_save_kakeya_writes_the_bytes_of_dump(kind, data, tmp_path_factory):
         ({"kind": "grid_completion", "cell": ["1", 2], "lam": 4}, False),
         ({"kind": "grid_completion", "cell": [], "lam": 4}, False),
         ({"kind": "seed", "line": 3, "lam": 1}, False),
+        ({"kind": "padding", "line": 3, "lam": 1, "note": None}, False),
+        ({"kind": "padding", "line": 3, "lam": None}, False),
+        ({"kind": "lifted", "J": (0, 12), "Jbar": [3, 10], "m": 0}, False),
+        ({"kind": "lifted", "J": [0, 12], "Jbar": [3, 10]}, False),
+        ({"kind": "grid_completion", "cell": ("1", "2"), "lam": 4}, False),
+        ({"kind": "grid_completion", "cell": ["1", "2"], "lam": True}, False),
     ],
 )
 def test_provenance_templates_write_what_fmt_writes(prov, template, monkeypatch):

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from kakeya.cli import main
 from kakeya.construction import KakeyaSet, assemble, kakeya_from_json, kakeya_to_json
-from kakeya.projgeom import PointSet, ProjPoint, Subspace, _real_key, incidence, points_on, span
+from kakeya.projgeom import PointSet, ProjPoint, Subspace, _real_key, distinct_counts, incidence, points_on, span
 from kakeya.scalar import PrimeField, RationalField, RealField
 from kakeya.seeds import dual_conic_seed, regular_ngon_seed, seed_from_json, seed_to_json
 from kakeya.verify import verify_all
@@ -136,7 +136,7 @@ def test_exact_on_matches_the_scan_on_random_lines(kind, data):
     line = Subspace.from_vectors(fld, n, [r0, r1])
     assert line.pivots == (c0, c1)
     vector = st.lists(value, min_size=n + 1, max_size=n + 1).filter(any)
-    on_line = st.builds(lambda b: fld.comb(r0, b, r1), value) | st.just(r1)
+    on_line = st.builds(lambda b: [fld.add(x, fld.mul(b, y)) for x, y in zip(r0, r1)], value) | st.just(r1)
     moved = st.builds(lambda v, k, d: [fld.add(x, d) if j == k else x for j, x in enumerate(v)], on_line, st.integers(0, n), value)
     coords = data.draw(st.lists(on_line | moved | vector, min_size=1, max_size=12))
     points = [ProjPoint(fld, c) for c in coords if any(c)]
@@ -166,7 +166,8 @@ def test_exact_on_sees_the_points_added_after_a_query(kind, data):
         batch = []
         for _ in range(data.draw(st.integers(0, 6))):
             _, r0, r1 = data.draw(st.sampled_from(lines))
-            on_line = list(fld.comb(r0, data.draw(value), r1))
+            b = data.draw(value)
+            on_line = [fld.add(x, fld.mul(b, y)) for x, y in zip(r0, r1)]
             if data.draw(st.booleans()):
                 on_line[data.draw(st.integers(0, n))] = data.draw(value)  # moved along the line or off it
             batch.append(on_line)
@@ -203,6 +204,7 @@ def test_incidence_is_the_scan_expanded_by_copies(kind, repeat):
     copies = {f: [i for i, g in enumerate(first) if g == f] for f in distinct}
     scan = [sorted(i for d in points_on(line, [points[f] for f in distinct]) for i in copies[distinct[d]]) for line in lines]
     assert incidence(K.field, lines, points) == (first, scan)
+    assert distinct_counts((first, scan)) == (len(distinct), [len({first[i] for i in s}) for s in scan])
     assert (len(distinct) < len(points)) is repeat
     if repeat:
         assert drop in scan[full] and keep in scan[full] and len(scan[full]) == K.N
