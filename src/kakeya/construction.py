@@ -4,7 +4,7 @@ Ambient coordinates have length n+1.  Code index j (0-based) for
 j < n carries the frame point x_{j+1} = e_j; the last coordinate is the
 homogenizing one, so the hyperplane at infinity is the span of
 x_1..x_n.  The frame is completed by the all-ones point x_0, and the
-seed plane embeds as the span of x_0, x_1, x_2 via
+seed plane embeds as the span of x_0, x_1, x_2 via _embed_vector,
 
     (c1, c2, c0)  ->  c1*e_0 + c2*e_1 + c0*x_0.
 
@@ -13,10 +13,13 @@ their infinite points p_J and the lifted points z_{J, Jbar, m} over the
 double point of S where seed lines J and Jbar meet on m
 (seeds.double_points).  The paper builds each by a recursion: span the
 two objects one index shorter with the frame points x_{j+1} = e_j and
-y_{j+1} = e_{j-1} + e_j (j = |J|) and meet the two flats.  Over F_p and
+y_{j+1} = e_{j-1} + e_j (j = |J| >= 2) and meet the two flats.  Lifting
+builds those frame points for every field and no others.  Over F_p and
 Q that recursion has a closed form in the seed lines y = s_a x + c_a,
 which Lifting reads off directly; the reals keep the meets, whose bits
-their files hold.  After the unitriangular change of basis of
+their files hold, and only they embed the seed lines and their infinite
+points, the recursion's base objects.  No field embeds the measuring
+lines.  After the unitriangular change of basis of
 grid_values_from_direction, p_J is (1, s_{J0}, ..., s_{J(|J|-1)}), so
 the lifted directions fill the off-diagonal part of a grid and
 assemble() completes the diagonal with one extra line per missing cell.
@@ -43,65 +46,13 @@ from .scalar import Field, Memo, RationalField, field_from_json
 from .seeds import PlanarSeed, _infinite_points, double_points, line_walk_start, seed_from_json, seed_report, seed_to_json, walk_point
 
 
-class ConstructionFrame:
-    __slots__ = ("n", "field", "x", "y")
-
-    def __init__(self, n: int, field: Field, x: dict[int, ProjPoint], y: dict[int, ProjPoint]):
-        self.n, self.field, self.x, self.y = n, field, x, y
-
-
-def build_frame(n: int, fld: Field) -> ConstructionFrame:
-    """Frame points x_0..x_n and y_3..y_n for ambient dimension n >= 2."""
-    one, zero = fld.one, fld.zero
-
-    def unit(*cols: int) -> ProjPoint:
-        return ProjPoint(fld, [one if i in cols else zero for i in range(n + 1)])
-
-    x = {0: ProjPoint(fld, [one] * (n + 1))} | {j: unit(j - 1) for j in range(1, n + 1)}
-    y = {i: unit(i - 2, i - 1) for i in range(3, n + 1)}
-    return ConstructionFrame(n=n, field=fld, x=x, y=y)
-
-
-class EmbeddedSeed:
-    __slots__ = ("lines", "infinite_points", "m_lines", "d_values")
-
-    def __init__(self, lines: list[Subspace], infinite_points: list[ProjPoint], m_lines: list[Subspace], d_values: list):
-        self.lines, self.infinite_points, self.m_lines, self.d_values = lines, infinite_points, m_lines, d_values
-
-
 def _embed_vector(fld: Field, n: int, c) -> list:
+    """(c1, c2, c0) -> c1*e_0 + c2*e_1 + c0*x_0 with x_0 = (1, ..., 1): a seed plane vector in span(x_0, x_1, x_2)."""
     c1, c2, c0 = c
     v = [c0] * (n + 1)
     v[0] = fld.add(c1, c0)
     v[1] = fld.add(c2, c0)
     return v
-
-
-def embed_seed(frame: ConstructionFrame, seed: PlanarSeed) -> EmbeddedSeed:
-    fld, n = frame.field, frame.n
-
-    def embed_point(p: ProjPoint) -> ProjPoint:
-        return ProjPoint(fld, _embed_vector(fld, n, p.coords))
-
-    def embed_flat(s: Subspace) -> Subspace:
-        rows = [_embed_vector(fld, n, row) for row in s.basis]
-        return Subspace.from_vectors(fld, n, rows)
-
-    directions = _infinite_points(seed.lines)
-    seen = PointSet(fld)
-    for i, p in enumerate(directions):
-        if fld.is_zero(p.coords[0]):
-            raise DegenerateSeed(f"seed line {i} runs through the measuring direction")
-        first = seen.setdefault(p, i)
-        if first != i:
-            raise DegenerateSeed(f"seed lines {first} and {i} share a direction")
-
-    return EmbeddedSeed(
-        lines=[embed_flat(s) for s in seed.lines],
-        infinite_points=[embed_point(p) for p in directions],
-        m_lines=[embed_flat(s) for s in seed.m_lines],
-        d_values=[p.coords[1] for p in directions],
-    )
 
 
 def _grid_row(fld: Field, n: int, lead, values) -> list:
@@ -146,44 +97,63 @@ def grid_values_from_direction(p: ProjPoint) -> list | None:
 
 
 class Lifting:
-    """The lifted lines ell_J, their infinite points p_J and the lifted points z_{J, Jbar, m} of one seed.
+    """The lifted lines ell_J, their infinite points p_J and the lifted points z_{J, Jbar, m} of one seed in dimension n.
 
-    Over F_p and Q each is read off the seed lines y = s_a x + c_a through the affine point
-    Q_J(x) = Q_J(0) + x p_J (_chart): ell_J = span(Q_J(0), p_J) and z_{J, Jbar, m} = Q_J(x_m).
-    The reals run the memoized recursion, keys (J,) for lines and directions and (J, Jbar) for
-    points: the object at a key of tuple length j + 1 is one _step from those at (J[:-1], ...)
-    and (J[:-2] + J[-1:], ...), the meet of their spans with x_{j+1} and y_{j+1}.  Every key
-    extending a sub-key on one side shares that span, so memo keeps it under ("x", sub-key) or
-    ("y", sub-key), built once.  An index tuple holds 1 to n - 1 distinct seed lines, and the two
-    tuples of a point are disjoint and of one length: assemble asks for no others.
+    slopes[a] is s_a, the slope of seed line a, whose direction is (1, s_a, 0); x and y hold the frame points
+    x_{j+1} and y_{j+1} for 2 <= j < n, the only ones a step reads.  Over F_p and Q each object is read off
+    the seed lines y = s_a x + c_a through the affine point Q_J(x) = Q_J(0) + x p_J (_chart):
+    ell_J = span(Q_J(0), p_J) and z_{J, Jbar, m} = Q_J(x_m).  The reals run the memoized recursion from the
+    embedded seed lines and their infinite points, keys (J,) for lines and directions and (J, Jbar) for
+    points: the object at a key of tuple length j + 1 is one _step from those at (J[:-1], ...) and
+    (J[:-2] + J[-1:], ...), the meet of their spans with x_{j+1} and y_{j+1}.  Every key extending a sub-key
+    on one side shares that span, so memo keeps it under ("x", sub-key) or ("y", sub-key), built once.  An
+    index tuple holds 1 to n - 1 distinct seed lines, and the two tuples of a point are disjoint and of one
+    length: assemble asks for no others.
     """
 
-    def __init__(self, frame: ConstructionFrame, seed: PlanarSeed):
-        self.frame, self.seed = frame, seed
-        self.emb = embed_seed(frame, seed)
+    def __init__(self, seed: PlanarSeed, n: int):
+        fld = seed.field
+        self.seed, self.field, self.n = seed, fld, n
+        directions = _infinite_points(seed.lines)
+        seen = PointSet(fld)
+        for i, p in enumerate(directions):
+            if fld.is_zero(p.coords[0]):
+                raise DegenerateSeed(f"seed line {i} runs through the measuring direction")
+            first = seen.setdefault(p, i)
+            if first != i:
+                raise DegenerateSeed(f"seed lines {first} and {i} share a direction")
+        self.slopes = [p.coords[1] for p in directions]
+
+        def unit(*cols: int) -> ProjPoint:
+            return ProjPoint(fld, [fld.one if i in cols else fld.zero for i in range(n + 1)])
+
+        self.x = {j + 1: unit(j) for j in range(2, n)}
+        self.y = {j + 1: unit(j - 1, j) for j in range(2, n)}
         self._lines, self._dirs, self._zs, self._charts = {}, {}, {}, {}
-        fld = frame.field
-        if fld.exact:  # seed line a: slope s_a = emb.d_values[a], reduced basis (1, s_a + c_a g, g), (0, c_a h, h)
+        if fld.exact:  # seed line a: slope s_a = slopes[a], reduced basis (1, s_a + c_a g, g), (0, c_a h, h)
             self._cuts = [fld.div(line.basis[1][1], line.basis[1][2]) for line in seed.lines]
+        else:
+            self._base_lines = [Subspace.from_vectors(fld, n, [_embed_vector(fld, n, row) for row in s.basis]) for s in seed.lines]
+            self._base_dirs = [ProjPoint(fld, _embed_vector(fld, n, p.coords)) for p in directions]
 
     def line(self, J) -> Subspace:
         """The lifted line ell_J."""
         J = tuple(J)
-        fld = self.frame.field
+        fld = self.field
         if not fld.exact:
-            return self._lift(self._lines, (J,), lambda J: self.emb.lines[J[0]])
+            return self._lift(self._lines, (J,), lambda J: self._base_lines[J[0]])
         # reduced basis: p_J - p_J[k] r1 and r1, the point Q_J(-1) = Q_J(0) - p_J normalized to lead k
         (q0, pj), p = self._chart(J), fld.p
         r1 = ProjPoint(fld, _comb(q0, -1, pj, p)).coords
         k = r1.index(fld.one)
-        return Subspace(fld, self.frame.n, (_comb(pj, -pj[k], r1, p), r1), (0, k))
+        return Subspace(fld, self.n, (_comb(pj, -pj[k], r1, p), r1), (0, k))
 
     def direction(self, J) -> ProjPoint:
         """The infinite point p_J of the lifted line ell_J: the chart's p_J over F_p and Q, the recursion over the reals."""
         J = tuple(J)
-        if self.frame.field.exact:
-            return ProjPoint(self.frame.field, self._chart(J)[1])
-        return self._lift(self._dirs, (J,), lambda J: self.emb.infinite_points[J[0]])
+        if self.field.exact:
+            return ProjPoint(self.field, self._chart(J)[1])
+        return self._lift(self._dirs, (J,), lambda J: self._base_dirs[J[0]])
 
     def intersection(self, J, Jbar, m_index: int) -> ProjPoint:
         """The lifted point z_{J, Jbar, m}.
@@ -194,7 +164,7 @@ class Lifting:
         abscissa x_m those double points share; DegenerateSeed when they share none.
         """
         J, Jbar = tuple(J), tuple(Jbar)
-        fld = self.frame.field
+        fld = self.field
         if not fld.exact:
             memo = self._zs.setdefault(m_index, {})
             return self._lift(memo, (J, Jbar), lambda J, Jbar: self._base_point(J[0], Jbar[0], m_index))
@@ -211,13 +181,13 @@ class Lifting:
         The pairs are those of double_points, refused (DegenerateSeed) at a point on three seed lines.  Where: the
         point's abscissa over F_p and Q, the meet of the embedded lines over the reals.
         """
-        fld, emb, out = self.frame.field, self.emb, {}
+        fld, out = self.field, {}
         for p, lines, ms in double_points(self.seed):
             if len(lines) > 2:
                 raise DegenerateSeed(f"seed lines {', '.join(map(str, lines))} meet in one point of S")
             if fld.exact:
                 at = fld.div(p.coords[0], p.coords[2])
-            elif (cut := meet(emb.lines[lines[0]], emb.lines[lines[1]])).proj_dim != 0:
+            elif (cut := meet(self._base_lines[lines[0]], self._base_lines[lines[1]])).proj_dim != 0:
                 raise UndefinedBasePoint(f"seed lines {lines[0]} and {lines[1]} do not meet in a point")
             else:
                 at = ProjPoint(fld, cut.basis[0])
@@ -236,9 +206,9 @@ class Lifting:
         Q_J(x) = (1 + x, 1 + y_{J0}, ..., 1 + (-1)^(i+1) (y_{J(i-1)} - y_{J(i-2)}) at 2 <= i <= |J|, 1, ..., 1);
         worked out once per J, for line(J) and every intersection(J, ...)."""
         if J not in self._charts:
-            fld, n, one = self.frame.field, self.frame.n, self.frame.field.one
+            fld, n, one = self.field, self.n, self.field.one
             q0 = [fld.add(one, v) for v in _grid_row(fld, n, fld.zero, [self._cuts[a] for a in J])]
-            self._charts[J] = q0, _grid_row(fld, n, one, [self.emb.d_values[a] for a in J])
+            self._charts[J] = q0, _grid_row(fld, n, one, [self.slopes[a] for a in J])
         return self._charts[J]
 
     def _lift(self, memo: dict, key: tuple, base):
@@ -250,9 +220,9 @@ class Lifting:
                 j, ka, kb = len(key[0]), tuple(J[:-1] for J in key), tuple(J[:-2] + J[-1:] for J in key)
                 a, b = self._lift(memo, ka, base), self._lift(memo, kb, base)
                 if ("x", ka) not in memo:
-                    memo["x", ka] = span(self.frame.x[j + 1], a)
+                    memo["x", ka] = span(self.x[j + 1], a)
                 if ("y", kb) not in memo:
-                    memo["y", kb] = span(self.frame.y[j + 1], b)
+                    memo["y", kb] = span(self.y[j + 1], b)
                 memo[key] = self._step(key[0], a, b, (memo["x", ka], memo["y", kb]))
         return memo[key]
 
@@ -264,7 +234,7 @@ class Lifting:
         carry entries below tolerance before its pivot.
         """
         j = len(J)
-        out = meet(*(spans or (span(self.frame.x[j + 1], a), span(self.frame.y[j + 1], b))))
+        out = meet(*(spans or (span(self.x[j + 1], a), span(self.y[j + 1], b))))
         want = 1 if isinstance(a, Subspace) else 0
         if out.proj_dim != want:
             raise DegenerateSeed(f"lifting {J} produced a flat of projective dimension {out.proj_dim}")
@@ -325,11 +295,9 @@ def assemble(seed: PlanarSeed, n: int, audit: bool = False) -> KakeyaSet:
     if problems:
         raise DegenerateSeed(f"the seed fails its audit: {problems[0]}")
     fld = seed.field
-    frame = build_frame(n, fld)
-    lifting = Lifting(frame, seed)
-    emb = lifting.emb
+    lifting = Lifting(seed, n)
     N = seed.N
-    slopes = sorted(emb.d_values)
+    slopes = sorted(lifting.slopes)
     grid = [list(slopes) for _ in range(n - 1)]
     seed_meta = dict(seed.meta)
     seed_meta["N"] = N

@@ -17,7 +17,6 @@ from kakeya.cli import main as cli_main
 from kakeya.construction import (
     Lifting,
     assemble,
-    build_frame,
     grid_values_from_direction,
     load_kakeya,
 )
@@ -42,6 +41,7 @@ from kakeya.verify import (
     verify_incidence,
     verify_size,
 )
+from test_construction import _embedded, _paper_frame
 
 
 @pytest.fixture
@@ -112,13 +112,13 @@ def test_criterion_2_closed_form_oracle(announce):
     # the closed-form directions against the meet recursion of the lifting step
     start = time.monotonic()
     seed = dual_conic_seed(11)
-    frame = build_frame(4, seed.field)
-    lift = Lifting(frame, seed)
-    by_meet = {(a,): p for a, p in enumerate(lift.emb.infinite_points)}
+    lift = Lifting(seed, 4)
+    x, y = _paper_frame(seed.field, 4)
+    by_meet = {(a,): p for a, p in enumerate(_embedded(seed, 4)[1])}
     total = 0
     for length in (2, 3):
         for J in permutations(range(11), length):
-            cut = meet(span(frame.x[length + 1], by_meet[J[:-1]]), span(frame.y[length + 1], by_meet[J[:-2] + J[-1:]]))
+            cut = meet(span(x[length + 1], by_meet[J[:-1]]), span(y[length + 1], by_meet[J[:-2] + J[-1:]]))
             by_meet[J] = ProjPoint(cut.field, cut.basis[0])
             assert lift.direction(J) == by_meet[J]
             total += 1
@@ -132,14 +132,14 @@ def test_criterion_2_closed_form_oracle(announce):
 def test_criterion_3_switch_patterns(announce):
     start = time.monotonic()
     seed = dual_conic_seed(13)
-    lift = Lifting(build_frame(4, seed.field), seed)
-    emb = lift.emb
+    lift = Lifting(seed, 4)
+    lines, _, m_lines = _embedded(seed, 4)
 
     per_m = {}
     for a in range(13):
         for b in range(a + 1, 13):
-            pt = ProjPoint(seed.field, meet(emb.lines[a], emb.lines[b]).basis[0])
-            for mi, m in enumerate(emb.m_lines):
+            pt = ProjPoint(seed.field, meet(lines[a], lines[b]).basis[0])
+            for mi, m in enumerate(m_lines):
                 if m.contains(pt):
                     per_m.setdefault(mi, []).append((a, b))
                     break

@@ -13,17 +13,14 @@ from hypothesis import strategies as st
 
 from kakeya import construction, projgeom
 from kakeya.construction import (
-    ConstructionFrame,
-    EmbeddedSeed,
     KakeyaSet,
     KLine,
     KPoint,
     Lifting,
+    _embed_vector,
     assemble,
-    build_frame,
     direction_from_grid_values,
     dump,
-    embed_seed,
     grid_values_from_direction,
     kakeya_from_json,
     kakeya_to_json,
@@ -54,51 +51,85 @@ from kakeya.verify import VerifyReport, _direction_faults, verify_all
 QQ = RationalField()
 
 
+@cache
+def _paper_frame(fld, n: int) -> tuple[dict, dict]:
+    """The paper's frame points: x_0 = (1, ..., 1), x_i = e_{i-1} for 1 <= i <= n and y_i = e_{i-2} + e_{i-1} for 3 <= i <= n."""
+
+    def unit(*cols):
+        return ProjPoint(fld, [fld.one if i in cols else fld.zero for i in range(n + 1)])
+
+    x = {0: ProjPoint(fld, [fld.one] * (n + 1))} | {i: unit(i - 1) for i in range(1, n + 1)}
+    return x, {i: unit(i - 2, i - 1) for i in range(3, n + 1)}
+
+
+def _embedded(seed, n: int) -> tuple[list, list, list]:
+    """The seed lines, their infinite points and the measuring lines, each sent by _embed_vector into span(x_0, x_1, x_2)."""
+    fld = seed.field
+
+    def flat(s):
+        return Subspace.from_vectors(fld, n, [_embed_vector(fld, n, row) for row in s.basis])
+
+    points = [ProjPoint(fld, _embed_vector(fld, n, infinite_point(s).coords)) for s in seed.lines]
+    return [flat(s) for s in seed.lines], points, [flat(s) for s in seed.m_lines]
+
+
+def _embedded_frame(lift) -> dict:
+    """x_0, x_1, x_2 as _embed_vector sends the plane's (0, 0, 1), (1, 0, 0), (0, 1, 0), then the lift's own x_3..x_n."""
+    fld, n = lift.field, lift.n
+    plane = {0: (fld.zero, fld.zero, fld.one), 1: (fld.one, fld.zero, fld.zero), 2: (fld.zero, fld.one, fld.zero)}
+    return {i: ProjPoint(fld, _embed_vector(fld, n, c)) for i, c in plane.items()} | lift.x
+
+
 def test_frame_points_n3():
-    frame = build_frame(3, QQ)
-    assert frame.x[0].coords == (1, 1, 1, 1)
-    assert frame.x[1].coords == (1, 0, 0, 0)
-    assert frame.x[3].coords == (0, 0, 1, 0)
-    assert frame.y[3].coords == (0, 1, 1, 0)
+    lift = Lifting(_rational_seed(5), 3)
+    x = _embedded_frame(lift)
+    assert x[0].coords == (1, 1, 1, 1)
+    assert x[1].coords == (1, 0, 0, 0)
+    assert x[3].coords == (0, 0, 1, 0)
+    assert lift.y[3].coords == (0, 1, 1, 0)
+    assert (sorted(lift.x), sorted(lift.y)) == ([3], [3])  # x_0, x_1 and x_2 are not built
 
 
-def _pi(frame, i):
+def _pi(x, i):
     """The flat spanned by x_1..x_i."""
-    return Subspace.from_vectors(frame.field, frame.n, [frame.x[j].coords for j in range(1, i + 1)])
+    return Subspace.from_vectors(x[0].field, x[0].ambient_dim, [x[j].coords for j in range(1, i + 1)])
 
 
-def _sigma(frame, i):
+def _sigma(x, i):
     """The flat spanned by x_0..x_i."""
-    return Subspace.from_vectors(frame.field, frame.n, [frame.x[j].coords for j in range(i + 1)])
+    return Subspace.from_vectors(x[0].field, x[0].ambient_dim, [x[j].coords for j in range(i + 1)])
 
 
 def test_frame_flats_nest():
-    frame = build_frame(4, QQ)
+    lift = Lifting(_rational_seed(7), 4)
+    x = _embedded_frame(lift)
+    paper_x, paper_y = _paper_frame(QQ, 4)
+    assert lift.x == {i: paper_x[i] for i in (3, 4)} and lift.y == paper_y
     for i in range(1, 4):
-        assert _pi(frame, i).proj_dim == i - 1
-        assert _sigma(frame, i).proj_dim == i
-        for row in _pi(frame, i).basis:
-            assert _pi(frame, i + 1).contains(ProjPoint(QQ, row))
+        assert _pi(x, i).proj_dim == i - 1
+        assert _sigma(x, i).proj_dim == i
+        for row in _pi(x, i).basis:
+            assert _pi(x, i + 1).contains(ProjPoint(QQ, row))
 
 
 def test_embedding_sends_plane_into_sigma2():
     seed = dual_conic_seed(7)
-    frame = build_frame(3, seed.field)
-    emb = embed_seed(frame, seed)
-    for line in emb.lines:
+    x, _ = _paper_frame(seed.field, 3)
+    lines, points, _ = _embedded(seed, 3)
+    for line in lines:
         for row in line.basis:
-            assert _sigma(frame, 2).contains(ProjPoint(seed.field, row))
-    for p in emb.infinite_points:
-        assert _pi(frame, 2).contains(p)
+            assert _sigma(x, 2).contains(ProjPoint(seed.field, row))
+    for p in points:
+        assert _pi(x, 2).contains(p)
         assert seed.field.is_zero(p.coords[-1])
 
 
 def test_embedded_slopes_match_plane_directions():
     seed = dual_conic_seed(5)
-    frame = build_frame(3, seed.field)
-    emb = embed_seed(frame, seed)
-    for line, d in zip(seed.lines, emb.d_values, strict=True):
+    lift = Lifting(seed, 3)
+    for line, p, d in zip(seed.lines, _embedded(seed, 3)[1], lift.slopes, strict=True):
         assert infinite_point(line).coords[1] == d
+        assert p.coords == (1, d, 0, 0)
 
 
 @pytest.mark.parametrize("n, want", [(2, (1, 100, 0)), (3, (1, 100, Fraction(201, 2), 0))])
@@ -132,19 +163,20 @@ def test_grid_value_maps_are_inverse():
 
 def _direction_oracle(lift, J):
     """p_J by the meet recursion of the lifting step from the embedded infinite points (what the reals still run)."""
-    return _chain_oracle(tuple(lift.emb.infinite_points[a] for a in J))
+    points = _embedded(lift.seed, lift.n)[1]
+    return _chain_oracle(tuple(points[a] for a in J))
 
 
 def test_direction_recursion_matches_closed_form_f5():
     seed = dual_conic_seed(5)
-    lift = Lifting(build_frame(3, seed.field), seed)
+    lift = Lifting(seed, 3)
     for J in permutations(range(5), 2):
         assert lift.direction(J) == _direction_oracle(lift, J)
 
 
 def test_direction_recursion_matches_closed_form_f7_n4():
     seed = dual_conic_seed(7)
-    lift = Lifting(build_frame(4, seed.field), seed)
+    lift = Lifting(seed, 4)
     for length in (2, 3):
         for J in permutations(range(7), length):
             assert lift.direction(J) == _direction_oracle(lift, J)
@@ -152,7 +184,7 @@ def test_direction_recursion_matches_closed_form_f7_n4():
 
 def test_lifted_line_carries_its_direction():
     seed = dual_conic_seed(5)
-    lift = Lifting(build_frame(3, seed.field), seed)
+    lift = Lifting(seed, 3)
     for J in permutations(range(5), 2):
         line = lift.line(J)
         assert line.proj_dim == 1
@@ -161,7 +193,7 @@ def test_lifted_line_carries_its_direction():
 
 def test_lifted_lines_distinct():
     seed = dual_conic_seed(5)
-    lift = Lifting(build_frame(3, seed.field), seed)
+    lift = Lifting(seed, 3)
     seen = []
     for J in permutations(range(5), 2):
         line = lift.line(J)
@@ -171,7 +203,7 @@ def test_lifted_lines_distinct():
 
 def test_base_point_requires_meeting_on_m():
     seed = dual_conic_seed(7)
-    lift = Lifting(build_frame(3, seed.field), seed)
+    lift = Lifting(seed, 3)
     # tangents 0 and 1 meet at x = (0+1)/2 = 4 mod 7, so m_4 works
     z = lift.intersection((0,), (1,), 4)
     assert lift.line((0,)).contains(z)
@@ -185,10 +217,10 @@ def _chain_oracle(bases: tuple):
     if len(bases) == 1:
         return bases[0]
     k, fld = len(bases), bases[0].field
-    frame = build_frame(bases[0].ambient_dim, fld)
+    x, y = _paper_frame(fld, bases[0].ambient_dim)
     left = _chain_oracle(bases[:-1])
     right = _chain_oracle(bases[:-2] + bases[-1:])
-    cut = meet(span(frame.x[k + 1], left), span(frame.y[k + 1], right))
+    cut = meet(span(x[k + 1], left), span(y[k + 1], right))
     want = 1 if isinstance(left, Subspace) else 0
     assert cut.proj_dim == want
     return cut if want else ProjPoint(fld, cut.basis[0])
@@ -196,9 +228,8 @@ def _chain_oracle(bases: tuple):
 
 def test_intersection_matches_chain_oracle():
     seed = dual_conic_seed(7)
-    frame = build_frame(3, seed.field)
-    lift = Lifting(frame, seed)
-    emb = lift.emb
+    lift = Lifting(seed, 3)
+    lines, _, m_lines = _embedded(seed, 3)
     rng = random.Random(11)
     checked = 0
     while checked < 25:
@@ -208,12 +239,12 @@ def test_intersection_matches_chain_oracle():
         except UndefinedBasePoint:
             continue
         # locate the measuring lines of both pairs; need a common one
-        p1 = ProjPoint(seed.field, meet(emb.lines[a], emb.lines[b]).basis[0])
-        p2 = ProjPoint(seed.field, meet(emb.lines[c], emb.lines[d]).basis[0])
+        p1 = ProjPoint(seed.field, meet(lines[a], lines[b]).basis[0])
+        p2 = ProjPoint(seed.field, meet(lines[c], lines[d]).basis[0])
         m_idx = next(
             (
                 i
-                for i, m in enumerate(emb.m_lines)
+                for i, m in enumerate(m_lines)
                 if m.contains(p1) and m.contains(p2)
             ),
             None,
@@ -346,10 +377,20 @@ def _rational_seed(q):
 def test_lifting_over_rationals():
     # conic seeds read over Q, lifted to n = 3 and 4; directions against the meet recursion
     for q, n in [(5, 3), (7, 4)]:
-        lift = Lifting(build_frame(n, QQ), _rational_seed(q))
+        lift = Lifting(_rational_seed(q), n)
         for length in range(2, n):
             for J in permutations(range(q), length):
                 assert lift.direction(J) == _direction_oracle(lift, J)
+
+
+@pytest.mark.parametrize("seed", [dual_conic_seed(7), _rational_seed(5)], ids=["F_7", "Q"])
+def test_exact_lift_builds_no_flat(seed, monkeypatch):
+    # over F_p and Q the lift reads slopes and intercepts off the seed lines: it embeds no seed line or measuring line
+    calls = []
+    from_vectors = Subspace.from_vectors.__func__
+    monkeypatch.setattr(Subspace, "from_vectors", classmethod(lambda cls, *args: calls.append(args) or from_vectors(cls, *args)))
+    Lifting(seed, 3)
+    assert calls == []
 
 
 def _seed(q: int, rational: bool):
@@ -362,8 +403,8 @@ def test_lifting_slopes_are_the_seed_lines_own(q, rational):
     # (1, s_a + c_a g, g), (0, c_a h, h) must give the same slope
     seed = _seed(q, rational)
     fld = seed.field
-    lift = Lifting(build_frame(3, fld), seed)
-    for (r0, r1), s in zip((line.basis for line in seed.lines), lift.emb.d_values, strict=True):
+    lift = Lifting(seed, 3)
+    for (r0, r1), s in zip((line.basis for line in seed.lines), lift.slopes, strict=True):
         assert fld.sub(r0[1], fld.mul(fld.div(r1[1], r1[2]), r0[2])) == s
 
 
@@ -374,16 +415,16 @@ def test_lifting_slopes_are_the_seed_lines_own(q, rational):
 def test_closed_form_lift_matches_chain_oracle(q, n, rational):
     # every ell_J and every z_{J, Jbar, m}, both orientations of each pair, against span and meet from the embedded seed
     seed = _seed(q, rational)
-    lift = Lifting(build_frame(n, seed.field), seed)
-    emb = lift.emb
+    lift = Lifting(seed, n)
+    lines, _, m_lines = _embedded(seed, n)
     for length in range(1, n):
         for J in permutations(range(q), length):
-            assert lift.line(J) == _chain_oracle(tuple(emb.lines[a] for a in J))
+            assert lift.line(J) == _chain_oracle(tuple(lines[a] for a in J))
     # the pairs of lift.doubles; a pair meeting on a measuring line outside S (the q=7 seed read over Q has some) is refused
     per_m, checked = {}, 0
     for a, b in combinations(range(q), 2):
-        pt = ProjPoint(seed.field, meet(emb.lines[a], emb.lines[b]).basis[0])
-        m = next((i for i, line in enumerate(emb.m_lines) if line.contains(pt)), None)
+        pt = ProjPoint(seed.field, meet(lines[a], lines[b]).basis[0])
+        m = next((i for i, line in enumerate(m_lines) if line.contains(pt)), None)
         if (a, b) in lift.doubles:
             assert lift.doubles[a, b][1] == m
             per_m.setdefault(m, []).append(((a, b), pt))
@@ -411,7 +452,7 @@ def test_paired_double_points_off_one_abscissa_are_refused():
     seed = dual_conic_seed(7)
     fld = seed.field
     seed.m_lines[0] = span(ProjPoint(fld, [4, 0, 1]), ProjPoint(fld, [6, 6, 1]))
-    lift = Lifting(build_frame(3, fld), seed)
+    lift = Lifting(seed, 3)
     assert lift.doubles[0, 1][1] == lift.doubles[2, 3][1] == 0
     with pytest.raises(DegenerateSeed):
         lift.intersection((0, 2), (1, 3), 0)
@@ -429,12 +470,12 @@ def test_double_point_table_matches_the_scan(make):
     # one incidence pass finds the first measuring line through each double point that a contains() scan finds
     seed = make()
     fld = seed.field
-    lift = Lifting(build_frame(3, fld), seed)
-    emb = lift.emb
+    lift = Lifting(seed, 3)
+    lines, _, m_lines = _embedded(seed, 3)
     assert list(lift.doubles) == list(combinations(range(seed.N), 2))
     for (a, b), (at, m) in lift.doubles.items():
-        pt = ProjPoint(fld, meet(emb.lines[a], emb.lines[b]).basis[0])
-        assert m == next((i for i, line in enumerate(emb.m_lines) if line.contains(pt)), None)
+        pt = ProjPoint(fld, meet(lines[a], lines[b]).basis[0])
+        assert m == next((i for i, line in enumerate(m_lines) if line.contains(pt)), None)
         if fld.exact:
             assert fld.add(at, fld.one) == affine_coords(pt)[0]
         else:
@@ -443,8 +484,7 @@ def test_double_point_table_matches_the_scan(make):
 
 @cache
 def _step_lifting(q: int, n: int, rational: bool) -> Lifting:
-    seed = _seed(q, rational)
-    return Lifting(build_frame(n, seed.field), seed)
+    return Lifting(_seed(q, rational), n)
 
 
 @settings(max_examples=400, deadline=None)
@@ -452,7 +492,7 @@ def _step_lifting(q: int, n: int, rational: bool) -> Lifting:
 def test_exact_step_is_the_meet_of_its_spans(data):
     """_step returns meet(span(x_{j+1}, a), span(y_{j+1}, b)), or raises DegenerateSeed when that has the wrong dimension."""
     lift = _step_lifting(data.draw(st.sampled_from([5, 7])), data.draw(st.integers(3, 5)), data.draw(st.booleans()))
-    fld, n, frame = lift.frame.field, lift.frame.n, lift.frame
+    fld, n, x, y = lift.field, lift.n, lift.x, lift.y
     j = data.draw(st.integers(2, n - 1))
     is_line = data.draw(st.booleans())
     value = st.sampled_from([0, 0, 0, 1, 2, -1]).map(fld)
@@ -462,7 +502,7 @@ def test_exact_step_is_the_meet_of_its_spans(data):
 
     a_rows = rows(2 if is_line else 1)
     if data.draw(st.booleans()):  # a = x_{j+1}, or a line through it
-        a_rows[0] = list(frame.x[j + 1].coords)
+        a_rows[0] = list(x[j + 1].coords)
     mode = data.draw(st.sampled_from(["skew", "equal", "partner"]))
     if mode == "skew":
         b_rows = rows(len(a_rows))
@@ -481,7 +521,7 @@ def test_exact_step_is_the_meet_of_its_spans(data):
         return ProjPoint(fld, rs[0])
 
     a, b = flat(a_rows), flat(b_rows)
-    out = meet(span(frame.x[j + 1], a), span(frame.y[j + 1], b))
+    out = meet(span(x[j + 1], a), span(y[j + 1], b))
     J = tuple(range(j))
     if out.proj_dim != (1 if is_line else 0):
         with pytest.raises(DegenerateSeed):
@@ -506,8 +546,8 @@ def test_real_step_is_bitwise_the_meet_of_its_spans(N, n):
     """Each lifted line, direction and point is meet(span(x_{j+1}, a), span(y_{j+1}, b)) bit for bit, and so is
     _step on fresh copies of a and b: the spans kept per sub-key are the ones _step would build."""
     seed = regular_ngon_seed(N)
-    lift = Lifting(build_frame(n, seed.field), seed)
-    x, y = lift.frame.x, lift.frame.y
+    lift = Lifting(seed, n)
+    x, y = lift.x, lift.y
     keys = [(lift.line, (J,)) for k in range(2, n) for J in permutations(range(N), k)]
     keys += [(lift.direction, (J,)) for k in range(2, n) for J in permutations(range(N), k)]
     for m in range(N):
@@ -590,19 +630,19 @@ def test_exact_lift_values_are_canonical_and_match_the_oracles(q, n, field):
     doc = seed_to_json(dual_conic_seed(q))
     seed = seed_from_json({**doc, "field": field} if field else doc)
     K = assemble(seed, n)
-    fld, emb = K.field, Lifting(build_frame(n, seed.field), seed).emb
+    fld, (lines, points, _) = K.field, _embedded(seed, n)
     for kl in K.lines:
         assert all(_canonical_values(fld, row) for row in (*kl.line.basis, kl.direction.coords))
     for J, kl in zip(permutations(range(q), n - 1), K.lines):
-        assert kl.line == _chain_oracle(tuple(emb.lines[a] for a in J))
-        assert kl.direction == _chain_oracle(tuple(emb.infinite_points[a] for a in J))
+        assert kl.line == _chain_oracle(tuple(lines[a] for a in J))
+        assert kl.direction == _chain_oracle(tuple(points[a] for a in J))
     origin, kinds = ProjPoint(fld, [fld.zero] * n + [fld.one]), set()
     for kp in K.points:
         prov = kp.provenance
         assert _canonical_values(fld, kp.point.coords)
         if prov["kind"] == "lifted":
             pairs = zip(prov["J"], prov["Jbar"])
-            want = _chain_oracle(tuple(ProjPoint(fld, meet(emb.lines[a], emb.lines[b]).basis[0]) for a, b in pairs))
+            want = _chain_oracle(tuple(ProjPoint(fld, meet(lines[a], lines[b]).basis[0]) for a, b in pairs))
         else:
             if prov["kind"] == "padding":
                 line = K.lines[prov["line"]].line
@@ -836,10 +876,8 @@ def test_records_are_slotted_and_build_their_own_defaults():
     p = ProjPoint(fld, [one, zero, zero, one])
     kp = KPoint(p, {"kind": "seed"})  # the positional form bench/workloads.py builds
     assert (kp.point, kp.provenance) == (p, {"kind": "seed"})
-    frame = ConstructionFrame(n=3, field=fld, x={0: p}, y={})
-    assert (frame.n, frame.field, frame.x, frame.y) == (3, fld, {0: p}, {})
-    for record, misspelt in ((a, "seedmeta"), (s, "epsilons"), (kp, "provenence"), (frame, "z")):
+    for record, misspelt in ((a, "seedmeta"), (s, "epsilons"), (kp, "provenence")):
         with pytest.raises(AttributeError):
             setattr(record, misspelt, None)
-    records = (ConstructionFrame, EmbeddedSeed, KLine, KPoint, KakeyaSet, SeedPoint, PlanarSeed, SeedReport, VerifyReport)
+    records = (KLine, KPoint, KakeyaSet, SeedPoint, PlanarSeed, SeedReport, VerifyReport)
     assert all(cls.__dictoffset__ == 0 for cls in (*records, BoundReport, Certificate))  # no instance __dict__

@@ -67,3 +67,30 @@ def test_a_traced_certify_passes_its_rows_to_the_hooks():
     assert (stats["linalg.rref.max_rows"], stats["linalg.rref.max_cols"]) == (90, 55)
     assert [stats[f"polymethod.vanishing_space.{k}"] for k in ("rows", "cols", "nullity")] == [90, 55, 0]
     assert tracer.summary()["polymethod.vanishing_space"]["calls"] == 1
+
+
+def test_the_traced_lift_records_calls_over_both_field_kinds():
+    # the tracer wraps the Lifting methods it finds on the class: a lift split per field kind
+    # would leave one workload's Lifting layers at zero calls
+    sys.path.insert(0, BENCH)
+    try:
+        import layers
+        from spans import Tracer
+
+        from kakeya import assemble, dual_conic_seed, regular_ngon_seed
+
+        for module, _ in layers.TRACED:
+            importlib.import_module(module)
+        counts = {}
+        for name, seed in (("conic", dual_conic_seed(5)), ("ngon", regular_ngon_seed(9))):
+            tracer = Tracer()
+            try:
+                layers.install_tracer(tracer)
+                assemble(seed, 3)
+            finally:
+                tracer.uninstall()
+            summary = tracer.summary()
+            counts[name] = [summary.get(f"construction.Lifting.{m}", {}).get("calls", 0) for m in ("line", "direction", "intersection")]
+    finally:
+        sys.path.remove(BENCH)
+    assert counts == {"conic": [20, 20, 10], "ngon": [72, 72, 108]}
