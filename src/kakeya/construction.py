@@ -326,7 +326,8 @@ def assemble(seed: PlanarSeed, n: int, audit: bool = False) -> KakeyaSet:
             if registry.add(z):
                 points.append(KPoint(z, {"kind": "lifted", "J": list(J), "Jbar": list(Jbar), "m": m_idx}))
 
-    # one line through the affine origin per grid cell with repeats
+    # one line through the affine origin per grid cell with repeats, built from its reduced basis as it
+    # stands: the direction has its leading 1 at column 0 and a 0 at column n, the origin is e_n
     origin = ProjPoint(fld, [fld.zero] * n + [fld.one])
     completion_cells = [
         cell
@@ -335,10 +336,8 @@ def assemble(seed: PlanarSeed, n: int, audit: bool = False) -> KakeyaSet:
     ]
     completion_start = len(lines)
     for cell in completion_cells:
-        values = [slopes[i] for i in cell]
-        direction = direction_from_grid_values(fld, n, values)
-        line = span(origin, direction)
-        lines.append(KLine(line, direction))
+        direction = direction_from_grid_values(fld, n, [slopes[i] for i in cell])
+        lines.append(KLine(Subspace(fld, n, (direction.coords, origin.coords), (0, n)), direction))
 
     # pad every line to N points by walking integer steps along it
     for idx, kline in enumerate(lines):

@@ -30,9 +30,9 @@ from operator import add, ge, sub
 
 from .errors import HypothesisViolation, UnsupportedField
 from .linalg import nullspace
-from .projgeom import PointSet, affine_coords, incidence
+from .projgeom import PointSet, affine_coords
 from .scalar import Field
-from .verify import _approx, _bound_hypothesis, _direction_faults, _grid_ratio, _recovered_cells
+from .verify import Tally, _approx, _bound_hypothesis, _direction_faults, _grid_ratio
 
 
 def exponent_tuples(nvars: int, total: int) -> list[tuple[int, ...]]:
@@ -95,20 +95,6 @@ class Poly:
         if set(self.terms) != set(other.terms):
             return False
         return all(self.field.eq(other.terms[e], c) for e, c in self.terms.items())
-
-    def __repr__(self):
-        if self.is_zero:
-            return "Poly(0)"
-        bits = []
-        for e in sorted(self.terms, key=lambda t: (sum(t), t)):
-            mono = "*".join(
-                f"X{i}" if k == 1 else f"X{i}^{k}"
-                for i, k in enumerate(e)
-                if k
-            )
-            c = self.field.to_str(self.terms[e])
-            bits.append(f"{c}*{mono}" if mono else c)
-        return "Poly(" + " + ".join(bits) + ")"
 
     def evaluate(self, point):
         """Value at an affine point given by nvars field values."""
@@ -336,12 +322,11 @@ def certify(K, r: int) -> Certificate:
     n, N = K.n, K.N
     if fault := next(_direction_faults(K), None):
         raise HypothesisViolation(fault)
-    points = [kp.point for kp in K.points]
-    inc = incidence(fld, [kline.line for kline in K.lines], points)
-    if fault := next(_bound_hypothesis(K, inc, _recovered_cells(K)), None):
+    t = Tally(K)
+    if fault := next(_bound_hypothesis(K, t), None):
         raise HypothesisViolation(fault)
 
-    affine_points = [affine_coords(p) for i, p in enumerate(points) if inc[0][i] == i]
+    affine_points = [affine_coords(kp.point) for i, kp in enumerate(K.points) if t.first[i] == i]
     size = len(affine_points)
     deg_bound = r * N - 1
     mult = 2 * r - 1

@@ -349,31 +349,25 @@ def points_on(line: Subspace, points) -> list[int]:
     return [i for i, p in enumerate(points) if line.contains(p)]
 
 
-def incidence(field: Field, lines, points) -> tuple[list[int], list[list[int]]]:
-    """Which distinct points lie on which line, as the pair (first, on).
+def incidence(field: Field, lines, points) -> tuple[list[int], list[list[int]], list[int]]:
+    """Which distinct points lie on which line, as (first, on, counts).
 
     first[i] is the position of the first point equal to point i, so the
     distinct points are the i with first[i] == i; on[l] lists, ascending,
-    the positions of the points on lines[l], repeated points included.
+    the positions of the points on lines[l], repeated points included;
+    counts[l] is the number of distinct points on lines[l].
     Each line is matched once by PointSet.on, whose labels are on[l] itself unless some point repeats.
     """
     seen = PointSet(field)
     first = [seen.setdefault(p, i) for i, p in enumerate(points)]
+    labels = [seen.on(line) for line in lines]
+    counts = list(map(len, labels))
     if len(seen) == len(first):
-        return first, [seen.on(line) for line in lines]
+        return first, labels, counts
     copies: dict[int, list[int]] = {}
     for i, f in enumerate(first):
         copies.setdefault(f, []).append(i)
-    return first, [sorted(i for f in seen.on(line) for i in copies[f]) for line in lines]
-
-
-def distinct_counts(inc) -> tuple[int, list[int]]:
-    """|S| and each line's number of distinct points from incidence's (first, on): its list's length when no point repeats."""
-    first, on = inc
-    size = sum(f == i for i, f in enumerate(first))
-    if size == len(first):
-        return size, list(map(len, on))
-    return size, [sum(first[i] == i for i in on_line) for on_line in on]
+    return first, [sorted(i for f in on_line for i in copies[f]) for on_line in labels], counts
 
 
 def _check_pair(a, b):

@@ -25,7 +25,7 @@ from collections import Counter
 from fractions import Fraction
 
 from .errors import DegenerateSeed, MalformedFile, UnsupportedField, need, positive, records
-from .projgeom import PointSet, ProjPoint, Subspace, at_infinity, distinct_counts, incidence, infinite_point, meet
+from .projgeom import PointSet, ProjPoint, Subspace, at_infinity, incidence, infinite_point, meet
 from .scalar import DEFAULT_REAL_TOLERANCE, Field, PrimeField, RationalField, RealField, field_from_json
 
 
@@ -326,9 +326,8 @@ def seed_report(seed: PlanarSeed) -> SeedReport:
     if len(seed.m_lines) != seed.N:
         problems.append(f"expected {seed.N} measuring lines, found {len(seed.m_lines)}")
 
-    first, on = incidence(fld, seed.lines, [sp.point for sp in seed.points])
+    first, _, counts = incidence(fld, seed.lines, [sp.point for sp in seed.points])
     problems.extend(f"points {f} and {i} coincide" for i, f in enumerate(first) if f != i)
-    counts = distinct_counts((first, on))[1]
     for i, c in enumerate(counts):
         if c < seed.N:
             problems.append(f"line {i} holds only {c} distinct points, needs {seed.N}")

@@ -5,11 +5,13 @@ coordinates: stored directions are compared against the actual
 intersection of each line with the hyperplane at infinity (over F_p and
 Q read off the line's own basis, not the builders' `infinite_point`),
 grid membership is recomputed through the published change of basis,
-and point counts come from the file's own point coordinates.  Which
-distinct points lie on which line is worked out once, by
-`projgeom.incidence`, from an index built here over the stored points.
-The incidence, size and bound checks take that (first, on) table as inc,
-the directions, size and bound checks the lines' grid cells as cells.
+and point counts come from the file's own point coordinates.  A Tally t,
+built once per verify_all or certify call, measures what the checks read:
+one `projgeom.incidence` pass over an index of the stored points, |S|, the
+lines' grid cells and the cells they cover, and the lifted lines and points.
+The checks are verify_incidence/directions/size(K, t, verbose) and
+verify_bound_consistency(K, t, r, verbose); _bound_hypothesis(K, t) owns the
+grid bound's hypothesis.
 Provenance labels are consulted only to classify points for the
 reported construction claims (how many points a line acquired before
 padding); they never shortcut a geometric test.
@@ -26,7 +28,7 @@ from fractions import Fraction
 from math import comb, perm
 
 from .construction import KakeyaSet, grid_values_from_direction
-from .projgeom import PointSet, ProjPoint, at_infinity, distinct_counts, incidence, meet
+from .projgeom import PointSet, ProjPoint, at_infinity, incidence, meet
 
 WITNESS_LIMIT = 10
 
@@ -82,16 +84,26 @@ def _recovered_cells(K: KakeyaSet):
     return cells
 
 
-def _grid_coverage(K: KakeyaSet, cells) -> tuple[int, int]:
-    """Number of grid cells hit by the recovered cells, and the N^(n-1) cells of the grid."""
-    return len({c for c in cells if c is not None}), K.N ** (K.n - 1)
+class Tally:
+    """What the checks read of K, measured once; built fresh per call, as K may change between calls.
+
+    first, on and counts are incidence's, size is |S|, cells the lines' recovered grid cells and covered
+    the number of grid cells they hit; lifted_lines flags each line whose cell has pairwise distinct
+    coordinates, lifted each point labelled lifted.
+    """
+
+    __slots__ = ("first", "on", "counts", "size", "cells", "covered", "lifted_lines", "lifted")
+
+    def __init__(self, K: KakeyaSet):
+        self.first, self.on, self.counts = incidence(K.field, [kl.line for kl in K.lines], [kp.point for kp in K.points])
+        self.size = sum(f == i for i, f in enumerate(self.first))
+        self.cells = _recovered_cells(K)
+        self.covered = len({c for c in self.cells if c is not None})
+        self.lifted_lines = [c is not None and len(set(c)) == len(c) for c in self.cells]
+        self.lifted = [kp.provenance.get("kind") == "lifted" for kp in K.points]
 
 
-def _lifted_point_flags(K: KakeyaSet) -> list[bool]:
-    return [kp.provenance.get("kind") == "lifted" for kp in K.points]
-
-
-def verify_incidence(K: KakeyaSet, inc, verbose: bool = False) -> VerifyReport:
+def verify_incidence(K: KakeyaSet, t: Tally, verbose: bool = False) -> VerifyReport:
     """Every point must be affine and every line must carry at least N distinct points.
 
     A point listed twice on a line is a witness and counts once.  Also
@@ -100,22 +112,20 @@ def verify_incidence(K: KakeyaSet, inc, verbose: bool = False) -> VerifyReport:
     are present: a line's lifted points are its distinct points whose
     first entry is labelled lifted.
     """
-    first, on = inc
-    size, counts = distinct_counts(inc)
-    lifted_flags = _lifted_point_flags(K)
-    have_lifted = any(lifted_flags)
+    first, counts = t.first, t.counts
+    have_lifted = any(t.lifted)
     lifted_counts = []
     points = [kp.point for kp in K.points]
     witnesses = [
         f"point {i} lies at infinity" for i, p in enumerate(points) if K.field.is_zero(p.coords[-1])
     ]
-    for idx, (on_line, total) in enumerate(zip(on, counts)):
-        if size < len(first):
+    for idx, (on_line, total) in enumerate(zip(t.on, counts)):
+        if t.size < len(first):
             witnesses.extend(f"points {first[i]} and {i} on line {idx} coincide" for i in on_line if first[i] != i)
         if total < K.N:
             witnesses.append(f"line {idx} carries {total} points, needs {K.N}")
         if have_lifted:
-            lifted = sum(1 for i in on_line if lifted_flags[i] and first[i] == i)
+            lifted = sum(1 for i in on_line if t.lifted[i] and first[i] == i)
             lifted_counts.append(lifted)
             if lifted > K.N:
                 witnesses.append(f"line {idx} carries {lifted} lifted points, claim allows {K.N}")
@@ -150,7 +160,7 @@ def _direction_faults(K: KakeyaSet):
             yield f"line {idx} stores a direction it does not have"
 
 
-def verify_directions(K: KakeyaSet, cells, verbose: bool = False) -> VerifyReport:
+def verify_directions(K: KakeyaSet, t: Tally, verbose: bool = False) -> VerifyReport:
     """Directions must be distinct, honest, inside the grid, and cover it.
 
     Honest means each stored direction equals the actual meet of its
@@ -166,17 +176,15 @@ def verify_directions(K: KakeyaSet, cells, verbose: bool = False) -> VerifyRepor
         if first != idx:
             witnesses.append(f"lines {first} and {idx} share a direction")
 
-    for idx, cell in enumerate(cells):
+    for idx, cell in enumerate(t.cells):
         if cell is None:
             witnesses.append(f"direction of line {idx} lies outside the grid")
 
-    covered, expected_cells = _grid_coverage(K, cells)
-    if covered < expected_cells:
-        witnesses.append(f"grid covers {covered} of {expected_cells} cells")
+    expected_cells = K.N ** (n - 1)
+    if t.covered < expected_cells:
+        witnesses.append(f"grid covers {t.covered} of {expected_cells} cells")
 
-    distinct_tuple_lines = sum(
-        1 for c in cells if c is not None and len(set(c)) == len(c)
-    )
+    distinct_tuple_lines = sum(t.lifted_lines)
     expected_lifted = perm(K.N, n - 1)
     if distinct_tuple_lines != expected_lifted:
         witnesses.append(
@@ -187,14 +195,14 @@ def verify_directions(K: KakeyaSet, cells, verbose: bool = False) -> VerifyRepor
     measured = {
         "directions": len(K.lines),
         "grid_cells": expected_cells,
-        "covered_cells": covered,
+        "covered_cells": t.covered,
         "distinct_coordinate_lines": distinct_tuple_lines,
         "expected_distinct_coordinate_lines": expected_lifted,
     }
     return _finish("directions", witnesses, measured, verbose)
 
 
-def verify_size(K: KakeyaSet, inc, cells, verbose: bool = False) -> VerifyReport:
+def verify_size(K: KakeyaSet, t: Tally, verbose: bool = False) -> VerifyReport:
     """Size accounting: leading term, measured constant, lifted-point counts.
 
     |S| counts distinct points, and every repeated entry is a witness.
@@ -204,10 +212,8 @@ def verify_size(K: KakeyaSet, inc, cells, verbose: bool = False) -> VerifyReport
     measuring lines of falling products (N/2 - eps_i)...(N/2 - eps_i - n + 2),
     and each lifted point must lie on exactly 2^(n-1) lifted lines.
     """
-    n, N = K.n, K.N
-    first, on = inc
-    size = distinct_counts(inc)[0]
-    witnesses = [f"points {f} and {i} coincide" for i, f in enumerate(first) if f != i]
+    n, N, size = K.n, K.N, t.size
+    witnesses = [f"points {f} and {i} coincide" for i, f in enumerate(t.first) if f != i]
     leading = Fraction(2) * Fraction(N, 2) ** n
     c_measured = Fraction(size - leading) / Fraction(N) ** (n - 1)
     measured = {
@@ -218,8 +224,7 @@ def verify_size(K: KakeyaSet, inc, cells, verbose: bool = False) -> VerifyReport
         "c_measured_approx": _approx("c_measured", c_measured),
     }
 
-    lifted_flags = _lifted_point_flags(K)
-    lifted_total = sum(lifted_flags)
+    lifted_total = sum(t.lifted)
     measured["lifted_points"] = lifted_total
     if lifted_total:
         epsilon_raw = K.seed_meta.get("epsilon")
@@ -238,13 +243,13 @@ def verify_size(K: KakeyaSet, inc, cells, verbose: bool = False) -> VerifyReport
                 )
 
         on_lines = [0] * len(K.points)
-        for cell, on_line in zip(cells, on):
-            if cell is not None and len(set(cell)) == len(cell):
+        for is_lifted, on_line in zip(t.lifted_lines, t.on):
+            if is_lifted:
                 for i in on_line:
                     on_lines[i] += 1
         want = 2 ** (n - 1)
         bad = 0
-        for idx, is_lifted in enumerate(lifted_flags):
+        for idx, is_lifted in enumerate(t.lifted):
             if is_lifted and on_lines[idx] != want:
                 bad += 1
                 witnesses.append(
@@ -254,29 +259,26 @@ def verify_size(K: KakeyaSet, inc, cells, verbose: bool = False) -> VerifyReport
     return _finish("size", witnesses, measured, verbose)
 
 
-def _bound_hypothesis(K: KakeyaSet, inc, cells):
+def _bound_hypothesis(K: KakeyaSet, t: Tally):
     """Yield a witness for each miss of the grid bound's hypothesis: an uncovered grid, then each line short of N points."""
-    covered, grid_cells = _grid_coverage(K, cells)
-    if covered < grid_cells:
-        yield f"grid covers {covered} of {grid_cells} cells"
-    for idx, count in enumerate(distinct_counts(inc)[1]):
+    if t.covered < (grid_cells := K.N ** (K.n - 1)):
+        yield f"grid covers {t.covered} of {grid_cells} cells"
+    for idx, count in enumerate(t.counts):
         if count < K.N:
             yield f"line {idx} carries {count} distinct points, needs at least {K.N}"
 
 
-def verify_bound_consistency(K: KakeyaSet, inc, cells, r: int, verbose: bool = False) -> VerifyReport:
+def verify_bound_consistency(K: KakeyaSet, t: Tally, r: int, verbose: bool = False) -> VerifyReport:
     """The grid bound must hold for the number of distinct points at the given r.
 
     A family outside the bound's hypothesis fails with every _bound_hypothesis witness, the bound not evaluated.
     """
     if r < 1:
         raise ValueError("r must be at least 1")
-    size = distinct_counts(inc)[0]
-    if witnesses := list(_bound_hypothesis(K, inc, cells)):
-        covered, grid_cells = _grid_coverage(K, cells)
-        measured = {"r": r, "size": size, "covered_cells": covered, "grid_cells": grid_cells}
+    n, N, size = K.n, K.N, t.size
+    if witnesses := list(_bound_hypothesis(K, t)):
+        measured = {"r": r, "size": size, "covered_cells": t.covered, "grid_cells": N ** (n - 1)}
         return _finish("bound_consistency", witnesses, measured, verbose)
-    n, N = K.n, K.N
     lhs = comb(2 * r + n - 2, n) * size
     rhs = comb(r * N + n - 1, n)
     witnesses = []
@@ -295,14 +297,9 @@ def verify_bound_consistency(K: KakeyaSet, inc, cells, r: int, verbose: bool = F
 
 
 def verify_all(K: KakeyaSet, r: int | None = None, verbose: bool = False) -> list[VerifyReport]:
-    """Run every check on one incidence table and one list of grid cells; bound consistency only when r is given."""
-    inc = incidence(K.field, [kl.line for kl in K.lines], [kp.point for kp in K.points])
-    cells = _recovered_cells(K)
-    reports = [
-        verify_incidence(K, inc, verbose),
-        verify_directions(K, cells, verbose),
-        verify_size(K, inc, cells, verbose),
-    ]
+    """Run every check on one Tally of K; bound consistency only when r is given."""
+    t = Tally(K)
+    reports = [verify_incidence(K, t, verbose), verify_directions(K, t, verbose), verify_size(K, t, verbose)]
     if r is not None:
-        reports.append(verify_bound_consistency(K, inc, cells, r, verbose))
+        reports.append(verify_bound_consistency(K, t, r, verbose))
     return reports

@@ -30,11 +30,11 @@ from kakeya.polymethod import (
     top_part,
     vanishing_space,
 )
-from kakeya.projgeom import ProjPoint, affine_coords, incidence, meet, span
+from kakeya.projgeom import ProjPoint, affine_coords, meet, span
 from kakeya.scalar import PrimeField, RationalField
 from kakeya.seeds import dual_conic_seed, regular_ngon_seed, seed_report
 from kakeya.verify import (
-    _recovered_cells,
+    Tally,
     verify_all,
     verify_bound_consistency,
     verify_directions,
@@ -340,12 +340,8 @@ def test_criterion_7_real_ngon_seeds(announce):
     assembly_ok = True
     for N in (8, 9):
         K = assemble(regular_ngon_seed(N), 3)
-        inc = incidence(K.field, [kl.line for kl in K.lines], [kp.point for kp in K.points])
-        assembly_ok = (
-            assembly_ok
-            and verify_incidence(K, inc).verdict == "pass"
-            and verify_directions(K, _recovered_cells(K)).verdict == "pass"
-        )
+        t = Tally(K)
+        assembly_ok = assembly_ok and verify_incidence(K, t).verdict == "pass" and verify_directions(K, t).verdict == "pass"
     assert assembly_ok
 
     elapsed = time.monotonic() - start
@@ -354,9 +350,8 @@ def test_criterion_7_real_ngon_seeds(announce):
 
 def test_criterion_8_bound_consistency(conic7, announce):
     start = time.monotonic()
-    inc = incidence(conic7.field, [kl.line for kl in conic7.lines], [kp.point for kp in conic7.points])
-    cells = _recovered_cells(conic7)
-    verdicts = [verify_bound_consistency(conic7, inc, cells, r).verdict for r in (1, 2, 3)]
+    t = Tally(conic7)
+    verdicts = [verify_bound_consistency(conic7, t, r).verdict for r in (1, 2, 3)]
     ok = verdicts == ["pass"] * 3
     elapsed = time.monotonic() - start
     announce(8, ok, f"r=1,2,3 on the exact construction, {elapsed:.2f}s")

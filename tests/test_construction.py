@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 from functools import cache, partial
 from itertools import combinations, permutations, product
+from math import perm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -563,6 +564,27 @@ def test_real_step_is_bitwise_the_meet_of_its_spans(N, n):
         want = _hex(out if isinstance(a, Subspace) else ProjPoint(out.field, out.basis[0]))
         assert _hex(get(*key)) == want
         assert _hex(lift._step(key[0], a, b)) == want
+
+
+@pytest.mark.parametrize(
+    "make, n",
+    [(lambda: dual_conic_seed(5), 3), (lambda: dual_conic_seed(7), 4), (lambda: _rational_seed(5), 3),
+     (lambda: _rational_seed(7), 4), (lambda: regular_ngon_seed(9), 3), (lambda: regular_ngon_seed(6), 4)],
+    ids=["F_5 n=3", "F_7 n=4", "Q q=5 n=3", "Q q=7 n=4", "reals N=9 n=3", "reals N=6 n=4"],
+)
+def test_completion_lines_are_the_span_of_origin_and_direction(make, n):
+    # assemble builds each completion line from (direction, origin) as a reduced basis with pivots (0, n);
+    # it must be span(origin, direction), value types included, and bit for bit over the reals
+    K = assemble(make(), n)
+    fld = K.field
+    origin = ProjPoint(fld, [fld.zero] * n + [fld.one])
+    bits = _hex if not fld.exact else lambda flat: [(type(x), x) for row in flat.basis for x in row]
+    completion = K.lines[perm(K.N, n - 1):]
+    assert len(completion) == K.N ** (n - 1) - perm(K.N, n - 1)
+    for kl in completion:
+        want = span(origin, kl.direction)
+        assert (kl.line.basis, kl.line.pivots) == (want.basis, want.pivots) == ((kl.direction.coords, origin.coords), (0, n))
+        assert bits(kl.line) == bits(want)
 
 
 def test_real_assemble_spans_no_pair_twice(monkeypatch):

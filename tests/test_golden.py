@@ -14,20 +14,25 @@ q=7 n=2 r=3, 530x220 at q=5 n=3 r=2 and 1350x560 at q=7 n=3 r=2, which
 byte-check the packed F_p kernel and the constraint rows at size).
 RATIONAL pins the lifted file of the conic seed read over Q (q=5 at
 n=3, q=7 at n=4), as save_kakeya writes it for construct, which
-byte-checks the closed-form lift and the record writer over Q.
+byte-checks the closed-form lift and the record writer over Q.  FAILING
+pins the stdout of `verify --r 1` on three files that fail, which
+byte-checks the witnesses and the measured counts of the failure paths.
 """
 
 import hashlib
 import json
 import os
+import sys
 
 import pytest
 
+import kakeya
 from kakeya.cli import main
 from kakeya.construction import assemble, save_kakeya
 from test_construction import _rational_seed
 
-GOLDEN = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "golden.json")
+BENCH = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
+GOLDEN = os.path.join(BENCH, "golden.json")
 CONSTRUCTS = {
     "construct conic q=5 n=2": ["--seed", "conic", "--q", "5", "--dim", "2"],
     "construct conic q=5 n=3": ["--seed", "conic", "--q", "5", "--dim", "3"],
@@ -58,6 +63,14 @@ RATIONAL = {
     (5, 3): "5aad6065ec5efa8758de29dbd1abecbd1c8fb6079e5a16d2f985aa802d41a942",
     (7, 4): "3c95847609bbcd2684454e633592ac40b3251e381210e07309ce8f092fed2c07",
 }
+# the stdout of `verify --r 1` on files that fail: the bench's moved-point and duplicate-point
+# controls (conic q=5 n=3, seed 1), and conic q=5 n=3 without its last (completion) line and
+# its first padding point, outside the bound's hypothesis on both counts
+FAILING = {
+    "moved": "6910ac269b9e2c63c22ed5e9cbd15a40801d3c3978afcb82ebc699c0ef0a0810",
+    "duplicate": "8ff169975451c1baad0fa46edce3eaa3cc2193d9a1f6205abbf1e37681a179b3",
+    "outside the hypothesis": "866df00c365892a68c24aca588883fc6bfaec9cc34292e4752bbf15d7cce9c42",
+}
 CERTIFIES = [(5, 2, 1), (5, 2, 2), (5, 3, 1), (7, 2, 1), (7, 2, 2), (7, 2, 3), (5, 3, 2), (7, 3, 2)]
 BOUNDS = [(7, 3), (13, 3), (7, 4), (16, 4)]
 
@@ -87,6 +100,29 @@ def test_verify_stdout_matches_golden(name, golden, tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", str(path), "--r", "1"]) == 0
     assert _sha(capsys.readouterr().out.encode()) == golden[f"verify r=1 {name}"]
+
+
+def _failing_file(name, work) -> str:
+    if name != "outside the hypothesis":
+        sys.path.insert(0, BENCH)
+        try:
+            import workloads
+        finally:
+            sys.path.remove(BENCH)
+        workloads._tamper(kakeya, str(work), 1)
+        return str(work / f"{name}.json")
+    path = work / "k.json"
+    K = assemble(kakeya.dual_conic_seed(5), 3)
+    del K.lines[-1]
+    del K.points[next(i for i, kp in enumerate(K.points) if kp.provenance["kind"] == "padding")]
+    save_kakeya(K, str(path))
+    return str(path)
+
+
+@pytest.mark.parametrize("name", sorted(FAILING))
+def test_verify_stdout_of_a_failing_file_matches_pin(name, tmp_path, capsys):
+    assert main(["verify", _failing_file(name, tmp_path), "--r", "1"]) == 1
+    assert _sha(capsys.readouterr().out.encode()) == FAILING[name]
 
 
 @pytest.mark.parametrize("q,n,r", CERTIFIES)

@@ -19,10 +19,10 @@ from hypothesis import strategies as st
 
 from kakeya.cli import main
 from kakeya.construction import KakeyaSet, assemble, kakeya_from_json, kakeya_to_json
-from kakeya.projgeom import PointSet, ProjPoint, Subspace, _real_key, distinct_counts, incidence, points_on, span
+from kakeya.projgeom import PointSet, ProjPoint, Subspace, _real_key, incidence, points_on, span
 from kakeya.scalar import PrimeField, RationalField, RealField
 from kakeya.seeds import dual_conic_seed, regular_ngon_seed, seed_from_json, seed_to_json
-from kakeya.verify import verify_all
+from kakeya.verify import Tally, verify_all
 
 
 def _brute(lines, points):
@@ -30,8 +30,9 @@ def _brute(lines, points):
 
 
 def _check(field, lines, points):
-    first, on = incidence(field, lines, points)
+    first, on, counts = incidence(field, lines, points)
     assert on == _brute(lines, points)
+    assert counts == [len({first[i] for i in on_line}) for on_line in on]
     assert first == [next(j for j, q in enumerate(points) if q == p) for p in points]
     return on
 
@@ -203,8 +204,8 @@ def test_incidence_is_the_scan_expanded_by_copies(kind, repeat):
     distinct = [i for i, f in enumerate(first) if f == i]
     copies = {f: [i for i, g in enumerate(first) if g == f] for f in distinct}
     scan = [sorted(i for d in points_on(line, [points[f] for f in distinct]) for i in copies[distinct[d]]) for line in lines]
-    assert incidence(K.field, lines, points) == (first, scan)
-    assert distinct_counts((first, scan)) == (len(distinct), [len({first[i] for i in s}) for s in scan])
+    assert incidence(K.field, lines, points) == (first, scan, [len({first[i] for i in s}) for s in scan])
+    assert Tally(K).size == len(distinct)
     assert (len(distinct) < len(points)) is repeat
     if repeat:
         assert drop in scan[full] and keep in scan[full] and len(scan[full]) == K.N
@@ -323,7 +324,7 @@ def test_real_verify_confirms_only_the_points_it_finds(N, monkeypatch):
     monkeypatch.setattr(Subspace, "contains", counted)
     assert [rep.verdict for rep in verify_all(K, r=1)] == ["pass"] * 4
     monkeypatch.undo()
-    _, on = incidence(K.field, *_parts(K))
+    _, on, _ = incidence(K.field, *_parts(K))
     assert calls[0] < 2 * sum(map(len, on))
 
 

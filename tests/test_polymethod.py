@@ -418,6 +418,15 @@ def test_bound_best_stops_at_first_drop():
     assert rep.limit == 4096
 
 
+def test_bounds_accept_every_argument_at_one():
+    # 1 is the smallest accepted N, n, r and r_max
+    rep = bound_grid(1, 1, 1)
+    assert (rep.bound, rep.limit) == (1, Fraction(1, 2))
+    rep = bound_best(5, 3, r_max=1)
+    assert (rep.best_r, rep.r_max, rep.bound) == (1, 1, 35)
+    assert bound_best(1, 1, r_max=1).bound == 1
+
+
 def test_bound_reports_serialize():
     doc = bound_grid(7, 3, 1).to_json()
     assert doc["bound"] == "84"

@@ -94,3 +94,28 @@ def test_the_traced_lift_records_calls_over_both_field_kinds():
     finally:
         sys.path.remove(BENCH)
     assert counts == {"conic": [20, 20, 10], "ngon": [72, 72, 108]}
+
+
+def test_a_traced_verify_all_records_one_call_of_each_check():
+    # the checks take their Tally as an argument that the wrappers pass through; each runs once per verify_all
+    sys.path.insert(0, BENCH)
+    try:
+        import layers
+        from spans import Tracer
+
+        from kakeya import assemble, dual_conic_seed, verify
+
+        K = assemble(dual_conic_seed(5), 3)
+        tracer = Tracer()
+        try:
+            layers.install_tracer(tracer)
+            reports = verify.verify_all(K, r=1)
+        finally:
+            tracer.uninstall()
+    finally:
+        sys.path.remove(BENCH)
+    assert [rep.verdict for rep in reports] == ["pass"] * 4
+    summary = tracer.summary()
+    checks = ("incidence", "directions", "size", "bound_consistency")
+    assert [summary[f"verify.verify_{c}"]["calls"] for c in checks] == [1, 1, 1, 1]
+    assert summary["verify.verify_all"]["calls"] == 1

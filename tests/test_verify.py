@@ -8,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kakeya import verify
+from kakeya.cli import main
 from kakeya.errors import HypothesisViolation
 from kakeya.construction import KakeyaSet, KLine, KPoint, assemble, direction_from_grid_values, load_kakeya, save_kakeya
 from kakeya.polymethod import certify
-from kakeya.projgeom import PointSet, ProjPoint, Subspace, affine_coords, incidence, point_from_affine, span
+from kakeya.projgeom import PointSet, ProjPoint, Subspace, affine_coords, point_from_affine, span
 from kakeya.seeds import dual_conic_seed, line_walk_start, regular_ngon_seed, seed_from_json, seed_to_json, walk_point
 from kakeya.verify import (
+    Tally,
     _recovered_cells,
     verify_all,
     verify_bound_consistency,
@@ -28,18 +30,13 @@ def conic5():
     return assemble(dual_conic_seed(5), 3)
 
 
-def _inc(K):
-    """The incidence table verify_all builds for K."""
-    return incidence(K.field, [kl.line for kl in K.lines], [kp.point for kp in K.points])
-
-
 def test_constructed_set_passes_everything(conic5):
     for rep in verify_all(conic5, r=2):
         assert rep.verdict == "pass", (rep.check, rep.witnesses)
 
 
 def test_incidence_reports_counts(conic5):
-    rep = verify_incidence(conic5, _inc(conic5))
+    rep = verify_incidence(conic5, Tally(conic5))
     assert rep.measured["lines"] == 25
     assert rep.measured["min_count"] >= 5
     assert rep.measured["max_lifted_on_line"] <= 5
@@ -55,7 +52,7 @@ def test_incidence_fails_when_point_removed(conic5):
         conic5.points[:-1],
         conic5.seed_meta,
     )
-    rep = verify_incidence(K, _inc(K))
+    rep = verify_incidence(K, Tally(K))
     assert rep.verdict == "fail"
     assert any("carries" in w for w in rep.witnesses)
 
@@ -67,7 +64,7 @@ def test_incidence_counts_distinct_points(conic5):
     points = list(conic5.points)
     points[41] = points[20]
     K = KakeyaSet(conic5.field, 3, 5, conic5.grid, conic5.lines, points, conic5.seed_meta)
-    rep = verify_incidence(K, _inc(K))
+    rep = verify_incidence(K, Tally(K))
     assert rep.verdict == "fail"
     assert "points 20 and 41 on line 20 coincide" in rep.witnesses
     assert "line 20 carries 4 points, needs 5" in rep.witnesses
@@ -105,7 +102,7 @@ def test_incidence_flags_more_lifted_points_than_the_claim_allows(tmp_path):
     extra = next(p for p in (walk_point(K.field, base, step, lam) for lam in range(K.N + len(K.points))) if stored.add(p))
     doc["points"].append({"coords": extra.to_json(), "provenance": doc["points"][on_line[0]]["provenance"]})
     K = _reload(doc, tmp_path)
-    rep = verify_incidence(K, _inc(K))
+    rep = verify_incidence(K, Tally(K))
     assert rep.verdict == "fail"
     assert rep.witnesses == ["line 0 carries 6 lifted points, claim allows 5"]
     assert rep.measured["max_lifted_on_line"] == 6
@@ -117,7 +114,7 @@ def test_incidence_counts_a_repeated_lifted_point_once(conic5, tmp_path):
     doc, on_line = _relabel_line_0(conic5, tmp_path, conic5.N)
     doc["points"].append(doc["points"][on_line[0]])
     K = _reload(doc, tmp_path)
-    rep = verify_incidence(K, _inc(K))
+    rep = verify_incidence(K, Tally(K))
     assert rep.verdict == "fail"
     assert f"points {on_line[0]} and {len(conic5.points)} on line 0 coincide" in rep.witnesses
     assert not any("lifted" in w for w in rep.witnesses)
@@ -134,7 +131,7 @@ def test_directions_fail_on_tampered_direction(conic5):
         tampered = type(lines[0])(lines[0].line, direction_from_grid_values(fld, 3, [fld(1), fld(0)]))
     lines[0] = tampered
     K = KakeyaSet(fld, 3, 5, conic5.grid, lines, conic5.points, conic5.seed_meta)
-    rep = verify_directions(K, _recovered_cells(K))
+    rep = verify_directions(K, Tally(K))
     assert rep.verdict == "fail"
     assert any("stores a direction" in w for w in rep.witnesses)
 
@@ -143,7 +140,7 @@ def test_directions_fail_on_duplicate(conic5):
     lines = list(conic5.lines)
     lines[1] = lines[0]
     K = KakeyaSet(conic5.field, 3, 5, conic5.grid, lines, conic5.points, conic5.seed_meta)
-    rep = verify_directions(K, _recovered_cells(K))
+    rep = verify_directions(K, Tally(K))
     assert rep.verdict == "fail"
     assert any("share a direction" in w for w in rep.witnesses)
 
@@ -154,13 +151,13 @@ def test_directions_fail_off_grid(conic5):
     K = KakeyaSet(
         conic5.field, 3, 5, grid, conic5.lines, conic5.points, conic5.seed_meta
     )
-    rep = verify_directions(K, _recovered_cells(K))
+    rep = verify_directions(K, Tally(K))
     assert rep.verdict == "fail"
     assert any("outside the grid" in w for w in rep.witnesses)
 
 
 def test_size_report_measures_constant(conic5):
-    rep = verify_size(conic5, _inc(conic5), _recovered_cells(conic5))
+    rep = verify_size(conic5, Tally(conic5))
     assert rep.verdict == "pass"
     assert rep.measured["size"] == 53
     assert rep.measured["leading_term"] == "125/4"
@@ -171,14 +168,14 @@ def test_size_fails_on_wrong_epsilon(conic5):
     meta = dict(conic5.seed_meta)
     meta["epsilon"] = ["0"] * 5
     K = KakeyaSet(conic5.field, 3, 5, conic5.grid, conic5.lines, conic5.points, meta)
-    rep = verify_size(K, _inc(K), _recovered_cells(K))
+    rep = verify_size(K, Tally(K))
     assert rep.verdict == "fail"
     assert any("deficiency formula" in w for w in rep.witnesses)
 
 
 def test_size_passthrough_has_no_lifted_checks():
     K = assemble(dual_conic_seed(5), 2)
-    rep = verify_size(K, _inc(K), _recovered_cells(K))
+    rep = verify_size(K, Tally(K))
     assert rep.verdict == "pass"
     assert rep.measured["lifted_points"] == 0
     assert "lifted_expected" not in rep.measured
@@ -186,10 +183,10 @@ def test_size_passthrough_has_no_lifted_checks():
 
 def test_bound_consistency_exact_and_real(conic5):
     for r in (1, 2, 3):
-        assert verify_bound_consistency(conic5, _inc(conic5), _recovered_cells(conic5), r).verdict == "pass"
+        assert verify_bound_consistency(conic5, Tally(conic5), r).verdict == "pass"
     K = assemble(regular_ngon_seed(5), 3)
     for r in (1, 2, 3):
-        assert verify_bound_consistency(K, _inc(K), _recovered_cells(K), r).verdict == "pass"
+        assert verify_bound_consistency(K, Tally(K), r).verdict == "pass"
 
 
 def _with_points(K, points):
@@ -200,19 +197,19 @@ def test_size_counts_distinct_points(conic5):
     # 40 copies of a point on no line: |S| is 54 distinct points, not 93 entries
     extra = KPoint(point_from_affine(conic5.field, [1, 1, 1]), {"kind": "extra"})
     K = _with_points(conic5, list(conic5.points) + [extra] * 40)
-    rep = verify_size(K, _inc(K), _recovered_cells(K))
+    rep = verify_size(K, Tally(K))
     assert rep.verdict == "fail"
     assert rep.measured["size"] == 54
     assert "points 53 and 54 coincide" in rep.witnesses
-    assert len(verify_size(K, _inc(K), _recovered_cells(K), verbose=True).witnesses) == 39
-    assert verify_bound_consistency(K, _inc(K), _recovered_cells(K), 1).measured["size"] == 54
+    assert len(verify_size(K, Tally(K), verbose=True).witnesses) == 39
+    assert verify_bound_consistency(K, Tally(K), 1).measured["size"] == 54
     assert [r.verdict for r in verify_all(K, r=1)] == ["pass", "pass", "fail", "pass"]
 
 
 def test_incidence_rejects_a_point_at_infinity(conic5):
     at_infinity = KPoint(ProjPoint(conic5.field, [1, 0, 0, 0]), {"kind": "extra"})
     K = _with_points(conic5, list(conic5.points) + [at_infinity])
-    rep = verify_incidence(K, _inc(K))
+    rep = verify_incidence(K, Tally(K))
     assert rep.verdict == "fail"
     assert rep.witnesses == ["point 53 lies at infinity"]
 
@@ -223,7 +220,7 @@ def test_directions_name_a_flat_that_is_not_a_line(conic5):
     lines = list(conic5.lines)
     lines[3] = KLine(plane, line.direction)
     K = KakeyaSet(conic5.field, 3, 5, conic5.grid, lines, conic5.points, conic5.seed_meta)
-    rep = verify_directions(K, _recovered_cells(K))
+    rep = verify_directions(K, Tally(K))
     assert rep.verdict == "fail"
     assert rep.witnesses == ["line 3 is a flat of dimension 2, not a line"]
 
@@ -231,7 +228,7 @@ def test_directions_name_a_flat_that_is_not_a_line(conic5):
     lines = list(conic5.lines)
     lines[0] = KLine(span(lines[0].direction, lines[1].direction), lines[0].direction)
     K = KakeyaSet(conic5.field, 3, 5, conic5.grid, lines, conic5.points, conic5.seed_meta)
-    assert verify_directions(K, _recovered_cells(K)).witnesses == ["line 0 meets infinity in dimension 1"]
+    assert verify_directions(K, Tally(K)).witnesses == ["line 0 meets infinity in dimension 1"]
 
 
 def test_bound_consistency_fails_for_tiny_point_set(conic5):
@@ -244,7 +241,7 @@ def test_bound_consistency_fails_for_tiny_point_set(conic5):
         conic5.points[:1],
         conic5.seed_meta,
     )
-    rep = verify_bound_consistency(K, _inc(K), _recovered_cells(K), 1, verbose=True)
+    rep = verify_bound_consistency(K, Tally(K), 1, verbose=True)
     assert rep.verdict == "fail"
     # every line is short of N points, so the bound is not evaluated on a family outside its hypothesis
     assert "lhs" not in rep.measured
@@ -262,7 +259,7 @@ def test_bound_consistency_needs_full_grid(conic5):
         conic5.points,
         conic5.seed_meta,
     )
-    rep = verify_bound_consistency(K, _inc(K), _recovered_cells(K), 1)
+    rep = verify_bound_consistency(K, Tally(K), 1)
     assert rep.verdict == "fail"
     assert rep.witnesses == ["grid covers 24 of 25 cells"]
 
@@ -281,7 +278,7 @@ def test_bound_consistency_fails_a_line_short_of_n_points_as_certify_refuses_it(
     # though |S| = 52 would still meet the bound (52 >= 35)
     pad = next(i for i, kp in enumerate(conic5.points) if kp.provenance["kind"] == "padding")
     K = _with_points(conic5, conic5.points[:pad] + conic5.points[pad + 1 :])
-    rep = verify_bound_consistency(K, _inc(K), _recovered_cells(K), 1)
+    rep = verify_bound_consistency(K, Tally(K), 1)
     assert (rep.verdict, rep.witnesses[0]) == ("fail", "line 0 carries 4 distinct points, needs at least 5")
     assert rep.measured == {"r": 1, "size": 52, "covered_cells": 25, "grid_cells": 25}
     assert _certify_refusal(K) == rep.witnesses[0]
@@ -291,10 +288,10 @@ def test_certify_refuses_exactly_the_mutants_bound_consistency_fails(conic5):
     # certify raises HypothesisViolation(m) exactly when bound_consistency fails with first witness m:
     # on the family itself neither does, and each mutant drops a point, a line or the last (completion)
     # line, or copies a point over another on its line
-    assert verify_bound_consistency(conic5, _inc(conic5), _recovered_cells(conic5), 1).verdict == "pass"
+    assert verify_bound_consistency(conic5, Tally(conic5), 1).verdict == "pass"
     assert _certify_refusal(conic5) is None
     rng = random.Random(28)
-    on = _inc(conic5)[1]
+    on = Tally(conic5).on
     for trial in range(400):
         lines, points = list(conic5.lines), list(conic5.points)
         kind = trial % 4
@@ -308,7 +305,7 @@ def test_certify_refuses_exactly_the_mutants_bound_consistency_fails(conic5):
             i, j = rng.sample(rng.choice(on), 2)
             points[i] = points[j]
         K = KakeyaSet(conic5.field, conic5.n, conic5.N, conic5.grid, lines, points, conic5.seed_meta)
-        rep = verify_bound_consistency(K, _inc(K), _recovered_cells(K), 1)
+        rep = verify_bound_consistency(K, Tally(K), 1)
         assert rep.verdict == "fail"
         assert _certify_refusal(K) == rep.witnesses[0], (trial, rep.witnesses)
 
@@ -318,37 +315,67 @@ def test_witness_truncation(conic5):
     K = KakeyaSet(
         conic5.field, conic5.n, conic5.N, conic5.grid, conic5.lines, kept, conic5.seed_meta
     )
-    short = verify_incidence(K, _inc(K))
-    full = verify_incidence(K, _inc(K), verbose=True)
+    short = verify_incidence(K, Tally(K))
+    full = verify_incidence(K, Tally(K), verbose=True)
     assert len(short.witnesses) == 11
     assert "suppressed" in short.witnesses[-1]
     assert len(full.witnesses) == 25
 
 
+def test_witness_limit_suppresses_only_past_the_limit():
+    # exactly WITNESS_LIMIT witnesses are kept as they are; from WITNESS_LIMIT + 1 on the rest are suppressed
+    limit = verify.WITNESS_LIMIT
+    at = [f"w{i}" for i in range(limit)]
+    assert verify._finish("x", list(at), {}, False).witnesses == at
+    over = verify._finish("x", at + ["past"], {}, False)
+    assert (over.verdict, over.witnesses) == ("fail", at + ["... 1 more suppressed"])
+    assert verify._finish("x", at + ["past"], {}, True).witnesses == at + ["past"]
+
+
+@pytest.mark.parametrize("q, size", [(5, 15), (7, 28)])
+def test_verify_passes_a_plane_family_exactly_at_the_grid_bound(q, size, tmp_path, capsys):
+    # at n = 2 and r = 1 the bound is binomial(N + 1, 2), the conic family's own size: lhs == rhs passes
+    path = str(tmp_path / "k.json")
+    assert main(["construct", "--seed", "conic", "--q", str(q), "--dim", "2", "--out", path]) == 0
+    capsys.readouterr()
+    assert main(["verify", path, "--r", "1"]) == 0
+    bound = json.loads(capsys.readouterr().out)[3]
+    assert bound["verdict"] == "pass"
+    assert (bound["measured"]["lhs"], bound["measured"]["rhs"]) == (size, size)
+
+
 def test_real_assembly_passes_core_checks():
     K = assemble(regular_ngon_seed(5), 3)
-    assert verify_incidence(K, _inc(K)).verdict == "pass"
-    assert verify_directions(K, _recovered_cells(K)).verdict == "pass"
+    assert verify_incidence(K, Tally(K)).verdict == "pass"
+    assert verify_directions(K, Tally(K)).verdict == "pass"
 
 
 def test_verify_all_recovers_the_grid_cells_once(conic5, monkeypatch):
-    # the directions, size and bound checks share one list of cells and report what each gives on its own
-    inc, cells = _inc(conic5), _recovered_cells(conic5)
+    # the four checks share one Tally and report what each gives on its own; verify_all and certify
+    # each run one incidence pass and recover the grid cells once
+    t = Tally(conic5)
     alone = [
-        verify_incidence(conic5, inc),
-        verify_directions(conic5, cells),
-        verify_size(conic5, inc, cells),
-        verify_bound_consistency(conic5, inc, cells, 1),
+        verify_incidence(conic5, t),
+        verify_directions(conic5, t),
+        verify_size(conic5, t),
+        verify_bound_consistency(conic5, t, 1),
     ]
     calls = []
 
-    def counted(K):
-        calls.append(K)
-        return _recovered_cells(K)
+    def counted(name, f):
+        def wrapped(*args):
+            calls.append(name)
+            return f(*args)
 
-    monkeypatch.setattr(verify, "_recovered_cells", counted)
+        monkeypatch.setattr(verify, name, wrapped)
+
+    counted("incidence", verify.incidence)
+    counted("_recovered_cells", _recovered_cells)
     assert [rep.to_json() for rep in verify_all(conic5, r=1)] == [rep.to_json() for rep in alone]
-    assert calls == [conic5]
+    assert calls == ["incidence", "_recovered_cells"]
+    calls.clear()
+    assert certify(conic5, 1).verdict == "pass-vacuous"
+    assert calls == ["incidence", "_recovered_cells"]
 
 
 def _rational_conic(q, n):
@@ -423,7 +450,7 @@ def test_tampered_hypothesis_fails_verify(conic5, tamper, data):
     # distinct ones, or two lines storing each other's direction
     fld, n = conic5.field, conic5.n
     lines, points = list(conic5.lines), list(conic5.points)
-    on = _inc(conic5)[1]
+    on = Tally(conic5).on
     tight = data.draw(st.sampled_from([l for l, on_line in enumerate(on) if len(on_line) == conic5.N]))
     i = data.draw(st.sampled_from(on[tight]))
     if tamper == "drop":
