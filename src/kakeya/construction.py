@@ -81,18 +81,16 @@ def grid_values_from_direction(p: ProjPoint) -> list | None:
     Applies the unitriangular change of basis d_1 = v_1 and
     d_k = d_{k-1} + (-1)^{k+1} v_k to the normalized coordinates
     (1, v_1, ..., v_{n-1}, 0).  Returns None when the point is affine or
-    its first coordinate vanishes, in which case it lies in no grid.
+    its first coordinate vanishes, in which case it lies in no grid.  It
+    computes on raw values (mod p over F_p); the reals compare up to tol.
     """
-    fld, coords = p.field, p.coords
-    n = len(coords) - 1
-    if not fld.is_zero(coords[-1]):
-        return None
-    if not fld.eq(coords[0], fld.one):
+    fld, coords, m = p.field, p.coords, p.field.p
+    if (coords[-1] or coords[0] != 1) if fld.exact else not (fld.is_zero(coords[-1]) and fld.eq(coords[0], fld.one)):
         return None
     out = [coords[1]]
-    for k in range(2, n):
-        delta = coords[k] if k % 2 == 1 else fld.neg(coords[k])
-        out.append(fld.add(out[-1], delta))
+    for k in range(2, len(coords) - 1):
+        x = out[-1] + coords[k] if k % 2 == 1 else out[-1] - coords[k]
+        out.append(x % m if m else x)
     return out
 
 

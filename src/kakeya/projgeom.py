@@ -226,7 +226,10 @@ class PointSet:
     every equal stored point, and it meets at most two buckets when
     r < 2 tol A; when it does not (max|c_k| >= tol 2^48 / m, or a value
     that is not finite), every stored point with p's lead is compared.  The
-    earliest equal point wins.
+    earliest equal point wins.  on() memoizes per key in _values, each memo
+    extended at its next use by the points stored since: a pivot pair's
+    values b over F_p and Q, and over the reals _near's first-column
+    strips, which read the line only through their key.
     """
 
     def __init__(self, field: Field, points=()):
@@ -234,7 +237,7 @@ class PointSet:
         self.items: list[ProjPoint] = []
         self.labels: list = []
         self._index: dict = {}
-        self._values: dict[tuple[int, int], tuple[set, int]] = {}
+        self._values: dict[tuple, tuple[set | list, int]] = {}
         self._leads: dict[int, list] = {}
         for p in points:
             self.add(p)
@@ -283,8 +286,8 @@ class PointSet:
         over F_p): column k holds r0[k] + b * r1[k] for every such b.  The set of
         those b is kept per (c0, c1) and takes in, at each call, the points
         of lead c0 stored since the last call for that pair.  Over the reals
-        only the points _near the line are confirmed with
-        Subspace.contains.  Other flats test every stored point
+        only the points _near the line, from kept strips, are confirmed
+        with Subspace.contains.  Other flats test every stored point
         (points_on).  The stored points are taken to be of the line's
         field and length, as the loaders make every file's.
         """
@@ -316,16 +319,33 @@ class PointSet:
         keeps a residual of 1 at L unless the basis is nonzero there (rref
         leaves entries of at most tol uneliminated), so such leads are
         listed unfiltered.  A NaN in the test passes it.
+
+        The first free column k reads of the line only the key (lead, c1, k,
+        a, b, shift), so lines with equal keys keep the same strip there (of
+        the lead's pairs, not copies), which each line then filters on its
+        other free columns.  As dict keys 0.0 equals -0.0, whose sign only a
+        zero difference or product carries and abs() drops; a NaN matches
+        only its own object.
         """
         (r0, r1), (c0, c1) = line.basis, line.pivots
         free = [k for k in reversed(range(len(r0))) if k not in (c0, c1)]  # high columns discriminate: test them first
         tol2, found = 2 * line.field.tol, []
+
+        def keep(near, k, a, b, shift):
+            w = tol2 * (1 + abs(b))
+            return [e for e in near if not abs((p := e[1])[k] - a - (p[c1] - shift) * b) > w]
+
         for lead, base, slope, shift in ((c0, r0, r1, r0[c1]), (c1, r1, (0.0,) * len(r1), 0.0)):
             near = self._leads.get(lead, [])
-            for k in free:
-                a, b = base[k], slope[k]
-                w = tol2 * (1 + abs(b))
-                near = [(i, p) for i, p in near if not abs(p[k] - a - (p[c1] - shift) * b) > w]
+            if near and free:  # the first column's strip, kept per key and extended by the points stored since
+                k = free[0]
+                key = (lead, c1, k, base[k], slope[k], shift)
+                strip, done = self._values.get(key, ([], 0))
+                strip += keep(near[done:], k, base[k], slope[k], shift)
+                self._values[key] = strip, len(near)
+                near = strip
+            for k in free[1:]:
+                near = keep(near, k, base[k], slope[k], shift)
             found += (i for i, _ in near)
         others = [L for L in range(c1) if L != c0 and (r1[L] or L < c0 and r0[L])]
         found += (i for L in others for i, _ in self._leads.get(L, ()))

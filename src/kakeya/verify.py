@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, perm
+from operator import not_
 
 from .construction import KakeyaSet, grid_values_from_direction
 from .projgeom import PointSet, ProjPoint, at_infinity, incidence, meet
@@ -115,10 +116,8 @@ def verify_incidence(K: KakeyaSet, t: Tally, verbose: bool = False) -> VerifyRep
     first, counts = t.first, t.counts
     have_lifted = any(t.lifted)
     lifted_counts = []
-    points = [kp.point for kp in K.points]
-    witnesses = [
-        f"point {i} lies at infinity" for i, p in enumerate(points) if K.field.is_zero(p.coords[-1])
-    ]
+    is_zero = not_ if K.field.exact else K.field.is_zero  # raw values over F_p and Q
+    witnesses = [f"point {i} lies at infinity" for i, kp in enumerate(K.points) if is_zero(kp.point.coords[-1])]
     for idx, (on_line, total) in enumerate(zip(t.on, counts)):
         if t.size < len(first):
             witnesses.extend(f"points {first[i]} and {i} on line {idx} coincide" for i in on_line if first[i] != i)

@@ -5,8 +5,10 @@ certify/bound stdout.  Every construct of the ladder is checked here:
 the F_p rungs (q=5, 7, 11, 13 at n=3 and q=7 at n=4) byte-check the
 padding, which counts a line's points by looking them up, and the real
 rungs (ngon N=9, 11 at n=3) the bucketed point identity and the filtered
-real incidence.  PINNED adds values kept here only: ngon N=6 at n=4, the
-one real rung whose lifting goes two steps deep, ngon N=13 at n=3, conic
+real incidence.  PINNED adds values kept here only: ngon N=6 at n=4 (its
+file and its `verify --r 1` stdout), the one real rung whose lifting goes
+two steps deep and whose lines, with pivots (0, 1) and (0, 4), share the
+most first-column strips of the real incidence, ngon N=13 at n=3, conic
 q=11 at n=4 (1,331 lines and 5,026 points, which byte-checks the JSON
 writer and the exact padding at size), the stdout of `verify --r 1`, and
 the stdout of certify on the three largest matrices (420x231 at conic
@@ -50,6 +52,7 @@ CONSTRUCTS = {
 PINNED = {
     "construct ngon N=6 n=4": "39be8a1b5c283c6fb93d8589726f522419075be2fbfc595b8b5cec372a054b9d",
     "verify r=1 conic q=7 n=4": "5286463d53968a8fb36dcc154fe55e5c560120c1588fbf7a237421fafd87f20e",
+    "verify r=1 ngon N=6 n=4": "42951a6c0b386e6d6fc503b2c47212109bff4c210356389e4b5ed461c868aa00",
     "verify r=1 ngon N=9 n=3": "6a61fa4ac4ee72894d56bd06883ef447943430756b4c44e7c90bc7cd9c5ab67e",
     "construct ngon N=13 n=3": "6d619da8aa88e88020acbbfa3f439fecef9b46f9bf5cf1b32fe7c45c20578ee2",
     "verify r=1 ngon N=11 n=3": "3b5b774376d121d4a20ec675bf56e4a4a786160eae22f05202278d83cddd13fb",
@@ -93,7 +96,7 @@ def test_construct_file_matches_golden(name, golden, tmp_path, capsys):
     assert _sha(out.read_bytes()) == golden[name]
 
 
-@pytest.mark.parametrize("name", ["conic q=7 n=4", "ngon N=9 n=3", "ngon N=11 n=3", "ngon N=13 n=3"])
+@pytest.mark.parametrize("name", ["conic q=7 n=4", "ngon N=6 n=4", "ngon N=9 n=3", "ngon N=11 n=3", "ngon N=13 n=3"])
 def test_verify_stdout_matches_golden(name, golden, tmp_path, capsys):
     path = tmp_path / "k.json"
     assert main(["construct", *CONSTRUCTS[f"construct {name}"], "--out", str(path)]) == 0

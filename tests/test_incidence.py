@@ -214,6 +214,7 @@ def test_incidence_is_the_scan_expanded_by_copies(kind, repeat):
 REAL = RealField()
 TOL = REAL.tol
 OFFSETS = [f * TOL for f in (0.5, 0.99, 1.01, 3.0)]
+NAN = float("nan")
 
 
 def _real_on(line, points):
@@ -251,6 +252,41 @@ def test_real_on_matches_the_scan_on_random_lines(pivots, data):
         k = data.draw(st.sampled_from(free))
         points.append(_moved(coords, k, data.draw(st.sampled_from(OFFSETS)) * data.draw(st.sampled_from([1, -1]))))
     _real_on(line, points)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([(0, 1), (0, 2), (1, 2)]), st.data())
+def test_real_on_sees_the_points_added_after_a_query(pivots, data):
+    # 1-3 lines whose first tested column k = 3 carries one key (r0[k], r1[k], r0[c1]), a zero of either sign
+    # and a NaN built in process among its values, queried between batches of adds: each query must also find
+    # the points stored after the shared strip was last extended
+    c0, c1 = pivots
+    free = [k for k in range(4) if k not in pivots]
+    value = st.floats(-4, 4) | st.sampled_from([0.0, 1e4])
+    a, b = data.draw(value | st.just(NAN)), data.draw(value | st.just(NAN))
+    shift = data.draw(st.sampled_from([0.0, 9.9e-10]))
+    signed = st.sampled_from([0.0, -0.0])
+    lines = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        r0, r1 = [0.0] * 4, [0.0] * 4
+        r0[c0], r1[c1] = 1.0, 1.0
+        for k in free[:-1]:
+            r0[k], r1[k] = data.draw(value) if k > c0 else 0.0, data.draw(value) if k > c1 else 0.0
+        r0[3] = a or data.draw(signed)  # NaN is true
+        r0[c1] = shift or data.draw(signed)
+        r1[3] = b
+        lines.append((Subspace(REAL, 3, [r0, r1], pivots), r0, r1))
+    stored = PointSet(REAL)
+    for _ in range(data.draw(st.integers(1, 5))):
+        for _ in range(data.draw(st.integers(0, 6))):
+            _, r0, r1 = data.draw(st.sampled_from(lines))
+            t = data.draw(st.floats(-3, 3) | st.sampled_from([0.0, 0.5 * TOL]))
+            coords = [x + t * y for x, y in zip(r0, r1)] if data.draw(st.booleans()) else list(r1)
+            if data.draw(st.booleans()):  # moved just inside or just outside tol, at any column
+                coords[data.draw(st.integers(0, 3))] += data.draw(st.sampled_from([0.99, 1.01, -0.99, -1.01])) * TOL
+            stored.add(ProjPoint(REAL, coords))
+        for line, _, _ in data.draw(st.lists(st.sampled_from(lines), max_size=3)):
+            assert stored.on(line) == [stored.labels[i] for i in points_on(line, stored.items)]
 
 
 def test_real_on_keeps_a_point_whose_c1_coordinate_is_skipped():
@@ -313,7 +349,8 @@ def test_real_on_matches_the_scan_where_rref_leaves_r1_nonzero_at_c0():
 
 @pytest.mark.parametrize("N", [9, 11])
 def test_real_verify_confirms_only_the_points_it_finds(N, monkeypatch):
-    # the scan made one Subspace.contains per line and point: 32,157 for N=9 and 79,981 for N=11
+    # the scan made one Subspace.contains per line and point: 32,157 for N=9 and 79,981 for N=11; the filter
+    # confirms 729 and 1,331, one per incidence, before and since lines share their first-column strips
     K = assemble(regular_ngon_seed(N), 3)
     calls, contains = [0], Subspace.contains
 
@@ -324,8 +361,20 @@ def test_real_verify_confirms_only_the_points_it_finds(N, monkeypatch):
     monkeypatch.setattr(Subspace, "contains", counted)
     assert [rep.verdict for rep in verify_all(K, r=1)] == ["pass"] * 4
     monkeypatch.undo()
-    _, on, _ = incidence(K.field, *_parts(K))
-    assert calls[0] < 2 * sum(map(len, on))
+    lines, points = _parts(K)
+    sets, on = [], PointSet.on
+    monkeypatch.setattr(PointSet, "on", lambda self, line: sets.append(self) or on(self, line))
+    _, found, _ = incidence(K.field, lines, points)
+    assert calls[0] == {9: 729, 11: 1331}[N] == sum(map(len, found))
+    # one first-column scan per key (lead, c1, k, a, b, shift) of a lead that holds points, fewer than the lines
+    seen, keys = sets[0], set()
+    for line in lines:
+        (r0, r1), (c0, c1) = line.basis, line.pivots
+        k = max(j for j in range(len(r0)) if j not in (c0, c1))
+        keys |= {key for key in [(c0, c1, k, r0[k], r1[k], r0[c1]), (c1, c1, k, r1[k], 0.0, 0.0)] if key[0] in seen._leads}
+    assert all(s is seen for s in sets)
+    assert set(seen._values) == keys and len(keys) < len(lines)
+    assert all(done == len(seen._leads[key[0]]) for key, (_, done) in seen._values.items())
 
 
 def _scan_labels(points):
