@@ -85,7 +85,7 @@ def grid_values_from_direction(p: ProjPoint) -> list | None:
     computes on raw values (mod p over F_p); the reals compare up to tol.
     """
     fld, coords, m = p.field, p.coords, p.field.p
-    if (coords[-1] or coords[0] != 1) if fld.exact else not (fld.is_zero(coords[-1]) and fld.eq(coords[0], fld.one)):
+    if (coords[-1] or coords[0] != 1) if fld.exact else not (abs(coords[-1]) <= fld.tol and abs(coords[0] - 1.0) <= fld.tol):
         return None
     out = [coords[1]]
     for k in range(2, len(coords) - 1):
@@ -513,11 +513,11 @@ def save_kakeya(K: KakeyaSet, path: str):
     """
     fld, to_str = K.field, K.field.to_str
 
-    def enc(c) -> str:
-        return _encode_str(to_str(c))
+    def enc(c) -> str:  # a real's to_str, repr(float(c)), holds no character that JSON escapes
+        return '"' + repr(float(c)) + '"'
 
     if fld.exact:
-        enc = Memo(enc).__getitem__
+        enc = Memo(lambda c: _encode_str(to_str(c))).__getitem__
     join8, join10 = ",\n        ".join, ",\n          ".join  # coordinates at indentation 8 and 10
 
     def line_record(kl: KLine) -> str:

@@ -193,17 +193,10 @@ def nullspace(rows, field: Field, ncols: int) -> list[list]:
 
 
 def reduce_vector(vec, red, pivots, field: Field) -> list:
-    """Residual of vec after eliminating the pivots of an RREF basis."""
+    """Residual of vec after eliminating the pivots of an RREF basis (Subspace.contains runs it inline over the reals)."""
     v = list(vec)
-    if field.exact:
-        for row, c in zip(red, pivots):
-            if not field.is_zero(v[c]):
-                _axpy(v, v[c], row, field.p)
-                v[c] = field.zero
-        return v
-    tol = field.tol
     for row, c in zip(red, pivots):
-        if not abs(f := v[c]) <= tol:
-            v = [x - f * y for x, y in zip(v, row)]
-            v[c] = 0.0
+        if not field.is_zero(v[c]):
+            _axpy(v, v[c], row, field.p)
+            v[c] = field.zero
     return v

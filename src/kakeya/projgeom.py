@@ -14,14 +14,14 @@ infinity", all others correspond to affine points.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, partial
 from math import floor
-from operator import mul
+from operator import mul, sub
 
 from .errors import AmbientMismatch, FieldMismatch, ZeroVector, need
 from .linalg import reduce_vector, rref
 from .linalg import nullspace as _nullspace
-from .scalar import Field
+from .scalar import Field, Memo
 
 
 class ProjPoint:
@@ -35,15 +35,15 @@ class ProjPoint:
 
     def __init__(self, field: Field, coords):
         coords, exact = tuple(coords), field.exact
-        lead = next(filter(None, coords) if exact else (i for i, c in enumerate(coords) if not field.is_zero(c)), None)
+        lead = next(filter(None, coords) if exact else (i for i, c in enumerate(coords) if not abs(c) <= field.tol), None)
         if lead is None:
             raise ZeroVector("a projective point needs a nonzero coordinate")
         if exact:  # lead is the first nonzero value
             inv, p = field.one if lead == 1 else field.inv(lead), field.p
             coords = tuple([c * inv % p for c in coords] if p else [c * inv for c in coords])
-        else:  # lead is the position of the first value above tol
-            inv = field.inv(coords[lead])
-            coords = (field.zero,) * lead + (field.one,) + tuple(c * inv for c in coords[lead + 1 :])
+        else:  # lead is the position of the first value above tol, whose field.inv is 1.0 / it
+            inv = 1.0 / coords[lead]
+            coords = (0.0,) * lead + (1.0,) + tuple(c * inv for c in coords[lead + 1 :])
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "coords", coords)
 
@@ -55,7 +55,7 @@ class ProjPoint:
         return len(self.coords) - 1
 
     def _peer(self, other: "ProjPoint"):
-        if other.field != self.field:
+        if other.field is not self.field and other.field != self.field:
             raise FieldMismatch("points from different fields")
         if len(other.coords) != len(self.coords):
             raise AmbientMismatch("points from different ambient spaces")
@@ -64,7 +64,7 @@ class ProjPoint:
         if not isinstance(other, ProjPoint):
             return NotImplemented
         self._peer(other)
-        return self.coords == other.coords if self.field.exact else all(map(self.field.eq, self.coords, other.coords))
+        return self.coords == other.coords if self.field.exact else _within(self.field.tol, self.coords, other.coords)
 
     def __hash__(self):
         if not self.field.exact:
@@ -94,6 +94,11 @@ class ProjPoint:
         return cls(field, coords)
 
 
+def _within(tol: float, a, b) -> bool:
+    """Whether real coordinates a and b agree up to tol at every pair, as RealField.eq tests (NaN agrees with nothing)."""
+    return all(map(tol.__ge__, map(abs, map(sub, a, b))))
+
+
 def affine_coords(p: ProjPoint) -> tuple:
     """Dehomogenize against the last coordinate."""
     fld = p.field
@@ -116,7 +121,7 @@ class Subspace:
     def __init__(self, field: Field, ambient_dim: int, rows, pivots):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", tuple(tuple(r) for r in rows))
+        object.__setattr__(self, "basis", tuple(map(tuple, rows)))
         object.__setattr__(self, "pivots", tuple(pivots))
 
     def __setattr__(self, name, value):
@@ -124,10 +129,9 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, field: Field, ambient_dim: int, vectors) -> "Subspace":
-        vectors = [list(v) for v in vectors]
-        for v in vectors:
-            if len(v) != ambient_dim + 1:
-                raise AmbientMismatch("vector length does not match ambient dimension")
+        vectors = list(vectors)  # rref copies each row itself
+        if any(len(v) != ambient_dim + 1 for v in vectors):
+            raise AmbientMismatch("vector length does not match ambient dimension")
         rows, pivots = rref(vectors, field)
         return cls(field, ambient_dim, rows, pivots)
 
@@ -149,15 +153,20 @@ class Subspace:
         return len(self.basis) - 1
 
     def contains(self, p: ProjPoint) -> bool:
-        if p.field != self.field:
+        """Whether p lies on the flat: its reduce_vector residual is zero (over the reals at most tol) at every entry."""
+        fld = self.field
+        if p.field is not fld and p.field != fld:
             raise FieldMismatch("point from a different field")
-        if p.ambient_dim != self.ambient_dim:
+        if len(p.coords) != self.ambient_dim + 1:
             raise AmbientMismatch("point from a different ambient space")
-        residual = reduce_vector(p.coords, self.basis, self.pivots, self.field)
-        if self.field.exact:
-            return all(map(self.field.is_zero, residual))
-        tol = self.field.tol
-        return all(abs(x) <= tol for x in residual)
+        if fld.exact:
+            return all(map(fld.is_zero, reduce_vector(p.coords, self.basis, self.pivots, fld)))
+        v, tol = p.coords, fld.tol  # reduce_vector inline on floats; a NaN fails
+        for row, c in zip(self.basis, self.pivots):
+            if not abs(f := v[c]) <= tol:
+                v = [x - f * y for x, y in zip(v, row)]
+                v[c] = 0.0
+        return all(map(tol.__ge__, map(abs, v)))
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -225,11 +234,12 @@ class PointSet:
     window's ends and of r itself.  So the window holds the bucket of
     every equal stored point, and it meets at most two buckets when
     r < 2 tol A; when it does not (max|c_k| >= tol 2^48 / m, or a value
-    that is not finite), every stored point with p's lead is compared.  The
-    earliest equal point wins.  on() memoizes per key in _values, each memo
-    extended at its next use by the points stored since: a pivot pair's
-    values b over F_p and Q, and over the reals _near's first-column
-    strips, which read the line only through their key.
+    that is not finite), every stored point with p's lead is compared.
+    Candidates are compared inline as ProjPoint.__eq__ compares them (_peer,
+    then _within), and the earliest equal point wins.  on() memoizes per key
+    in _values, each memo extended at its next use by the points stored
+    since: a pivot pair's values b over F_p and Q, and over the reals
+    _near's first-column strips, which read the line only through their key.
     """
 
     def __init__(self, field: Field, points=()):
@@ -239,6 +249,7 @@ class PointSet:
         self._index: dict = {}
         self._values: dict[tuple, tuple[set | list, int]] = {}
         self._leads: dict[int, list] = {}
+        self._keys = None if field.exact else Memo(partial(_real_key, tol=field.tol))  # per coordinate count
         for p in points:
             self.add(p)
 
@@ -252,15 +263,19 @@ class PointSet:
         if self.field.exact:
             i = self._index.setdefault(coords, new)
         else:
-            weights, w, tol_a, slop = _real_key(len(coords), self.field.tol)
+            weights, w, tol_a, slop = self._keys[len(coords)]
             s = sum(map(mul, weights, coords))
             r = tol_a + slop * max(map(abs, coords))
             lo, hi = (s - r) / w, (s + r) / w
             if hi - lo < 1:  # false for NaN, inf and overflow
-                near = (j for b in range(floor(lo), floor(hi) + 1) for j in self._index.get((lead, b), ()))
+                near = [j for b in range(floor(lo), floor(hi) + 1) for j in self._index.get((lead, b), ())]
             else:
-                near = (j for j, _ in self._leads.get(lead, ()))
-            i = min((j for j in near if p == self.items[j]), default=new)
+                near = [j for j, _ in self._leads.get(lead, ())]
+            i, tol = new, self.field.tol
+            for j in near:  # p == q inline, the earliest equal candidate wins
+                p._peer(q := self.items[j])
+                if j < i and _within(tol, coords, q.coords):
+                    i = j
             if i == new and (x := s / w) - x == 0:  # x finite; a window wider than a bucket scans the lead instead
                 self._index.setdefault((lead, floor(x)), []).append(new)
         if i == new:
@@ -352,7 +367,6 @@ class PointSet:
         return sorted(found)
 
 
-@cache
 def _real_key(m: int, tol: float) -> tuple[tuple[float, ...], float, float, float]:
     """PointSet's real key over m coordinates: the weights, the bucket width 4 tol A, tol A and the slop m A 2^-48."""
     weights = tuple(1 + k * 0.6180339887498949 % 1 for k in range(m))

@@ -246,6 +246,9 @@ class RealField(Field):
     stays, a later pivot just above tol scales it up to about 1/tol, and that
     row's elimination moves the earlier pivots' entries (hence PointSet._near's
     other leads); Subspace.contains can then reject points the basis spans.
+    The hot record loops (ProjPoint, Subspace.contains, PointSet, walk_point, the
+    writer, verify's audits) compute inline with these methods' float operations,
+    abs(x) <= tol, abs(a - b) <= tol and 1.0 / x, so every bit and verdict is theirs.
     """
 
     kind = "real"

@@ -247,9 +247,10 @@ def line_walk_start(line: Subspace) -> tuple[list, list]:
 
 
 def walk_point(fld: Field, base, step, lam: int) -> ProjPoint:
-    """The affine point base + lam * step of a walk along a line."""
-    flam = fld(lam)
-    return ProjPoint(fld, [fld.add(b, fld.mul(flam, s)) for b, s in zip(base, step)] + [fld.one])
+    """The affine point base + lam * step of a walk along a line, on raw values (mod p over F_p); an int lam below 2^53
+    multiplies as fld(lam) would."""
+    pairs, p = zip(base, step), fld.p
+    return ProjPoint(fld, ([(b + lam * s) % p for b, s in pairs] if p else [b + lam * s for b, s in pairs]) + [fld.one])
 
 
 def _infinite_points(lines: list[Subspace]) -> list[ProjPoint]:

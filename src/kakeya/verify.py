@@ -2,8 +2,8 @@
 
 Every check here recomputes incidence and membership from raw
 coordinates: stored directions are compared against the actual
-intersection of each line with the hyperplane at infinity (over F_p and
-Q read off the line's own basis, not the builders' `infinite_point`),
+intersection of each line with the hyperplane at infinity (for every
+field read off the line's own basis, not the builders' `infinite_point`),
 grid membership is recomputed through the published change of basis,
 and point counts come from the file's own point coordinates.  A Tally t,
 built once per verify_all or certify call, measures what the checks read:
@@ -12,6 +12,7 @@ lines' grid cells and the cells they cover, and the lifted lines and points.
 The checks are verify_incidence/directions/size(K, t, verbose) and
 verify_bound_consistency(K, t, r, verbose); _bound_hypothesis(K, t) owns the
 grid bound's hypothesis.
+The per-record tests run inline, over the reals with RealField's float tests.
 Provenance labels are consulted only to classify points for the
 reported construction claims (how many points a line acquired before
 padding); they never shortcut a geometric test.
@@ -25,11 +26,12 @@ distinction is visible in coordinates alone.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress, count
 from math import comb, perm
 from operator import not_
 
 from .construction import KakeyaSet, grid_values_from_direction
-from .projgeom import PointSet, ProjPoint, at_infinity, incidence, meet
+from .projgeom import PointSet, ProjPoint, incidence, meet  # meet unused; bench/test_bench.py traces it here
 
 WITNESS_LIMIT = 10
 
@@ -76,7 +78,8 @@ def _recovered_cells(K: KakeyaSet):
     if fld.exact:  # one value -> index dict per axis, filled from the end so the first index stays
         find = [{a: i for i, a in reversed([*enumerate(axis)])}.get for axis in K.grid]
     else:
-        find = [lambda v, axis=axis: next((i for i, a in enumerate(axis) if fld.eq(a, v)), None) for axis in K.grid]
+        tol = fld.tol
+        find = [lambda v, axis=axis: next((i for i, a in enumerate(axis) if abs(a - v) <= tol), None) for axis in K.grid]
     cells = []
     for kl in K.lines:
         values = grid_values_from_direction(kl.direction)
@@ -116,8 +119,9 @@ def verify_incidence(K: KakeyaSet, t: Tally, verbose: bool = False) -> VerifyRep
     first, counts = t.first, t.counts
     have_lifted = any(t.lifted)
     lifted_counts = []
-    is_zero = not_ if K.field.exact else K.field.is_zero  # raw values over F_p and Q
-    witnesses = [f"point {i} lies at infinity" for i, kp in enumerate(K.points) if is_zero(kp.point.coords[-1])]
+    last = [kp.point.coords[-1] for kp in K.points]
+    at_infinity = map(not_, last) if K.field.exact else map(K.field.tol.__ge__, map(abs, last))
+    witnesses = [f"point {i} lies at infinity" for i in compress(count(), at_infinity)]
     for idx, (on_line, total) in enumerate(zip(t.on, counts)):
         if t.size < len(first):
             witnesses.extend(f"points {first[i]} and {i} on line {idx} coincide" for i in on_line if first[i] != i)
@@ -141,21 +145,28 @@ def verify_incidence(K: KakeyaSet, t: Tally, verbose: bool = False) -> VerifyRep
 
 
 def _direction_faults(K: KakeyaSet):
-    """Yield a witness for each line that is not a line, or whose meet with infinity is not its stored direction."""
-    n, fld = K.n, K.field
+    """Yield a witness for each line that is not a line, or whose meet with infinity is not its stored direction.
+
+    The meet is read off the basis for every field: d = r1[n] r0 - r0[n] r1 (mod p over F_p), or the line itself
+    when both last entries are zero (at most tol over the reals).  A d zero (at most tol) everywhere names no point.
+    """
+    n, fld, p = K.n, K.field, K.field.p
     for idx, kl in enumerate(K.lines):
         if kl.line.proj_dim != 1:
             yield f"line {idx} is a flat of dimension {kl.line.proj_dim}, not a line"
             continue
-        (r0, r1), p = kl.line.basis, fld.p
-        if not fld.exact:
-            cut = meet(kl.line, at_infinity(fld, n)).basis
-        else:  # read off the file's basis: r1[n] r0 - r0[n] r1 (mod p over F_p), or the line itself when both are zero
-            d = [r1[n] * x - r0[n] * y for x, y in zip(r0, r1)]
-            cut = [[v % p for v in d] if p else d] if r0[n] or r1[n] else [r0, r1]
-        if len(cut) != 1:
-            yield f"line {idx} meets infinity in dimension {len(cut) - 1}"
-        elif ProjPoint(fld, cut[0]) != kl.direction:
+        r0, r1 = kl.line.basis
+        e0, e1 = r0[n], r1[n]
+        d = [e1 * x - e0 * y for x, y in zip(r0, r1)]
+        if fld.exact:
+            at_infinity, d = not (e0 or e1), [v % p for v in d] if p else d
+            nowhere = not any(d)
+        else:
+            tol = fld.tol
+            at_infinity, nowhere = abs(e0) <= tol and abs(e1) <= tol, all(map(tol.__ge__, map(abs, d)))
+        if at_infinity:
+            yield f"line {idx} meets infinity in dimension 1"
+        elif nowhere or ProjPoint(fld, d) != kl.direction:
             yield f"line {idx} stores a direction it does not have"
 
 

@@ -782,6 +782,20 @@ def test_save_kakeya_writes_the_bytes_of_dump(kind, data, tmp_path_factory):
     assert path.read_text(encoding="utf-8") == _dumped(K)
 
 
+@settings(max_examples=200, deadline=None)
+@given(coords=st.lists(_FIELDS["real"][1] | st.sampled_from([float("inf"), float("-inf"), float("nan")]), min_size=2, max_size=5))
+def test_save_kakeya_writes_each_real_coordinate_as_json_writes_its_repr(coords, tmp_path_factory):
+    # the real encoder writes '"' + repr(float(c)) + '"': each coordinate line of the file is json.dumps(repr(c))
+    fld, n = RealField(), len(coords) - 1
+    K = KakeyaSet(fld, n, 1, [], [], [KPoint(ProjPoint._canonical(fld, tuple(coords)), {"kind": "seed"})])
+    path = tmp_path_factory.getbasetemp() / "real-coords.json"
+    save_kakeya(K, str(path))
+    text = path.read_text(encoding="utf-8")
+    assert text == _dumped(K)
+    written = text.split('"coords": [\n')[1].split("\n      ]")[0].split(",\n")
+    assert [entry.strip() for entry in written] == [json.dumps(repr(c)) for c in coords]
+
+
 @pytest.mark.parametrize(
     "prov, template",
     [

@@ -11,7 +11,7 @@ points finds.
 import json
 import random
 from fractions import Fraction
-from math import floor
+from math import floor, inf, nan, nextafter
 
 import pytest
 from hypothesis import given, settings
@@ -378,10 +378,10 @@ def test_real_verify_confirms_only_the_points_it_finds(N, monkeypatch):
 
 
 def _scan_labels(points):
-    """setdefault(p, i) for each point i by scanning the stored points, as the bucket index must."""
+    """setdefault(p, i) for each point i by scanning the stored points, as the bucket index must, with field.eq at every coordinate."""
     items, labels, out = [], [], []
     for i, p in enumerate(points):
-        j = next((k for k, q in enumerate(items) if p == q), None)
+        j = next((k for k, q in enumerate(items) if all(map(p.field.eq, p.coords, q.coords))), None)
         if j is None:
             items.append(p)
             labels.append(i)
@@ -443,24 +443,48 @@ def test_real_point_set_matches_the_linear_scan_on_moved_points(data):
     assert [stored.setdefault(p, i) for i, p in enumerate(points)] == _scan_labels(points)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_real_point_set_labels_points_moved_by_exactly_tol_as_the_scan_does(data):
+    # tol = 2^-20 and dyadic coordinates, moved by exactly +-tol, its float neighbours, tol + 2^-52 (still above tol
+    # next to 0.5, where the neighbours round to tol) or -0.0, so that the inline comparison |a - b| <= tol meets
+    # its boundary; and points holding inf or NaN, which equal no point
+    tol = 2.0**-20
+    fld = RealField(tol)
+    near = [tol, nextafter(tol, 0), nextafter(tol, 1), tol + 2.0**-52]
+    edges = [0.0, -0.0, *near, *(-x for x in near)]
+    value = st.sampled_from([0.0, -0.0, 0.5, -0.25, 3.0, 1024.0, inf, -inf, nan])
+    bases = data.draw(st.lists(st.tuples(st.integers(0, 2), st.lists(value, min_size=3, max_size=3)), min_size=1, max_size=3))
+    points = []
+    for _ in range(data.draw(st.integers(1, 12))):
+        lead, rest = data.draw(st.sampled_from(bases))
+        coords = [0.0] * lead + [1.0] + rest[: 3 - lead]
+        for k in range(lead + 1, 4):
+            coords[k] += data.draw(st.sampled_from(edges))
+        points.append(ProjPoint(fld, coords))
+    stored = PointSet(fld)
+    assert [stored.setdefault(p, i) for i, p in enumerate(points)] == _scan_labels(points)
+
+
 def test_real_point_set_compares_an_ngon_point_with_few_others(monkeypatch):
     # the points of ngon N=11 and N=13 at n=3 (661 and 1,015), each added twice.  Filed by row on
     # (lead + 1, last) and probed in 3 x 3 buckets, they made 6,106 and 10,897 comparisons.  With about
     # one point per bucket each copy meets its original alone (661 and 1,015 measured); the bound allows
-    # a tenth more, for points that share a bucket or a window that meets two.
-    calls, eq = [0], ProjPoint.__eq__
+    # a tenth more, for points that share a bucket or a window that meets two.  setdefault compares inline,
+    # each candidate after one _peer check, so _peer counts the comparisons.
+    calls, peer = [0], ProjPoint._peer
 
     def counted(self, other):
         calls[0] += 1
-        return eq(self, other)
+        return peer(self, other)
 
     for N in (11, 13):
         points = [kp.point for kp in assemble(regular_ngon_seed(N), 3).points]
         calls[0] = 0
         with monkeypatch.context() as m:
-            m.setattr(ProjPoint, "__eq__", counted)
+            m.setattr(ProjPoint, "_peer", counted)
             assert len(PointSet(REAL, points + points)) == len(points)
-        assert calls[0] <= len(points) + len(points) // 10
+        assert len(points) <= calls[0] <= len(points) + len(points) // 10
 
 
 def test_point_set_on_returns_labels(families):

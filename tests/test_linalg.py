@@ -8,6 +8,8 @@ must match entry for entry (and, over the reals, bit for bit).
 
 import random
 from fractions import Fraction
+from itertools import product
+from math import inf, nan, nextafter
 
 import pytest
 from hypothesis import given, settings
@@ -256,6 +258,27 @@ def test_real_residual_is_bitwise_the_textbook_reduction(seed):
             p = ProjPoint(fld, v)
             residual = _textbook_reduce_vector(p.coords, line.basis, line.pivots, fld)
             assert line.contains(p) == all(map(fld.is_zero, residual))
+
+
+def test_real_contains_at_the_tol_boundary_is_the_textbook_verdict():
+    # a dyadic line and tol = 2^-20: points r0 + d r1 moved at one column by tol itself, its float neighbours,
+    # -0.0, inf or NaN, so residuals and the r1 step's |d| <= tol land exactly on the boundary; contains (its
+    # reduction inline, NaN failing) must give the field-method reduction's verdict and the old formula's
+    fld = RealField(2.0**-20)
+    tol = fld.tol
+    r0, r1 = (1.0, 0.0, 0.5, 0.0, 0.0), (0.0, 1.0, -0.25, 2.0, 0.0)
+    line = Subspace(fld, 4, (r0, r1), (0, 1))
+    edges = [0.0, -0.0, tol, -tol, nextafter(tol, 0), -nextafter(tol, 0), nextafter(tol, 1), -nextafter(tol, 1)]
+    verdicts = set()
+    for d in edges + [0.5, -3.0]:
+        for k, move in product(range(1, 5), edges + [inf, -inf, nan, 1.0]):
+            v = [x + d * y for x, y in zip(r0, r1)]
+            v[k] += move
+            p = ProjPoint(fld, v)
+            want = all(map(fld.is_zero, _textbook_reduce_vector(p.coords, line.basis, line.pivots, fld)))
+            assert line.contains(p) is want is all(abs(x) <= tol for x in reduce_vector(p.coords, line.basis, line.pivots, fld))
+            verdicts.add((k, move, want))
+    assert (4, tol, True) in verdicts and (4, nextafter(tol, 1), False) in verdicts and (4, nan, False) in verdicts
 
 
 @pytest.mark.parametrize("fld", [F5, PrimeField(2**61 - 1), QQ], ids=["prime", "wide-lane prime", "rational"])

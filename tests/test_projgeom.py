@@ -1,5 +1,6 @@
 """Projective points, subspaces, span and meet."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -69,6 +70,18 @@ def test_point_equality_guards_ambient_and_field():
         P(QQ, 1, 2) == P(QQ, 1, 2, 3)
     with pytest.raises(FieldMismatch):
         P(QQ, 1, 2, 3) == P(F7, 1, 2, 3)
+
+
+@pytest.mark.parametrize("fld, other", [(F7, QQ), (RealField(1e-9), RealField(1e-6)), (RealField(1e-9), F7)])
+def test_contains_guards_ambient_and_field(fld, other):
+    # an equal field held by another object is the same field; a different one, or another length, is refused
+    line = span(ProjPoint(fld, [fld(1), fld(0), fld(0)]), ProjPoint(fld, [fld(0), fld(0), fld(1)]))
+    twin = type(fld)(*([fld.p] if fld.p else [fld.tol]))
+    assert twin is not fld and line.contains(ProjPoint(twin, [twin(1), twin(0), twin(1)]))
+    with pytest.raises(FieldMismatch):
+        line.contains(ProjPoint(other, [other(1), other(0), other(1)]))
+    with pytest.raises(AmbientMismatch):
+        line.contains(ProjPoint(fld, [fld(1), fld(0), fld(0), fld(1)]))
 
 
 def test_not_equal_is_the_negated_eq():
@@ -323,3 +336,37 @@ def test_exact_points_normalize_as_field_mul_does(kind, data):
         q = ProjPoint(fld, [fld(c) for c in other])
         assert (p == q) is (q == p) is all(map(fld.eq, p.coords, q.coords))
         assert p != q or hash(p) == hash(q)
+
+
+def real_edges(tol: float) -> list[float]:
+    """Real values at the tolerance's edges and beyond: zero of both signs, +-tol and its float neighbours, inf and NaN."""
+    near = [tol, math.nextafter(tol, 0), math.nextafter(tol, 1)]
+    return [0.0, -0.0, *near, *(-x for x in near), math.inf, -math.inf, math.nan, 1.0, -1.0]
+
+
+def _hex(coords) -> list[str]:
+    return [float.hex(c) for c in coords]
+
+
+@settings(max_examples=400, deadline=None)
+@given(tol=st.sampled_from([2.0**-20, 1e-9]), data=st.data())
+def test_real_points_normalize_bit_for_bit_as_the_field_methods_do(tol, data):
+    # ProjPoint finds the lead with abs(c) <= tol and divides by 1.0 / lead inline; the coordinates must be the
+    # field-method formula's bit for bit (float.hex tells -0.0 from 0.0 and shows a NaN), and a vector at most tol
+    # everywhere (a NaN is above it) must be refused as that formula refuses it
+    fld = RealField(tol)
+    value = st.sampled_from(real_edges(tol)) | st.floats(-4, 4) | st.floats()
+    coords = data.draw(st.lists(value, min_size=1, max_size=5))
+    try:
+        want = _field_mul_point(fld, coords)
+    except ZeroVector:
+        with pytest.raises(ZeroVector):
+            ProjPoint(fld, coords)
+        return
+    p = ProjPoint(fld, coords)
+    assert _hex(p.coords) == _hex(want)
+    moves = st.lists(st.sampled_from(real_edges(tol)[:8]), min_size=len(coords), max_size=len(coords))
+    other = data.draw(st.lists(value, min_size=len(coords), max_size=len(coords)) | moves.map(lambda m: [c + d for c, d in zip(p.coords, m)]))
+    if any(not fld.is_zero(c) for c in other):
+        q = ProjPoint(fld, other)
+        assert (p == q) is (q == p) is all(map(fld.eq, p.coords, q.coords))

@@ -2,12 +2,15 @@
 
 import json
 from fractions import Fraction
+from math import inf, nan, nextafter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kakeya.errors import DegenerateSeed, UnsupportedField
 from kakeya.projgeom import ProjPoint, Subspace, infinite_point, meet, span
-from kakeya.scalar import PrimeField, RealField
+from kakeya.scalar import PrimeField, RationalField, RealField
 from kakeya.seeds import (
     PlanarSeed,
     SeedPoint,
@@ -18,6 +21,7 @@ from kakeya.seeds import (
     seed_from_json,
     seed_report,
     seed_to_json,
+    walk_point,
 )
 
 
@@ -217,3 +221,29 @@ def test_report_counts_distinct_points():
     assert rep.line_point_counts == [6, 7, 7, 7, 7, 7, 7]
     assert f"points 0 and {extra} coincide" in rep.problems
     assert "line 0 holds only 6 distinct points, needs 7" in rep.problems
+
+
+_TOL = 2.0**-20
+_WALK_VALUES = {
+    "real": (RealField(_TOL), st.sampled_from([0.0, -0.0, _TOL, -_TOL, nextafter(_TOL, 1), inf, -inf, nan]) | st.floats()),
+    "F_7": (PrimeField(7), st.integers(0, 6)),
+    "Q": (RationalField(), st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5))),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(sorted(_WALK_VALUES)), data=st.data())
+def test_walk_point_is_the_field_method_walk(kind, data):
+    # walk_point computes base + lam * step on raw values (mod p over F_p); its coordinates must be those of the
+    # field-method formula, bit for bit over the reals (-0.0, edges of tol, inf and NaN included), value and type
+    # over F_p and Q
+    fld, value = _WALK_VALUES[kind]
+    m = data.draw(st.integers(1, 4))
+    base, step = (data.draw(st.lists(value, min_size=m, max_size=m)) for _ in range(2))
+    lam = data.draw(st.integers(0, 60))
+    want = ProjPoint(fld, [fld.add(b, fld.mul(fld(lam), s)) for b, s in zip(base, step)] + [fld.one]).coords
+    got = walk_point(fld, base, step, lam).coords
+    if fld.exact:
+        assert [(type(c), c) for c in got] == [(type(c), c) for c in want]
+    else:
+        assert [c.hex() for c in got] == [c.hex() for c in want]

@@ -2,6 +2,7 @@
 
 import json
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -10,9 +11,20 @@ from hypothesis import strategies as st
 from kakeya import verify
 from kakeya.cli import main
 from kakeya.errors import HypothesisViolation
-from kakeya.construction import KakeyaSet, KLine, KPoint, assemble, direction_from_grid_values, load_kakeya, save_kakeya
+from kakeya.construction import (
+    KakeyaSet,
+    KLine,
+    KPoint,
+    assemble,
+    direction_from_grid_values,
+    grid_values_from_direction,
+    kakeya_to_json,
+    load_kakeya,
+    save_kakeya,
+)
 from kakeya.polymethod import certify
-from kakeya.projgeom import PointSet, ProjPoint, Subspace, affine_coords, point_from_affine, span
+from kakeya.projgeom import PointSet, ProjPoint, Subspace, affine_coords, at_infinity, meet, point_from_affine, span
+from kakeya.scalar import RealField
 from kakeya.seeds import dual_conic_seed, line_walk_start, regular_ngon_seed, seed_from_json, seed_to_json, walk_point
 from kakeya.verify import (
     Tally,
@@ -470,3 +482,128 @@ def test_tampered_hypothesis_fails_verify(conic5, tamper, data):
         lines[a], lines[b] = KLine(lines[a].line, lines[b].direction), KLine(lines[b].line, lines[a].direction)
     K = KakeyaSet(fld, n, conic5.N, conic5.grid, lines, points, conic5.seed_meta)
     assert "fail" in [rep.verdict for rep in verify_all(K, r=1)]
+
+
+def _meet_audit(K):
+    """The real direction audit as verify ran it before it read the basis: each line met with the hyperplane at
+    infinity, the cut normalized and compared through the field methods."""
+    fld = K.field
+    for idx, kl in enumerate(K.lines):
+        if kl.line.proj_dim != 1:
+            yield f"line {idx} is a flat of dimension {kl.line.proj_dim}, not a line"
+            continue
+        cut = meet(kl.line, at_infinity(fld, K.n)).basis
+        if len(cut) != 1:
+            yield f"line {idx} meets infinity in dimension {len(cut) - 1}"
+            continue
+        lead = next(i for i, c in enumerate(cut[0]) if not fld.is_zero(c))
+        inv = fld.inv(cut[0][lead])
+        point = [fld.zero] * lead + [fld.one] + [fld.mul(c, inv) for c in cut[0][lead + 1 :]]
+        if not all(map(fld.eq, point, kl.direction.coords)):
+            yield f"line {idx} stores a direction it does not have"
+
+
+def _moved(K, idx: int, k: int, by: float):
+    """K with the direction of line idx moved by `by` at coordinate k."""
+    lines = list(K.lines)
+    coords = list(lines[idx].direction.coords)
+    coords[k] += by
+    lines[idx] = KLine(lines[idx].line, ProjPoint(K.field, coords))
+    return KakeyaSet(K.field, K.n, K.N, K.grid, lines, K.points, K.seed_meta)
+
+
+@pytest.mark.parametrize("N, n", [(N, 3) for N in range(5, 12)] + [(6, 4), (7, 4)])
+def test_real_direction_audit_read_off_the_basis_agrees_with_the_meet(N, n):
+    # verify reads a real line's direction off its basis, r1[n] r0 - r0[n] r1, as over F_p and Q; the witnesses
+    # must be those of the meet with infinity it replaced, on the n-gon families and on copies with one direction
+    # moved by 0.1 tol (kept) or 10 tol (refused)
+    K = assemble(regular_ngon_seed(N), n)
+    tol, rng = K.field.tol, random.Random(N * 10 + n)
+    assert list(verify._direction_faults(K)) == list(_meet_audit(K)) == []
+    for idx in rng.sample(range(len(K.lines)), 3):
+        k = rng.randrange(1, n + 1)
+        for by, want in ((0.1 * tol, []), (-0.1 * tol, []), (10 * tol, [f"line {idx} stores a direction it does not have"])):
+            moved = _moved(K, idx, k, by)
+            assert list(verify._direction_faults(moved)) == list(_meet_audit(moved)) == want
+
+
+def test_real_direction_audit_names_a_line_at_infinity_and_a_basis_without_a_direction():
+    K = assemble(regular_ngon_seed(5), 3)
+    fld, lines = K.field, list(K.lines)
+    # a line inside the hyperplane at infinity: both last entries at most tol
+    lines[0] = KLine(span(lines[0].direction, lines[1].direction), lines[0].direction)
+    # two equal rows: r1[n] r0 - r0[n] r1 is zero at every entry and names no point
+    r0 = K.lines[2].line.basis[0]
+    lines[2] = KLine(Subspace(fld, 3, (r0, r0), (0, 1)), lines[2].direction)
+    # rows whose combination is at most tol everywhere while r0[n] is above it
+    tol = fld.tol
+    lines[3] = KLine(Subspace(fld, 3, ((1.0, 0.0, 0.0, 4 * tol), (1.0, 0.5 * tol, 0.0, 4 * tol)), (0, 1)), lines[3].direction)
+    K = KakeyaSet(fld, 3, K.N, K.grid, lines, K.points, K.seed_meta)
+    assert list(verify._direction_faults(K)) == [
+        "line 0 meets infinity in dimension 1",
+        "line 2 stores a direction it does not have",
+        "line 3 stores a direction it does not have",
+    ]
+    assert verify_directions(K, Tally(K)).verdict == "fail"
+
+
+@pytest.mark.parametrize(
+    "basis",
+    [
+        [["1.0", "0.0", "0.0", "1.0"], ["1.0", "0.0", "0.0", "1.0"]],
+        [["1.0", "0.0", "0.0", "1.0"], ["1.0", "0.0", "0.0", "1.000000000001"]],
+        [["0.0", "0.0", "0.0", "0.0"], ["1.0", "0.0", "0.0", "1.0"]],
+        [["1e-12", "0.0", "0.0", "0.0"], ["0.0", "1e-12", "0.0", "0.0"]],
+        [["1e300", "1e300", "0.0", "1e300"], ["-1e300", "1e300", "1e300", "1e300"]],
+        [["1.0", "2e-9", "0.0", "2e-9"], ["0.0", "2e-9", "1.0", "0.0"]],
+        [["1.0", "0.0", "0.0", "1.0"]],
+        [["1.0", "0.0", "0.0", "1.0"], ["0.0", "1.0", "0.0", "1.0"], ["0.0", "0.0", "1.0", "1.0"]],
+        [],
+    ],
+    ids=["equal", "within-tol", "zero-row", "tiny", "huge", "near-tol-pivot", "point", "plane", "empty"],
+)
+def test_verify_a_real_file_with_a_degenerate_basis_exits_1_or_2(basis, tmp_path, capsys):
+    # a degenerate basis is a failing verdict or bad input, never a traceback
+    K = assemble(regular_ngon_seed(5), 3)
+    doc = json.loads(json.dumps(kakeya_to_json(K)))
+    doc["lines"][0]["basis"] = basis
+    path = tmp_path / "k.json"
+    path.write_text(json.dumps(doc))
+    for command in ("verify", "certify"):
+        code = main([command, str(path), "--r", "1"])
+        out, err = capsys.readouterr()
+        assert code in (1, 2), (command, out, err)
+        assert "Traceback" not in err
+
+
+def test_real_checks_count_exactly_tol_as_zero_and_just_above_it_as_not():
+    # tol = 2^-20 and above = tol + 2^-52, so these sums are exact: each inline test |x| <= tol or |a - b| <= tol
+    # must hold at tol itself, as RealField.is_zero and eq do, and fail just above it
+    fld = RealField(2.0**-20)
+    tol, above = fld.tol, fld.tol + 2.0**-52
+    canonical = partial(ProjPoint._canonical, fld)
+    for x, zero in ((tol, True), (above, False)):
+        assert fld.is_zero(x) is zero and fld.eq(0.5 + x, 0.5) is zero and fld.eq(1.0 + x, 1.0) is zero
+        # a point whose last coordinate is x lies at infinity
+        K = KakeyaSet(fld, 3, 2, [], [], [KPoint(canonical((1.0, 0.5, 0.25, x)), {"kind": "extra"})])
+        assert verify_incidence(K, Tally(K)).witnesses == (["point 0 lies at infinity"] if zero else [])
+        # a direction with last coordinate x, or first coordinate 1 + x, is in the grid; its value 0.5 + x is the
+        # axis value 0.5
+        assert (grid_values_from_direction(canonical((1.0, 0.5, 0.0, x))) is not None) is zero
+        assert (grid_values_from_direction(canonical((1.0 + x, 0.5, 0.0, 0.0))) is not None) is zero
+        line = Subspace(fld, 3, ((1.0, 0.0, 0.0, 1.0), (0.0, 1.0, 0.0, 0.0)), (0, 1))
+        K = KakeyaSet(fld, 3, 2, [[0.0, 0.5], [0.0, 0.5]], [KLine(line, canonical((1.0, 0.5 + x, 0.0, 0.0)))], [])
+        assert _recovered_cells(K) == [(1, 1) if zero else None]
+        # a line whose last entries are x and 0 (either way round) lies at infinity; beyond it, its combination
+        # d = r1[n] r0 - r0[n] r1 is at most tol everywhere and names no direction
+        lines = [
+            Subspace(fld, 3, ((1.0, 0.0, 0.5, x), (0.0, 1.0, 0.25, 0.0)), (0, 1)),
+            Subspace(fld, 3, ((1.0, 0.0, 0.5, 0.0), (0.0, 1.0, 0.25, x)), (0, 1)),
+        ]
+        K = KakeyaSet(fld, 3, 2, [], [KLine(ln, canonical((1.0, 0.0, 0.0, 0.0))) for ln in lines], [])
+        witness = "meets infinity in dimension 1" if zero else "stores a direction it does not have"
+        assert list(verify._direction_faults(K)) == [f"line 0 {witness}", f"line 1 {witness}"]
+    # a basis rref would not return, whose d is (0, -tol, 0, 0): zero up to tol, a witness and no ZeroVector
+    line = Subspace(fld, 3, ((1.0, 0.0, 0.0, 2 * tol), (1.0, 0.5, 0.0, 2 * tol)), (0, 1))
+    K = KakeyaSet(fld, 3, 2, [], [KLine(line, canonical((1.0, 0.0, 0.0, 0.0)))], [])
+    assert list(verify._direction_faults(K)) == ["line 0 stores a direction it does not have"]
