@@ -32,7 +32,7 @@ from .errors import HypothesisViolation, UnsupportedField
 from .linalg import nullspace
 from .projgeom import PointSet, affine_coords
 from .scalar import Field
-from .verify import Tally, _approx, _bound_hypothesis, _direction_faults, _grid_ratio
+from .verify import Tally, _approx, _grid_ratio
 
 
 def exponent_tuples(nvars: int, total: int) -> list[tuple[int, ...]]:
@@ -302,8 +302,8 @@ def certify(K, r: int) -> Certificate:
     the point multiplicities and the induced direction multiplicities
     independently.  When the dimension count does not force a nonzero f
     and none exists, the verdict is pass-vacuous.  A family with a line
-    that is not a line or lacks its stored direction (_direction_faults),
-    or outside the bound's hypothesis (_bound_hypothesis), raises
+    that is not a line or lacks its stored direction (Tally.faults), or
+    outside the bound's hypothesis (Tally.hypothesis), raises
     HypothesisViolation with the first witness.
 
     Every family accepted here gives an empty basis and pass-vacuous: such
@@ -320,11 +320,9 @@ def certify(K, r: int) -> Certificate:
             "certificates need exact arithmetic; tolerance fields are refused"
         )
     n, N = K.n, K.N
-    if fault := next(_direction_faults(K), None):
-        raise HypothesisViolation(fault)
     t = Tally(K)
-    if fault := next(_bound_hypothesis(K, t), None):
-        raise HypothesisViolation(fault)
+    if faults := t.faults + t.hypothesis:
+        raise HypothesisViolation(faults[0])
 
     affine_points = [affine_coords(kp.point) for i, kp in enumerate(K.points) if t.first[i] == i]
     size = len(affine_points)

@@ -8,10 +8,11 @@ grid membership is recomputed through the published change of basis,
 and point counts come from the file's own point coordinates.  A Tally t,
 built once per verify_all or certify call, measures what the checks read:
 one `projgeom.incidence` pass over an index of the stored points, |S|, the
-lines' grid cells and the cells they cover, and the lifted lines and points.
+lines' grid cells and the cells they cover, the lifted lines and points, and
+the two lists certify refuses on: t.faults, the direction audit's witnesses,
+and t.hypothesis, the misses of the grid bound's hypothesis.
 The checks are verify_incidence/directions/size(K, t, verbose) and
-verify_bound_consistency(K, t, r, verbose); _bound_hypothesis(K, t) owns the
-grid bound's hypothesis.
+verify_bound_consistency(K, t, r, verbose).
 The per-record tests run inline, over the reals with RealField's float tests.
 Provenance labels are consulted only to classify points for the
 reported construction claims (how many points a line acquired before
@@ -88,15 +89,43 @@ def _recovered_cells(K: KakeyaSet):
     return cells
 
 
+def _direction_faults(K: KakeyaSet):
+    """Yield a witness for each line that is not a line, or whose meet with infinity is not its stored direction.
+
+    The meet is read off the basis for every field: d = r1[n] r0 - r0[n] r1 (mod p over F_p), or the line itself
+    when both last entries are zero (at most tol over the reals).  A d zero (at most tol) everywhere names no point.
+    """
+    n, fld, p = K.n, K.field, K.field.p
+    for idx, kl in enumerate(K.lines):
+        if kl.line.proj_dim != 1:
+            yield f"line {idx} is a flat of dimension {kl.line.proj_dim}, not a line"
+            continue
+        r0, r1 = kl.line.basis
+        e0, e1 = r0[n], r1[n]
+        d = [e1 * x - e0 * y for x, y in zip(r0, r1)]
+        if fld.exact:
+            at_infinity, d = not (e0 or e1), [v % p for v in d] if p else d
+            nowhere = not any(d)
+        else:
+            tol = fld.tol
+            at_infinity, nowhere = abs(e0) <= tol and abs(e1) <= tol, all(map(tol.__ge__, map(abs, d)))
+        if at_infinity:
+            yield f"line {idx} meets infinity in dimension 1"
+        elif nowhere or ProjPoint(fld, d) != kl.direction:
+            yield f"line {idx} stores a direction it does not have"
+
+
 class Tally:
     """What the checks read of K, measured once; built fresh per call, as K may change between calls.
 
     first, on and counts are incidence's, size is |S|, cells the lines' recovered grid cells and covered
     the number of grid cells they hit; lifted_lines flags each line whose cell has pairwise distinct
-    coordinates, lifted each point labelled lifted.
+    coordinates, lifted each point labelled lifted.  faults are the _direction_faults witnesses in line
+    order, and hypothesis the misses of the grid bound's hypothesis: an uncovered grid, then each line
+    short of N distinct points.
     """
 
-    __slots__ = ("first", "on", "counts", "size", "cells", "covered", "lifted_lines", "lifted")
+    __slots__ = ("first", "on", "counts", "size", "cells", "covered", "lifted_lines", "lifted", "faults", "hypothesis")
 
     def __init__(self, K: KakeyaSet):
         self.first, self.on, self.counts = incidence(K.field, [kl.line for kl in K.lines], [kp.point for kp in K.points])
@@ -105,6 +134,10 @@ class Tally:
         self.covered = len({c for c in self.cells if c is not None})
         self.lifted_lines = [c is not None and len(set(c)) == len(c) for c in self.cells]
         self.lifted = [kp.provenance.get("kind") == "lifted" for kp in K.points]
+        self.faults = list(_direction_faults(K))
+        grid_cells = K.N ** (K.n - 1)
+        self.hypothesis = [f"grid covers {self.covered} of {grid_cells} cells"] if self.covered < grid_cells else []
+        self.hypothesis += [f"line {i} carries {c} distinct points, needs at least {K.N}" for i, c in enumerate(self.counts) if c < K.N]
 
 
 def verify_incidence(K: KakeyaSet, t: Tally, verbose: bool = False) -> VerifyReport:
@@ -144,32 +177,6 @@ def verify_incidence(K: KakeyaSet, t: Tally, verbose: bool = False) -> VerifyRep
     return _finish("incidence", witnesses, measured, verbose)
 
 
-def _direction_faults(K: KakeyaSet):
-    """Yield a witness for each line that is not a line, or whose meet with infinity is not its stored direction.
-
-    The meet is read off the basis for every field: d = r1[n] r0 - r0[n] r1 (mod p over F_p), or the line itself
-    when both last entries are zero (at most tol over the reals).  A d zero (at most tol) everywhere names no point.
-    """
-    n, fld, p = K.n, K.field, K.field.p
-    for idx, kl in enumerate(K.lines):
-        if kl.line.proj_dim != 1:
-            yield f"line {idx} is a flat of dimension {kl.line.proj_dim}, not a line"
-            continue
-        r0, r1 = kl.line.basis
-        e0, e1 = r0[n], r1[n]
-        d = [e1 * x - e0 * y for x, y in zip(r0, r1)]
-        if fld.exact:
-            at_infinity, d = not (e0 or e1), [v % p for v in d] if p else d
-            nowhere = not any(d)
-        else:
-            tol = fld.tol
-            at_infinity, nowhere = abs(e0) <= tol and abs(e1) <= tol, all(map(tol.__ge__, map(abs, d)))
-        if at_infinity:
-            yield f"line {idx} meets infinity in dimension 1"
-        elif nowhere or ProjPoint(fld, d) != kl.direction:
-            yield f"line {idx} stores a direction it does not have"
-
-
 def verify_directions(K: KakeyaSet, t: Tally, verbose: bool = False) -> VerifyReport:
     """Directions must be distinct, honest, inside the grid, and cover it.
 
@@ -179,7 +186,7 @@ def verify_directions(K: KakeyaSet, t: Tally, verbose: bool = False) -> VerifyRe
     are pairwise distinct is compared with N(N-1)...(N-n+2).
     """
     n, fld = K.n, K.field
-    witnesses = list(_direction_faults(K))
+    witnesses = list(t.faults)
     seen = PointSet(fld)
     for idx, kl in enumerate(K.lines):
         first = seen.setdefault(kl.direction, idx)
@@ -269,26 +276,17 @@ def verify_size(K: KakeyaSet, t: Tally, verbose: bool = False) -> VerifyReport:
     return _finish("size", witnesses, measured, verbose)
 
 
-def _bound_hypothesis(K: KakeyaSet, t: Tally):
-    """Yield a witness for each miss of the grid bound's hypothesis: an uncovered grid, then each line short of N points."""
-    if t.covered < (grid_cells := K.N ** (K.n - 1)):
-        yield f"grid covers {t.covered} of {grid_cells} cells"
-    for idx, count in enumerate(t.counts):
-        if count < K.N:
-            yield f"line {idx} carries {count} distinct points, needs at least {K.N}"
-
-
 def verify_bound_consistency(K: KakeyaSet, t: Tally, r: int, verbose: bool = False) -> VerifyReport:
     """The grid bound must hold for the number of distinct points at the given r.
 
-    A family outside the bound's hypothesis fails with every _bound_hypothesis witness, the bound not evaluated.
+    A family outside the bound's hypothesis fails with every t.hypothesis witness, the bound not evaluated.
     """
     if r < 1:
         raise ValueError("r must be at least 1")
     n, N, size = K.n, K.N, t.size
-    if witnesses := list(_bound_hypothesis(K, t)):
+    if t.hypothesis:
         measured = {"r": r, "size": size, "covered_cells": t.covered, "grid_cells": N ** (n - 1)}
-        return _finish("bound_consistency", witnesses, measured, verbose)
+        return _finish("bound_consistency", list(t.hypothesis), measured, verbose)
     lhs = comb(2 * r + n - 2, n) * size
     rhs = comb(r * N + n - 1, n)
     witnesses = []

@@ -143,6 +143,39 @@ def test_certify_refuses_a_line_that_does_not_have_its_stored_direction(tmp_path
     assert stderr == "error: line 0 stores a direction it does not have\n"
 
 
+def test_one_line_stored_under_every_grid_direction_fails_the_grid_bound(tmp_path, capsys):
+    # conic q=5 n=2 with every line given line 0's basis and only its 5 points: each line carries N = 5
+    # points and the stored directions cover the 5 grid cells, so the bound's hypothesis holds as stored
+    # and the bound is evaluated, binomial(2, 2) * 5 = 5 < binomial(6, 2) = 15; the lines do not have the
+    # directions they store, so directions fails and certify refuses on the first such line
+    out = tmp_path / "k.json"
+    run(capsys, "construct", "--seed", "conic", "--q", "5", "--dim", "2", "--out", str(out))
+    doc = json.loads(out.read_text())
+    for line in doc["lines"]:
+        line["basis"] = doc["lines"][0]["basis"]
+    doc["points"] = [p for p in doc["points"] if p["coords"][1] == p["coords"][2]]  # line 0 is c1 = c2
+    assert len(doc["points"]) == 5
+    out.write_text(json.dumps(doc))
+    code, stdout, stderr = run(capsys, "verify", str(out), "--r", "1")
+    assert code == 1 and not stderr
+    reports = {r["check"]: r for r in json.loads(stdout)}
+    assert {c: r["verdict"] for c, r in reports.items()} == {
+        "incidence": "pass", "directions": "fail", "size": "pass", "bound_consistency": "fail"
+    }
+    assert reports["directions"]["witnesses"] == [f"line {i} stores a direction it does not have" for i in range(1, 5)]
+    assert reports["bound_consistency"]["witnesses"] == ["binomial(2r+n-2, n)*|S| = 5 < binomial(rN+n-1, n) = 15"]
+    assert reports["bound_consistency"]["measured"] == {"r": 1, "size": 5, "lhs": 5, "rhs": 15, "bound": "15"}
+    assert run(capsys, "certify", str(out), "--r", "1") == (2, "", "error: line 1 stores a direction it does not have\n")
+
+
+@pytest.mark.parametrize("command", ["verify", "certify"])
+@pytest.mark.parametrize("r", ["0", "-1"])
+def test_an_r_below_one_is_input_error(conic5_files, tmp_path, capsys, command, r):
+    path = tmp_path / "k.json"
+    path.write_text(json.dumps(conic5_files[0]))
+    assert run(capsys, command, str(path), "--r", r) == (2, "", "error: r must be at least 1\n")
+
+
 @pytest.mark.parametrize("direction", [["1", "2", "3", "1"], ["0", "1", "0", "0"]], ids=["affine", "first-zero"])
 def test_a_stored_direction_in_no_grid_fails_verify_and_certify_refuses_it(conic5_files, tmp_path, capsys, direction):
     # an affine direction, or one with first coordinate 0, has no grid coordinates

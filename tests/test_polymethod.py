@@ -556,3 +556,34 @@ def test_certify_attestation_records_are_pinned(monkeypatch, q, n, r, terms, dig
     out = io.StringIO()
     dump(cert.to_json(), out)
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_an_f_of_degree_rN_minus_1_fails_a_direction_attestation_on_an_accepted_family(monkeypatch, r):
+    # the grid lemma behind certify's `f.degree <= deg_bound`: its solver's f has degree at most rN - 1,
+    # so its top part cannot vanish to order r at all N grid directions, and the verdict is fail whether
+    # the degree test reads <= or <.  The form x0^(r-1) * prod over v != a of (x1 - v x0)^r comes
+    # closest: degree exactly rN - 1, order r at every direction (1 : v : 0) but (1 : a : 0)
+    from kakeya import polymethod
+    from kakeya.construction import assemble
+    from kakeya.seeds import dual_conic_seed
+
+    K = assemble(dual_conic_seed(5), 2)
+    for a in range(5):
+        f = Poly(F5, 2, {(r - 1, 0): 1})
+        for v in range(5):
+            if v != a:
+                for _ in range(r):
+                    f = _mul(f, Poly(F5, 2, {(0, 1): 1, (1, 0): -v}))
+        monkeypatch.setattr(polymethod, "vanishing_space", lambda *args: [f])
+        cert = certify(K, r)
+        assert (f.degree, cert.verdict) == (r * 5 - 1, "fail")
+        assert [d["direction"][1] for d in cert.d_attestations if not d["ok"]] == [str(a)]
+
+
+def test_a_poly_refuses_attribute_assignment():
+    f = Poly(F5, 2, {(1, 0): 1, (0, 2): 3})
+    for name, value in (("terms", {}), ("nvars", 3), ("field", F7)):
+        with pytest.raises(AttributeError, match="Poly is immutable"):
+            setattr(f, name, value)
+    assert (f.field, f.nvars, f.terms) == (F5, 2, {(1, 0): 1, (0, 2): 3})

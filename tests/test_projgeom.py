@@ -122,6 +122,23 @@ def test_from_equations_matches_containment():
     assert not s.contains(P(QQ, 1, 1, 1))
 
 
+@pytest.mark.parametrize("fld", [F7, QQ, RealField()], ids=["F_7", "Q", "reals"])
+def test_from_equations_with_n_plus_one_independent_equations_is_the_empty_flat(fld):
+    eqs = [[fld.one if j == i else fld.zero for j in range(4)] for i in range(4)]
+    eqs[3][0] = fld(2)  # still independent: the rows stay triangular with a nonzero diagonal
+    flat = Subspace.from_equations(fld, 3, eqs)
+    assert flat == Subspace.empty(fld, 3) and flat.proj_dim == -1
+
+
+def test_points_and_flats_refuse_attribute_assignment():
+    p = P(F7, 1, 2, 3)
+    line = Subspace.from_vectors(F7, 2, [[1, 0, 0], [0, 1, 1]])
+    for record, name, value in ((p, "coords", (1, 0, 0)), (p, "field", QQ), (line, "basis", ()), (line, "pivots", ())):
+        with pytest.raises(AttributeError, match=f"{type(record).__name__} is immutable"):
+            setattr(record, name, value)
+    assert p == P(F7, 1, 2, 3) and line.basis == ((1, 0, 0), (0, 1, 1)) and line.pivots == (0, 1)
+
+
 def test_meet_of_plane_lines():
     l1 = span(P(QQ, 0, 0, 1), P(QQ, 1, 1, 1))
     l2 = span(P(QQ, 1, 0, 1), P(QQ, 0, 1, 1))

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kakeya.errors import DegenerateSeed, UnsupportedField
-from kakeya.projgeom import ProjPoint, Subspace, infinite_point, meet, span
+from kakeya.projgeom import ProjPoint, Subspace, at_infinity, infinite_point, meet, span
 from kakeya.scalar import PrimeField, RationalField, RealField
 from kakeya.seeds import (
     PlanarSeed,
@@ -105,6 +105,15 @@ def test_seed_report_fails_on_a_bad_measuring_line(replace, problem):
     rep = seed_report(seed)
     assert rep.verdict == "fail"
     assert rep.problems == [problem]
+
+
+def test_seed_report_names_a_seed_line_at_infinity():
+    # the line at infinity meets infinity in a line, not a point, so it has no direction to audit
+    seed = dual_conic_seed(7)
+    seed.lines[0] = at_infinity(seed.field, 2)
+    rep = seed_report(seed)
+    assert rep.verdict == "fail"
+    assert rep.problems[0] == "line 0 is the line at infinity"
 
 
 def test_ngon_bisecant_direction_depends_on_pair_sum():

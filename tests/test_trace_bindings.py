@@ -36,11 +36,14 @@ def test_every_traced_function_is_bound():
 
 
 def test_bench_self_tests_pass():
-    # in a fresh process: the self-tests drop and re-import kakeya
-    cmd = [sys.executable, "-m", "unittest", "discover", "-s", "bench", "-p", "test_*.py"]
+    # in a fresh process: the self-tests drop and re-import kakeya; the ones that guard the package's
+    # bindings (PatchTest: every traced name and `meet` site) must be among those that ran and passed
+    cmd = [sys.executable, "-m", "unittest", "discover", "-v", "-s", "bench", "-p", "test_*.py"]
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     done = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
+    for name in ("test_install_patches_every_site_and_uninstall_restores", "test_traced_command_records_every_layer"):
+        assert f"(test_bench.PatchTest.{name}) ... ok" in done.stderr, done.stderr
 
 
 def test_a_traced_certify_passes_its_rows_to_the_hooks():

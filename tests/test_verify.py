@@ -157,6 +157,30 @@ def test_directions_fail_on_duplicate(conic5):
     assert any("share a direction" in w for w in rep.witnesses)
 
 
+def test_the_checks_leave_their_tally_as_they_found_it(conic5):
+    # line 0 takes line 1's basis (a direction fault) and line 2 is replaced by line 3 (a shared direction
+    # and an uncovered cell): every check reads the one Tally and changes none of it, so a second run of
+    # the four checks on it reports the same, and certify on the same family refuses on the fault
+    lines = list(conic5.lines)
+    lines[0] = KLine(lines[1].line, lines[0].direction)
+    lines[2] = lines[3]
+    K = KakeyaSet(conic5.field, 3, 5, conic5.grid, lines, conic5.points, conic5.seed_meta)
+    t = Tally(K)
+    assert t.faults == ["line 0 stores a direction it does not have"]
+    assert t.hypothesis == ["grid covers 24 of 25 cells"]
+
+    def checks():
+        reports = verify_incidence(K, t), verify_directions(K, t), verify_size(K, t), verify_bound_consistency(K, t, 1)
+        return [rep.to_json() for rep in reports]
+
+    first = checks()
+    assert (t.faults, t.hypothesis) == (["line 0 stores a direction it does not have"], ["grid covers 24 of 25 cells"])
+    assert checks() == first
+    assert first[1]["witnesses"][:2] == ["line 0 stores a direction it does not have", "lines 2 and 3 share a direction"]
+    assert first[3]["witnesses"] == ["grid covers 24 of 25 cells"]
+    assert _certify_refusal(K) == "line 0 stores a direction it does not have"
+
+
 def test_directions_fail_off_grid(conic5):
     # shrink the stored grid so slopes equal to 4 fall outside it
     grid = [axis[:-1] for axis in conic5.grid]
@@ -364,7 +388,7 @@ def test_real_assembly_passes_core_checks():
 
 def test_verify_all_recovers_the_grid_cells_once(conic5, monkeypatch):
     # the four checks share one Tally and report what each gives on its own; verify_all and certify
-    # each run one incidence pass and recover the grid cells once
+    # each run one incidence pass, recover the grid cells once and audit the directions once
     t = Tally(conic5)
     alone = [
         verify_incidence(conic5, t),
@@ -383,11 +407,12 @@ def test_verify_all_recovers_the_grid_cells_once(conic5, monkeypatch):
 
     counted("incidence", verify.incidence)
     counted("_recovered_cells", _recovered_cells)
+    counted("_direction_faults", verify._direction_faults)
     assert [rep.to_json() for rep in verify_all(conic5, r=1)] == [rep.to_json() for rep in alone]
-    assert calls == ["incidence", "_recovered_cells"]
+    assert calls == ["incidence", "_recovered_cells", "_direction_faults"]
     calls.clear()
     assert certify(conic5, 1).verdict == "pass-vacuous"
-    assert calls == ["incidence", "_recovered_cells"]
+    assert calls == ["incidence", "_recovered_cells", "_direction_faults"]
 
 
 def _rational_conic(q, n):
