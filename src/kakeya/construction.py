@@ -28,6 +28,7 @@ assemble() completes the diagonal with one extra line per missing cell.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from functools import cached_property, partial
 from itertools import permutations, product
 
@@ -279,7 +280,9 @@ def assemble(seed: PlanarSeed, n: int, audit: bool = False) -> KakeyaSet:
     points by walking integer steps along it, and one padded line through
     the affine origin is added for every grid cell missed by the lifted
     directions.  With audit, a seed that fails seed_report is refused
-    after the size checks and before the lift.
+    after the size checks and before the lift.  A lifted point that does
+    not lie on exactly 2^(n-1) lifted lines, which verify_size would
+    fail, is refused after padding (DegenerateSeed, verify_size's text).
     """
     if n < 2:
         raise UnsupportedDimension(f"need n >= 2, got {n}")
@@ -337,9 +340,13 @@ def assemble(seed: PlanarSeed, n: int, audit: bool = False) -> KakeyaSet:
         direction = direction_from_grid_values(fld, n, [slopes[i] for i in cell])
         lines.append(KLine(Subspace(fld, n, (direction.coords, origin.coords), (0, n)), direction))
 
-    # pad every line to N points by walking integer steps along it
+    # pad every line to N points by walking integer steps along it, counting the lifted lines through each
+    # point; the lifted points come first, so labels below lifted are theirs
+    lifted, lifted_on = len(points), Counter()
     for idx, kline in enumerate(lines):
         on = registry.on(kline.line)
+        if idx < completion_start:
+            lifted_on.update(on)
         count = len(on)
         if count >= N:
             continue
@@ -364,6 +371,10 @@ def assemble(seed: PlanarSeed, n: int, audit: bool = False) -> KakeyaSet:
                 count += 1
             lam += 1
 
+    want = 2 ** (n - 1)
+    for i in range(lifted):
+        if lifted_on[i] != want:
+            raise DegenerateSeed(f"lifted point {i} lies on {lifted_on[i]} lifted lines, expected {want}")
     return KakeyaSet(fld, n, N, grid, lines, points, seed_meta)
 
 

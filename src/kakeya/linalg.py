@@ -7,17 +7,16 @@ reals (which is what the field methods compute).  Over the exact kinds
 every step is exact; over the real kind pivots are chosen by largest
 magnitude and anything at or below the field tolerance counts as zero.
 
-Over F_p a row is packed into one int once a reduction needs it, entry
-k in lane k (bits k*W up to (k+1)*W), so one big-int multiply-add
-updates every entry.  W is a whole number of bytes (8 to 64 bits
-through `struct`, wider through bytes) with p + ncols*(p-1)^2 < 2^W: a
-row starts below p and takes at most ncols additions of (p-x)*b, x and
-b's lanes below p, so no lane carries and lanes are reduced mod p once,
-on unpacking.  Packing is lazy, as construct solves only systems of at
-most four rows (seed, audit, embedding, completion lines): the first
-row, a row nothing reduces and a basis row reducing nothing stay lists.
-At full column rank the reduced form is the identity, returned as fresh
-rows; any other echelon basis is back-substituted at the end.
+Over F_p a row is packed into one int, entry k in lane k (bits k*W up
+to (k+1)*W), so one big-int multiply-add updates every entry: each
+incoming row is packed as it is read, and each basis row once, as it
+joins the basis.  W is a whole number of bytes (8 to 64 bits through
+`struct`, wider through bytes) with p + ncols*(p-1)^2 < 2^W: a row
+starts below p and takes at most ncols additions of (p-x)*b, x and b's
+lanes below p, so no lane carries and lanes are reduced mod p once, on
+unpacking.  At full column rank the reduced form is the identity,
+returned as fresh rows; any other echelon basis is back-substituted at
+the end.
 """
 
 from __future__ import annotations
@@ -64,8 +63,8 @@ def rref(rows, field: Field) -> tuple[list[list], list[int]]:
     equals the column count.  The reduced form of an exact matrix is
     unique, so the result does not depend on the order of the rows.
     Over F_p the entries may be any ints: the basis is kept in echelon
-    form (pivot 1, entries below p) on lazily packed rows, an incoming
-    row is reduced in pivot order, and the basis is back-substituted at
+    form (pivot 1, entries below p) on packed rows, an incoming row is
+    reduced in pivot order, and the basis is back-substituted at
     the end, or returned as the identity once the rank reaches the
     column count.  Over the rationals a row is reduced against the reduced
     basis, and a pivot it keeps is cleared from the basis rows.  Over
@@ -101,7 +100,7 @@ def rref(rows, field: Field) -> tuple[list[list], list[int]]:
 
 def _fp_rref(rows, p: int) -> tuple[list[list[int]], list[int]]:
     red: list[list[int]] = []  # the echelon basis, sorted by pivot
-    packed: list = []  # each basis row packed, None until a reduction needs it
+    packed: list[int] = []  # each basis row packed
     pivots: list[int] = []
     ncols = -1
     for row in rows:
@@ -109,14 +108,11 @@ def _fp_rref(rows, p: int) -> tuple[list[list[int]], list[int]]:
         if ncols < 0:
             ncols = len(v)
             fmt, size, bits, mask = _lanes(p, ncols)
-        w = 0  # v packed, once a reduction has touched it (a packed row is never 0)
-        for k, c in enumerate(pivots):
-            x = ((w >> c * bits) & mask) % p if w else v[c]
-            if x:
-                b = packed[k] = packed[k] or _pack(red[k], fmt, size)
-                w = (w or _pack(v, fmt, size)) + (p - x) * b
-        if w:
-            v = [x % p for x in _unpack(w, fmt, size, ncols)]
+        w = _pack(v, fmt, size)
+        for b, c in zip(packed, pivots):
+            if x := ((w >> c * bits) & mask) % p:
+                w += (p - x) * b
+        v = [x % p for x in _unpack(w, fmt, size, ncols)]
         lead = next((c for c, x in enumerate(v) if x), None)
         if lead is not None:
             if v[lead] != 1:
@@ -124,7 +120,7 @@ def _fp_rref(rows, p: int) -> tuple[list[list[int]], list[int]]:
                 v = [x * inv % p for x in v]
             k = bisect(pivots, lead)
             red.insert(k, v)
-            packed.insert(k, None)
+            packed.insert(k, _pack(v, fmt, size))
             pivots.insert(k, lead)
         if len(red) == ncols:  # full column rank: the reduced form is the identity
             return [[0] * i + [1] + [0] * (ncols - 1 - i) for i in range(ncols)], list(range(ncols))
@@ -132,11 +128,11 @@ def _fp_rref(rows, p: int) -> tuple[list[list[int]], list[int]]:
     for i in range(len(red) - 2, -1, -1):
         factors = [(j, red[i][c]) for j, c in enumerate(pivots[i + 1 :], i + 1) if red[i][c]]
         if factors:
-            w = packed[i] or _pack(red[i], fmt, size)
+            w = packed[i]
             for j, x in factors:
-                packed[j] = packed[j] or _pack(red[j], fmt, size)
                 w += (p - x) * packed[j]
-            red[i], packed[i] = [x % p for x in _unpack(w, fmt, size, ncols)], None
+            red[i] = [x % p for x in _unpack(w, fmt, size, ncols)]
+            packed[i] = _pack(red[i], fmt, size)
     return red, pivots
 
 

@@ -10,7 +10,8 @@ built once per verify_all or certify call, measures what the checks read:
 one `projgeom.incidence` pass over an index of the stored points, |S|, the
 lines' grid cells and the cells they cover, the lifted lines and points, and
 the two lists certify refuses on: t.faults, the direction audit's witnesses,
-and t.hypothesis, the misses of the grid bound's hypothesis.
+and t.hypothesis, the misses of the grid bound's hypothesis, which opens with
+t.uncovered, the coverage witness verify_directions reports too.
 The checks are verify_incidence/directions/size(K, t, verbose) and
 verify_bound_consistency(K, t, r, verbose).
 The per-record tests run inline, over the reals with RealField's float tests.
@@ -121,11 +122,12 @@ class Tally:
     first, on and counts are incidence's, size is |S|, cells the lines' recovered grid cells and covered
     the number of grid cells they hit; lifted_lines flags each line whose cell has pairwise distinct
     coordinates, lifted each point labelled lifted.  faults are the _direction_faults witnesses in line
-    order, and hypothesis the misses of the grid bound's hypothesis: an uncovered grid, then each line
-    short of N distinct points.
+    order, uncovered the coverage witness of a grid the lines miss a cell of (empty when they cover it),
+    and hypothesis the misses of the grid bound's hypothesis: uncovered, then each line short of N
+    distinct points.
     """
 
-    __slots__ = ("first", "on", "counts", "size", "cells", "covered", "lifted_lines", "lifted", "faults", "hypothesis")
+    __slots__ = ("first", "on", "counts", "size", "cells", "covered", "lifted_lines", "lifted", "faults", "uncovered", "hypothesis")
 
     def __init__(self, K: KakeyaSet):
         self.first, self.on, self.counts = incidence(K.field, [kl.line for kl in K.lines], [kp.point for kp in K.points])
@@ -136,8 +138,9 @@ class Tally:
         self.lifted = [kp.provenance.get("kind") == "lifted" for kp in K.points]
         self.faults = list(_direction_faults(K))
         grid_cells = K.N ** (K.n - 1)
-        self.hypothesis = [f"grid covers {self.covered} of {grid_cells} cells"] if self.covered < grid_cells else []
-        self.hypothesis += [f"line {i} carries {c} distinct points, needs at least {K.N}" for i, c in enumerate(self.counts) if c < K.N]
+        self.uncovered = [f"grid covers {self.covered} of {grid_cells} cells"] if self.covered < grid_cells else []
+        short = [f"line {i} carries {c} distinct points, needs at least {K.N}" for i, c in enumerate(self.counts) if c < K.N]
+        self.hypothesis = self.uncovered + short
 
 
 def verify_incidence(K: KakeyaSet, t: Tally, verbose: bool = False) -> VerifyReport:
@@ -197,9 +200,7 @@ def verify_directions(K: KakeyaSet, t: Tally, verbose: bool = False) -> VerifyRe
         if cell is None:
             witnesses.append(f"direction of line {idx} lies outside the grid")
 
-    expected_cells = K.N ** (n - 1)
-    if t.covered < expected_cells:
-        witnesses.append(f"grid covers {t.covered} of {expected_cells} cells")
+    witnesses += t.uncovered
 
     distinct_tuple_lines = sum(t.lifted_lines)
     expected_lifted = perm(K.N, n - 1)
@@ -211,7 +212,7 @@ def verify_directions(K: KakeyaSet, t: Tally, verbose: bool = False) -> VerifyRe
 
     measured = {
         "directions": len(K.lines),
-        "grid_cells": expected_cells,
+        "grid_cells": K.N ** (n - 1),
         "covered_cells": t.covered,
         "distinct_coordinate_lines": distinct_tuple_lines,
         "expected_distinct_coordinate_lines": expected_lifted,

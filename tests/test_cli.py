@@ -744,6 +744,15 @@ def test_a_kakeya_tol_that_leaves_no_extra_seed_point_is_input_error(tmp_path, c
     assert stderr == "error: seed line 0 has no new point within 29 steps at tolerance 0.5\n"
 
 
+def test_a_lifted_line_that_cannot_be_padded_is_input_error(tmp_path, capsys, monkeypatch):
+    # at tol 0.1 the 5-gon seed passes, but the walk along lifted line 3 finds too few new points in 4N + 1 steps
+    monkeypatch.setenv("KAKEYA_TOL", "0.1")
+    out = tmp_path / "n.json"
+    code, stdout, stderr = run(capsys, "construct", "--seed", "ngon", "--N", "5", "--dim", "3", "--out", str(out))
+    assert (code, stdout, stderr) == (2, "", "error: cannot pad line 3 up to 5 points\n")
+    assert not out.exists()
+
+
 def test_a_file_construct_writes_at_a_small_kakeya_tol_passes_verify(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("KAKEYA_TOL", "1e-14")
     out = tmp_path / "n.json"
@@ -754,15 +763,7 @@ def test_a_file_construct_writes_at_a_small_kakeya_tol_passes_verify(tmp_path, c
     assert stderr == "error: the measured epsilon is not the regular 7-gon's closed form at tolerance 1e-14\n"
 
 
-# at N=9 tol 1e-13 the seed's epsilon is right, but construct writes 217 padding points where an exact
-# twin of the seed over F_p writes 216, and verify finds "lifted point 86 lies on 3 lifted lines, expected 4"
-_TOL_LADDER = [
-    pytest.param(N, tol, marks=pytest.mark.xfail(strict=True, reason="known defect: one padding point too many"))
-    if (N, tol) == (9, "1e-13")
-    else (N, tol)
-    for N in range(5, 12)
-    for tol in ("1e-12", "1e-13", "1e-14")
-]
+_TOL_LADDER = [(N, tol) for N in range(5, 12) for tol in ("1e-12", "1e-13", "1e-14")]
 
 
 @pytest.mark.parametrize("N, tol", _TOL_LADDER)
@@ -771,6 +772,19 @@ def test_construct_at_a_small_kakeya_tol_refuses_or_writes_a_file_verify_passes(
     out = tmp_path / "n.json"
     code, _, _ = run(capsys, "construct", "--seed", "ngon", "--N", str(N), "--dim", "3", "--out", str(out))
     assert code == 2 or (code == 0 and run(capsys, "verify", str(out), "--r", "1")[0] == 0)
+
+
+@pytest.mark.parametrize(
+    "dim, witness", [(3, "lifted point 86 lies on 3 lifted lines, expected 4"), (4, "lifted point 168 lies on 4 lifted lines, expected 8")]
+)
+def test_construct_refuses_a_lifted_point_off_its_lifted_lines_with_verifys_witness(dim, witness, tmp_path, capsys, monkeypatch):
+    # at N=9 tol 1e-13 the seed's epsilon is right, but a lifted point lies on fewer than 2^(n-1) lifted
+    # lines; construct used to write both files, and verify failed them on this witness
+    monkeypatch.setenv("KAKEYA_TOL", "1e-13")
+    out = tmp_path / "n.json"
+    code, stdout, stderr = run(capsys, "construct", "--seed", "ngon", "--N", "9", "--dim", str(dim), "--out", str(out))
+    assert (code, stdout, stderr) == (2, "", f"error: {witness}\n")
+    assert not out.exists()
 
 
 def test_ngon_seed_report_via_file(tmp_path, capsys):

@@ -29,6 +29,7 @@ from kakeya.construction import (
 )
 from kakeya.errors import (
     DegenerateSeed,
+    MalformedFile,
     SeedTooSmall,
     UndefinedBasePoint,
     UnsupportedDimension,
@@ -259,7 +260,7 @@ def test_intersection_matches_chain_oracle():
 
 
 def test_assemble_rejects_small_seeds():
-    with pytest.raises(SeedTooSmall):
+    with pytest.raises(SeedTooSmall, match=r"^need N >= 2\(n-1\) = 6 seed lines for dimension 4, got 5$"):
         assemble(dual_conic_seed(5), 4)
     with pytest.raises(UnsupportedDimension):
         assemble(dual_conic_seed(5), 1)
@@ -342,6 +343,32 @@ def test_assemble_refuses_a_seed_line_through_the_measuring_direction():
         assemble(seed_from_json(doc), 3)
 
 
+def test_assemble_refuses_a_lifted_point_on_one_lifted_line_too_many(monkeypatch):
+    # no seed tried puts a lifted point on an extra lifted line (an exact lift cannot, and the n-gon's
+    # tolerance loses incidences), so the padding's incidence lookup reports one on lifted line (0, 1)
+    seed = dual_conic_seed(5)
+    first, on, extra = Lifting(seed, 3).line((0, 1)), projgeom.PointSet.on, []
+
+    def on_plus_one(self, line):
+        labels = on(self, line)
+        if line.basis == first.basis and not extra:
+            extra.append(min(set(range(10)) - set(labels)))  # the 10 lifted points come first
+            labels = sorted(labels + extra)
+        return labels
+
+    monkeypatch.setattr(projgeom.PointSet, "on", on_plus_one)
+    with pytest.raises(DegenerateSeed) as err:
+        assemble(seed, 3)
+    assert str(err.value) == f"lifted point {extra[0]} lies on 5 lifted lines, expected 4"
+
+
+def test_assemble_refuses_a_lifted_point_at_infinity(monkeypatch):
+    # the lift puts every z at an affine point; one at infinity (here p_J for z) is refused
+    monkeypatch.setattr(Lifting, "intersection", lambda self, J, Jbar, m: self.direction(J))
+    with pytest.raises(DegenerateSeed, match="^a lifted intersection point fell at infinity$"):
+        assemble(dual_conic_seed(5), 3)
+
+
 def test_assemble_points_distinct():
     K = assemble(dual_conic_seed(7), 3)
     seen = {kp.point.coords for kp in K.points}
@@ -360,6 +387,14 @@ def test_kakeya_json_round_trip():
     for a, b in zip(back.points, K.points):
         assert a.point == b.point and a.provenance == b.provenance
     assert all(rep.verdict == "pass" for rep in verify_all(back, r=1))
+
+
+@pytest.mark.parametrize("cut", [lambda grid: grid[:1], lambda grid: [grid[0], grid[1][:-1]]], ids=["axes", "values"])
+def test_a_loaded_grid_must_hold_n_minus_1_axes_of_N_values(cut):
+    doc = kakeya_to_json(assemble(dual_conic_seed(5), 3))
+    doc["grid"] = cut(doc["grid"])
+    with pytest.raises(MalformedFile, match=r"^grid must hold n - 1 = 2 axes of N = 5 values each$"):
+        kakeya_from_json(doc)
 
 
 def test_assemble_real_seed_n3():

@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kakeya import linalg
 from kakeya.linalg import nullspace, reduce_vector, rref
 from kakeya.projgeom import ProjPoint, Subspace
 from kakeya.scalar import _PRIME_LIMIT, PrimeField, RationalField, RealField, _is_prime
@@ -168,18 +167,21 @@ def test_packed_rref_matches_the_textbook_sweep_on_raw_ints(case):
     assert [list(r) for r in rows] == before
 
 
-def test_a_one_row_matrix_and_rows_no_reduction_touches_are_never_packed(monkeypatch):
-    packed = []
-    pack = linalg._pack
-    monkeypatch.setattr(linalg, "_pack", lambda vals, *lanes: packed.append(list(vals)) or pack(vals, *lanes))
+def test_a_one_row_matrix_and_rows_no_reduction_touches_match_the_textbook_sweep():
     F7 = PrimeField(7)
     for rows in ([[3, 1, 4]], [[0, 2, 5, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 2, 0, 5], [3, 0, 0, 1], [0, 0, 6, 0]]):
         assert rref(rows, F7) == _textbook_rref(rows, F7)
-        assert packed == []
-    # the third row is reduced by the first two; only those three rows are ever packed
+    # the third row is reduced by the first two
     rows = [[1, 0, 0, 2], [0, 1, 0, 3], [1, 1, 1, 1]]
     assert rref(rows, F7) == _textbook_rref(rows, F7)
-    assert sorted(packed) == sorted(rows)
+
+
+def test_a_reduction_adds_only_where_a_pivot_lane_is_nonzero():
+    # over F_5 at 15 columns a lane is one byte, as 5 + 15*4^2 = 245 < 256: adding 5*b where a pivot lane
+    # holds 0 would carry out of lane 14 (4 + 13*5*4 = 264), on insertion and in back-substitution alike
+    F5, ncols = PrimeField(5), 15
+    rows = [[1 if c == k else 4 if c == ncols - 1 else 0 for c in range(ncols)] for k in range(ncols - 1)]
+    assert rref(rows, F5) == _textbook_rref(rows, F5)
 
 
 def _bits(mat):

@@ -84,6 +84,7 @@ def test_conic_seed_report_passes():
         assert rep.verdict == "pass"
         assert rep.problems == []
         assert rep.epsilon_measured == [Fraction(1, 2)] * q
+        assert (rep.epsilon_sum, rep.density) == (Fraction(q, 2), Fraction(1, 2))
 
 
 @pytest.mark.parametrize(
@@ -116,6 +117,14 @@ def test_seed_report_names_a_seed_line_at_infinity():
     assert rep.problems[0] == "line 0 is the line at infinity"
 
 
+def test_seed_report_counts_the_lines_and_measuring_lines_against_N():
+    seed = dual_conic_seed(7)
+    del seed.lines[-1], seed.m_lines[-1]
+    problems = seed_report(seed).problems
+    assert "expected 7 lines, found 6" in problems
+    assert "expected 7 measuring lines, found 6" in problems
+
+
 def test_ngon_bisecant_direction_depends_on_pair_sum():
     d1 = ngon_bisecant_direction(8, 1, 4)
     d2 = ngon_bisecant_direction(8, 2, 3)
@@ -128,6 +137,7 @@ def test_ngon_epsilon_patterns():
     rep8 = seed_report(regular_ngon_seed(8))
     assert rep8.verdict == "pass"
     assert sorted(rep8.epsilon_measured) == [0, 0, 0, 0, 1, 1, 1, 1]
+    assert (rep8.epsilon_sum, rep8.density) == (4, Fraction(1, 2))
     rep9 = seed_report(regular_ngon_seed(9))
     assert rep9.verdict == "pass"
     assert rep9.epsilon_measured == [Fraction(1, 2)] * 9
